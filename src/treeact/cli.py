@@ -2,8 +2,9 @@
 
 Every subcommand prints one JSON report to stdout (validating against
 ``schemas/report.schema.json``) and exits 0 on pass/Sat, 1 on fail/Unsat,
-2 when a budget or cap ran out, and 3 on usage errors.  Reports carry no
-timestamps, so identical configurations produce byte-identical output.
+2 when a budget or cap ran out, and 3 on usage errors and bad input files.
+Reports carry no timestamps, so identical configurations produce
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -98,9 +99,7 @@ class RunConfig:
     parameters: dict = field(default_factory=dict)
     inputs: dict = field(default_factory=dict)
     outputs: dict = field(default_factory=dict)
-    fmt: str = "json"
     seed: int | None = None
-    workers: int = 1
     report_path: str | None = None
 
 
@@ -593,10 +592,6 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="treeact")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--report", help="also write the JSON report to this path")
-    common.add_argument("--format", choices=("json",), default="json",
-                        help="report format")
-    common.add_argument("--workers", type=int, default=1,
-                        help="worker count (execution stays deterministic)")
     sub = parser.add_subparsers(dest="group_cmd", required=True)
 
     tower = sub.add_parser("tower").add_subparsers(dest="sub_cmd", required=True)
@@ -803,9 +798,7 @@ def _to_config(args: argparse.Namespace) -> RunConfig:
         parameters=params,
         inputs=inputs,
         outputs=outputs,
-        fmt=args.format,
         seed=getattr(args, "seed", None),
-        workers=args.workers,
         report_path=args.report,
     )
 

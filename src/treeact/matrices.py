@@ -8,7 +8,10 @@ matrices are admitted into group computations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Mapping, Sequence
+
+from ._walk import walk
 
 
 class MatrixError(ValueError):
@@ -342,23 +345,9 @@ class FiniteMatrixGroup:
 
     def closure(self, seed: Iterable[GroupMatrix]) -> tuple[GroupMatrix, ...]:
         """Subgroup generated by seed elements, as sorted elements."""
-        eid = GroupMatrix.identity(self.n, self.mod)
-        seen = {eid.entries}
-        frontier = [eid]
-        gens = []
-        for g in seed:
-            gens.append(g)
-            gens.append(g.inverse())
-        while frontier:
-            new = []
-            for x in frontier:
-                for g in gens:
-                    y = x * g
-                    if y.entries not in seen:
-                        seen.add(y.entries)
-                        new.append(y)
-            frontier = new
-        return tuple(GroupMatrix(self.n, e, self.mod) for e in sorted(seen))
+        steps = [s for g in seed for s in (g, g.inverse())]
+        found = walk(self.identity(), lambda x: [x * s for s in steps])
+        return tuple(sorted((x for x, *_ in found), key=lambda x: x.entries))
 
     def left_coset_reps(self, sub: Sequence[GroupMatrix]) -> list[GroupMatrix]:
         subset = {g.entries for g in sub}
@@ -410,25 +399,14 @@ def enumerate_group(
         if g.det() != 1 % m:
             raise MatrixError("determinant must be 1")
         reduced.append(g)
-    steps = []
-    for g in reduced:
-        steps.append(g.entries)
-        steps.append(g.inverse().entries)
-    eid = _identity_flat(n)
-    eid = tuple(e % m for e in eid)
-    seen = {eid}
-    frontier = [eid]
-    while frontier:
-        new = []
-        for x in frontier:
-            for s in steps:
-                y = _mul_flat_mod(x, s, n, m)
-                if y not in seen:
-                    if len(seen) >= cap:
-                        raise CapExceeded("group too large for cap")
-                    seen.add(y)
-                    new.append(y)
-        frontier = new
+    steps = [s.entries for g in reduced for s in (g, g.inverse())]
+    eid = tuple(e % m for e in _identity_flat(n))
+    seen = [eid]
+    found = walk(eid, lambda x: [_mul_flat_mod(x, s, n, m) for s in steps])
+    for y, *_ in islice(found, 1, None):
+        if len(seen) >= cap:
+            raise CapExceeded("group too large for cap")
+        seen.append(y)
     elements = tuple(GroupMatrix(n, e, m) for e in sorted(seen))
     return FiniteMatrixGroup(n, m, elements, tuple(reduced))
 
@@ -483,8 +461,23 @@ def matrix_to_json(g: GroupMatrix) -> dict:
     return {"n": g.n, "mod": g.mod, "entries": list(g.entries)}
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def matrix_from_json(obj: Mapping) -> GroupMatrix:
-    return GroupMatrix(int(obj["n"]), tuple(obj["entries"]), obj.get("mod"))
+    """Parse ``{"n", "mod", "entries"}``, rejecting anything but exact ints."""
+    if not isinstance(obj, Mapping):
+        raise MatrixError("matrix must be a JSON object")
+    n, mod, entries = obj.get("n"), obj.get("mod"), obj.get("entries")
+    if not _is_int(n) or n < 1:
+        raise MatrixError("matrix n must be an integer >= 1")
+    if mod is not None and (not _is_int(mod) or mod < 2):
+        raise MatrixError("matrix mod must be null or an integer >= 2")
+    if not (isinstance(entries, list) and len(entries) == n * n
+            and all(_is_int(e) for e in entries)):
+        raise MatrixError(f"matrix entries must be a list of {n * n} integers")
+    return GroupMatrix(n, tuple(entries), mod)
 
 
 def group_to_json(g: FiniteMatrixGroup) -> dict:

@@ -13,8 +13,10 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Iterable, Mapping, Sequence
 
+from ._walk import walk
 from .matrices import CapExceeded, GroupMatrix, MatrixError, matrix_from_json, matrix_to_json
 
 
@@ -75,24 +77,17 @@ def ball_generate(
     if names is None:
         names = tuple(f"g{k}" for k in range(len(gens)))
     names = tuple(names)
-    steps: list[tuple[str, int, GroupMatrix]] = []
-    for name, g in zip(names, gens):
-        steps.append((name, 1, g))
-        steps.append((name, -1, g.inverse()))
+    steps = [(name, e, s) for name, g in zip(names, gens)
+             for e, s in ((1, g), (-1, g.inverse()))]
     ident = GroupMatrix.identity(n, mod)
     words: dict[GroupMatrix, Word] = {ident: ()}
-    frontier = [ident]
-    for _ in range(radius):
-        new = []
-        for x in frontier:
-            for name, e, g in steps:
-                y = x * g
-                if y not in words:
-                    if len(words) >= cap:
-                        raise CapExceeded("ball exceeds cap")
-                    words[y] = words[x] + ((name, e),)
-                    new.append(y)
-        frontier = new
+    found = walk(ident, lambda x: (x * s for _name, _e, s in steps))
+    for y, x, k, depth in islice(found, 1, None):
+        if depth > radius:
+            break
+        if len(words) >= cap:
+            raise CapExceeded("ball exceeds cap")
+        words[y] = words[x] + (steps[k][:2],)
     elements = tuple(sorted(words, key=lambda g: g.entries))
     return Ball(elements, tuple(gens), names, radius, words)
 
@@ -306,19 +301,16 @@ class _PairVars:
 
     def chain_between(self, p, q) -> list[tuple[tuple[int, int], str]]:
         """Edge path from p to q through recorded constraint edges."""
-        prev: dict = {p: None}
-        queue = deque([p])
-        while queue:
-            x = queue.popleft()
-            if x == q:
+        prev: dict = {}
+        neighbours = lambda v: [w for w, _rel, _label in self.edges[v]]
+        for y, x, k, _depth in walk(p, neighbours):
+            if x is not None:
+                prev[y] = (x, self.edges[x][k][2])
+            if y == q:
                 break
-            for y, _rel, label in self.edges[x]:
-                if y not in prev:
-                    prev[y] = (x, label)
-                    queue.append(y)
         out = []
         cur = q
-        while prev.get(cur) is not None:
+        while cur in prev:
             x, label = prev[cur]
             out.append((cur, label))
             cur = x
@@ -645,9 +637,6 @@ class QuasiOrderSample:
     def key(self, elem) -> tuple:
         return tuple(self.position(self.apply(elem, x)) for x in self.probes)
 
-    def leq(self, key_a: tuple, key_b: tuple) -> bool:
-        return key_a <= key_b
-
 
 @dataclass(frozen=True)
 class DominationVerdict:
@@ -687,9 +676,9 @@ def ll_test(sample: QuasiOrderSample, g, h, k: int) -> DominationVerdict:
     fail_h: int | None = None
     fail_hinv: int | None = None
     for j, key in power_keys():
-        if fail_h is None and not sample.leq(key, key_h):
+        if fail_h is None and not key <= key_h:
             fail_h = abs(j)
-        if fail_hinv is None and not sample.leq(key, key_hinv):
+        if fail_hinv is None and not key <= key_hinv:
             fail_hinv = abs(j)
         if fail_h is not None and fail_hinv is not None:
             return DominationVerdict(False, k, None, max(fail_h, fail_hinv))

@@ -10,12 +10,12 @@ without bound as depth increases.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import cos, pi, sin
 from typing import Callable, Mapping, Sequence
 
+from ._walk import walk
 from .matrices import (
     CapExceeded,
     _mul_flat_mod,
@@ -28,6 +28,7 @@ from .matrices import (
 from .trees import (
     Tree,
     TreeAutomorphism,
+    _is_connected_subset,
     first_point_map,
     is_tree_automorphism,
     midpoint_name,
@@ -273,18 +274,8 @@ def verify_bond_structure(sys: InverseSystem, level: int) -> BondStructureReport
     preimage: dict[str, set[str]] = {}
     for v, w in bond.items():
         preimage.setdefault(w, set()).add(v)
-    adj = upper.adjacency
     for w, block in preimage.items():
-        start = next(iter(block))
-        reached = {start}
-        queue = deque([start])
-        while queue:
-            x = queue.popleft()
-            for y in adj[x]:
-                if y in block and y not in reached:
-                    reached.add(y)
-                    queue.append(y)
-        if len(reached) != len(block):
+        if not _is_connected_subset(upper, frozenset(block)):
             reasons.append(f"preimage of {w} is disconnected")
             break
     return BondStructureReport(not reasons, tuple(reasons))
@@ -299,32 +290,29 @@ class OrbitResult:
         return len(self.vertices)
 
 
+def _orbit_walk(act: FiniteTreeAction, v: str):
+    """Breadth-first orbit of v: sorted generator names, each before its inverse."""
+    steps = [s for name in sorted(act.generators)
+             for s in (act.generators[name], act.generators[name].inverse())]
+    return walk(v, lambda x: [s(x) for s in steps])
+
+
 def orbit(act: FiniteTreeAction, v: str, cap: int | None = None) -> OrbitResult:
-    """Closure of {v} under the generators and inverses, up to a word-length cap."""
+    """Closure of {v} under the generators and inverses, up to a word-length cap.
+
+    ``closed`` is False exactly when some orbit vertex has word length cap.
+    """
     if v not in act.tree.adjacency:
         raise TowerError("vertex not in tree")
-    steps = []
-    for name in sorted(act.generators):
-        auto = act.generators[name]
-        steps.append(auto)
-        steps.append(auto.inverse())
-    seen = {v}
-    frontier = [v]
-    length = 0
+    limit = None if cap is None else max(cap, 0)
+    seen = []
     closed = True
-    while frontier:
-        if cap is not None and length >= cap:
+    for y, _x, _k, depth in _orbit_walk(act, v):
+        if depth == limit:
             closed = False
+        elif limit is not None and depth > limit:
             break
-        new = []
-        for x in frontier:
-            for s in steps:
-                y = s(x)
-                if y not in seen:
-                    seen.add(y)
-                    new.append(y)
-        frontier = new
-        length += 1
+        seen.append(y)
     return OrbitResult(tuple(sorted(seen)), closed)
 
 
@@ -447,7 +435,6 @@ class Pendant:
 class DecoratedAction:
     action: FiniteTreeAction
     pendants: tuple[Pendant, ...]
-    base_vertices: frozenset[str]
 
 
 def attach_decorations(
@@ -470,23 +457,7 @@ def attach_decorations(
     if lengths is None:
         lengths = lambda i: Fraction(1, i)
 
-    # BFS enumeration of the orbit, deterministic: sorted generator names,
-    # generator before inverse.
-    steps = []
-    for name in sorted(act.generators):
-        steps.append(act.generators[name])
-        steps.append(act.generators[name].inverse())
-    order = [seed]
-    seen = {seed}
-    queue = deque([seed])
-    while queue:
-        x = queue.popleft()
-        for s in steps:
-            y = s(x)
-            if y not in seen:
-                seen.add(y)
-                order.append(y)
-                queue.append(y)
+    order = [y for y, *_ in _orbit_walk(act, seed)]
 
     pendants = []
     verts = list(tree.vertices)
@@ -510,11 +481,7 @@ def attach_decorations(
             mapping[f"pend{i}m"] = f"pend{j}m"
             mapping[f"pend{i}t"] = f"pend{j}t"
         gens[name] = TreeAutomorphism(mapping)
-    return DecoratedAction(
-        FiniteTreeAction(new_tree, gens, act.context),
-        tuple(pendants),
-        frozenset(tree.vertices),
-    )
+    return DecoratedAction(FiniteTreeAction(new_tree, gens, act.context), tuple(pendants))
 
 
 @dataclass(frozen=True)

@@ -8,11 +8,12 @@ immutable after construction; construction itself is permissive so that
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 from typing import Iterable, Iterator, Mapping, Sequence
+
+from ._walk import walk
 
 
 class TreeError(ValueError):
@@ -106,16 +107,7 @@ def validate_tree(t: Tree) -> ValidationResult:
     if len(t.edges) < len(t.vertices) - 1:
         return ValidationResult(False, "disconnected")
     # |E| = |V|-1 holds; connectivity now rules out a cycle+island split.
-    root = t.vertices[0]
-    reached = {root}
-    queue = deque([root])
-    while queue:
-        x = queue.popleft()
-        for y in t.adjacency[x]:
-            if y not in reached:
-                reached.add(y)
-                queue.append(y)
-    if len(reached) != len(t.vertices):
+    if len(_distances_from(t, t.vertices[0])) != len(t.vertices):
         return ValidationResult(False, "disconnected")
     if t.embedding is not None:
         if set(t.embedding) != vset:
@@ -128,53 +120,30 @@ def validate_tree(t: Tree) -> ValidationResult:
     return ValidationResult(True, None)
 
 
-# A TreePath is the ordered vertex list of the unique simple path a -> b.
-TreePath = list
-
-
 def path(t: Tree, a: str, b: str) -> list[str]:
     """The unique simple path from a to b; ``path(t, a, a) == [a]``."""
     adj = t.adjacency
     if a not in adj or b not in adj:
         raise TreeError("vertex not in tree")
-    if a == b:
-        return [a]
-    parent: dict[str, str] = {a: a}
-    queue = deque([a])
-    while queue:
-        x = queue.popleft()
+    parent: dict[str, str | None] = {}
+    for x, up, _k, _depth in walk(a, adj.__getitem__):
+        parent[x] = up
         if x == b:
             break
-        for y in adj[x]:
-            if y not in parent:
-                parent[y] = x
-                queue.append(y)
-    if b not in parent:
+    else:
         raise TreeError("vertices not connected")
     out = [b]
-    while out[-1] != a:
+    while parent[out[-1]] is not None:
         out.append(parent[out[-1]])
     out.reverse()
     return out
 
 
-def distance(t: Tree, a: str, b: str) -> int:
-    return len(path(t, a, b)) - 1
-
-
 def _is_connected_subset(t: Tree, sub: frozenset[str]) -> bool:
     if not sub:
         return False
-    start = next(iter(sub))
-    reached = {start}
-    queue = deque([start])
-    while queue:
-        x = queue.popleft()
-        for y in t.adjacency[x]:
-            if y in sub and y not in reached:
-                reached.add(y)
-                queue.append(y)
-    return len(reached) == len(sub)
+    inside = lambda x: [y for y in t.adjacency[x] if y in sub]
+    return sum(1 for _ in walk(next(iter(sub)), inside)) == len(sub)
 
 
 def first_point_map(t: Tree, sub: Iterable[str], x: str) -> str:
@@ -228,9 +197,6 @@ class TreeAutomorphism:
         self._hash: int | None = None
 
     def __call__(self, v: str) -> str:
-        return self._map[v]
-
-    def apply(self, v: str) -> str:
         return self._map[v]
 
     @property
@@ -334,34 +300,18 @@ def common_fixed_point(t: Tree, gens: Sequence[TreeAutomorphism], z: str) -> str
 
 
 def _distances_from(t: Tree, root: str) -> dict[str, int]:
-    dist = {root: 0}
-    queue = deque([root])
-    while queue:
-        x = queue.popleft()
-        for y in t.adjacency[x]:
-            if y not in dist:
-                dist[y] = dist[x] + 1
-                queue.append(y)
-    return dist
+    return {x: depth for x, _up, _k, depth in walk(root, t.adjacency.__getitem__)}
 
 
 # -- automorphism enumeration (rooted at a fixed leaf) ------------------------
 
 
 def _rooted_children(t: Tree, root: str) -> dict[str, tuple[str, ...]]:
-    children: dict[str, tuple[str, ...]] = {}
-    parent = {root: None}
-    order = [root]
-    queue = deque([root])
-    while queue:
-        x = queue.popleft()
-        kids = tuple(y for y in t.adjacency[x] if y != parent[x])
-        children[x] = kids
-        for y in kids:
-            parent[y] = x
-            queue.append(y)
-            order.append(y)
-    return children
+    adj = t.adjacency
+    return {
+        x: tuple(y for y in adj[x] if y != up)
+        for x, up, _k, _depth in walk(root, adj.__getitem__)
+    }
 
 
 def _canon(v: str, children: dict[str, tuple[str, ...]], memo: dict) -> tuple:

@@ -6,6 +6,7 @@ determinant-one matrices, and subgroup lattices by closure.  Tests compare
 package output against these, never the other way round.
 """
 
+from collections import deque
 from itertools import product
 
 
@@ -147,3 +148,31 @@ def max_normal_subgroup_inside(elements, mul, inv, identity, inside):
         if normal and len(sub) > len(best):
             best = sub
     return best
+
+
+def bfs(start, neighbours):
+    """Textbook queue breadth-first search.
+
+    Returns the discovery order and, per node, its parent and depth.
+    """
+    parent = {start: None}
+    depth = {start: 0}
+    order = [start]
+    queue = deque([start])
+    while queue:
+        x = queue.popleft()
+        for y in neighbours(x):
+            if y not in parent:
+                parent[y] = x
+                depth[y] = depth[x] + 1
+                order.append(y)
+                queue.append(y)
+    return order, parent, depth
+
+
+def parent_path(parent, b):
+    """Follow parent pointers from b back to the search root, root first."""
+    out = [b]
+    while parent[out[-1]] is not None:
+        out.append(parent[out[-1]])
+    return out[::-1]

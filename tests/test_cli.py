@@ -1,14 +1,16 @@
 """CLI behaviour: exit codes, schema-valid reports, byte determinism, artifacts."""
 
+import hashlib
 import io
 import json
+import shlex
 from contextlib import redirect_stdout
 from importlib import resources
 
 import jsonschema
 import pytest
 
-from treeact import cli
+from treeact import cli, presets
 
 
 SCHEMA = json.loads(
@@ -51,6 +53,18 @@ class TestExitCodes:
 
     def test_missing_file_is_three(self):
         code, _ = run_cli("tree", "info", "--in", "/nonexistent/tree.json")
+        assert code == 3
+
+    @pytest.mark.parametrize("matrix", [
+        {"n": 2, "mod": None, "entries": ["1", "0", "0", "1"]},
+        {"n": 2, "mod": None, "entries": [True, False, False, True]},
+        {"n": 2.0, "mod": None, "entries": [1, 0, 0, 1]},
+        {"n": 2, "mod": "4", "entries": [1, 0, 0, 1]},
+    ])
+    def test_malformed_matrix_is_three(self, tmp_path, matrix):
+        f = tmp_path / "m.json"
+        f.write_text(json.dumps(matrix))
+        code, _ = run_cli("identities", "congruence", "--level", "2", "--matrix", str(f))
         assert code == 3
 
     def test_group_cap_is_two(self):
@@ -320,3 +334,41 @@ class TestPresets:
         f = tmp_path / "report.json"
         code, out = run_cli("presets", "--report", str(f))
         assert f.read_text() == out
+
+
+# SHA-256 of the stdout report and the exit code of every preset command.
+# congruence-tower-3-2-2 is left out because it takes seconds; the benchmark
+# pins the digest of its serialized tower instead.
+GOLDEN_REPORTS = {
+    "congruence-tower-3-2-1": (0, "da4f04e60a9bc936be603a40f6ebeec420bfd5c3e6f4aa3d9f31f88b24a37653"),
+    "congruence-u12": (0, "4814f1de9507ecb495d06bbf428c2554db2e01d84ea1c73308cfcabf2731717d"),
+    "core-sl2z2": (0, "4988721c04e4fa21dcf14e10e921ac3c764a38609085ad2bf127cbb7ec1e1c50"),
+    "core-sl2z3": (0, "c897bf839b482244ed4d48c42750ae2f214ae3c5aed6fa599c6f14673ff8e91b"),
+    "decorated-tower-3-2-1": (0, "01ab6cf2da70c0e31c39141156e87789c96f08f0f7a922d210d1f43ebef02a1a"),
+    "heisenberg-ball-2": (0, "59cb2ace0d4410da9c4fd39725e1c1d2091acc336ad6cb8f1b5022851a422e07"),
+    "hexagon-embedded-4-1-2-l2": (0, "5df941c0ef3ba4a4a68ad961f1050d42476da50ed5bb4fd808a936f60045a0c5"),
+    "hexagon-r1": (0, "926b7d5cfb7f75d405a86f9e9211e6a0d6d8caae6389a71c85cb9e493f65b18f"),
+    "hexagon-r2": (0, "c91be0515c9f6a9ec4f2ea6f7a36b4f29965dc1d418159da2da6359634230685"),
+    "hexagon-r3": (0, "836b0741b12bd50b91555884229dcf6120059d9e164f08f23166b1db7910e90b"),
+    "ll-heisenberg": (0, "9897043cfa27c4cca63c0e94dcf5c7a4c0cfb0638961c13e8b1d691af7ca9979"),
+    "realize-z-21": (0, "995315cd12180ee076196b4e9cfeda10d5412f6a43a796a034e86a89ce327b16"),
+    "star-dendrite-1": (0, "a4669e0cb3dc2f3f8c5819ebec0dfa9219e2d623cfd56ed26b246a6868a34c49"),
+    "star-dendrite-8": (0, "b6d489975b700e4c5963f6edc72586c5630fc1914ac91d709341301288749859"),
+    "torsion-z2": (1, "0f1110836239910da4dcad5d4074779f9f3dd17a66e31538dce2580a2a5dfe57"),
+    "torsion-z3": (1, "cb80191c76384c6271677388e6d3982174508cada65783cf61284d97b911f344"),
+    "torsion-z4": (1, "5a7de5ae105023a92785f73ed2cab439fc95992a7a402c8e418f0710459b5a52"),
+    "z-ball-3": (0, "5d9cbd1c74b3845025a19bfcaafe5f417906d64cec69b747e2f6fbead8b80d54"),
+    "z2-ball-1": (0, "017e3c0f4ae172dcd419d2eb1f0f7e49607d1ad664067935ba472c1d705c478f"),
+}
+SLOW_PRESETS = {"congruence-tower-3-2-2"}
+
+
+class TestGoldenReports:
+    def test_every_fast_preset_is_pinned(self):
+        assert set(GOLDEN_REPORTS) == set(presets.PRESETS) - SLOW_PRESETS
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_REPORTS))
+    def test_report_digest(self, name):
+        code, out = run_cli(*shlex.split(presets.PRESETS[name]["command"]))
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert (code, digest) == GOLDEN_REPORTS[name]
