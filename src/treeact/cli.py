@@ -2,24 +2,31 @@
 
 Every subcommand prints one JSON report to stdout (validating against
 ``schemas/report.schema.json``) and exits 0 on pass/Sat, 1 on fail/Unsat,
-2 when a budget or cap ran out, and 3 on usage errors and bad input files.
-Reports carry no timestamps, so identical configurations produce
+2 when a budget or cap ran out, 3 on usage errors and bad input files, and
+4 on an internal error, with ``internal error:`` and the traceback on
+stderr.  Reports carry no timestamps, so identical configurations produce
 byte-identical output.
+
+Each subcommand is declared once, in ``COMMANDS``: its handler and its
+options, each tagged as a report parameter, an input file or an output path.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 from . import __version__, presets as presets_mod
 from .matrices import (
     CapExceeded,
     GroupMatrix,
     MatrixError,
+    _is_int,
     congruence_membership,
     elementary,
     enumerate_group,
@@ -40,6 +47,7 @@ from .ordering import (
     check_axioms,
     check_invariance,
     compactness_extract,
+    invariance_set,
     search_invariant,
 )
 from .realize import (
@@ -69,8 +77,8 @@ from .tower import (
     verify_bond_structure,
 )
 from .trees import (
-    TreeAutomorphism,
     TreeError,
+    automorphism_from_json,
     common_fixed_point,
     convex_hull,
     point_order,
@@ -80,7 +88,7 @@ from .trees import (
     validate_tree,
 )
 
-EXIT_PASS, EXIT_FAIL, EXIT_BUDGET, EXIT_USAGE = 0, 1, 2, 3
+EXIT_PASS, EXIT_FAIL, EXIT_BUDGET, EXIT_USAGE, EXIT_INTERNAL = 0, 1, 2, 3, 4
 
 _OUTCOME_EXIT = {
     "pass": EXIT_PASS,
@@ -91,6 +99,15 @@ _OUTCOME_EXIT = {
 }
 
 
+class UsageError(Exception):
+    """A command line that parses but asks for something inconsistent."""
+
+
+# bad input from the user or the file system: exit 3, never 4
+_INPUT_ERRORS = (UsageError, TreeError, TowerError, MatrixError, OrderingError,
+                 RealizeError, OSError, json.JSONDecodeError, UnicodeDecodeError)
+
+
 @dataclass
 class RunConfig:
     """One validated invocation: subcommand plus its vetted parameters."""
@@ -99,7 +116,6 @@ class RunConfig:
     parameters: dict = field(default_factory=dict)
     inputs: dict = field(default_factory=dict)
     outputs: dict = field(default_factory=dict)
-    seed: int | None = None
     report_path: str | None = None
 
 
@@ -129,38 +145,34 @@ def _dump(obj) -> str:
 
 
 def _tower_from_config(cfg: RunConfig):
-    if cfg.inputs.get("infile"):
+    if "infile" in cfg.inputs:
         return system_from_json(_read_json(cfg.inputs["infile"]))
     p = cfg.parameters
-    return build_congruence_tower(p["n"], p["p"], p["depth"], cap=p.get("cap", 2_000_000))
+    return build_congruence_tower(p["n"], p["p"], p["depth"], cap=p["cap"])
 
 
-def _tower_counts(sys_) -> dict:
-    per_level = []
-    for act in sys_.levels:
-        tree = act.tree
-        per_level.append(
-            {"vertices": len(tree.vertices), "leaves": len(tree.leaves())}
-        )
-    return {"levels": per_level}
+def _first_leaf(act) -> str:
+    leaves = act.tree.leaves()
+    return leaves[0] if leaves else act.tree.vertices[0]
 
 
 def _h_tower_build(cfg: RunConfig):
     if "star" in cfg.parameters:
         sd = star_dendrite(cfg.parameters["star"])
-        if cfg.outputs.get("outfile"):
-            _write_text(cfg.outputs["outfile"], _dump(star_to_json(sd)))
-        if cfg.outputs.get("svg"):
+        if "out" in cfg.outputs:
+            _write_text(cfg.outputs["out"], _dump(star_to_json(sd)))
+        if "svg" in cfg.outputs:
             _write_text(cfg.outputs["svg"], star_to_svg(sd))
         return "pass", {"star": star_to_json(sd)}
     sys_ = _tower_from_config(cfg)
-    details = _tower_counts(sys_)
+    details = {"levels": [{"vertices": len(act.tree.vertices), "leaves": len(act.tree.leaves())}
+                          for act in sys_.levels]}
     dp = degree_profile(sys_)
     details["max_degrees"] = list(dp.max_degrees)
     details["stable_degree_bound"] = dp.expected_stable
-    if cfg.outputs.get("outfile"):
-        _write_text(cfg.outputs["outfile"], _dump(system_to_json(sys_)))
-    if cfg.outputs.get("dot_dir"):
+    if "out" in cfg.outputs:
+        _write_text(cfg.outputs["out"], _dump(system_to_json(sys_)))
+    if "dot_dir" in cfg.outputs:
         for k, act in enumerate(sys_.levels):
             _write_text(
                 str(Path(cfg.outputs["dot_dir"]) / f"level_{k}.dot"),
@@ -201,21 +213,14 @@ def _h_tower_verify(cfg: RunConfig):
 def _h_tower_orbits(cfg: RunConfig):
     sys_ = _tower_from_config(cfg)
     act = sys_.levels[-1]
-    vertex = cfg.parameters.get("vertex")
-    if vertex is None:
-        leaves = act.tree.leaves()
-        vertex = leaves[0] if leaves else act.tree.vertices[0]
+    vertex = cfg.parameters.get("vertex", _first_leaf(act))
     res = orbit(act, vertex, cfg.parameters.get("orbit_cap"))
     return "pass", {"vertex": vertex, "orbit_size": len(res), "closed": res.closed}
 
 
 def _h_tower_decorate(cfg: RunConfig):
     sys_ = _tower_from_config(cfg)
-    act = sys_.levels[-1]
-    seed = cfg.parameters.get("seed_leaf")
-    if seed is None:
-        leaves = act.tree.leaves()
-        seed = leaves[0] if leaves else act.tree.vertices[0]
+    seed = cfg.parameters.get("seed_leaf", _first_leaf(sys_.levels[-1]))
     decorated = attach_decorations(sys_, seed)
     x = decorated.pendants[0].tip
     growth = projection_orbit_growth(sys_, decorated, x, cfg.parameters.get("orbit_cap"))
@@ -233,46 +238,53 @@ def _h_tower_decorate(cfg: RunConfig):
     return ("pass" if monotone else "fail"), details
 
 
+def _tower_preset(name: str) -> dict:
+    """The tower options a preset stands for; presets of other commands are rejected."""
+    entry = presets_mod.PRESETS.get(name)
+    if entry is None:
+        raise TowerError(f"unknown preset: {name}")
+    if not entry["command"].startswith("tower "):
+        raise TowerError(f"preset {name!r} is not a tower preset: it runs `{entry['command']}`")
+    pp = entry["params"]
+    return {"star": pp["count"]} if "count" in pp else {k: pp[k] for k in ("n", "p", "depth")}
+
+
 # -- order ------------------------------------------------------------------------
 
 
 def _search_inputs(cfg: RunConfig):
-    if cfg.parameters.get("preset"):
-        return presets_mod.search_instance(cfg.parameters["preset"])
+    p = cfg.parameters
+    if "preset" in p:
+        return presets_mod.search_instance(p["preset"])
     payload = _read_json(cfg.inputs["gens"])
+    if not (isinstance(payload, dict) and isinstance(payload.get("generators"), list)
+            and isinstance(payload.get("names", []), list)):
+        raise OrderingError("--gens file must be an object with 'generators' and 'names' lists")
     gens = [matrix_from_json(m) for m in payload["generators"]]
-    names = tuple(payload.get("names") or (f"g{k}" for k in range(len(gens))))
-    inner = ball_generate(gens, cfg.parameters["radius"], names)
-    outer = ball_generate(
-        gens, cfg.parameters.get("outer_radius", cfg.parameters["radius"] + 1), names
-    )
-    f = list(gens)
-    if cfg.parameters.get("invariant", "gens+inv") == "gens+inv":
-        f += [g.inverse() for g in gens]
-    return f, inner, outer
+    names = payload.get("names") or None
+    inner = ball_generate(gens, p["radius"], names)
+    outer = ball_generate(gens, p.get("outer_radius", p["radius"] + 1), names)
+    return invariance_set(gens, p["invariant"]), inner, outer
 
 
 def _h_order_search(cfg: RunConfig):
     f, inner, outer = _search_inputs(cfg)
     result = search_invariant(
-        f, inner, outer, budget=cfg.parameters.get("budget", 500_000),
-        shuffle_seed=cfg.seed,
+        f, inner, outer, budget=cfg.parameters["budget"],
+        shuffle_seed=cfg.parameters.get("seed"),
     )
     details = {
         "ball_sizes": {"inner": len(inner), "outer": len(outer)},
         "decisions": result.decisions,
     }
     if result.is_sat:
-        payload = assignment_to_json(result.witness)
+        payload = details["witness"] = assignment_to_json(result.witness)
         details["witness_pairs"] = len(payload["signs"])
-        if cfg.outputs.get("outfile"):
-            _write_text(cfg.outputs["outfile"], _dump(payload))
-        details["witness"] = payload
-        return "sat", details
-    details["trace"] = result.trace.to_json()
-    if cfg.outputs.get("outfile"):
-        _write_text(cfg.outputs["outfile"], _dump(result.trace.to_json()))
-    return "unsat", details
+    else:
+        payload = details["trace"] = result.trace.to_json()
+    if "out" in cfg.outputs:
+        _write_text(cfg.outputs["out"], _dump(payload))
+    return ("sat" if result.is_sat else "unsat"), details
 
 
 def _h_order_check(cfg: RunConfig):
@@ -283,17 +295,14 @@ def _h_order_check(cfg: RunConfig):
         "transitivity_violations": len(axioms.transitivity_violations),
     }
     ok = axioms.passed
-    mode = cfg.parameters.get("invariant", "none")
+    mode = cfg.parameters["invariant"]
     if mode != "none":
-        f = list(phi.ball.generators)
-        if mode == "gens+inv":
-            f += [g.inverse() for g in phi.ball.generators]
         inner = ball_generate(
             phi.ball.generators,
             cfg.parameters.get("inner_radius", phi.ball.radius - 1),
             phi.ball.names,
         )
-        inv = check_invariance(phi, f, inner)
+        inv = check_invariance(phi, invariance_set(phi.ball.generators, mode), inner)
         details["invariance_violations"] = len(inv.violations)
         ok = ok and inv.passed
     return ("pass" if ok else "fail"), details
@@ -307,8 +316,8 @@ def _h_order_extract(cfg: RunConfig):
     )
     res = compactness_extract(chain, target)
     payload = assignment_to_json(res.assignment)
-    if cfg.outputs.get("outfile"):
-        _write_text(cfg.outputs["outfile"], _dump(payload))
+    if "out" in cfg.outputs:
+        _write_text(cfg.outputs["out"], _dump(payload))
     return "pass", {
         "supporters": list(res.supporters),
         "target_size": len(target),
@@ -329,15 +338,9 @@ def _realize_z_ball(radius: int):
 
 
 def _h_order_from_action(cfg: RunConfig):
-    preset = cfg.parameters.get("preset", "realized-z-21")
-    if preset != "realized-z-21":
-        raise OrderingError(f"unknown from-action preset: {preset}")
     u, ball, order, enumeration = _realize_z_ball(10)
     rm = realize(enumeration, order)
-    probes = sorted(rm.t.values())
-    count = cfg.parameters.get("probe_count")
-    if count is not None:
-        probes = probes[:count]
+    probes = sorted(rm.t.values())[:cfg.parameters.get("probe_count")]
     recovered = order_from_realization(rm, ball, probes)
     reproduced = recovered.signs == order.signs
     details = {
@@ -346,7 +349,7 @@ def _h_order_from_action(cfg: RunConfig):
         "reproduced_input_order": reproduced,
     }
     power_cap = cfg.parameters.get("power_cap")
-    if power_cap:
+    if power_cap is not None:
         # bounded domination of the unit translation over the identity,
         # evaluated on the realized piecewise-linear maps
         from .ordering import QuasiOrderSample, ll_test
@@ -364,26 +367,32 @@ def _h_order_from_action(cfg: RunConfig):
             "via": verdict.via,
             "failed_at": verdict.failed_at,
         }
-    if cfg.outputs.get("outfile"):
-        _write_text(cfg.outputs["outfile"], _dump(assignment_to_json(recovered)))
+    if "out" in cfg.outputs:
+        _write_text(cfg.outputs["out"], _dump(assignment_to_json(recovered)))
     return ("pass" if reproduced else "fail"), details
 
 
+def _enumeration_from_json(obj, ball) -> list:
+    indices = obj.get("indices") if isinstance(obj, dict) else None
+    if not (isinstance(indices, list)
+            and all(_is_int(i) and 0 <= i < len(ball) for i in indices)):
+        raise RealizeError(f"--enum indices must be a list of integers in [0, {len(ball)})")
+    return [ball.elements[i] for i in indices]
+
+
 def _h_realize(cfg: RunConfig):
-    if cfg.parameters.get("preset") == "realize-z-21":
+    if "preset" in cfg.parameters:
         u, ball, order, enumeration = _realize_z_ball(10)
     else:
         order = assignment_from_json(_read_json(cfg.inputs["order"]))
         ball = order.ball
-        enum_payload = _read_json(cfg.inputs["enum"])
-        enumeration = [ball.elements[i] for i in enum_payload["indices"]]
+        enumeration = _enumeration_from_json(_read_json(cfg.inputs["enum"]), ball)
     rm = realize(enumeration, order)
-    maps = []
-    for name, g in zip(ball.names, ball.generators):
-        maps.append(generator_pl_map(rm, g, ball, label=name))
+    maps = [generator_pl_map(rm, g, ball, label=name)
+            for name, g in zip(ball.names, ball.generators)]
     report = verify_realization(rm, maps)
     free = almost_free_report(maps)
-    outdir = cfg.outputs.get("outdir")
+    outdir = cfg.outputs.get("out")
     if outdir:
         _write_text(str(Path(outdir) / "realization.csv"), realization_to_csv(rm, ball))
         for gm in maps:
@@ -405,14 +414,11 @@ def _h_realize(cfg: RunConfig):
 
 
 def _h_identities_hexagon(cfg: RunConfig):
-    r = cfg.parameters.get("r", 1)
-    if cfg.parameters.get("embedded"):
+    if "embedded" in cfg.parameters:
         n, i, j, l = cfg.parameters["embedded"]
-        gens = six_generators_embedded(n, i, j, l)
-        rep = verify_hexagon_relations(gens, l)
+        rep = verify_hexagon_relations(six_generators_embedded(n, i, j, l), l)
     else:
-        gens = six_generators(r)
-        rep = verify_hexagon_relations(gens, r)
+        rep = verify_hexagon_relations(six_generators(cfg.parameters["r"]), cfg.parameters["r"])
     details = {
         "checks": [
             {"i": c.i, "commutes": c.commutes, "power_ok": c.power_ok, "sign": c.sign}
@@ -423,10 +429,10 @@ def _h_identities_hexagon(cfg: RunConfig):
 
 
 def _h_identities_ll(cfg: RunConfig):
-    r_max = cfg.parameters.get("r_max", 3)
-    m_max = cfg.parameters.get("m_max", 5)
-    p_max = cfg.parameters.get("p_max", 5)
-    q_max = cfg.parameters.get("q_max", 5)
+    r_max = cfg.parameters["r_max"]
+    m_max = cfg.parameters["m_max"]
+    p_max = cfg.parameters["p_max"]
+    q_max = cfg.parameters["q_max"]
     u23 = elementary(3, 2, 3, 1)
     u13 = elementary(3, 1, 3, 1)
     cases = 0
@@ -443,16 +449,12 @@ def _h_identities_ll(cfg: RunConfig):
     return ("pass" if not failures else "fail"), details
 
 
-def _core_group(name: str):
-    if name == "sl2z2":
-        return enumerate_group(2, 2, [elementary(2, 1, 2, 1), elementary(2, 2, 1, 1)])
-    if name == "sl2z3":
-        return enumerate_group(2, 3, [elementary(2, 1, 2, 1), elementary(2, 2, 1, 1)])
-    raise MatrixError(f"unknown group preset: {name}")
+_CORE_GROUP_MOD = {"sl2z2": 2, "sl2z3": 3}   # SL_2(Z/m) from the two unit transvections
 
 
 def _h_identities_core(cfg: RunConfig):
-    g = _core_group(cfg.parameters.get("group", "sl2z2"))
+    mod = _CORE_GROUP_MOD[cfg.parameters["group"]]
+    g = enumerate_group(2, mod, [elementary(2, 1, 2, 1), elementary(2, 2, 1, 1)])
     subs = g.all_subgroups()
     rows = []
     ok = True
@@ -465,10 +467,7 @@ def _h_identities_core(cfg: RunConfig):
         )
         contained = cset <= hset
         index = len(g) // len(h)
-        fact = 1
-        for i in range(2, index + 1):
-            fact *= i
-        divides = fact % (len(g) // len(core)) == 0
+        divides = math.factorial(index) % (len(g) // len(core)) == 0
         ok = ok and normal and contained and divides
         rows.append(
             {
@@ -486,12 +485,10 @@ def _h_identities_core(cfg: RunConfig):
 
 def _h_identities_congruence(cfg: RunConfig):
     k = cfg.parameters["level"]
-    if cfg.inputs.get("matrix"):
+    if "matrix" in cfg.inputs:
         a = matrix_from_json(_read_json(cfg.inputs["matrix"]))
     else:
-        n = cfg.parameters["n"]
-        i, j, v = cfg.parameters["elementary"]
-        a = elementary(n, i, j, v)
+        a = elementary(cfg.parameters["n"], *cfg.parameters["elementary"])
     member = congruence_membership(a, k)
     levels_found = [
         lvl for lvl in range(2, max(k, cfg.parameters.get("scan", k)) + 1)
@@ -499,6 +496,14 @@ def _h_identities_congruence(cfg: RunConfig):
     ]
     details = {"level": k, "member": member, "levels_found_up_to_scan": levels_found}
     return ("pass" if member else "fail"), details
+
+
+def _int_triple(text: str) -> tuple[int, int, int]:
+    try:
+        i, j, v = (int(x) for x in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected i,j,v as three integers, got {text!r}") from None
+    return i, j, v
 
 
 # -- tree --------------------------------------------------------------------------
@@ -529,9 +534,7 @@ def _h_tree_hull(cfg: RunConfig):
 
 def _h_tree_fix(cfg: RunConfig):
     t = tree_from_json(_read_json(cfg.inputs["infile"]))
-    autos = [
-        TreeAutomorphism(_read_json(p)["mapping"]) for p in cfg.inputs["maps"]
-    ]
+    autos = [automorphism_from_json(_read_json(p)) for p in cfg.inputs["maps"]]
     leaf = cfg.parameters["leaf"]
     if len(autos) == 1:
         found = second_fixed_point(t, autos[0], leaf)
@@ -544,34 +547,194 @@ def _h_presets(cfg: RunConfig):
     return "pass", {"presets": presets_mod.presets()}
 
 
-_HANDLERS = {
-    "tower build": _h_tower_build,
-    "tower verify": _h_tower_verify,
-    "tower orbits": _h_tower_orbits,
-    "tower decorate": _h_tower_decorate,
-    "order search": _h_order_search,
-    "order check": _h_order_check,
-    "order extract": _h_order_extract,
-    "order from-action": _h_order_from_action,
-    "realize": _h_realize,
-    "identities hexagon": _h_identities_hexagon,
-    "identities ll": _h_identities_ll,
-    "identities core": _h_identities_core,
-    "identities congruence": _h_identities_congruence,
-    "tree info": _h_tree_info,
-    "tree hull": _h_tree_hull,
-    "tree fix": _h_tree_fix,
-    "presets": _h_presets,
+# -- the command table --------------------------------------------------------------
+
+PARAM, INPUT, OUTPUT = "parameters", "inputs", "outputs"
+
+
+@dataclass(frozen=True)
+class Arg:
+    """One option of a subcommand and the part of ``RunConfig`` its value goes to.
+
+    ``default`` is applied by ``parse``, not by argparse, so a value the user
+    gave can be told apart from a default.  An option with ``unless`` belongs
+    to the alternative to those options: once one of them is given, giving
+    this option is an error and its default is dropped; otherwise
+    ``required`` applies.  ``expand`` turns the value into other options of
+    the same subcommand instead of recording it.
+    """
+
+    flags: tuple[str, ...]
+    role: str
+    default: object
+    unless: tuple[str, ...]
+    required: bool
+    expand: Callable[[str], dict] | None
+    options: dict  # passed on to ``add_argument``
+
+
+def _arg(*flags, role=PARAM, default=None, unless=(), required=False, expand=None,
+         **options) -> Arg:
+    return Arg(flags, role, default, unless, required, expand, options)
+
+
+@dataclass(frozen=True)
+class Command:
+    handler: Callable[[RunConfig], tuple[str, dict]]
+    args: tuple[Arg, ...] = ()
+    provenance: dict = field(default_factory=dict)
+
+
+_TOWER_ARGS = (
+    _arg("-n", type=int, default=3, unless=("star",)),
+    _arg("-p", type=int, default=2, unless=("star",)),
+    _arg("--depth", type=int, default=1, unless=("star",)),
+    _arg("--cap", type=int, default=2_000_000, unless=("star",)),
+    _arg("--in", dest="infile", role=INPUT, unless=("preset", "star")),
+    _arg("--preset", expand=_tower_preset),
+)
+_TOWER_PROVENANCE = {"representative_rule": "entries reduced to [0, p^beta)"}
+_IN = _arg("--in", dest="infile", role=INPUT, required=True)
+_OUT = _arg("--out", role=OUTPUT)
+_ORBIT_CAP = _arg("--orbit-cap", type=int)
+
+COMMANDS = {
+    "tower build": Command(_h_tower_build, _TOWER_ARGS + (
+        _arg("--star", type=int), _OUT, _arg("--svg", role=OUTPUT), _arg("--dot-dir", role=OUTPUT),
+    ), _TOWER_PROVENANCE),
+    "tower verify": Command(_h_tower_verify, _TOWER_ARGS, _TOWER_PROVENANCE),
+    "tower orbits": Command(_h_tower_orbits, _TOWER_ARGS + (
+        _arg("--vertex"), _ORBIT_CAP,
+    ), _TOWER_PROVENANCE),
+    "tower decorate": Command(_h_tower_decorate, _TOWER_ARGS + (
+        _arg("--seed-leaf"), _ORBIT_CAP,
+    ), _TOWER_PROVENANCE),
+    "order search": Command(_h_order_search, (
+        _arg("--preset"),
+        _arg("--gens", role=INPUT, unless=("preset",), required=True),
+        _arg("--radius", type=int, default=1, unless=("preset",)),
+        _arg("--outer-radius", type=int, unless=("preset",)),
+        _arg("--invariant", choices=("gens", "gens+inv"), default="gens+inv", unless=("preset",)),
+        _arg("--budget", type=int, default=500_000),
+        _arg("--seed", type=int),
+        _OUT,
+    )),
+    "order check": Command(_h_order_check, (
+        _arg("--order", role=INPUT, required=True),
+        _arg("--invariant", choices=("none", "gens", "gens+inv"), default="none"),
+        _arg("--inner-radius", type=int),
+    )),
+    "order extract": Command(_h_order_extract, (
+        _arg("--chain", role=INPUT, action="append", required=True),
+        _arg("--target-radius", type=int, required=True),
+        _OUT,
+    )),
+    "order from-action": Command(_h_order_from_action, (
+        _arg("--preset", choices=("realized-z-21",), default="realized-z-21"),
+        _arg("--probe-count", type=int),
+        _arg("--power-cap", type=int),
+        _OUT,
+    )),
+    "realize": Command(_h_realize, (
+        _arg("--preset", choices=("realize-z-21",)),
+        _arg("--order", role=INPUT, unless=("preset",), required=True),
+        _arg("--enum", role=INPUT, unless=("preset",), required=True),
+        _arg("--out", role=OUTPUT, help="directory for the CSV (and SVG) files"),
+        _arg("--svg", role=OUTPUT, action="store_true"),
+    )),
+    "identities hexagon": Command(_h_identities_hexagon, (
+        _arg("-r", type=int, default=1),
+        _arg("--embedded", nargs=4, type=int, metavar=("N", "I", "J", "L")),
+    )),
+    "identities ll": Command(_h_identities_ll, (
+        _arg("--r-max", type=int, default=3), _arg("--m-max", type=int, default=5),
+        _arg("--p-max", type=int, default=5), _arg("--q-max", type=int, default=5),
+    )),
+    "identities core": Command(_h_identities_core, (
+        _arg("--group", choices=tuple(_CORE_GROUP_MOD), default="sl2z2"),
+    )),
+    "identities congruence": Command(_h_identities_congruence, (
+        _arg("--level", type=int, required=True),
+        _arg("--matrix", role=INPUT),
+        _arg("--elementary", type=_int_triple, metavar="I,J,V", unless=("matrix",), required=True),
+        _arg("-n", type=int, default=3, unless=("matrix",)),
+        _arg("--scan", type=int),
+    )),
+    "tree info": Command(_h_tree_info, (_IN,)),
+    "tree hull": Command(_h_tree_hull, (
+        _IN, _arg("--vertices", type=lambda s: s.split(","), required=True, metavar="V1,V2,..."),
+    )),
+    "tree fix": Command(_h_tree_fix, (
+        _IN, _arg("--leaf", required=True),
+        _arg("--map", dest="maps", role=INPUT, action="append", required=True),
+    )),
+    "presets": Command(_h_presets),
 }
+
+
+def build_parser() -> _Parser:
+    parser = _Parser(prog="treeact")
+    top = parser.add_subparsers(dest="group_cmd", required=True)
+    groups: dict = {}
+    for name, command in COMMANDS.items():
+        group, _, sub = name.partition(" ")
+        if sub and group not in groups:
+            groups[group] = top.add_parser(group).add_subparsers(dest="sub_cmd", required=True)
+        sp = groups[group].add_parser(sub) if sub else top.add_parser(group)
+        sp.add_argument("--report", help="also write the JSON report to this path")
+        declared = {  # argparse marks the options required outright in the usage line
+            sp.add_argument(*a.flags, default=None, required=a.required and not a.unless,
+                            **a.options).dest: a
+            for a in command.args
+        }
+        sp.set_defaults(command=name, declared=declared)
+    return parser
+
+
+def parse(argv=None) -> RunConfig:
+    """Parse a command line into a ``RunConfig`` without running it.
+
+    One rule for every option: a value that is not None counts, first the
+    one the user gave, else the table's default.  It is recorded where its
+    ``Arg`` says and used from there.  Usage errors exit 3 through
+    ``SystemExit`` (argparse) or raise ``UsageError``.
+    """
+    args = build_parser().parse_args(argv)
+    declared: dict[str, Arg] = args.declared
+    flag = {dest: a.flags[0] for dest, a in declared.items()}
+    given = {d: getattr(args, d) for d in declared if getattr(args, d) is not None}
+    for dest, a in declared.items():
+        if a.expand is not None and dest in given:
+            for key, value in a.expand(given[dest]).items():
+                if key not in declared:
+                    raise UsageError(f"preset {given[dest]!r} sets {key}={value}, "
+                                     f"which `{args.command}` does not take")
+                if key in given:
+                    raise UsageError(f"{flag[key]} conflicts with preset {given[dest]!r}")
+                given[key] = value
+    config = RunConfig(args.command, report_path=args.report)
+    for dest, a in declared.items():
+        blocker = next((u for u in a.unless if u in given), None)
+        if blocker is not None:
+            if dest in given:
+                raise UsageError(f"{flag[dest]} does not apply with {flag[blocker]}")
+            continue
+        value = given.get(dest, a.default)
+        if value is None and a.required:
+            alternative = " or ".join(flag[u] for u in a.unless)
+            raise UsageError(f"{flag[dest]} is required"
+                             + (f" unless {alternative} is given" if alternative else ""))
+        if value is not None and a.expand is None:
+            getattr(config, a.role)[dest] = value
+    return config
 
 
 def run(config: RunConfig) -> int:
     """Execute one subcommand, print its JSON report, return the exit code."""
-    provenance = {"package": "treeact", "version": __version__}
-    if config.command.startswith("tower"):
-        provenance["representative_rule"] = "entries reduced to [0, p^beta)"
+    command = COMMANDS[config.command]
+    provenance = {"package": "treeact", "version": __version__, **command.provenance}
     try:
-        outcome, details = _HANDLERS[config.command](config)
+        outcome, details = command.handler(config)
     except (CapExceeded, SearchBudgetExhausted) as exc:
         outcome, details = "budget-exhausted", {"message": str(exc)}
     report = {
@@ -588,237 +751,20 @@ def run(config: RunConfig) -> int:
     return _OUTCOME_EXIT[outcome]
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="treeact")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--report", help="also write the JSON report to this path")
-    sub = parser.add_subparsers(dest="group_cmd", required=True)
-
-    tower = sub.add_parser("tower").add_subparsers(dest="sub_cmd", required=True)
-    for name in ("build", "verify", "orbits", "decorate"):
-        tp = tower.add_parser(name, parents=[common])
-        tp.add_argument("-n", type=int, default=3)
-        tp.add_argument("-p", type=int, default=2)
-        tp.add_argument("--depth", type=int, default=1)
-        tp.add_argument("--cap", type=int, default=2_000_000)
-        tp.add_argument("--in", dest="infile")
-        tp.add_argument("--preset")
-        if name == "build":
-            tp.add_argument("--star", type=int)
-            tp.add_argument("--out")
-            tp.add_argument("--svg")
-            tp.add_argument("--dot-dir")
-        if name == "orbits":
-            tp.add_argument("--vertex")
-            tp.add_argument("--orbit-cap", type=int)
-        if name == "decorate":
-            tp.add_argument("--seed-leaf")
-            tp.add_argument("--orbit-cap", type=int)
-
-    order = sub.add_parser("order").add_subparsers(dest="sub_cmd", required=True)
-    op = order.add_parser("search", parents=[common])
-    op.add_argument("--preset")
-    op.add_argument("--gens")
-    op.add_argument("--radius", type=int, default=1)
-    op.add_argument("--outer-radius", type=int)
-    op.add_argument("--invariant", choices=("gens", "gens+inv"), default="gens+inv")
-    op.add_argument("--budget", type=int, default=500_000)
-    op.add_argument("--seed", type=int)
-    op.add_argument("--out")
-    oc = order.add_parser("check", parents=[common])
-    oc.add_argument("--order", required=True)
-    oc.add_argument("--invariant", choices=("none", "gens", "gens+inv"), default="none")
-    oc.add_argument("--inner-radius", type=int)
-    oe = order.add_parser("extract", parents=[common])
-    oe.add_argument("--chain", action="append", required=True)
-    oe.add_argument("--target-radius", type=int, required=True)
-    oe.add_argument("--out")
-    of = order.add_parser("from-action", parents=[common])
-    of.add_argument("--preset", default="realized-z-21")
-    of.add_argument("--probe-count", type=int)
-    of.add_argument("--power-cap", type=int)
-    of.add_argument("--out")
-
-    rp = sub.add_parser("realize", parents=[common])
-    rp.add_argument("--preset")
-    rp.add_argument("--order")
-    rp.add_argument("--enum")
-    rp.add_argument("--out", dest="outdir")
-    rp.add_argument("--svg", action="store_true")
-
-    ident = sub.add_parser("identities").add_subparsers(dest="sub_cmd", required=True)
-    ih = ident.add_parser("hexagon", parents=[common])
-    ih.add_argument("-r", type=int, default=1)
-    ih.add_argument("--embedded", nargs=4, type=int, metavar=("N", "I", "J", "L"))
-    il = ident.add_parser("ll", parents=[common])
-    il.add_argument("--r-max", type=int, default=3)
-    il.add_argument("--m-max", type=int, default=5)
-    il.add_argument("--p-max", type=int, default=5)
-    il.add_argument("--q-max", type=int, default=5)
-    ic = ident.add_parser("core", parents=[common])
-    ic.add_argument("--group", choices=("sl2z2", "sl2z3"), default="sl2z2")
-    ig = ident.add_parser("congruence", parents=[common])
-    ig.add_argument("--level", type=int, required=True)
-    ig.add_argument("-n", type=int, default=3)
-    ig.add_argument("--elementary", help="i,j,v")
-    ig.add_argument("--matrix")
-    ig.add_argument("--scan", type=int)
-
-    tree = sub.add_parser("tree").add_subparsers(dest="sub_cmd", required=True)
-    ti = tree.add_parser("info", parents=[common])
-    ti.add_argument("--in", dest="infile", required=True)
-    th = tree.add_parser("hull", parents=[common])
-    th.add_argument("--in", dest="infile", required=True)
-    th.add_argument("--vertices", required=True, help="comma-separated vertex ids")
-    tf = tree.add_parser("fix", parents=[common])
-    tf.add_argument("--in", dest="infile", required=True)
-    tf.add_argument("--leaf", required=True)
-    tf.add_argument("--map", action="append", required=True, dest="maps")
-
-    sub.add_parser("presets", parents=[common])
-    return parser
-
-
-def _to_config(args: argparse.Namespace) -> RunConfig:
-    command = args.group_cmd
-    if getattr(args, "sub_cmd", None):
-        command = f"{args.group_cmd} {args.sub_cmd}"
-    params: dict = {}
-    inputs: dict = {}
-    outputs: dict = {}
-
-    if args.group_cmd == "tower":
-        preset = getattr(args, "preset", None)
-        if preset:
-            cat = presets_mod.PRESETS
-            if preset not in cat:
-                raise TowerError(f"unknown preset: {preset}")
-            pp = cat[preset]["params"]
-            if "count" in pp:
-                params["star"] = pp["count"]
-            else:
-                params.update({k: pp[k] for k in ("n", "p", "depth")})
-        else:
-            params.update({"n": args.n, "p": args.p, "depth": args.depth})
-        if getattr(args, "star", None):
-            params = {"star": args.star}
-        params.setdefault("cap", args.cap)
-        if getattr(args, "orbit_cap", None):
-            params["orbit_cap"] = args.orbit_cap
-        if getattr(args, "vertex", None):
-            params["vertex"] = args.vertex
-        if getattr(args, "seed_leaf", None):
-            params["seed_leaf"] = args.seed_leaf
-        if getattr(args, "infile", None):
-            inputs["infile"] = args.infile
-        for key in ("out", "svg", "dot_dir"):
-            if getattr(args, key, None):
-                outputs[{"out": "outfile", "svg": "svg", "dot_dir": "dot_dir"}[key]] = getattr(args, key)
-        if "star" in params:
-            params.pop("cap", None)
-    elif command == "order search":
-        if args.preset:
-            params["preset"] = args.preset
-        elif args.gens:
-            inputs["gens"] = args.gens
-            params["radius"] = args.radius
-            if args.outer_radius:
-                params["outer_radius"] = args.outer_radius
-            params["invariant"] = args.invariant
-        else:
-            raise OrderingError("either --preset or --gens is required")
-        params["budget"] = args.budget
-        if args.out:
-            outputs["outfile"] = args.out
-    elif command == "order check":
-        inputs["order"] = args.order
-        params["invariant"] = args.invariant
-        if args.inner_radius is not None:
-            params["inner_radius"] = args.inner_radius
-    elif command == "order extract":
-        inputs["chain"] = args.chain
-        params["target_radius"] = args.target_radius
-        if args.out:
-            outputs["outfile"] = args.out
-    elif command == "order from-action":
-        params["preset"] = args.preset
-        if args.probe_count is not None:
-            params["probe_count"] = args.probe_count
-        if args.power_cap is not None:
-            params["power_cap"] = args.power_cap
-        if args.out:
-            outputs["outfile"] = args.out
-    elif command == "realize":
-        if args.preset:
-            params["preset"] = args.preset
-        else:
-            if not (args.order and args.enum):
-                raise RealizeError("either --preset or --order and --enum are required")
-            inputs["order"] = args.order
-            inputs["enum"] = args.enum
-        if args.outdir:
-            outputs["outdir"] = args.outdir
-        if args.svg:
-            outputs["svg"] = True
-    elif command == "identities hexagon":
-        params["r"] = args.r
-        if args.embedded:
-            params["embedded"] = tuple(args.embedded)
-    elif command == "identities ll":
-        params.update(
-            {"r_max": args.r_max, "m_max": args.m_max,
-             "p_max": args.p_max, "q_max": args.q_max}
-        )
-    elif command == "identities core":
-        params["group"] = args.group
-    elif command == "identities congruence":
-        params["level"] = args.level
-        if args.matrix:
-            inputs["matrix"] = args.matrix
-        elif args.elementary:
-            i, j, v = (int(x) for x in args.elementary.split(","))
-            params["n"] = args.n
-            params["elementary"] = (i, j, v)
-        else:
-            raise MatrixError("either --matrix or --elementary is required")
-        if args.scan:
-            params["scan"] = args.scan
-    elif command == "tree info":
-        inputs["infile"] = args.infile
-    elif command == "tree hull":
-        inputs["infile"] = args.infile
-        params["vertices"] = args.vertices.split(",")
-    elif command == "tree fix":
-        inputs["infile"] = args.infile
-        params["leaf"] = args.leaf
-        inputs["maps"] = args.maps
-
-    return RunConfig(
-        command=command,
-        parameters=params,
-        inputs=inputs,
-        outputs=outputs,
-        seed=getattr(args, "seed", None),
-        report_path=args.report,
-    )
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
+        return run(parse(argv))
+    except SystemExit as exc:  # argparse: --help and usage errors
         return int(exc.code or 0)
-    try:
-        config = _to_config(args)
-        return run(config)
-    except (CapExceeded, SearchBudgetExhausted) as exc:
-        sys.stderr.write(f"budget exhausted: {exc}\n")
-        return EXIT_BUDGET
-    except (TreeError, TowerError, MatrixError, OrderingError, RealizeError,
-            OSError, KeyError, ValueError) as exc:
+    except _INPUT_ERRORS as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
+    except Exception as exc:  # a bug, not bad input: say so and keep the traceback
+        import traceback  # only here: importing it costs every run a few milliseconds
+
+        sys.stderr.write(f"internal error: {exc!r}\n")
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 def entry() -> None:

@@ -17,7 +17,9 @@ from itertools import islice
 from typing import Callable, Iterable, Mapping, Sequence
 
 from ._walk import walk
-from .matrices import CapExceeded, GroupMatrix, MatrixError, matrix_from_json, matrix_to_json
+from .matrices import (
+    CapExceeded, GroupMatrix, MatrixError, _is_int, matrix_from_json, matrix_to_json,
+)
 
 
 class OrderingError(ValueError):
@@ -77,6 +79,8 @@ def ball_generate(
     if names is None:
         names = tuple(f"g{k}" for k in range(len(gens)))
     names = tuple(names)
+    if len(names) != len(gens) or not all(isinstance(x, str) for x in names):
+        raise OrderingError("one string name per generator required")
     steps = [(name, e, s) for name, g in zip(names, gens)
              for e, s in ((1, g), (-1, g.inverse()))]
     ident = GroupMatrix.identity(n, mod)
@@ -184,6 +188,15 @@ def check_axioms(phi: OrderAssignment, b: Ball | None = None) -> AxiomReport:
 class InvarianceReport:
     passed: bool
     violations: tuple[tuple[int, int, int], ...]  # (f, g, h) as b2 indices
+
+
+def invariance_set(gens: Sequence[GroupMatrix], mode: str) -> list[GroupMatrix]:
+    """The set F of a left-invariance condition: the generators, plus their
+    inverses when ``mode`` is ``gens+inv``."""
+    f = list(gens)
+    if mode == "gens+inv":
+        f += [g.inverse() for g in gens]
+    return f
 
 
 def check_invariance(
@@ -699,8 +712,11 @@ def ball_to_json(b: Ball) -> dict:
 
 
 def ball_from_json(obj: Mapping, cap: int = 200_000) -> Ball:
+    if not (isinstance(obj.get("generators"), list) and isinstance(obj.get("names"), list)
+            and _is_int(obj.get("radius"))):
+        raise OrderingError("ball must have 'generators' and 'names' lists and an integer 'radius'")
     gens = [matrix_from_json(g) for g in obj["generators"]]
-    ball = ball_generate(gens, int(obj["radius"]), tuple(obj["names"]), cap=cap)
+    ball = ball_generate(gens, obj["radius"], obj["names"], cap=cap)
     if "count" in obj and obj["count"] != len(ball):
         raise OrderingError("ball provenance does not match regenerated ball")
     return ball
@@ -714,6 +730,14 @@ def assignment_to_json(phi: OrderAssignment) -> dict:
 
 
 def assignment_from_json(obj: Mapping) -> OrderAssignment:
+    """Parse ``{"ball", "signs"}``; each sign triple is ``[i, j, +-1]`` over ball indices."""
+    if not (isinstance(obj, Mapping) and isinstance(obj.get("ball"), Mapping)
+            and isinstance(obj.get("signs"), list)):
+        raise OrderingError("order assignment must be an object with 'ball' and 'signs'")
     ball = ball_from_json(obj["ball"])
-    signs = {(int(i), int(j)): int(s) for i, j, s in obj["signs"]}
-    return OrderAssignment(ball, signs)
+    for t in obj["signs"]:
+        if not (isinstance(t, list) and len(t) == 3 and all(_is_int(x) for x in t)
+                and 0 <= t[0] < len(ball) and 0 <= t[1] < len(ball)):
+            raise OrderingError(f"sign triples must be [i, j, s] with integer indices "
+                                f"in [0, {len(ball)}); got {t!r}")
+    return OrderAssignment(ball, {(i, j): s for i, j, s in obj["signs"]})

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from .matrices import GroupMatrix
-from .ordering import Ball, ball_generate
+from .ordering import Ball, OrderingError, ball_generate, invariance_set
 
 
 def _rows(mat: list[list[int]]) -> GroupMatrix:
@@ -162,13 +162,10 @@ def presets() -> dict[str, dict]:
 def search_instance(name: str) -> tuple[list[GroupMatrix], Ball, Ball]:
     """Materialize (F, inner ball, outer ball) for an order-search preset."""
     if name not in SEARCH_PRESETS:
-        raise KeyError(f"unknown search preset: {name}")
+        raise OrderingError(f"unknown search preset: {name}")
     cfg = SEARCH_PRESETS[name]
     gens = [_rows(rows) for rows in cfg["rows"]]
     names = tuple(cfg["names"])
     inner = ball_generate(gens, cfg["inner_radius"], names)
     outer = ball_generate(gens, cfg["outer_radius"], names)
-    f = list(gens)
-    if cfg["invariant"] == "gens+inv":
-        f += [g.inverse() for g in gens]
-    return f, inner, outer
+    return invariance_set(gens, cfg["invariant"]), inner, outer

@@ -29,6 +29,7 @@ from .trees import (
     Tree,
     TreeAutomorphism,
     _is_connected_subset,
+    _is_str_map,
     first_point_map,
     is_tree_automorphism,
     midpoint_name,
@@ -558,17 +559,30 @@ def system_to_json(sys: InverseSystem) -> dict:
 
 
 def system_from_json(obj: Mapping) -> InverseSystem:
+    """Parse a tower written by ``system_to_json``."""
+    levels_in = obj.get("levels") if isinstance(obj, Mapping) else None
+    if not (isinstance(levels_in, list) and levels_in
+            and all(isinstance(lv, Mapping) and isinstance(lv.get("generators"), Mapping)
+                    for lv in levels_in)
+            and isinstance(obj.get("bonds"), list) and len(obj["bonds"]) == len(levels_in) - 1
+            and all(_is_str_map(b) for b in obj["bonds"])
+            and isinstance(obj.get("generator_matrices", {}), Mapping)
+            and isinstance(obj.get("provenance", {}), Mapping)):
+        raise TowerError("tower must be an object with a nonempty 'levels' list (each with "
+                         "'tree' and 'generators') and one 'bonds' map per level above 0")
     matrices = {
         name: matrix_from_json(m)
         for name, m in obj.get("generator_matrices", {}).items()
     }
     levels = []
-    for lv in obj["levels"]:
-        tree = tree_from_json(lv["tree"])
-        gens = {
-            name: TreeAutomorphism(dict(zip(tree.vertices, images)))
-            for name, images in lv["generators"].items()
-        }
+    for lv in levels_in:
+        tree = tree_from_json(lv.get("tree"))
+        gens = {}
+        for name, images in lv["generators"].items():
+            if not (isinstance(images, list) and len(images) == len(tree.vertices)
+                    and all(isinstance(v, str) for v in images)):
+                raise TowerError(f"generator {name}: one image per vertex required")
+            gens[name] = TreeAutomorphism(dict(zip(tree.vertices, images)))
         context = {"matrices": matrices} if matrices else None
         levels.append(FiniteTreeAction(tree, gens, context))
     bonds = [dict(b) for b in obj["bonds"]]

@@ -444,18 +444,36 @@ def tree_to_json(t: Tree) -> dict:
     return out
 
 
+def _is_str_list(x) -> bool:
+    return isinstance(x, list) and all(isinstance(v, str) for v in x)
+
+
 def tree_from_json(obj: Mapping) -> Tree:
-    embedding = None
-    if obj.get("embedding") is not None:
-        embedding = {
-            v: tuple(Fraction(c) for c in coords)
-            for v, coords in obj["embedding"].items()
-        }
-    return Tree(
-        tuple(obj["vertices"]),
-        tuple((u, v) for u, v in obj["edges"]),
-        embedding,
-    )
+    """Parse ``{"vertices", "edges", "embedding"?}`` with string vertex ids."""
+    if not (isinstance(obj, Mapping) and _is_str_list(obj.get("vertices"))
+            and isinstance(obj.get("edges"), list)
+            and all(_is_str_list(e) and len(e) == 2 for e in obj["edges"])):
+        raise TreeError("tree must be an object with a 'vertices' list of strings "
+                        "and an 'edges' list of [u, v] string pairs")
+    embedding = obj.get("embedding")
+    if embedding is not None and not (isinstance(embedding, Mapping)
+                                      and all(_is_str_list(c) for c in embedding.values())):
+        raise TreeError("tree embedding must map vertex ids to lists of 'p/q' strings")
+    try:
+        return Tree(tuple(obj["vertices"]), tuple(map(tuple, obj["edges"])), embedding)
+    except (ValueError, ZeroDivisionError) as exc:  # a coordinate that is no fraction
+        raise TreeError(f"tree embedding: {exc}") from None
+
+
+def _is_str_map(x) -> bool:
+    return isinstance(x, Mapping) and all(isinstance(v, str) for kv in x.items() for v in kv)
+
+
+def automorphism_from_json(obj: Mapping) -> TreeAutomorphism:
+    """Parse ``{"mapping": {vertex: image}}`` with string vertex ids."""
+    if not (isinstance(obj, Mapping) and _is_str_map(obj.get("mapping"))):
+        raise TreeError("map file must be an object with a 'mapping' from strings to strings")
+    return TreeAutomorphism(obj["mapping"])
 
 
 def tree_to_dot(t: Tree, name: str = "tree") -> str:

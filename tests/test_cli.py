@@ -6,11 +6,13 @@ import json
 import shlex
 from contextlib import redirect_stdout
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
 
 from treeact import cli, presets
+from treeact.ordering import OrderingError
 
 
 SCHEMA = json.loads(
@@ -372,3 +374,202 @@ class TestGoldenReports:
         code, out = run_cli(*shlex.split(presets.PRESETS[name]["command"]))
         digest = hashlib.sha256(out.encode()).hexdigest()
         assert (code, digest) == GOLDEN_REPORTS[name]
+
+
+# The same pin for one non-preset command line per optional argument of every
+# subcommand.  {name} stands for a file made by ``_write_inputs``; no path
+# appears in a report, so the digests do not depend on where the files live.
+GOLDEN_LINES = {
+    "tower build congruence": ("tower build -n 2 -p 3 --depth 1 --cap 1000 --out {out}/t.json --dot-dir {out}/dots", 0, "ce8a99d8a13694b701a0777d4b9455dde96283240334e629c3824725caca7f84"),
+    "tower build star": ("tower build --star 3 --out {out}/star.json --svg {out}/star.svg", 0, "43c4c704eac0e1cd59f487e0dd31b55f4c374d3afe3551502bf6d1c660171164"),
+    "tower build preset": ("tower build --preset congruence-tower-3-2-1", 0, "da4f04e60a9bc936be603a40f6ebeec420bfd5c3e6f4aa3d9f31f88b24a37653"),
+    "tower build star preset": ("tower build --preset star-dendrite-8", 0, "b6d489975b700e4c5963f6edc72586c5630fc1914ac91d709341301288749859"),
+    "tower build in": ("tower build --in {tower}", 0, "c1a6acac7d384ab9be52915b19995c2996be766fa921c8881c3028ae97e5b659"),
+    "tower verify in": ("tower verify --in {tower}", 0, "185f39251616960bf34033e6e64300ac6bf7c80f3e77de8bf217d3e8d5b12ea8"),
+    "tower verify cap": ("tower verify -n 2 -p 2 --depth 1 --cap 100 --report {out}/r.json", 0, "5f4d86fe6bb61a48dc47b8d8d7e80f5ebbbf28b0179d6cdf0fe14e1b3f55d9a6"),
+    "tower orbits": ("tower orbits -n 2 -p 3 --depth 1 --vertex 1|0,2,1,1 --orbit-cap 2", 0, "3db589992a62191cc25702bbb1a47c1d06087fac4d8b3c2f27a14a5b099f2fc0"),
+    "tower decorate": ("tower decorate -n 2 -p 3 --depth 1 --seed-leaf 1|0,1,2,2 --orbit-cap 3", 0, "2d6d7f4ff19e94920774cd8fcccc07d809590d769f8cdb172a9df523605fff57"),
+    "order search gens": ("order search --gens {gens} --radius 2 --outer-radius 4 --invariant gens --budget 100000 --out {out}/w.json", 0, "8edf9a587ebce7ce5dc044524b4583d537048f2ea416026df7da7eb32dc61c83"),
+    "order search defaults": ("order search --gens {gens}", 0, "f40dafd4630229abf51302bce01fa96afc92331296560264e69d5cb2c702c7d1"),
+    "order check": ("order check --order {order} --invariant gens --inner-radius 1", 0, "d06ab5906d706de6cd8c17f7803335b6f170ee83007b984cbdbf98dd4020402e"),
+    "order extract": ("order extract --chain {order} --chain {order} --target-radius 1 --out {out}/x.json", 0, "f9fd4f9f25b524325480cb3fdbeac27688e46a3eda620d2baccc8d98b7c21e97"),
+    "order from-action": ("order from-action --preset realized-z-21 --probe-count 11 --power-cap 5 --out {out}/fa.json", 0, "332cddfd52bf067d479e4add67b4b41e08a1b0de97cc3ad3aaa277610b2a9b73"),
+    "realize files": ("realize --order {order} --enum {enum} --svg --out {out}/real", 0, "331a6f00b7ecffc57508221293839667eac128c05e07621468f8399d0e0af971"),
+    "identities hexagon": ("identities hexagon --embedded 5 1 3 2", 0, "9a6bff3266ca4ac4df664772f0110851b010fbbc0a6dea2fc9b7462bb4cd729c"),
+    "identities ll": ("identities ll --r-max 2 --m-max 3 --p-max 2 --q-max 4", 0, "3b328bc0b429d2c44bc508e3b4c28404ecc73cbee877de416391d3a5c7e16c54"),
+    "identities congruence matrix": ("identities congruence --level 2 --matrix {matrix} --scan 6", 0, "de8b5aa03f20004405409e028a4af18dfd0b4928c23d5adc99c51631193a6913"),
+    "identities congruence elementary": ("identities congruence --level 3 --elementary 1,2,3", 0, "5532f66496f9ed631df4e030f51342615a652447216194ef2bee80d94d2f974e"),
+    "tree info": ("tree info --in {tree}", 0, "9daca473a78c0e936c6433a99d5a64578aaf940f8012737d9d2db94f9791f675"),
+    "tree hull": ("tree hull --in {tree} --vertices a,e,f", 0, "6609b7fe83ccc665dab93072a05a88aeef0f6ce451d0131244c690162e53e5ca"),
+    "tree fix": ("tree fix --in {tree} --leaf a --map {swap}", 0, "0afa848f31a5d4a6a2dec430b481091391fd8138ff3089bdcf40f0dfd49fdb8a"),
+    "tree fix common": ("tree fix --in {tree} --leaf a --map {swap} --map {ident}", 0, "69a71eb48069352842d7b809a98638c9d1c10b0493d820e56e91c58347614960"),
+    "presets report": ("presets --report {out}/presets.json", 0, "dd74aa8d393b617b5767c8019f6a605830d87c204acd51bfe387e1e0202b3eb4"),
+}
+
+
+Z_GEN = {"n": 2, "mod": None, "entries": [1, 1, 0, 1]}
+
+
+def _write_inputs(root):
+    """The input files the golden lines name, made without the CLI where possible."""
+    def put(name, obj):
+        (root / name).write_text(json.dumps(obj))
+        return str(root / name)
+
+    files = {"out": str(root / "out")}
+    files["gens"] = put("gens.json", {"generators": [Z_GEN], "names": ["g"]})
+    files["enum"] = put("enum.json", {"indices": [0, 2, 1, 4, 3, 6, 5, 8, 7]})
+    files["matrix"] = put("matrix.json", {"n": 3, "mod": None, "entries": [1, 0, 4, 0, 1, 0, 0, 0, 1]})
+    files["tree"] = put("tree.json", {
+        "vertices": ["a", "b", "c", "d", "e", "f"],
+        "edges": [["a", "b"], ["b", "c"], ["b", "d"], ["c", "e"], ["d", "f"]],
+    })
+    files["swap"] = put("swap.json", {"mapping": {"a": "a", "b": "b", "c": "d", "d": "c", "e": "f", "f": "e"}})
+    files["ident"] = put("ident.json", {"mapping": {v: v for v in "abcdef"}})
+    files["tower"] = str(root / "tower.json")
+    files["order"] = str(root / "order.json")
+    assert run_cli("tower", "build", "-n", "2", "-p", "2", "--depth", "1", "--out", files["tower"])[0] == 0
+    assert run_cli("order", "search", "--preset", "z-ball-3", "--out", files["order"])[0] == 0
+    return files
+
+
+@pytest.fixture(scope="module")
+def input_files(tmp_path_factory):
+    return _write_inputs(tmp_path_factory.mktemp("inputs"))
+
+
+def golden_argv(line, files):
+    return [token.format(**files) for token in shlex.split(line)]
+
+
+class TestGoldenLines:
+    @pytest.mark.parametrize("label", sorted(GOLDEN_LINES))
+    def test_report_digest(self, label, input_files):
+        line, code_want, digest_want = GOLDEN_LINES[label]
+        code, out = run_cli(*golden_argv(line, input_files))
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == (code_want, digest_want)
+
+
+class TestGivenValues:
+    """A value the user gives is recorded in ``parameters`` and used, or rejected."""
+
+    def test_orbit_cap_zero_is_used(self):
+        code, report = run_report("tower", "orbits", "-n", "2", "-p", "2", "--depth", "1",
+                                  "--orbit-cap", "0")
+        assert code == 0 and report["parameters"]["orbit_cap"] == 0
+        assert (report["details"]["orbit_size"], report["details"]["closed"]) == (1, False)
+
+    def test_star_zero_is_rejected(self, capsys):
+        assert run_cli("tower", "build", "--star", "0") == (3, "")
+        assert "at least one arm pair required" in capsys.readouterr().err
+
+    def test_outer_radius_zero_is_used(self, input_files):
+        gens = input_files["gens"]
+        # the radius-0 outer ball cannot hold the radius-2 inner ball
+        assert run_cli("order", "search", "--gens", gens, "--radius", "2",
+                       "--outer-radius", "0") == (3, "")
+        code, report = run_report("order", "search", "--gens", gens, "--radius", "0",
+                                  "--outer-radius", "0")
+        assert code == 0 and report["parameters"]["outer_radius"] == 0
+        assert report["details"]["ball_sizes"] == {"inner": 1, "outer": 1}
+
+    def test_seed_is_recorded(self):
+        _, plain = run_report("order", "search", "--preset", "heisenberg-ball-2")
+        _, seeded = run_report("order", "search", "--preset", "heisenberg-ball-2", "--seed", "3")
+        assert seeded["parameters"] == {**plain["parameters"], "seed": 3}
+        assert (plain["details"]["decisions"], seeded["details"]["decisions"]) == (543, 142)
+
+    @pytest.mark.parametrize("argv", [
+        ["order", "search", "--preset", "z-ball-3", "--radius", "2"],
+        ["tower", "build", "--preset", "congruence-tower-3-2-1", "-n", "2"],
+        ["tower", "build", "--star", "3", "-n", "2"],
+        ["realize", "--preset", "realize-z-21", "--order", "order.json"],
+    ])
+    def test_option_that_does_not_apply_is_rejected(self, argv):
+        assert run_cli(*argv) == (3, "")
+
+
+class TestPresetErrors:
+    @pytest.mark.parametrize("argv, words", [
+        (["tower", "build", "--preset", "hexagon-r1"], ["'hexagon-r1'", "not a tower preset"]),
+        (["tower", "verify", "--preset", "star-dendrite-8"], ["'star-dendrite-8'", "tower verify"]),
+    ])
+    def test_message_names_the_preset(self, argv, words, capsys):
+        assert run_cli(*argv) == (3, "")
+        err = capsys.readouterr().err
+        assert all(w in err for w in words), err
+
+    def test_unknown_search_preset_is_an_ordering_error(self):
+        with pytest.raises(OrderingError, match="unknown search preset: nope"):
+            presets.search_instance("nope")
+
+
+class TestMalformedInput:
+    """Input files are validated when loaded; every malformed one exits 3."""
+
+    @pytest.mark.parametrize("argv, payload", [
+        ("tree info --in {bad}", [1, 2]),
+        ("tree info --in {bad}", {"vertices": ["a", 2], "edges": []}),
+        ("tree info --in {bad}", {"vertices": ["a"], "edges": [], "embedding": {"a": ["1/0", "0"]}}),
+        ("realize --order {order} --enum {bad}", {"indices": [0, 99]}),
+        ("realize --order {order} --enum {bad}", {"indices": [0, 1, 2, 3, 4, 5, 6, 7, -1]}),
+        ("realize --order {order} --enum {bad}", {"indices": [True, 0]}),
+        ("realize --order {order} --enum {bad}", [0, 1]),
+        ("tree fix --in {tree} --leaf a --map {bad}", {"mapping": {"a": 1}}),
+        ("tree fix --in {tree} --leaf a --map {bad}", {"mapping": [["a", "a"]]}),
+        ("tower verify --in {bad}", {"levels": 5, "bonds": []}),
+        ("tower orbits --in {bad}", {"levels": [], "bonds": []}),
+        ("tower verify --in {bad}", []),
+        ("order search --gens {bad}", [Z_GEN]),
+        ("order search --gens {bad}", {"generators": [Z_GEN, Z_GEN], "names": ["a"]}),
+        ("order check --order {bad}", []),
+    ])
+    def test_malformed_file_is_three(self, tmp_path, input_files, argv, payload):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        assert run_cli(*golden_argv(argv, {**input_files, "bad": str(bad)})) == (3, "")
+
+    @pytest.mark.parametrize("edit", [
+        lambda signs: signs + [[0, 99, 1]],         # an index outside the ball
+        lambda signs: [[0, 1, True]] + signs[1:],   # a bool is not a sign
+        lambda signs: [[0, 1]] + signs[1:],
+    ], ids=["outside", "bool", "pair"])
+    def test_malformed_sign_triples_are_three(self, tmp_path, input_files, edit):
+        payload = json.loads(open(input_files["order"]).read())
+        payload["signs"] = edit(payload["signs"])
+        bad = tmp_path / "order.json"
+        bad.write_text(json.dumps(payload))
+        assert run_cli("order", "check", "--order", str(bad)) == (3, "")
+
+    def test_binary_file_is_three(self, tmp_path):
+        bad = tmp_path / "tree.json"
+        bad.write_bytes(b"\xff\xfe\x00")
+        assert run_cli("tree", "info", "--in", str(bad)) == (3, "")
+
+
+class TestInternalErrors:
+    @pytest.mark.parametrize("exc", [
+        KeyError("boom"),
+        AssertionError("internal error: witness failed re-verification"),
+    ])
+    def test_bug_exits_four_with_traceback(self, monkeypatch, capsys, exc):
+        def broken():
+            raise exc
+
+        monkeypatch.setattr(presets, "presets", broken)
+        assert run_cli("presets") == (4, "")
+        err = capsys.readouterr().err
+        assert err.startswith("internal error:") and "Traceback" in err
+
+
+def readme_cli_lines():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```")[1]
+    return [line for line in block.splitlines() if line.startswith("treeact ")]
+
+
+def test_readme_cli_lines_parse_and_show_every_command():
+    # parsed only, never run: the README and the command table cannot drift apart
+    shown = {cli.parse(shlex.split(line, comments=True)[1:]).command
+             for line in readme_cli_lines()}
+    assert shown == set(cli.COMMANDS)
