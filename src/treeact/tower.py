@@ -131,7 +131,8 @@ def build_congruence_tower(
     Level a has one vertex per coset at each modulus p^b, b <= a; a coset is
     labelled by its canonical representative, the reduction with entries in
     [0, p^b).  New leaves attach to their mod-p^(b-1) parents, and the bond
-    collapses them back onto those parents.
+    collapses them back onto those parents.  Each level is built by
+    extending the one below with the cosets of the next modulus.
     """
     if n < 2:
         raise TowerError("dimension must be at least 2")
@@ -142,64 +143,41 @@ def build_congruence_tower(
     if sl_order(n, p, depth) > cap:
         raise CapExceeded("group too large for cap")
 
-    gen_names = sorted(transvection_generators(n))
     integral = transvection_generators(n)
+    gen_names = sorted(integral)
+    top: list[tuple[int, ...]] = []   # the mod p^depth quotient, as flat tuples
+    if depth:
+        m = p ** depth
+        group = enumerate_group(n, m, list(transvection_generators(n, m).values()), cap=cap)
+        top = [g.entries for g in group.elements]
 
-    # elements of the quotient at each positive level, as flat tuples
-    level_elements: dict[int, list[tuple[int, ...]]] = {}
-    if depth >= 1:
-        top = enumerate_group(
-            n, p ** depth, list(transvection_generators(n, p ** depth).values()), cap=cap
-        )
-        top_entries = [g.entries for g in top.elements]
-        for beta in range(1, depth + 1):
-            m = p ** beta
-            reduced = {tuple(e % m for e in x) for x in top_entries}
-            level_elements[beta] = sorted(reduced)
-
+    root = _vertex_id(0, ())
+    verts: list[str] = [root]
+    edges: list[tuple[str, str]] = []
+    images = {name: {root: root} for name in gen_names}
     levels: list[FiniteTreeAction] = []
     bonds: list[dict[str, str]] = []
-    for a in range(depth + 1):
-        verts = ["0|e"]
-        edges = []
-        for beta in range(1, a + 1):
-            mprev = p ** (beta - 1)
-            for x in level_elements[beta]:
+    for beta in range(depth + 1):
+        if beta:
+            m, mprev = p ** beta, p ** (beta - 1)
+            units = [(images[name], tuple(e % m for e in integral[name].entries))
+                     for name in gen_names]
+            bond = {v: v for v in verts}
+            for x in sorted({tuple(e % m for e in y) for y in top}):
                 vid = _vertex_id(beta, x)
+                parent = _vertex_id(beta - 1, tuple(e % mprev for e in x))
                 verts.append(vid)
-                parent = (
-                    "0|e"
-                    if beta == 1
-                    else _vertex_id(beta - 1, tuple(e % mprev for e in x))
-                )
                 edges.append((parent, vid))
-        tree = Tree(tuple(verts), tuple(edges))
-        gens: dict[str, TreeAutomorphism] = {}
-        for name in gen_names:
-            mapping = {"0|e": "0|e"}
-            for beta in range(1, a + 1):
-                m = p ** beta
-                u = tuple(e % m for e in integral[name].entries)
-                for x in level_elements[beta]:
-                    mapping[_vertex_id(beta, x)] = _vertex_id(
-                        beta, _mul_flat_mod(u, x, n, m)
-                    )
-            gens[name] = TreeAutomorphism(mapping)
-        context = {
-            "n": n,
-            "p": p,
-            "matrices": {name: integral[name] for name in gen_names},
-        }
-        levels.append(FiniteTreeAction(tree, gens, context))
-        if a >= 1:
-            bond = {v: v for v in levels[a - 1].tree.vertices}
-            mprev = p ** (a - 1)
-            for x in level_elements[a]:
-                parent = (
-                    "0|e" if a == 1 else _vertex_id(a - 1, tuple(e % mprev for e in x))
-                )
-                bond[_vertex_id(a, x)] = parent
+                bond[vid] = parent
+                for image, u in units:
+                    image[vid] = _vertex_id(beta, _mul_flat_mod(u, x, n, m))
             bonds.append(bond)
+        # Tree and TreeAutomorphism copy their inputs: this level's snapshot
+        levels.append(FiniteTreeAction(
+            Tree(verts, edges),
+            {name: TreeAutomorphism(images[name]) for name in gen_names},
+            {"n": n, "p": p, "matrices": {name: integral[name] for name in gen_names}},
+        ))
 
     return InverseSystem(
         levels,

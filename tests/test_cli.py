@@ -384,8 +384,8 @@ GOLDEN_LINES = {
     "tower build star": ("tower build --star 3 --out {out}/star.json --svg {out}/star.svg", 0, "43c4c704eac0e1cd59f487e0dd31b55f4c374d3afe3551502bf6d1c660171164"),
     "tower build preset": ("tower build --preset congruence-tower-3-2-1", 0, "da4f04e60a9bc936be603a40f6ebeec420bfd5c3e6f4aa3d9f31f88b24a37653"),
     "tower build star preset": ("tower build --preset star-dendrite-8", 0, "b6d489975b700e4c5963f6edc72586c5630fc1914ac91d709341301288749859"),
-    "tower build in": ("tower build --in {tower}", 0, "c1a6acac7d384ab9be52915b19995c2996be766fa921c8881c3028ae97e5b659"),
-    "tower verify in": ("tower verify --in {tower}", 0, "185f39251616960bf34033e6e64300ac6bf7c80f3e77de8bf217d3e8d5b12ea8"),
+    "tower build in": ("tower build --in {tower}", 0, "eba567df1cf3b66523421af33395ca3be6294694017b255ac6d192ad94e664a9"),
+    "tower verify in": ("tower verify --in {tower}", 0, "31e66941aecc0f850e4dd091b9d85cb4fbe39f7b3eafe11bc01cc272a797b86f"),
     "tower verify cap": ("tower verify -n 2 -p 2 --depth 1 --cap 100 --report {out}/r.json", 0, "5f4d86fe6bb61a48dc47b8d8d7e80f5ebbbf28b0179d6cdf0fe14e1b3f55d9a6"),
     "tower orbits": ("tower orbits -n 2 -p 3 --depth 1 --vertex 1|0,2,1,1 --orbit-cap 2", 0, "3db589992a62191cc25702bbb1a47c1d06087fac4d8b3c2f27a14a5b099f2fc0"),
     "tower decorate": ("tower decorate -n 2 -p 3 --depth 1 --seed-leaf 1|0,1,2,2 --orbit-cap 3", 0, "2d6d7f4ff19e94920774cd8fcccc07d809590d769f8cdb172a9df523605fff57"),
@@ -487,6 +487,55 @@ class TestGivenValues:
     ])
     def test_option_that_does_not_apply_is_rejected(self, argv):
         assert run_cli(*argv) == (3, "")
+
+    @pytest.mark.parametrize("argv", [
+        "order from-action --probe-count -1",
+        "order from-action --power-cap -1",
+        "identities ll --r-max -1",
+        "identities ll --m-max -1",
+        "identities ll --p-max -1",
+        "identities ll --q-max -1",
+        "order search --preset z-ball-3 --budget -5",
+        "tower orbits -n 2 -p 2 --depth 1 --orbit-cap -3",
+        "tower decorate -n 2 -p 2 --depth 1 --orbit-cap -1",
+        "identities congruence --level 2 --elementary 1,2,3 --scan -1",
+        "tower build -n 2 -p 2 --depth 1 --cap -1",
+    ])
+    def test_negative_count_is_rejected(self, argv, capsys):
+        assert run_cli(*argv.split()) == (3, "")
+        assert "must be a non-negative integer" in capsys.readouterr().err
+
+
+class TestTowerFromFile:
+    """With --in the tower comes from the file: no build option applies or is recorded."""
+
+    @pytest.mark.parametrize("sub", ["build", "verify", "orbits", "decorate"])
+    def test_no_build_parameters(self, sub, input_files):
+        code, report = run_report("tower", sub, "--in", input_files["tower"])
+        assert code == 0 and report["parameters"] == {}
+
+    @pytest.mark.parametrize("option", [["-n", "7"], ["-p", "3"], ["--depth", "5"], ["--cap", "9"]])
+    def test_build_option_is_rejected(self, option, input_files, capsys):
+        assert run_cli("tower", "verify", "--in", input_files["tower"], *option) == (3, "")
+        assert "does not apply with --in" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sub", ["build", "verify"])
+    def test_report_is_the_build_report_without_build_options(self, sub, input_files):
+        # the file holds the tower that `tower build -n 2 -p 2 --depth 1` builds
+        _, built = run_report("tower", sub, "-n", "2", "-p", "2", "--depth", "1")
+        _, loaded = run_report("tower", sub, "--in", input_files["tower"])
+        assert set(built["parameters"]) == {"n", "p", "depth", "cap"}
+        assert loaded == {**built, "parameters": {}}
+
+    def test_invalid_level_is_reported_once(self, tmp_path, input_files):
+        payload = json.loads(Path(input_files["tower"]).read_text())
+        edges = payload["levels"][1]["tree"]["edges"]
+        edges.append(edges[0])
+        bad = tmp_path / "tower.json"
+        bad.write_text(json.dumps(payload))
+        code, report = run_report("tower", "verify", "--in", str(bad))
+        assert code == 1
+        assert report["details"]["reasons"] == ["level 1: invalid tree: duplicate edge"]
 
 
 class TestPresetErrors:

@@ -281,6 +281,17 @@ class TestRoundTrip:
         with pytest.raises((OrderingError, RealizeError)):
             order_from_realization(rm, z_ball(1))
 
+    def test_non_transitive_probe_order_is_rejected(self):
+        # ordered by exponent as -2, -1, 2, 0, 1: skipping the probes with a
+        # missing image, the comparator puts u^-2 above u^0 although the
+        # sorted result puts it below
+        ball = z_ball(2)
+        power = {m.entries[1]: m for m in ball.elements}
+        order = OrderAssignment.from_total_order(ball, [power[k] for k in (-2, -1, 2, 0, 1)])
+        rm = realize(list(ball.elements), order)
+        with pytest.raises(OrderingError, match="not transitive"):
+            order_from_realization(rm, ball)
+
     def test_scrambled_enumeration_still_round_trips(self):
         ball = z_ball(4)
         order = natural_order(ball)

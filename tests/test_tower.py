@@ -4,6 +4,7 @@ Leaf counts are checked against the exhaustive determinant-filter oracle,
 never against the builder's own enumeration.
 """
 
+import hashlib
 import json
 from fractions import Fraction
 from math import isclose, pi
@@ -318,3 +319,67 @@ class TestSerialization:
         a = json.dumps(system_to_json(tower321), sort_keys=True)
         b = json.dumps(system_to_json(build_congruence_tower(3, 2, 1)), sort_keys=True)
         assert a == b
+
+
+def serialized(sys_) -> bytes:
+    """The bytes `treeact tower build --out` writes."""
+    return (json.dumps(system_to_json(sys_), sort_keys=True, indent=2) + "\n").encode()
+
+
+# SHA-256 and length of the serialized tower, recorded before the builder
+# was rewritten to extend each level from the one below
+TOWER_BYTES = {
+    (2, 2, 1): ("161be287ca30c889fca65b532be33a4f8b82b271a88e4959df73899ae437d62d", 1955),
+    (2, 2, 2): ("e9bd905249c3d8e28ed7c9f01347a8a65f70bff77a6549f6ae96de3b579a025a", 11633),
+    (2, 3, 2): ("fd90b40066c53771300cc99ee93f8a3dea67d98df75c1b1fa826641c689f1f94", 122609),
+    (3, 2, 1): ("928de321cd35569302a80490a8db3f3630c823855528c7f8ac458933f57649ad", 60163),
+}
+
+
+class TestSerializedBytes:
+    @pytest.mark.parametrize("npd", sorted(TOWER_BYTES))
+    def test_pinned(self, npd):
+        data = serialized(build_congruence_tower(*npd))
+        assert (hashlib.sha256(data).hexdigest(), len(data)) == TOWER_BYTES[npd]
+
+    def test_pinned_depth_two_mod_four(self, tower322):
+        # the values the benchmark records for the same tower
+        data = serialized(tower322[0])
+        assert (hashlib.sha256(data).hexdigest(), len(data)) == (
+            "8e51fa46af04d7b8acc7ff5682c17fd8c50a359e8ad602508001607aa94825ee", 16_335_267)
+
+
+def reduced_id(vid: str, p: int) -> str:
+    """The id of the coset below ``vid``: its entries reduced mod p^(b-1)."""
+    b, entries = vid.split("|")
+    beta = int(b) - 1
+    if beta == 0:
+        return "0|e"
+    return f"{beta}|" + ",".join(str(int(e) % p ** beta) for e in entries.split(","))
+
+
+class TestNesting:
+    """Level a is level a+1 without its newest vertices, as the bonds say."""
+
+    @pytest.mark.parametrize("n, p, depth", [(2, 2, 2), (2, 3, 2), (2, 2, 3)])
+    def test_small(self, n, p, depth):
+        self.check(build_congruence_tower(n, p, depth), p)
+
+    def test_depth_two_mod_four(self, tower322):
+        self.check(tower322[0], 2)
+
+    @staticmethod
+    def check(sys_, p):
+        for a, bond in enumerate(sys_.bonds):
+            lower, upper = sys_.levels[a], sys_.levels[a + 1]
+            old = lower.tree.vertices
+            assert upper.tree.vertices[:len(old)] == old
+            for name, auto in lower.generators.items():
+                up = upper.generators[name]
+                assert all(auto(v) == up(v) for v in old)
+                assert auto.domain() == frozenset(old)
+            assert all(bond[v] == v for v in old)
+            new = upper.tree.vertices[len(old):]
+            assert new and all(v.startswith(f"{a + 1}|") for v in new)
+            assert all(bond[v] == reduced_id(v, p) for v in new)
+            assert len(bond) == len(upper.tree.vertices)
