@@ -151,6 +151,15 @@ def _tower_from_config(cfg: RunConfig):
     return build_congruence_tower(p["n"], p["p"], p["depth"], cap=p["cap"])
 
 
+def _walkable_tower(cfg: RunConfig):
+    """The tower, with each level of a loaded one validated: orbits walk inverses."""
+    sys_ = _tower_from_config(cfg)
+    if "infile" in cfg.inputs:
+        for act in sys_.levels:
+            act.validate()
+    return sys_
+
+
 def _first_leaf(act) -> str:
     leaves = act.tree.leaves()
     return leaves[0] if leaves else act.tree.vertices[0]
@@ -208,7 +217,7 @@ def _h_tower_verify(cfg: RunConfig):
 
 
 def _h_tower_orbits(cfg: RunConfig):
-    sys_ = _tower_from_config(cfg)
+    sys_ = _walkable_tower(cfg)
     act = sys_.levels[-1]
     vertex = cfg.parameters.get("vertex", _first_leaf(act))
     res = orbit(act, vertex, cfg.parameters.get("orbit_cap"))
@@ -216,7 +225,7 @@ def _h_tower_orbits(cfg: RunConfig):
 
 
 def _h_tower_decorate(cfg: RunConfig):
-    sys_ = _tower_from_config(cfg)
+    sys_ = _walkable_tower(cfg)
     seed = cfg.parameters.get("seed_leaf", _first_leaf(sys_.levels[-1]))
     decorated = attach_decorations(sys_, seed)
     x = decorated.pendants[0].tip

@@ -115,11 +115,7 @@ class GroupMatrix:
         return d % self.mod if self.mod is not None else d
 
     def is_identity(self) -> bool:
-        return self.entries == (
-            tuple(e % self.mod for e in _identity_flat(self.n))
-            if self.mod is not None
-            else _identity_flat(self.n)
-        )
+        return self == GroupMatrix.identity(self.n, self.mod)
 
     def _check_compatible(self, other: "GroupMatrix") -> None:
         if self.n != other.n:
@@ -129,11 +125,8 @@ class GroupMatrix:
 
     def __mul__(self, other: "GroupMatrix") -> "GroupMatrix":
         self._check_compatible(other)
-        if self.mod is None:
-            return GroupMatrix(self.n, _mul_flat(self.entries, other.entries, self.n))
-        return GroupMatrix(
-            self.n, _mul_flat_mod(self.entries, other.entries, self.n, self.mod), self.mod
-        )
+        # __post_init__ reduces a modular product
+        return GroupMatrix(self.n, _mul_flat(self.entries, other.entries, self.n), self.mod)
 
     def inverse(self) -> "GroupMatrix":
         # det = 1, so the adjugate is the exact inverse (also mod m).
@@ -345,7 +338,7 @@ class FiniteMatrixGroup:
 
     def closure(self, seed: Iterable[GroupMatrix]) -> tuple[GroupMatrix, ...]:
         """Subgroup generated by seed elements, as sorted elements."""
-        steps = [s for g in seed for s in (g, g.inverse())]
+        steps = list(seed)  # finite: the monoid they generate is the subgroup
         found = walk(self.identity(), lambda x: [x * s for s in steps])
         return tuple(sorted((x for x, *_ in found), key=lambda x: x.entries))
 
@@ -385,7 +378,11 @@ class FiniteMatrixGroup:
 def enumerate_group(
     n: int, m: int, gens: Sequence[GroupMatrix], cap: int = 10 ** 6
 ) -> FiniteMatrixGroup:
-    """Breadth-first closure of the generators inside SL_n(Z/m)."""
+    """Breadth-first closure of the generators inside SL_n(Z/m).
+
+    The group is finite, so products of the generators alone reach every
+    element: the walk takes no inverse steps.
+    """
     if m < 2:
         raise MatrixError("modulus must be at least 2")
     reduced = []
@@ -399,7 +396,7 @@ def enumerate_group(
         if g.det() != 1 % m:
             raise MatrixError("determinant must be 1")
         reduced.append(g)
-    steps = [s.entries for g in reduced for s in (g, g.inverse())]
+    steps = [g.entries for g in reduced]
     eid = tuple(e % m for e in _identity_flat(n))
     seen = [eid]
     found = walk(eid, lambda x: [_mul_flat_mod(x, s, n, m) for s in steps])

@@ -10,11 +10,12 @@ explicitly inconclusive outcome.
 
 from __future__ import annotations
 
+import functools
 import random
 from collections import deque
 from dataclasses import dataclass
 from itertools import islice
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from ._walk import walk
 from .matrices import (
@@ -132,9 +133,9 @@ class OrderAssignment:
     def sign(self, g: GroupMatrix, h: GroupMatrix) -> int:
         return self.sign_idx(self.ball.index(g), self.ball.index(h))
 
-    def ascending(self, indices: Iterable[int] | None = None) -> list[GroupMatrix]:
+    def ascending(self) -> list[GroupMatrix]:
         """Elements sorted ascending: later elements have sign +1 over earlier."""
-        idx = list(indices) if indices is not None else list(range(len(self.ball)))
+        idx = range(len(self.ball))
         key = {i: sum(1 for j in idx if j != i and self.signs.get((i, j)) == 1) for i in idx}
         return [self.ball.elements[i] for i in sorted(idx, key=lambda i: (key[i], i))]
 
@@ -159,10 +160,9 @@ class AxiomReport:
     transitivity_violations: tuple[tuple[int, int, int], ...]
 
 
-def check_axioms(phi: OrderAssignment, b: Ball | None = None) -> AxiomReport:
+def check_axioms(phi: OrderAssignment) -> AxiomReport:
     """Check antisymmetry and transitivity on every pair/triple of the ball."""
-    ball = b if b is not None else phi.ball
-    idx = [phi.ball.index(g) for g in ball.elements]
+    idx = range(len(phi.ball))
     r_bad = []
     for a in idx:
         for c in idx:
@@ -401,9 +401,10 @@ def search_invariant(
     roots = sorted(members, key=lambda p: (min(rank[p[0]], rank[p[1]]),
                                            max(rank[p[0]], rank[p[1]])))
 
-    rel = [[0] * size for _ in range(size)]  # rel[i][j] = phi(x_i, x_j)
-    value: dict[tuple[int, int], int] = {}   # assigned class values by root
-    trail: list = []
+    # rel[i][j] = phi(x_i, x_j), 0 while unassigned; a class's value is rel
+    # at its root pair, and the trail lists the pairs set, in order
+    rel = [[0] * size for _ in range(size)]
+    trail: list[tuple[int, int]] = []
     stats = {"nodes": 0, "branches": 0}
 
     def set_rel(i: int, j: int, s: int) -> bool:
@@ -412,7 +413,7 @@ def search_invariant(
             return cur == s
         rel[i][j] = s
         rel[j][i] = -s
-        trail.append(("rel", i, j))
+        trail.append((i, j))
         return True
 
     def assign(root: tuple[int, int], val: int, chain: list[TraceStep]) -> bool:
@@ -424,13 +425,12 @@ def search_invariant(
             if stats["nodes"] > budget:
                 raise SearchBudgetExhausted("search budget exhausted")
             r, v, why = queue.popleft()
-            if r in value:
-                if value[r] != v:
+            fixed = rel[r[0]][r[1]]
+            if fixed:
+                if fixed != v:
                     chain.append(TraceStep(r, v, f"class already fixed opposite ({why})"))
                     return False
                 continue
-            value[r] = v
-            trail.append(("val", r))
             chain.append(TraceStep(r, v, why))
             for (i, j), s in members[r]:
                 if not set_rel(i, j, v * s):
@@ -461,17 +461,12 @@ def search_invariant(
 
     def undo(mark: int) -> None:
         while len(trail) > mark:
-            kind, *payload = trail.pop()
-            if kind == "rel":
-                i, j = payload
-                rel[i][j] = 0
-                rel[j][i] = 0
-            else:
-                (r,) = payload
-                del value[r]
+            i, j = trail.pop()
+            rel[i][j] = 0
+            rel[j][i] = 0
 
     def next_pos(pos: int) -> int:
-        while pos < len(roots) and roots[pos] in value:
+        while pos < len(roots) and rel[roots[pos][0]][roots[pos][1]]:
             pos += 1
         return pos
 
@@ -570,15 +565,29 @@ def compactness_extract(
 def order_from_probe_keys(
     ball: Ball, keys: Mapping[GroupMatrix, tuple]
 ) -> OrderAssignment:
-    """Total order on the ball from per-element probe-image keys (lexicographic)."""
-    elems = list(ball.elements)
-    for a in range(len(elems)):
-        for bb in range(a + 1, len(elems)):
-            if keys[elems[a]] == keys[elems[bb]]:
+    """Total order on the ball from per-element probe-image keys.
+
+    Keys compare lexicographically, skipping every probe where either image
+    is None.  Skipped probes can make that comparison intransitive, so the
+    sorted result is checked against every pair.  Raises ``OrderingError``
+    when the probes leave two elements equal or the order is not transitive.
+    """
+    def compare(a: GroupMatrix, b: GroupMatrix) -> int:
+        for va, vb in zip(keys[a], keys[b]):
+            if va is not None and vb is not None and va != vb:
+                return 1 if va > vb else -1
+        return 0
+
+    ascending = sorted(ball.elements, key=functools.cmp_to_key(compare))
+    for i, a in enumerate(ascending):
+        for b in ascending[i + 1:]:
+            c = compare(a, b)
+            if c == 0:
                 raise OrderingError(
                     "probes insufficient (action not almost free at this scale)"
                 )
-    ascending = sorted(elems, key=lambda g: keys[g])
+            if c > 0:
+                raise OrderingError("probe order not transitive at this scale")
     return OrderAssignment.from_total_order(ball, ascending)
 
 
@@ -609,15 +618,8 @@ def order_from_action(act, z: str, probes: Sequence[str], b: Ball) -> OrderAssig
             raise OrderingError("probes must be ordered away from z")
         last = pos_on_arc[x]
 
-    def automorphism_for(g: GroupMatrix):
-        auto = trees.TreeAutomorphism.identity(tree.vertices)
-        for name, e in b.word(g):
-            step = act.generators[name]
-            auto = auto * (step if e == 1 else step.inverse())
-        return auto
-
-    autos = {g: automorphism_for(g) for g in b.elements}
-    images = {autos[g](x) for g in b.elements for x in probes}
+    moved = {g: [act.apply_word(b.word(g), x) for x in probes] for g in b.elements}
+    images = {y for ys in moved.values() for y in ys}
     hull = trees.convex_hull(tree, images | {z})
     # the image hull must be an arc with z as an end point
     for v in hull:
@@ -625,9 +627,7 @@ def order_from_action(act, z: str, probes: Sequence[str], b: Ball) -> OrderAssig
         if inside > 2 or (v == z and inside > 1):
             raise OrderingError("probe images do not lie on a common arc from z")
     dist = {v: len(trees.path(tree, z, v)) - 1 for v in images}
-    keys = {
-        g: tuple(dist[autos[g](x)] for x in probes) for g in b.elements
-    }
+    keys = {g: tuple(dist[y] for y in ys) for g, ys in moved.items()}
     return order_from_probe_keys(b, keys)
 
 
@@ -711,12 +711,12 @@ def ball_to_json(b: Ball) -> dict:
     }
 
 
-def ball_from_json(obj: Mapping, cap: int = 200_000) -> Ball:
+def ball_from_json(obj: Mapping) -> Ball:
     if not (isinstance(obj.get("generators"), list) and isinstance(obj.get("names"), list)
             and _is_int(obj.get("radius"))):
         raise OrderingError("ball must have 'generators' and 'names' lists and an integer 'radius'")
     gens = [matrix_from_json(g) for g in obj["generators"]]
-    ball = ball_generate(gens, obj["radius"], obj["names"], cap=cap)
+    ball = ball_generate(gens, obj["radius"], obj["names"])
     if "count" in obj and obj["count"] != len(ball):
         raise OrderingError("ball provenance does not match regenerated ball")
     return ball

@@ -6,10 +6,6 @@ from .matrices import GroupMatrix
 from .ordering import Ball, OrderingError, ball_generate, invariance_set
 
 
-def _rows(mat: list[list[int]]) -> GroupMatrix:
-    return GroupMatrix.from_rows(mat)
-
-
 # order-search instances: generators, invariance set, inner/outer radii
 SEARCH_PRESETS: dict[str, dict] = {
     "torsion-z2": {
@@ -164,7 +160,7 @@ def search_instance(name: str) -> tuple[list[GroupMatrix], Ball, Ball]:
     if name not in SEARCH_PRESETS:
         raise OrderingError(f"unknown search preset: {name}")
     cfg = SEARCH_PRESETS[name]
-    gens = [_rows(rows) for rows in cfg["rows"]]
+    gens = [GroupMatrix.from_rows(rows) for rows in cfg["rows"]]
     names = tuple(cfg["names"])
     inner = ball_generate(gens, cfg["inner_radius"], names)
     outer = ball_generate(gens, cfg["outer_radius"], names)

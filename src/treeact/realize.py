@@ -12,14 +12,13 @@ so that step is deliberately absent rather than missing.
 from __future__ import annotations
 
 import csv
-import functools
 import io
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .matrices import GroupMatrix
-from .ordering import Ball, OrderAssignment, OrderingError, format_word
+from .ordering import Ball, OrderAssignment, OrderingError, format_word, order_from_probe_keys
 
 
 class RealizeError(ValueError):
@@ -69,16 +68,7 @@ def realize(enumeration: Sequence[GroupMatrix], order: OrderAssignment) -> Reali
     t: dict[GroupMatrix, Fraction] = {enumeration[0]: Fraction(0)}
     assigned: list[GroupMatrix] = [enumeration[0]]  # kept sorted ascending
     for g in enumeration[1:]:
-        below = []
-        above = []
-        for h in assigned:
-            s = order.sign(g, h)
-            if s == 1:
-                below.append(h)
-            elif s == -1:
-                above.append(h)
-            else:
-                raise OrderingError("order not total on the enumeration")
+        below = [h for h in assigned if order.sign(g, h) == 1]
         k = len(below)
         # sanity: the elements below g must be exactly the first k assigned
         if below != assigned[:k]:
@@ -119,14 +109,6 @@ class PLHomeo:
                 raise RealizeError("breakpoints must be strictly increasing")
         object.__setattr__(self, "breakpoints", pts)
 
-    @property
-    def lo(self) -> Fraction:
-        return self.breakpoints[0][0]
-
-    @property
-    def hi(self) -> Fraction:
-        return self.breakpoints[-1][0]
-
     def __call__(self, x):
         if x is NEG_INF or x is POS_INF:
             return x
@@ -165,16 +147,15 @@ class GeneratorMap:
 def generator_pl_map(
     rm: RealizationMap,
     g: GroupMatrix,
-    closure: Ball | None = None,
+    closure: Ball,
     label: str | None = None,
 ) -> GeneratorMap:
     """PL action of g: breakpoints (t(x), t(g x)) over the largest valid sub-ball."""
-    candidates = closure.elements if closure is not None else rm.elements
     if label is None:
-        label = format_word(closure.word(g)) if closure is not None and g in closure else "g"
+        label = format_word(closure.word(g)) if g in closure else "g"
     domain = []
     pts = []
-    for x in candidates:
+    for x in closure.elements:
         if x not in rm:
             continue
         gx = g * x
@@ -247,11 +228,7 @@ class RealizationReport:
     composition_failures: tuple[str, ...]
 
 
-def verify_realization(
-    rm: RealizationMap,
-    maps: Sequence[GeneratorMap],
-    sample: Sequence[GroupMatrix] | None = None,
-) -> RealizationReport:
+def verify_realization(rm: RealizationMap, maps: Sequence[GeneratorMap]) -> RealizationReport:
     """Re-check monotonicity, equivariance and composition of realized maps."""
     mono: list[str] = []
     equiv: list[str] = []
@@ -267,7 +244,7 @@ def verify_realization(
                 if gm.homeo(rm.value(x)) != rm.value(gx):
                     equiv.append(f"{gm.word}: map(t(x)) != t(g*x) at t(x)={rm.value(x)}")
     by_element = {gm.element: gm for gm in maps}
-    pool = sample if sample is not None else [gm.element for gm in maps]
+    pool = [gm.element for gm in maps]
     for g in pool:
         for h in pool:
             gh = g * h
@@ -292,15 +269,11 @@ class AlmostFreeReport:
     witnesses: tuple[tuple[str, tuple[Fraction, Fraction]], ...]
 
 
-def almost_free_report(
-    maps: Sequence[GeneratorMap], identity: GroupMatrix | None = None
-) -> AlmostFreeReport:
+def almost_free_report(maps: Sequence[GeneratorMap]) -> AlmostFreeReport:
     """Flag any non-identity element whose map fixes a whole interval."""
     witnesses = []
     for gm in maps:
-        if identity is not None and gm.element == identity:
-            continue
-        if identity is None and gm.element.is_identity():
+        if gm.element.is_identity():
             continue
         fs = fixed_set(gm.homeo)
         for a, b in fs.intervals:
@@ -316,9 +289,8 @@ def order_from_realization(
 
     Probes default to all realized values in ascending order (away from the
     lower formal endpoint).  Each element acts partially: g moves t(x) to
-    t(g x) when both are realized, and a probe where either side is missing
-    is skipped for that comparison.  Raises ``OrderingError`` when the probes
-    leave two elements equal or the comparison is not transitive.
+    t(g x) when both are realized; a probe where either side is missing has
+    image None and is skipped by ``order_from_probe_keys``.
     """
     values = sorted(rm.t.values())
     if probes is None:
@@ -328,35 +300,8 @@ def order_from_realization(
         if p not in by_value:
             raise RealizeError("probe is not a realized point")
 
-    def image(g: GroupMatrix, p: Fraction) -> Fraction | None:
-        gx = g * by_value[p]
-        return rm.t.get(gx)
-
-    keys = {}
-    for g in ball.elements:
-        keys[g] = tuple(image(g, p) for p in probes)
-
-    # lexicographic comparison skipping probes where either image is missing
-    def compare(a: GroupMatrix, b: GroupMatrix) -> int:
-        for va, vb in zip(keys[a], keys[b]):
-            if va is None or vb is None:
-                continue
-            if va != vb:
-                return 1 if va > vb else -1
-        return 0
-
-    # skipped probes can make compare intransitive: check the sorted result
-    ascending = sorted(ball.elements, key=functools.cmp_to_key(compare))
-    for i, a in enumerate(ascending):
-        for b in ascending[i + 1:]:
-            c = compare(a, b)
-            if c == 0:
-                raise OrderingError(
-                    "probes insufficient (action not almost free at this scale)"
-                )
-            if c > 0:
-                raise OrderingError("probe order not transitive at this scale")
-    return OrderAssignment.from_total_order(ball, ascending)
+    keys = {g: tuple(rm.t.get(g * by_value[p]) for p in probes) for g in ball.elements}
+    return order_from_probe_keys(ball, keys)
 
 
 # -- CSV / SVG exports ----------------------------------------------------------
@@ -381,7 +326,8 @@ def plhomeo_to_csv(gm: GeneratorMap) -> str:
     return buf.getvalue()
 
 
-def plhomeo_to_svg(gm: GeneratorMap, size: int = 360) -> str:
+def plhomeo_to_svg(gm: GeneratorMap) -> str:
+    size = 360
     pts = gm.homeo.breakpoints
     lo = min(min(x for x, _ in pts), min(y for _, y in pts))
     hi = max(max(x for x, _ in pts), max(y for _, y in pts))

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import cos, pi, sin
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from ._walk import walk
 from .matrices import (
@@ -75,10 +75,6 @@ class InverseSystem:
     levels: list[FiniteTreeAction]
     bonds: list[dict[str, str]]      # bonds[a]: level a+1 vertices -> level a
     provenance: dict = field(default_factory=dict)
-
-    @property
-    def depth(self) -> int:
-        return len(self.levels) - 1
 
 
 @dataclass(frozen=True)
@@ -381,7 +377,8 @@ def star_to_json(sd: StarDendrite) -> dict:
     }
 
 
-def star_to_svg(sd: StarDendrite, size: int = 400) -> str:
+def star_to_svg(sd: StarDendrite) -> str:
+    size = 400
     half = size / 2
     scale = (size / 2 - 10)
     lines = [
@@ -416,15 +413,11 @@ class DecoratedAction:
     pendants: tuple[Pendant, ...]
 
 
-def attach_decorations(
-    sys: InverseSystem,
-    seed: str,
-    lengths: Callable[[int], Fraction] | None = None,
-) -> DecoratedAction:
+def attach_decorations(sys: InverseSystem, seed: str) -> DecoratedAction:
     """Attach a subdivided pendant arc over each vertex in the orbit of seed.
 
     The orbit is enumerated from the seed in breadth-first order; the arc
-    over the i-th orbit vertex carries length label 1/i (or ``lengths(i)``).
+    over the i-th orbit vertex carries length label 1/i.
     Every generator extends to permute the pendant arcs with the orbit.
     """
     act = sys.levels[-1]
@@ -433,8 +426,6 @@ def attach_decorations(
         raise TowerError("seed not in deepest tree")
     if len(tree.vertices) > 1 and tree.degree(seed) != 1:
         raise TowerError("seed must be a leaf")
-    if lengths is None:
-        lengths = lambda i: Fraction(1, i)
 
     order = [y for y, *_ in _orbit_walk(act, seed)]
 
@@ -448,7 +439,7 @@ def attach_decorations(
         verts.extend([mid, tip])
         edges.append((anchor, mid))
         edges.append((mid, tip))
-        pendants.append(Pendant(anchor, mid, tip, lengths(i)))
+        pendants.append(Pendant(anchor, mid, tip, Fraction(1, i)))
         index_of[anchor] = i
     new_tree = Tree(tuple(verts), tuple(edges))
 
@@ -537,7 +528,12 @@ def system_to_json(sys: InverseSystem) -> dict:
 
 
 def system_from_json(obj: Mapping) -> InverseSystem:
-    """Parse a tower written by ``system_to_json``."""
+    """Parse a tower written by ``system_to_json``.
+
+    Every generator image and bond entry must name a vertex of its level,
+    and each bond must map every vertex of the level above it.  The levels
+    themselves are not validated: ``FiniteTreeAction.validate`` does that.
+    """
     levels_in = obj.get("levels") if isinstance(obj, Mapping) else None
     if not (isinstance(levels_in, list) and levels_in
             and all(isinstance(lv, Mapping) and isinstance(lv.get("generators"), Mapping)
@@ -553,15 +549,22 @@ def system_from_json(obj: Mapping) -> InverseSystem:
         for name, m in obj.get("generator_matrices", {}).items()
     }
     levels = []
-    for lv in levels_in:
+    for a, lv in enumerate(levels_in):
         tree = tree_from_json(lv.get("tree"))
         gens = {}
         for name, images in lv["generators"].items():
             if not (isinstance(images, list) and len(images) == len(tree.vertices)
                     and all(isinstance(v, str) for v in images)):
                 raise TowerError(f"generator {name}: one image per vertex required")
+            if not set(images) <= set(tree.vertices):
+                raise TowerError(f"level {a}: generator {name} has an image outside the level")
             gens[name] = TreeAutomorphism(dict(zip(tree.vertices, images)))
         context = {"matrices": matrices} if matrices else None
         levels.append(FiniteTreeAction(tree, gens, context))
     bonds = [dict(b) for b in obj["bonds"]]
+    for a, bond in enumerate(bonds):
+        if set(bond) != set(levels[a + 1].tree.vertices):
+            raise TowerError(f"bond {a}: its keys must be the vertices of level {a + 1}")
+        if not set(bond.values()) <= set(levels[a].tree.vertices):
+            raise TowerError(f"bond {a}: a value is not a vertex of level {a}")
     return InverseSystem(levels, bonds, dict(obj.get("provenance", {})))

@@ -320,6 +320,16 @@ def _canon(v: str, children: dict[str, tuple[str, ...]], memo: dict) -> tuple:
     return memo[v]
 
 
+def _sibling_classes(
+    v: str, children: dict[str, tuple[str, ...]], memo: dict
+) -> dict[tuple, list[str]]:
+    """The children of v grouped by the isomorphism type of their subtrees."""
+    groups: dict[tuple, list[str]] = {}
+    for c in children[v]:
+        groups.setdefault(_canon(c, children, memo), []).append(c)
+    return groups
+
+
 def count_automorphisms_fixing_leaf(t: Tree, e: str) -> int:
     """Order of the stabiliser of leaf e in the automorphism group."""
     children = _rooted_children(t, e)
@@ -327,10 +337,7 @@ def count_automorphisms_fixing_leaf(t: Tree, e: str) -> int:
 
     def count(v: str) -> int:
         total = 1
-        groups: dict[tuple, list[str]] = {}
-        for c in children[v]:
-            groups.setdefault(_canon(c, children, memo), []).append(c)
-        for members in groups.values():
+        for members in _sibling_classes(v, children, memo).values():
             k = len(members)
             fact = 1
             for i in range(2, k + 1):
@@ -356,12 +363,8 @@ def automorphisms_fixing_leaf(t: Tree, e: str) -> Iterator[TreeAutomorphism]:
 
     def maps(v: str, w: str) -> Iterator[dict[str, str]]:
         # Yields all isomorphisms subtree(v) -> subtree(w); canon(v)==canon(w).
-        groups_v: dict[tuple, list[str]] = {}
-        for c in children[v]:
-            groups_v.setdefault(_canon(c, children, memo), []).append(c)
-        groups_w: dict[tuple, list[str]] = {}
-        for c in children[w]:
-            groups_w.setdefault(_canon(c, children, memo), []).append(c)
+        groups_v = _sibling_classes(v, children, memo)
+        groups_w = _sibling_classes(w, children, memo)
 
         def rec(keys: list[tuple], acc: dict[str, str]) -> Iterator[dict[str, str]]:
             if not keys:
@@ -393,13 +396,8 @@ def random_automorphism_fixing_leaf(t: Tree, e: str, rng) -> TreeAutomorphism:
 
     def rec(v: str, w: str) -> None:
         mapping[v] = w
-        groups_v: dict[tuple, list[str]] = {}
-        for c in children[v]:
-            groups_v.setdefault(_canon(c, children, memo), []).append(c)
-        groups_w: dict[tuple, list[str]] = {}
-        for c in children[w]:
-            groups_w.setdefault(_canon(c, children, memo), []).append(c)
-        for key, srcs in groups_v.items():
+        groups_w = _sibling_classes(w, children, memo)
+        for key, srcs in _sibling_classes(v, children, memo).items():
             dsts = list(groups_w[key])
             rng.shuffle(dsts)
             for s, d in zip(srcs, dsts):

@@ -246,6 +246,17 @@ class TestRealizeCommand:
         )
         assert code == 0 and report["details"]["elements"] == 9
 
+    def test_cyclic_order_is_not_total(self, tmp_path, capsys):
+        # the radius-1 Z ball, indexed u^-1, e, u, ordered cyclically:
+        # u > e, u^-1 > u and e > u^-1
+        ball = {"radius": 1, "names": ["g"], "generators": [Z_GEN], "count": 3}
+        cyc = tmp_path / "cyc.json"
+        cyc.write_text(json.dumps({"ball": ball, "signs": [[2, 1, 1], [0, 2, 1], [1, 0, 1]]}))
+        enum = tmp_path / "e.json"
+        enum.write_text(json.dumps({"indices": [1, 2, 0]}))
+        assert run_cli("realize", "--order", str(cyc), "--enum", str(enum)) == (3, "")
+        assert "order not total on the enumeration" in capsys.readouterr().err
+
 
 class TestIdentities:
     def test_hexagon_embedded(self):
@@ -536,6 +547,34 @@ class TestTowerFromFile:
         code, report = run_report("tower", "verify", "--in", str(bad))
         assert code == 1
         assert report["details"]["reasons"] == ["level 1: invalid tree: duplicate edge"]
+
+    # the file of `tower build -n 2 -p 2 --depth 1`, corrupted in one place,
+    # with the exit codes of tower verify, orbits, decorate and build on it:
+    # a reference to no vertex is bad input everywhere; a generator that is
+    # not a bijection fails `verify`, is bad input for the commands that
+    # walk an orbit, and passes `build`, which only counts vertices
+    CORRUPTIONS = {
+        "bond entry deleted": (lambda t: t["bonds"][0].pop("1|1,1,1,0"), (3, 3, 3, 3)),
+        "bond value unknown": (lambda t: t["bonds"][0].update({"1|1,1,1,0": "nowhere"}),
+                               (3, 3, 3, 3)),
+        "image unknown": (lambda t: t["levels"][1]["generators"]["u12"].__setitem__(1, "ghost"),
+                          (3, 3, 3, 3)),
+        "image repeated": (lambda t: t["levels"][1]["generators"]["u12"].__setitem__(
+            1, t["levels"][1]["generators"]["u12"][2]), (1, 3, 3, 0)),
+    }
+
+    @pytest.mark.parametrize("column, sub", enumerate(["verify", "orbits", "decorate", "build"]))
+    @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+    def test_corrupt_file(self, corruption, column, sub, tmp_path, input_files, capsys):
+        corrupt, exits = self.CORRUPTIONS[corruption]
+        payload = json.loads(Path(input_files["tower"]).read_text())
+        corrupt(payload)
+        bad = tmp_path / "tower.json"
+        bad.write_text(json.dumps(payload))
+        code, _ = run_cli("tower", sub, "--in", str(bad))
+        assert code == exits[column]
+        if code == 3:
+            assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestPresetErrors:

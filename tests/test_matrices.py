@@ -264,6 +264,15 @@ class TestEnumerateGroup:
         for x in g.elements:
             for s in g.generators:
                 assert (x * s) in g
+        # a proper subgroup of SL_3(Z/4) whose generators have order 4: the
+        # closure under the generators alone is the two-sided closure
+        u12, u23 = elementary(3, 1, 2, 1, mod=4), elementary(3, 2, 3, 1, mod=4)
+        two_sided = oracles.words_up_to(
+            [oracles.unipotent(3, 1, 2, 1), oracles.unipotent(3, 2, 3, 1)], 64, mod=4)
+        want = sorted(tuple(x for row in m for x in row) for m in two_sided)
+        h = enumerate_group(3, 4, [u12, u23])
+        assert len(want) == 64 and [x.entries for x in h.elements] == want
+        assert [x.entries for x in h.closure([u12, u23])] == want
 
     def test_cap(self):
         with pytest.raises(CapExceeded, match="group too large for cap"):

@@ -11,11 +11,12 @@ Core claims:
     - the bounded domination test matches hand-computed verdicts.
 """
 
+import hashlib
 import json
 
 import pytest
 import oracles
-from treeact.matrices import GroupMatrix, elementary
+from treeact.matrices import GroupMatrix, elementary, six_generators
 from treeact.ordering import (
     OrderAssignment,
     OrderingError,
@@ -225,6 +226,46 @@ class TestSearch:
         outer = ball_generate([a, c], 2, ["a", "b"])
         res = search_invariant([a, c], inner, outer)
         assert res.is_sat
+
+
+# Two word balls beyond the presets, with the generators and radii of the
+# benchmark's search workload: decision counts and the SHA-256 of the sorted
+# witness sign triples, recorded before the search state was reworked.
+SEARCH_PINS = {
+    "hexagon-ball-1": (13, 121, 2527,
+                       "686660ef4895d698bc9bb68729e82b037c8980d0f0e7b35a167a4825c715fc60"),
+    "z2-ball-4": (41, 61, 228,
+                  "9097aff51e6e62f411a327a37b187319fe7b9ce0e03748a98165875f5d0a1f46"),
+}
+
+
+def pinned_instance(name):
+    if name == "hexagon-ball-1":
+        gens, names, radius = six_generators(1), [f"a{k}" for k in range(1, 7)], 1
+    else:
+        a = GroupMatrix.from_rows([[1, 1, 0], [0, 1, 0], [0, 0, 1]])
+        b = GroupMatrix.from_rows([[1, 0, 1], [0, 1, 0], [0, 0, 1]])
+        gens, names, radius = [a, b], ["a", "b"], 4
+    return gens, ball_generate(gens, radius, names), ball_generate(gens, radius + 1, names)
+
+
+class TestSearchPins:
+    @pytest.mark.parametrize("name", sorted(SEARCH_PINS))
+    def test_decisions_and_witness(self, name):
+        inner_size, outer_size, decisions, digest = SEARCH_PINS[name]
+        gens, inner, outer = pinned_instance(name)
+        assert (len(inner), len(outer)) == (inner_size, outer_size)
+        res = search_invariant(gens, inner, outer, budget=10 ** 8)
+        assert res.is_sat and res.decisions == decisions
+        triples = sorted([i, j, s] for (i, j), s in res.witness.signs.items())
+        assert hashlib.sha256(json.dumps(triples).encode()).hexdigest() == digest
+
+    def test_budget_boundary(self):
+        # the search of z2-ball-4 takes exactly 8524 budget units
+        gens, inner, outer = pinned_instance("z2-ball-4")
+        assert search_invariant(gens, inner, outer, budget=8524).is_sat
+        with pytest.raises(SearchBudgetExhausted):
+            search_invariant(gens, inner, outer, budget=8523)
 
 
 class TestCompactnessExtract:
