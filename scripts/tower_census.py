@@ -3,8 +3,11 @@
 
 Builds the coset tree for each requested (n, p, depth), checks the vertex
 counts against the closed-form quotient orders, and prints one table row per
-tower.  Everything is exact; a row that disagrees with the formula would be
-a bug, not noise.
+tower.  A row is consistent only if it also passes what ``treeact tower
+verify`` checks: every level is a tree acted on by automorphisms, every bond
+is equivariant, surjective, monotone and the identity below, and the degree
+profile stabilizes.  Everything is exact; a row that disagrees with the
+formula would be a bug, not noise.
 """
 
 import argparse
@@ -12,7 +15,22 @@ import sys
 import time
 
 from treeact.matrices import sl_order
-from treeact.tower import build_congruence_tower, degree_profile, verify_all_bonds
+from treeact.tower import (
+    TowerError,
+    build_congruence_tower,
+    degree_profile,
+    verify_all_bonds,
+    verify_bond_structure,
+)
+
+
+def levels_valid(sys_):
+    try:
+        for act in sys_.levels:
+            act.validate()
+    except TowerError:
+        return False
+    return True
 
 
 def census_row(n, p, depth, cap):
@@ -24,11 +42,14 @@ def census_row(n, p, depth, cap):
     expected_leaves = sl_order(n, p, depth)
     expected_vertices = sum(sl_order(n, p, b) for b in range(depth + 1))
     bonds = verify_all_bonds(sys_)
+    structure = all(verify_bond_structure(sys_, a).passed for a in range(len(sys_.bonds)))
     dp = degree_profile(sys_)
     ok = (
         leaves == expected_leaves
         and len(top.vertices) == expected_vertices
+        and levels_valid(sys_)
         and bonds.passed
+        and structure
         and dp.stabilized in (True, None)
     )
     return {

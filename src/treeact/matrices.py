@@ -23,6 +23,10 @@ class CapExceeded(RuntimeError):
 
 
 # -- flat-tuple kernels (hot paths work on raw entry tuples) -------------------
+# enumerate_group and the tower's generator images multiply on the left by
+# sparse matrices (the transvection u_ij adds row j to row i), so their kernel
+# rewrites only the rows the left factor changes: O(n) work per changed row,
+# not an O(n^3) product.
 
 
 def _mul_flat(a: tuple[int, ...], b: tuple[int, ...], n: int) -> tuple[int, ...]:
@@ -34,12 +38,26 @@ def _mul_flat(a: tuple[int, ...], b: tuple[int, ...], n: int) -> tuple[int, ...]
     return tuple(out)
 
 
-def _mul_flat_mod(a, b, n: int, m: int) -> tuple[int, ...]:
-    out = []
+def _left_plan(s: Sequence[int], n: int) -> list[tuple[int, list[tuple[int, int]]]]:
+    """The rows of s that differ from the identity, as (i, [(k, s_ik), ...])."""
+    plan = []
     for i in range(n):
-        row = a[i * n:(i + 1) * n]
-        for j in range(n):
-            out.append(sum(row[k] * b[k * n + j] for k in range(n)) % m)
+        row = s[i * n:(i + 1) * n]
+        if any(v != (k == i) for k, v in enumerate(row)):
+            plan.append((i, [(k, v) for k, v in enumerate(row) if v]))
+    return plan
+
+
+def _left_mul_mod(plan, x: tuple[int, ...], n: int, m: int) -> tuple[int, ...]:
+    """s x mod m for s given by _left_plan(s, n) and x reduced mod m."""
+    out = list(x)
+    for i, terms in plan:
+        acc = [0] * n
+        for k, v in terms:
+            base = k * n
+            for j in range(n):
+                acc[j] += v * x[base + j]
+        out[i * n:(i + 1) * n] = [a % m for a in acc]
     return tuple(out)
 
 
@@ -396,10 +414,10 @@ def enumerate_group(
         if g.det() != 1 % m:
             raise MatrixError("determinant must be 1")
         reduced.append(g)
-    steps = [g.entries for g in reduced]
+    plans = [_left_plan(g.entries, n) for g in reduced]
     eid = tuple(e % m for e in _identity_flat(n))
     seen = [eid]
-    found = walk(eid, lambda x: [_mul_flat_mod(x, s, n, m) for s in steps])
+    found = walk(eid, lambda x: [_left_mul_mod(plan, x, n, m) for plan in plans])
     for y, *_ in islice(found, 1, None):
         if len(seen) >= cap:
             raise CapExceeded("group too large for cap")

@@ -18,7 +18,8 @@ from typing import Mapping, Sequence
 from ._walk import walk
 from .matrices import (
     CapExceeded,
-    _mul_flat_mod,
+    _left_mul_mod,
+    _left_plan,
     enumerate_group,
     matrix_from_json,
     matrix_to_json,
@@ -148,25 +149,26 @@ def build_congruence_tower(
         top = [g.entries for g in group.elements]
 
     root = _vertex_id(0, ())
+    ids = {(0,) * (n * n): root}   # this level's ids by entries reduced mod p^beta
     verts: list[str] = [root]
     edges: list[tuple[str, str]] = []
     images = {name: {root: root} for name in gen_names}
+    # u_ij has entries 0 and 1, reduced for every modulus: one plan serves all levels
+    units = [(images[name], _left_plan(integral[name].entries, n)) for name in gen_names]
     levels: list[FiniteTreeAction] = []
     bonds: list[dict[str, str]] = []
     for beta in range(depth + 1):
         if beta:
-            m, mprev = p ** beta, p ** (beta - 1)
-            units = [(images[name], tuple(e % m for e in integral[name].entries))
-                     for name in gen_names]
+            m, mprev, parents = p ** beta, p ** (beta - 1), ids
+            ids = {x: _vertex_id(beta, x) for x in sorted({tuple(e % m for e in y) for y in top})}
             bond = {v: v for v in verts}
-            for x in sorted({tuple(e % m for e in y) for y in top}):
-                vid = _vertex_id(beta, x)
-                parent = _vertex_id(beta - 1, tuple(e % mprev for e in x))
+            for x, vid in ids.items():
+                parent = parents[tuple(e % mprev for e in x)]
                 verts.append(vid)
                 edges.append((parent, vid))
                 bond[vid] = parent
-                for image, u in units:
-                    image[vid] = _vertex_id(beta, _mul_flat_mod(u, x, n, m))
+                for image, plan in units:
+                    image[vid] = ids[_left_mul_mod(plan, x, n, m)]
             bonds.append(bond)
         # Tree and TreeAutomorphism copy their inputs: this level's snapshot
         levels.append(FiniteTreeAction(

@@ -13,6 +13,8 @@ from treeact.matrices import (
     CapExceeded,
     GroupMatrix,
     MatrixError,
+    _left_mul_mod,
+    _left_plan,
     commutator,
     congruence_membership,
     elementary,
@@ -283,6 +285,67 @@ class TestEnumerateGroup:
         assert sl_order(3, 2, 1) == 168
         assert sl_order(3, 2, 2) == 43008
         assert sl_order(2, 3, 1) == 24
+
+
+@st.composite
+def left_factors(draw):
+    """(n, m, s, x): s the identity, a transvection or dense, x any, both mod m."""
+    n = draw(st.sampled_from([2, 3, 4]))
+    m = draw(st.integers(2, 27))
+    entries = st.lists(st.integers(0, m - 1), min_size=n * n, max_size=n * n)
+    kind = draw(st.sampled_from(["identity", "transvection", "dense"]))
+    if kind == "dense":
+        s = draw(entries)
+    else:
+        rows = oracles.mat_identity(n)
+        if kind == "transvection":
+            i, j = draw(st.sampled_from(
+                [(i, j) for i in range(n) for j in range(n) if i != j]))
+            rows[i][j] = draw(st.integers(1, m - 1))
+        s = [e for row in rows for e in row]
+    return n, m, s, tuple(draw(entries))
+
+
+def naive_left_mul(s, x, n, m):
+    rows = lambda flat: [list(flat[i * n:(i + 1) * n]) for i in range(n)]
+    return tuple(e for row in oracles.mat_mul(rows(s), rows(x), m) for e in row)
+
+
+class TestLeftMulKernel:
+    """The sparse left product against the nested-list product of oracles.py."""
+
+    @given(left_factors())
+    def test_matches_naive_product(self, case):
+        n, m, s, x = case
+        assert _left_mul_mod(_left_plan(s, n), x, n, m) == naive_left_mul(s, x, n, m)
+
+    def test_identity_and_every_transvection(self):
+        for n in (2, 3, 4):
+            for m in range(2, 28):
+                x = tuple((7 * k + 3) % m for k in range(n * n))
+                for s in [GroupMatrix.identity(n, m), *transvection_generators(n, m).values()]:
+                    got = _left_mul_mod(_left_plan(s.entries, n), x, n, m)
+                    assert got == naive_left_mul(s.entries, x, n, m)
+
+    def test_plan_lists_only_changed_rows(self):
+        assert _left_plan(GroupMatrix.identity(4, 5).entries, 4) == []
+        for name, u in transvection_generators(4, 5).items():
+            i, j = int(name[1]) - 1, int(name[2]) - 1
+            assert _left_plan(u.entries, 4) == [(i, [(min(i, j), 1), (max(i, j), 1)])]
+
+
+class TestEnumerationOracle:
+    """enumerate_group against the exhaustive determinant filter."""
+
+    @pytest.mark.parametrize("n, m", [(2, 8), (2, 9), (3, 2)])
+    def test_elements_and_cap_boundary(self, n, m):
+        count, want = oracles.sl_by_det_filter(n, m)
+        gens = list(transvection_generators(n, m).values())
+        g = enumerate_group(n, m, gens, cap=count)
+        assert [x.entries for x in g.elements] == sorted(want)
+        assert len(g) == count
+        with pytest.raises(CapExceeded):
+            enumerate_group(n, m, gens, cap=count - 1)
 
 
 class TestNormalCore:

@@ -4,12 +4,16 @@ Each script runs in a fresh interpreter with ``src`` on its path; it must exit
 0 and print its expected closing line.
 """
 
+import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from treeact.tower import FiniteTreeAction, InverseSystem, build_congruence_tower
+from treeact.trees import Tree
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -44,3 +48,33 @@ def test_realize_demo_writes_files(tmp_path):
         written = {p.name for p in (tmp_path / label).iterdir()}
         assert written == {"realization.csv"} | {
             f"map_{k}.{ext}" for k in range(-3, 4) for ext in ("csv", "svg")}
+
+
+class TestCensusChecks:
+    """A census row is consistent only if the tower passes what `tower verify` checks."""
+
+    @staticmethod
+    def row_for(monkeypatch, broken):
+        spec = importlib.util.spec_from_file_location(
+            "tower_census", ROOT / "scripts" / "tower_census.py")
+        census = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(census)
+        monkeypatch.setattr(census, "build_congruence_tower", lambda *a, **k: broken)
+        return census.census_row(2, 2, 2, 1000)
+
+    def test_sound_tower(self, monkeypatch):
+        assert self.row_for(monkeypatch, build_congruence_tower(2, 2, 2))["ok"]
+
+    def test_invalid_level(self, monkeypatch):
+        sys_ = build_congruence_tower(2, 2, 2)
+        mid = sys_.levels[1]
+        duplicated = Tree(mid.tree.vertices, mid.tree.edges + mid.tree.edges[:1])
+        levels = [sys_.levels[0], FiniteTreeAction(duplicated, mid.generators), sys_.levels[2]]
+        row = self.row_for(monkeypatch, InverseSystem(levels, sys_.bonds))
+        assert row["equivariant"] and not row["ok"]
+
+    def test_bond_not_identity_below(self, monkeypatch):
+        sys_ = build_congruence_tower(2, 2, 2)
+        collapsed = {v: "0|e" for v in sys_.bonds[1]}
+        row = self.row_for(monkeypatch, InverseSystem(sys_.levels, [sys_.bonds[0], collapsed]))
+        assert row["equivariant"] and not row["ok"]

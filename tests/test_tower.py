@@ -383,3 +383,23 @@ class TestNesting:
             assert new and all(v.startswith(f"{a + 1}|") for v in new)
             assert all(bond[v] == reduced_id(v, p) for v in new)
             assert len(bond) == len(upper.tree.vertices)
+
+
+class TestGeneratorImages:
+    """Each generator image is the left product with u_ij, by the naive oracle."""
+
+    @pytest.mark.parametrize("n, p, depth", [(2, 3, 2), (3, 2, 1)])
+    def test_left_translation(self, n, p, depth):
+        sys_ = build_congruence_tower(n, p, depth)
+        names = {f"u{i}{j}" for i in range(1, n + 1) for j in range(1, n + 1) if i != j}
+        for act in sys_.levels:
+            assert set(act.generators) == names
+            for name, auto in act.generators.items():
+                u = oracles.unipotent(n, int(name[1]), int(name[2]), 1)
+                assert auto("0|e") == "0|e"
+                for v in act.tree.vertices[1:]:
+                    b, entries = v.split("|")
+                    flat = [int(e) for e in entries.split(",")]
+                    x = [flat[i * n:(i + 1) * n] for i in range(n)]
+                    ux = oracles.mat_mul(u, x, p ** int(b))
+                    assert auto(v) == f"{b}|" + ",".join(str(e) for row in ux for e in row)
