@@ -169,18 +169,18 @@ def check_axioms(phi: OrderAssignment) -> AxiomReport:
             if a < c:
                 if phi.sign_idx(a, c) != -phi.sign_idx(c, a):
                     r_bad.append((a, c))
+    # bit y of below[x] is set when x > y; f > g > h needs f > h, so the
+    # violations (f, g, h) are the bits h of below[g] & ~below[f] other than f, g
+    below = [sum(1 << y for y in idx if y != x and phi.signs[(x, y)] == 1) for x in idx]
     t_bad = []
     for f in idx:
         for g in idx:
-            if g == f:
-                continue
-            if phi.sign_idx(f, g) != 1:
-                continue
-            for h in idx:
-                if h == f or h == g:
-                    continue
-                if phi.sign_idx(g, h) == 1 and phi.sign_idx(f, h) != 1:
-                    t_bad.append((f, g, h))
+            if g != f and below[f] >> g & 1:
+                miss = below[g] & ~below[f] & ~(1 << f | 1 << g)
+                while miss:
+                    low = miss & -miss
+                    t_bad.append((f, g, low.bit_length() - 1))
+                    miss ^= low
     return AxiomReport(not r_bad and not t_bad, tuple(r_bad), tuple(t_bad))
 
 
@@ -207,19 +207,28 @@ def check_invariance(
 ) -> InvarianceReport:
     """Check phi(fg, fh) = phi(g, h) for f in F and distinct g, h in b."""
     outer = b2 if b2 is not None else phi.ball
+    elems, index, signs = b.elements, phi.ball._index, phi.signs
+    first: dict[GroupMatrix, int] = {}  # g == h compares values: equal ones share a slot
+    same = [first.setdefault(g, k) for k, g in enumerate(elems)]
+    at = [index.get(g) for g in elems]
     bad = []
     for fm in f:
-        for g in b.elements:
-            for h in b.elements:
-                if g == h:
+        # each fg and its index once; a missing sign defers to phi.sign's error
+        moved = [fm * g for g in elems]
+        at_moved = [index.get(x) if x in outer else None for x in moved]
+        for a, (ia, ja) in enumerate(zip(at_moved, at)):
+            for c, (ic, jc) in enumerate(zip(at_moved, at)):
+                if same[a] == same[c]:
                     continue
-                fg, fh = fm * g, fm * h
-                if fg not in outer or fh not in outer:
-                    raise OrderingError("ball containment violated")
-                if phi.sign(fg, fh) != phi.sign(g, h):
+                s, t = signs.get((ia, ic)), signs.get((ja, jc))
+                if s is None or t is None:
+                    if moved[a] not in outer or moved[c] not in outer:
+                        raise OrderingError("ball containment violated")
+                    s, t = phi.sign(moved[a], moved[c]), phi.sign(elems[a], elems[c])
+                if s != t:
                     bad.append(
                         (outer.index(fm) if fm in outer else -1,
-                         outer.index(g), outer.index(h))
+                         outer.index(elems[a]), outer.index(elems[c]))
                     )
     return InvarianceReport(not bad, tuple(bad))
 

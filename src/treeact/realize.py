@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import io
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -108,20 +109,26 @@ class PLHomeo:
             if x0 == x1 or y0 >= y1:
                 raise RealizeError("breakpoints must be strictly increasing")
         object.__setattr__(self, "breakpoints", pts)
+        # lookup indexes, not fields: eq, hash and repr see only breakpoints
+        object.__setattr__(self, "_xs", [x for x, _ in pts])
+        object.__setattr__(self, "_at", dict(pts))
 
     def __call__(self, x):
         if x is NEG_INF or x is POS_INF:
             return x
+        y = self._at.get(x)  # numbers equal to a Fraction hash like it
+        if y is not None:
+            return y
         x = Fraction(x)
         pts = self.breakpoints
-        if x <= pts[0][0]:
+        # x is no breakpoint: xs[k-1] < x < xs[k], or x lies beyond the hull
+        k = bisect_left(self._xs, x)
+        if k == 0:
             return pts[0][1] + (x - pts[0][0])
-        if x >= pts[-1][0]:
+        if k == len(pts):
             return pts[-1][1] + (x - pts[-1][0])
-        for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
-            if x0 <= x <= x1:
-                return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
-        raise AssertionError("unreachable")
+        (x0, y0), (x1, y1) = pts[k - 1], pts[k]
+        return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
 
     def inverse(self) -> "PLHomeo":
         return PLHomeo(tuple((y, x) for x, y in self.breakpoints))
@@ -164,7 +171,17 @@ def generator_pl_map(
             pts.append((rm.value(x), rm.value(gx)))
     if not pts:
         raise RealizeError("empty realizable sub-ball")
-    return GeneratorMap(g, label, PLHomeo(tuple(pts)), tuple(domain))
+    try:
+        homeo = PLHomeo(tuple(pts))
+    except RealizeError:
+        # g is not increasing on this domain: name two neighbours it reverses
+        by_t = sorted(range(len(pts)), key=lambda k: pts[k][0])
+        a, b = next((a, b) for a, b in zip(by_t, by_t[1:]) if pts[a][1] >= pts[b][1])
+        x, y = (format_word(closure.word(domain[k])) for k in (a, b))
+        raise RealizeError(f"generator {label} reverses the order of {x} < {y}, so its "
+                           "breakpoints are not strictly increasing: the order is not "
+                           "invariant there") from None
+    return GeneratorMap(g, label, homeo, tuple(domain))
 
 
 @dataclass(frozen=True)
@@ -230,6 +247,9 @@ class RealizationReport:
 
 def verify_realization(rm: RealizationMap, maps: Sequence[GeneratorMap]) -> RealizationReport:
     """Re-check monotonicity, equivariance and composition of realized maps."""
+    # one product per map element g and realized y: g*y, or None if unrealized
+    table = {g: {y: gy if (gy := g * y) in rm else None for y in rm.t}
+             for g in dict.fromkeys(gm.element for gm in maps)}
     mono: list[str] = []
     equiv: list[str] = []
     comp: list[str] = []
@@ -238,27 +258,32 @@ def verify_realization(rm: RealizationMap, maps: Sequence[GeneratorMap]) -> Real
         for (x0, y0), (x1, y1) in zip(bps, bps[1:]):
             if not (x0 < x1 and y0 < y1):
                 mono.append(f"{gm.word}: breakpoints out of order at {x0}")
+        row = table[gm.element]
         for x in gm.domain:
-            gx = gm.element * x
-            if gx in rm:
+            # an unrealized x with g*x realized raises in rm.value below
+            gx = row[x] if x in row else gm.element * x
+            if gx is not None and gx in rm:
                 if gm.homeo(rm.value(x)) != rm.value(gx):
                     equiv.append(f"{gm.word}: map(t(x)) != t(g*x) at t(x)={rm.value(x)}")
     by_element = {gm.element: gm for gm in maps}
     pool = [gm.element for gm in maps]
     for g in pool:
+        row_g = table[g]
         for h in pool:
-            gh = g * h
-            if g not in by_element or h not in by_element or gh not in by_element:
+            gh = row_g.get(h)
+            if gh is None:  # h or g*h is not realized
+                gh = g * h
+            if gh not in by_element:
                 continue
             mg, mh, mgh = by_element[g], by_element[h], by_element[gh]
+            row_h = table[h]
             for x in mh.domain:
-                hx = h * x
-                if hx not in rm or g * hx not in rm or x not in rm:
+                hx = row_h.get(x)
+                if hx is None or row_g[hx] is None:
                     continue
-                lhs = mg.homeo(mh.homeo(rm.value(x)))
-                rhs = mgh.homeo(rm.value(x))
-                if lhs != rhs:
-                    comp.append(f"compose mismatch at t={rm.value(x)}")
+                tx = rm.t[x]
+                if mg.homeo(mh.homeo(tx)) != mgh.homeo(tx):
+                    comp.append(f"compose mismatch at t={tx}")
     return RealizationReport(not mono and not equiv and not comp,
                              tuple(mono), tuple(equiv), tuple(comp))
 

@@ -2,12 +2,17 @@
 
 Everything here is deliberately naive and separate from the package: nested
 list matrix arithmetic with cofactor determinants, exhaustive enumeration of
-determinant-one matrices, and subgroup lattices by closure.  Tests compare
-package output against these, never the other way round.
+determinant-one matrices, subgroup lattices by closure, and the exact
+checkers' original loops.  Tests compare package output against these,
+never the other way round.
 """
 
 from collections import deque
+from fractions import Fraction
 from itertools import product
+
+from treeact.ordering import OrderingError
+from treeact.realize import NEG_INF, POS_INF
 
 
 def mat_mul(a, b, mod=None):
@@ -176,3 +181,105 @@ def parent_path(parent, b):
     while parent[out[-1]] is not None:
         out.append(parent[out[-1]])
     return out[::-1]
+
+
+# -- naive twins of the exact checkers in ordering and realize ------------------
+#
+# The loops below are the checkers as first written: every product and every
+# segment scan is redone inside the innermost loop.  They read only public
+# fields and return the report fields as plain tuples, in report order.
+
+
+def check_axioms(phi):
+    """O(n^3) twin of ``ordering.check_axioms``: (passed, r_bad, t_bad)."""
+    idx = range(len(phi.ball))
+    r_bad = []
+    for a in idx:
+        for c in idx:
+            if a < c:
+                if phi.sign_idx(a, c) != -phi.sign_idx(c, a):
+                    r_bad.append((a, c))
+    t_bad = []
+    for f in idx:
+        for g in idx:
+            if g == f:
+                continue
+            if phi.sign_idx(f, g) != 1:
+                continue
+            for h in idx:
+                if h == f or h == g:
+                    continue
+                if phi.sign_idx(g, h) == 1 and phi.sign_idx(f, h) != 1:
+                    t_bad.append((f, g, h))
+    return (not r_bad and not t_bad, tuple(r_bad), tuple(t_bad))
+
+
+def check_invariance(phi, f, b, b2=None):
+    """Twin of ``ordering.check_invariance``: (passed, violations)."""
+    outer = b2 if b2 is not None else phi.ball
+    bad = []
+    for fm in f:
+        for g in b.elements:
+            for h in b.elements:
+                if g == h:
+                    continue
+                fg, fh = fm * g, fm * h
+                if fg not in outer or fh not in outer:
+                    raise OrderingError("ball containment violated")
+                if phi.sign(fg, fh) != phi.sign(g, h):
+                    bad.append(
+                        (outer.index(fm) if fm in outer else -1,
+                         outer.index(g), outer.index(h))
+                    )
+    return (not bad, tuple(bad))
+
+
+def pl_eval(m, x):
+    """Linear-scan twin of ``PLHomeo.__call__``, reading only ``breakpoints``."""
+    if x is NEG_INF or x is POS_INF:
+        return x
+    x = Fraction(x)
+    pts = m.breakpoints
+    if x <= pts[0][0]:
+        return pts[0][1] + (x - pts[0][0])
+    if x >= pts[-1][0]:
+        return pts[-1][1] + (x - pts[-1][0])
+    for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
+        if x0 <= x <= x1:
+            return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+    raise AssertionError("unreachable")
+
+
+def verify_realization(rm, maps):
+    """Twin of ``realize.verify_realization`` with linear-scan map evaluation:
+    (passed, monotonicity, equivariance, composition)."""
+    mono = []
+    equiv = []
+    comp = []
+    for gm in maps:
+        bps = gm.homeo.breakpoints
+        for (x0, y0), (x1, y1) in zip(bps, bps[1:]):
+            if not (x0 < x1 and y0 < y1):
+                mono.append(f"{gm.word}: breakpoints out of order at {x0}")
+        for x in gm.domain:
+            gx = gm.element * x
+            if gx in rm:
+                if pl_eval(gm.homeo, rm.value(x)) != rm.value(gx):
+                    equiv.append(f"{gm.word}: map(t(x)) != t(g*x) at t(x)={rm.value(x)}")
+    by_element = {gm.element: gm for gm in maps}
+    pool = [gm.element for gm in maps]
+    for g in pool:
+        for h in pool:
+            gh = g * h
+            if g not in by_element or h not in by_element or gh not in by_element:
+                continue
+            mg, mh, mgh = by_element[g], by_element[h], by_element[gh]
+            for x in mh.domain:
+                hx = h * x
+                if hx not in rm or g * hx not in rm or x not in rm:
+                    continue
+                lhs = pl_eval(mg.homeo, pl_eval(mh.homeo, rm.value(x)))
+                rhs = pl_eval(mgh.homeo, rm.value(x))
+                if lhs != rhs:
+                    comp.append(f"compose mismatch at t={rm.value(x)}")
+    return (not mono and not equiv and not comp, tuple(mono), tuple(equiv), tuple(comp))

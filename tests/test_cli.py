@@ -257,6 +257,19 @@ class TestRealizeCommand:
         assert run_cli("realize", "--order", str(cyc), "--enum", str(enum)) == (3, "")
         assert "order not total on the enumeration" in capsys.readouterr().err
 
+    def test_search_witness_not_invariant_on_outer_ball(self, tmp_path, capsys):
+        # the heisenberg-ball-2 witness is invariant for pairs of the inner
+        # ball only; over all 53 outer elements generator a reverses a pair
+        order = tmp_path / "w.json"
+        assert run_cli("order", "search", "--preset", "heisenberg-ball-2",
+                       "--out", str(order))[0] == 0
+        enum = tmp_path / "enum.json"
+        enum.write_text(json.dumps({"indices": list(range(53))}))
+        capsys.readouterr()
+        assert run_cli("realize", "--order", str(order), "--enum", str(enum)) == (3, "")
+        err = capsys.readouterr().err
+        assert "generator a reverses the order of a^-1*b*a^-1 < a^-1*a^-1" in err
+
 
 class TestIdentities:
     def test_hexagon_embedded(self):

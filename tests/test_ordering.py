@@ -103,6 +103,19 @@ class TestCheckAxioms:
         assert not rep.passed
         assert rep.transitivity_violations
 
+    def test_transitivity_violations_are_pinned(self):
+        # the regular tournament on 5 elements: i beats i+1 and i+2 (mod 5);
+        # recorded before the bitset checker, in (f, g, h) loop order
+        b = z_ball(2)
+        signs = {(i, (i + d) % 5): 1 for i in range(5) for d in (1, 2)}
+        rep = check_axioms(OrderAssignment(b, signs))
+        assert not rep.passed and rep.antisymmetry_violations == ()
+        assert rep.transitivity_violations == (
+            (0, 1, 3), (0, 2, 3), (0, 2, 4), (1, 2, 4), (1, 3, 0), (1, 3, 4),
+            (2, 3, 0), (2, 4, 0), (2, 4, 1), (3, 0, 1), (3, 0, 2), (3, 4, 1),
+            (4, 0, 2), (4, 1, 2), (4, 1, 3),
+        )
+
     def test_antisymmetry_violation_rejected_at_construction(self):
         b = z_ball(1)
         with pytest.raises(OrderingError, match="conflicting"):
@@ -128,6 +141,13 @@ class TestCheckInvariance:
         phi = OrderAssignment.from_total_order(b, sorted(b.elements, key=lambda m: m.entries))
         rep = check_invariance(phi, [t], b, b)
         assert not rep.passed
+
+    def test_torsion_violations_are_pinned(self):
+        # -I swaps the two elements of its ball: both ordered pairs flip
+        t = GroupMatrix.from_rows([[-1, 0], [0, -1]])
+        b = ball_generate([t], 1, ["t"])
+        phi = OrderAssignment.from_total_order(b, sorted(b.elements, key=lambda m: m.entries))
+        assert check_invariance(phi, [t], b, b).violations == ((0, 0, 1), (0, 1, 0))
 
     def test_identity_invariance(self):
         b = z_ball(2)

@@ -191,6 +191,22 @@ class TestVerifyRealization:
         assert not rep.passed
         assert rep.equivariance_failures
 
+    def test_corrupted_bundle_failures_are_pinned(self):
+        # recorded before the product table: the full radius-3 bundle with
+        # u's second breakpoint raised by 1/4, failures in loop order
+        ball, rm, maps = self._bundle()
+        k = next(i for i, m in enumerate(maps) if m.element == U)
+        gm = maps[k]
+        pts = list(gm.homeo.breakpoints)
+        pts[1] = (pts[1][0], pts[1][1] + Fraction(1, 4))
+        maps[k] = GeneratorMap(gm.element, gm.word, PLHomeo(tuple(pts)), gm.domain)
+        rep = verify_realization(rm, maps)
+        assert not rep.passed and rep.monotonicity_failures == ()
+        assert rep.equivariance_failures == ("1: map(t(x)) != t(g*x) at t(x)=-2",)
+        assert rep.composition_failures == tuple(
+            f"compose mismatch at t={t}" for t in (-2, -2, -2, -2, 1, 0, -1, -3, -2, -2, -2)
+        )
+
     def test_identity_only_bundle(self):
         ball = z_ball(1)
         rm = realize([GroupMatrix.identity(2)], natural_order(ball))

@@ -1,0 +1,251 @@
+"""The exact checkers of ordering and realize against their naive twins.
+
+``ordering.check_axioms``, ``ordering.check_invariance``,
+``realize.verify_realization`` and ``PLHomeo.__call__`` each have a naive
+twin in ``tests/oracles.py`` that redoes every product and segment scan in
+its innermost loop.  Both sides get the same random inputs, broken ones
+included, and must return the same report field for field, or raise the
+same error.
+"""
+
+import random
+from dataclasses import astuple
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+import oracles
+from treeact.matrices import GroupMatrix, elementary
+from treeact.ordering import (
+    Ball,
+    OrderAssignment,
+    OrderingError,
+    ball_generate,
+    check_axioms,
+    check_invariance,
+)
+from treeact.realize import (
+    NEG_INF,
+    POS_INF,
+    GeneratorMap,
+    PLHomeo,
+    RealizeError,
+    generator_pl_map,
+    realize,
+    verify_realization,
+)
+
+U = elementary(2, 1, 2, 1)
+A = GroupMatrix.from_rows([[1, 1, 0], [0, 1, 0], [0, 0, 1]])
+B = GroupMatrix.from_rows([[1, 0, 1], [0, 1, 0], [0, 0, 1]])
+SEEDS = st.integers(0, 2 ** 32 - 1)
+
+
+def z_ball(radius):
+    return ball_generate([U], radius, ["g"])
+
+
+def z2_ball(radius):
+    return ball_generate([A, B], radius, ["a", "b"])
+
+
+def outcome(fn, *args):
+    """The value fn returns, or the type and message of what it raises."""
+    try:
+        return "value", fn(*args)
+    except (OrderingError, RealizeError) as exc:
+        return "raised", type(exc), str(exc)
+
+
+def random_assignment(ball, rng, total):
+    """Complete signs: a random total order, or independent coin flips."""
+    n = len(ball)
+    if total:
+        pos = list(range(n))
+        rng.shuffle(pos)
+        return OrderAssignment.from_total_order(ball, [ball.elements[i] for i in pos])
+    signs = {(i, j): rng.choice((-1, 1)) for i in range(n) for j in range(i + 1, n)}
+    return OrderAssignment(ball, signs)
+
+
+class TestCheckAxiomsTwin:
+    @settings(max_examples=60, deadline=None)
+    @given(SEEDS, st.integers(0, 4), st.booleans())
+    def test_random_assignments(self, seed, radius, total):
+        rng = random.Random(seed)
+        phi = random_assignment(z_ball(radius), rng, total)
+        assert astuple(check_axioms(phi)) == oracles.check_axioms(phi)
+
+    @settings(max_examples=40, deadline=None)
+    @given(SEEDS, st.integers(1, 3))
+    def test_signs_edited_after_construction(self, seed, radius):
+        # a signs dict changed in place can hold both (i, j) and (j, i) at +1
+        rng = random.Random(seed)
+        phi = random_assignment(z_ball(radius), rng, rng.random() < 0.5)
+        for (i, j) in rng.sample(sorted(phi.signs), rng.randint(1, 4)):
+            phi.signs[(i, j)] = phi.signs[(j, i)]
+        assert astuple(check_axioms(phi)) == oracles.check_axioms(phi)
+
+    @settings(max_examples=30, deadline=None)
+    @given(SEEDS, st.integers(1, 3))
+    def test_incomplete_assignment_raises_alike(self, seed, radius):
+        rng = random.Random(seed)
+        phi = random_assignment(z_ball(radius), rng, False)
+        i, j = rng.choice(sorted(phi.signs))
+        del phi.signs[(i, j)]
+        assert outcome(check_axioms, phi) == outcome(oracles.check_axioms, phi)
+        assert outcome(check_axioms, phi)[2] == "incomplete assignment"
+
+
+INVARIANCE_SETS = {
+    "z": ([U], z_ball),
+    "z+inv": ([U, U.inverse()], z_ball),
+    "identity": ([GroupMatrix.identity(2)], z_ball),
+    "z2": ([A, B], z2_ball),
+    "z2+inv": ([A, B, A.inverse(), B.inverse()], z2_ball),
+}
+
+
+class TestCheckInvarianceTwin:
+    @settings(max_examples=80, deadline=None)
+    @given(SEEDS, st.sampled_from(sorted(INVARIANCE_SETS)),
+           st.integers(0, 3), st.integers(0, 2), st.integers(-1, 2), st.booleans())
+    def test_random_assignments(self, seed, name, inner_r, grow, outer_shift, total):
+        # phi lives on inner_r + grow; the outer ball given as b2 may be
+        # smaller or larger than phi's ball, or absent (outer_shift -1)
+        f, make = INVARIANCE_SETS[name]
+        rng = random.Random(seed)
+        inner = make(inner_r)
+        phi = random_assignment(make(inner_r + grow), rng, total)
+        b2 = None if outer_shift < 0 else make(inner_r + outer_shift)
+        fast = outcome(check_invariance, phi, f, inner, b2)
+        naive = outcome(oracles.check_invariance, phi, f, inner, b2)
+        if fast[0] == "value":
+            fast = ("value", astuple(fast[1]))
+        assert fast == naive
+
+    def test_one_element_inner_ball_leaving_the_outer_ball(self):
+        # e's image u lies outside the radius-0 ball, but there are no pairs
+        e = z_ball(0)
+        phi = OrderAssignment(e, {})
+        assert astuple(check_invariance(phi, [U], e, e)) == (True, ())
+        assert oracles.check_invariance(phi, [U], e, e) == (True, ())
+
+    def test_repeated_inner_element_is_no_pair(self):
+        # the pair loop skips g == h by value, as the twin does, not by position
+        z = z_ball(1)
+        inner = Ball(z.elements + z.elements[:1], z.generators, z.names, z.radius, z.words)
+        phi = random_assignment(z_ball(2), random.Random(0), True)
+        f = [GroupMatrix.identity(2)]
+        assert astuple(check_invariance(phi, f, inner)) == oracles.check_invariance(phi, f, inner)
+
+    def test_two_element_inner_ball_leaving_the_outer_ball(self):
+        inner = ball_generate([GroupMatrix.from_rows([[-1, 0], [0, -1]])], 1, ["t"])
+        phi = OrderAssignment(inner, {(0, 1): 1})
+        got = outcome(check_invariance, phi, [U], inner, inner)
+        assert got == outcome(oracles.check_invariance, phi, [U], inner, inner)
+        assert got == ("raised", OrderingError, "ball containment violated")
+
+
+def random_homeo(rng, size):
+    xs = sorted({Fraction(rng.randint(-40, 40), rng.choice((1, 2, 3, 4, 8)))
+                 for _ in range(size)})
+    ys, y = [], Fraction(rng.randint(-20, 20), rng.choice((1, 2, 5)))
+    for _ in xs:
+        ys.append(y)
+        y += Fraction(rng.randint(1, 9), rng.choice((1, 2, 3, 7)))
+    return PLHomeo(tuple(zip(xs, ys)))
+
+
+class TestPLEvaluationTwin:
+    @settings(max_examples=80, deadline=None)
+    @given(SEEDS, st.integers(1, 12))
+    def test_every_kind_of_point(self, seed, size):
+        rng = random.Random(seed)
+        m = random_homeo(rng, size)
+        xs = [x for x, _ in m.breakpoints]
+        points = list(xs)                                     # breakpoints
+        points += [(a + b) / 2 for a, b in zip(xs, xs[1:])]   # strictly between
+        points += [a + (b - a) * Fraction(rng.randint(1, 99), 100) for a, b in zip(xs, xs[1:])]
+        points += [xs[0] - Fraction(rng.randint(1, 50), 3),     # beyond the hull
+                   xs[-1] + Fraction(rng.randint(1, 50), 7)]
+        points += [int(x) for x in xs if x.denominator == 1]  # int inputs
+        for x in points:
+            assert m(x) == oracles.pl_eval(m, x)
+            assert type(m(x)) is Fraction
+        for end in (NEG_INF, POS_INF):
+            assert m(end) is end is oracles.pl_eval(m, end)
+
+    def test_breakpoint_indexes_are_not_fields(self):
+        pts = ((Fraction(0), Fraction(1)), (Fraction(2), Fraction(5)))
+        m, same = PLHomeo(pts), PLHomeo(tuple(reversed(pts)))
+        assert m == same and hash(m) == hash(same)
+        assert repr(m) == f"PLHomeo(breakpoints={pts!r})"
+
+
+def random_bundle(rng):
+    """A partly realized ball, some of its maps, and its unrealized elements."""
+    if rng.random() < 0.5:
+        ball = z_ball(rng.randint(1, 4))
+        key = lambda m: m.entries[1]  # noqa: E731
+    else:
+        ball = z2_ball(rng.randint(1, 2))
+        key = lambda m: (m.entries[1], m.entries[2])  # noqa: E731
+    order = OrderAssignment.from_total_order(ball, sorted(ball.elements, key=key))
+    enumeration = list(ball.elements)
+    rng.shuffle(enumeration)
+    enumeration = enumeration[:rng.randint(1, len(enumeration))]
+    rm = realize(enumeration, order)
+    maps = []
+    for g in rng.sample(ball.elements, rng.randint(1, len(ball))):
+        try:
+            maps.append(generator_pl_map(rm, g, ball, label=str(key(g))))
+        except RealizeError:
+            pass   # nothing of the ball maps into the realized part
+    return rm, maps, [g for g in ball.elements if g not in rm]
+
+
+def corrupt(rng, gm, unrealized):
+    """One random fault in one map: a moved image or a foreign domain point."""
+    pts = list(gm.homeo.breakpoints)
+    domain = gm.domain
+    if unrealized and rng.random() < 0.25:
+        domain = domain + (rng.choice(unrealized),)
+    else:
+        k = rng.randrange(len(pts))
+        lo = pts[k - 1][1] if k > 0 else pts[k][1] - 4
+        hi = pts[k + 1][1] if k + 1 < len(pts) else pts[k][1] + 4
+        y = lo + (hi - lo) * Fraction(rng.randint(1, 15), 16)
+        pts[k] = (pts[k][0], y)
+    return GeneratorMap(gm.element, gm.word, PLHomeo(tuple(pts)), domain)
+
+
+class TestVerifyRealizationTwin:
+    @settings(max_examples=60, deadline=None)
+    @given(SEEDS, st.integers(0, 3))
+    def test_random_corrupted_bundles(self, seed, faults):
+        rng = random.Random(seed)
+        rm, maps, unrealized = random_bundle(rng)
+        if not maps:
+            return
+        for _ in range(faults):
+            k = rng.randrange(len(maps))
+            maps[k] = corrupt(rng, maps[k], unrealized)
+        if rng.random() < 0.2:
+            maps.append(rng.choice(maps))   # a repeated map element
+        fast = outcome(verify_realization, rm, maps)
+        if fast[0] == "value":
+            fast = ("value", astuple(fast[1]))
+        assert fast == outcome(oracles.verify_realization, rm, maps)
+
+    def test_unrealized_domain_point_raises_alike(self):
+        ball = z_ball(2)
+        order = OrderAssignment.from_total_order(
+            ball, sorted(ball.elements, key=lambda m: m.entries[1]))
+        rm = realize([U ** 0, U, U ** -1], order)
+        gm = generator_pl_map(rm, U ** -1, ball, label="-1")
+        bad = GeneratorMap(gm.element, gm.word, gm.homeo, gm.domain + (U ** 2,))
+        got = outcome(verify_realization, rm, [bad])
+        assert got == outcome(oracles.verify_realization, rm, [bad])
+        assert got == ("raised", RealizeError, "element not realized")
+
