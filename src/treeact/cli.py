@@ -152,7 +152,7 @@ def _tower_from_config(cfg: RunConfig):
 
 
 def _walkable_tower(cfg: RunConfig):
-    """The tower, with each level of a loaded one validated: orbits walk inverses."""
+    """The tower, with each level of a loaded one validated: orbits need permutations."""
     sys_ = _tower_from_config(cfg)
     if "infile" in cfg.inputs:
         for act in sys_.levels:

@@ -8,7 +8,6 @@ matrices are admitted into group computations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 from typing import Iterable, Mapping, Sequence
 
 from ._walk import walk
@@ -23,10 +22,10 @@ class CapExceeded(RuntimeError):
 
 
 # -- flat-tuple kernels (hot paths work on raw entry tuples) -------------------
-# enumerate_group and the tower's generator images multiply on the left by
-# sparse matrices (the transvection u_ij adds row j to row i), so their kernel
-# rewrites only the rows the left factor changes: O(n) work per changed row,
-# not an O(n^3) product.
+# enumerate_group, whose Cayley table gives the tower its generator images,
+# multiplies on the left by sparse matrices (u_ij adds row j to row i), so its
+# kernel rewrites only the rows the left factor changes: O(n) work per changed
+# row, not an O(n^3) product.
 
 
 def _mul_flat(a: tuple[int, ...], b: tuple[int, ...], n: int) -> tuple[int, ...]:
@@ -316,12 +315,17 @@ def verify_ll_identity(
 
 @dataclass(eq=False)
 class FiniteMatrixGroup:
-    """A finite matrix group mod m, stored as canonically sorted elements."""
+    """A finite matrix group mod m, stored as canonically sorted elements.
+
+    ``cayley[k][i]`` is the index of ``generators[k] * elements[i]``, as
+    ``enumerate_group`` found it (a group read from JSON has none).
+    """
 
     n: int
     mod: int
     elements: tuple[GroupMatrix, ...]
     generators: tuple[GroupMatrix, ...]
+    cayley: tuple[list[int], ...] = ()
 
     def __post_init__(self) -> None:
         self._index = {g.entries: k for k, g in enumerate(self.elements)}
@@ -399,7 +403,8 @@ def enumerate_group(
     """Breadth-first closure of the generators inside SL_n(Z/m).
 
     The group is finite, so products of the generators alone reach every
-    element: the walk takes no inverse steps.
+    element: the closure takes no inverse steps.  Every product it makes is
+    kept, as an index, in the group's Cayley table.
     """
     if m < 2:
         raise MatrixError("modulus must be at least 2")
@@ -415,15 +420,26 @@ def enumerate_group(
             raise MatrixError("determinant must be 1")
         reduced.append(g)
     plans = [_left_plan(g.entries, n) for g in reduced]
-    eid = tuple(e % m for e in _identity_flat(n))
-    seen = [eid]
-    found = walk(eid, lambda x: [_left_mul_mod(plan, x, n, m) for plan in plans])
-    for y, *_ in islice(found, 1, None):
-        if len(seen) >= cap:
-            raise CapExceeded("group too large for cap")
-        seen.append(y)
-    elements = tuple(GroupMatrix(n, e, m) for e in sorted(seen))
-    return FiniteMatrixGroup(n, m, elements, tuple(reduced))
+    seen = [tuple(e % m for e in _identity_flat(n))]
+    found = {seen[0]: 0}                    # entries -> position in seen
+    columns = [[] for _ in plans]           # columns[k][i]: position of s_k seen[i]
+    for x in seen:   # seen grows while the loop reads it: a breadth-first closure
+        for plan, column in zip(plans, columns):
+            y = _left_mul_mod(plan, x, n, m)
+            j = found.get(y)
+            if j is None:
+                if len(seen) >= cap:
+                    raise CapExceeded("group too large for cap")
+                j = found[y] = len(seen)
+                seen.append(y)
+            column.append(j)
+    order = sorted(range(len(seen)), key=seen.__getitem__)
+    rank = [0] * len(seen)
+    for r, i in enumerate(order):
+        rank[i] = r
+    cayley = tuple([rank[c[i]] for i in order] for c in columns)
+    elements = tuple(GroupMatrix(n, seen[i], m) for i in order)
+    return FiniteMatrixGroup(n, m, elements, tuple(reduced), cayley)
 
 
 def normal_core(

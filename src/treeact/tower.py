@@ -12,14 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from math import cos, pi, sin
 from typing import Mapping, Sequence
 
 from ._walk import walk
 from .matrices import (
     CapExceeded,
-    _left_mul_mod,
-    _left_plan,
     enumerate_group,
     matrix_from_json,
     matrix_to_json,
@@ -142,34 +141,41 @@ def build_congruence_tower(
 
     integral = transvection_generators(n)
     gen_names = sorted(integral)
-    top: list[tuple[int, ...]] = []   # the mod p^depth quotient, as flat tuples
+    # the mod p^depth quotient as flat tuples, and cayley[k][i]: the index
+    # in top of generator k times top[i]
+    top, cayley = [], ()
     if depth:
-        m = p ** depth
-        group = enumerate_group(n, m, list(transvection_generators(n, m).values()), cap=cap)
-        top = [g.entries for g in group.elements]
+        group = enumerate_group(n, p ** depth, [integral[name] for name in gen_names], cap=cap)
+        top, cayley = [g.entries for g in group.elements], group.cayley
+        del group   # the levels need only the entries and the table
 
     root = _vertex_id(0, ())
-    ids = {(0,) * (n * n): root}   # this level's ids by entries reduced mod p^beta
+    below = [root] * len(top)   # each top element's vertex one level down
     verts: list[str] = [root]
     edges: list[tuple[str, str]] = []
     images = {name: {root: root} for name in gen_names}
-    # u_ij has entries 0 and 1, reduced for every modulus: one plan serves all levels
-    units = [(images[name], _left_plan(integral[name].entries, n)) for name in gen_names]
     levels: list[FiniteTreeAction] = []
     bonds: list[dict[str, str]] = []
     for beta in range(depth + 1):
         if beta:
-            m, mprev, parents = p ** beta, p ** (beta - 1), ids
-            ids = {x: _vertex_id(beta, x) for x in sorted({tuple(e % m for e in y) for y in top})}
+            # a coset's id is its reduction (top is reduced mod p^depth already);
+            # any top lift i gives its parent and, through the Cayley table, its images
+            m = p ** beta
+            reduced = top if beta == depth else [tuple(e % m for e in y) for y in top]
+            lift = {x: i for i, x in enumerate(reduced)}
+            ids = {x: _vertex_id(beta, x) for x in sorted(lift)}
+            here = [ids[x] for x in reduced]
             bond = {v: v for v in verts}
             for x, vid in ids.items():
-                parent = parents[tuple(e % mprev for e in x)]
+                i = lift[x]
+                parent = below[i]
                 verts.append(vid)
                 edges.append((parent, vid))
                 bond[vid] = parent
-                for image, plan in units:
-                    image[vid] = ids[_left_mul_mod(plan, x, n, m)]
+                for name, column in zip(gen_names, cayley):
+                    images[name][vid] = here[column[i]]
             bonds.append(bond)
+            below = here
         # Tree and TreeAutomorphism copy their inputs: this level's snapshot
         levels.append(FiniteTreeAction(
             Tree(verts, edges),
@@ -267,10 +273,10 @@ class OrbitResult:
         return len(self.vertices)
 
 
-def _orbit_walk(act: FiniteTreeAction, v: str):
-    """Breadth-first orbit of v: sorted generator names, each before its inverse."""
-    steps = [s for name in sorted(act.generators)
-             for s in (act.generators[name], act.generators[name].inverse())]
+def _orbit_walk(act: FiniteTreeAction, v: str, inverses: bool):
+    """Breadth-first orbit of v: sorted generator names, each then its inverse if walked."""
+    autos = [act.generators[name] for name in sorted(act.generators)]
+    steps = [s._map.__getitem__ for a in autos for s in ((a, a.inverse()) if inverses else (a,))]
     return walk(v, lambda x: [s(x) for s in steps])
 
 
@@ -278,16 +284,23 @@ def orbit(act: FiniteTreeAction, v: str, cap: int | None = None) -> OrbitResult:
     """Closure of {v} under the generators and inverses, up to a word-length cap.
 
     ``closed`` is False exactly when some orbit vertex has word length cap.
+    The generators must be permutations of the vertex set, as
+    ``FiniteTreeAction.validate`` checks.  A permutation of a finite set has
+    finite order, so its inverse is one of its powers: without a cap the
+    walk takes the generators alone.  With a cap it takes the inverses too,
+    since they count one letter each towards word length.
     """
     if v not in act.tree.adjacency:
         raise TowerError("vertex not in tree")
-    limit = None if cap is None else max(cap, 0)
+    if cap is None:
+        return OrbitResult(tuple(sorted(y for y, *_ in _orbit_walk(act, v, False))), True)
+    limit = max(cap, 0)
     seen = []
     closed = True
-    for y, _x, _k, depth in _orbit_walk(act, v):
+    for y, _x, _k, depth in _orbit_walk(act, v, True):
         if depth == limit:
             closed = False
-        elif limit is not None and depth > limit:
+        elif depth > limit:
             break
         seen.append(y)
     return OrbitResult(tuple(sorted(seen)), closed)
@@ -429,30 +442,28 @@ def attach_decorations(sys: InverseSystem, seed: str) -> DecoratedAction:
     if len(tree.vertices) > 1 and tree.degree(seed) != 1:
         raise TowerError("seed must be a leaf")
 
-    order = [y for y, *_ in _orbit_walk(act, seed)]
-
-    pendants = []
+    order = [y for y, *_ in _orbit_walk(act, seed, True)]
+    position = {anchor: i for i, anchor in enumerate(order)}
+    mids = [f"pend{i}m" for i in range(1, len(order) + 1)]
+    tips = [f"pend{i}t" for i in range(1, len(order) + 1)]
+    pendants = [Pendant(anchor, mid, tip, Fraction(1, i))
+                for i, (anchor, mid, tip) in enumerate(zip(order, mids, tips), start=1)]
     verts = list(tree.vertices)
     edges = list(tree.edges)
-    index_of = {}
-    for i, anchor in enumerate(order, start=1):
-        mid = f"pend{i}m"
-        tip = f"pend{i}t"
-        verts.extend([mid, tip])
-        edges.append((anchor, mid))
-        edges.append((mid, tip))
-        pendants.append(Pendant(anchor, mid, tip, Fraction(1, i)))
-        index_of[anchor] = i
+    for p in pendants:
+        verts += (p.mid, p.tip)
+        edges += ((p.anchor, p.mid), (p.mid, p.tip))
     new_tree = Tree(tuple(verts), tuple(edges))
 
     gens: dict[str, TreeAutomorphism] = {}
     for name, auto in act.generators.items():
-        mapping = auto.mapping
-        for i, anchor in enumerate(order, start=1):
-            j = index_of[auto(anchor)]
-            mapping[f"pend{i}m"] = f"pend{j}m"
-            mapping[f"pend{i}t"] = f"pend{j}t"
-        gens[name] = TreeAutomorphism(mapping)
+        # the arc over the i-th orbit vertex goes to the arc over its image
+        to = [position[auto._map[anchor]] for anchor in order]
+        gens[name] = TreeAutomorphism(chain(
+            auto._map.items(),
+            zip(mids, map(mids.__getitem__, to)),
+            zip(tips, map(tips.__getitem__, to)),
+        ))
     return DecoratedAction(FiniteTreeAction(new_tree, gens, act.context), tuple(pendants))
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import permutations
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -62,6 +63,10 @@ class Tree:
             self._adj = {v: tuple(sorted(ws)) for v, ws in nbrs.items()}
         return self._adj
 
+    @cached_property
+    def _vertex_edge_sets(self) -> tuple[frozenset[str], frozenset[tuple[str, str]]]:
+        return frozenset(self.vertices), frozenset(self.edges)
+
     def degree(self, v: str) -> int:
         if v not in self.adjacency:
             raise TreeError("vertex not in tree")
@@ -90,9 +95,9 @@ def validate_tree(t: Tree) -> ValidationResult:
     """Check the tree invariants, naming the first violated one."""
     if not t.vertices:
         return ValidationResult(False, "no vertices")
-    if len(set(t.vertices)) != len(t.vertices):
-        return ValidationResult(False, "duplicate vertex")
     vset = set(t.vertices)
+    if len(vset) != len(t.vertices):
+        return ValidationResult(False, "duplicate vertex")
     seen = set()
     for u, v in t.edges:
         if u == v:
@@ -142,7 +147,8 @@ def path(t: Tree, a: str, b: str) -> list[str]:
 def _is_connected_subset(t: Tree, sub: frozenset[str]) -> bool:
     if not sub:
         return False
-    inside = lambda x: [y for y in t.adjacency[x] if y in sub]
+    adj = t.adjacency
+    inside = lambda x: [y for y in adj[x] if y in sub]
     return sum(1 for _ in walk(next(iter(sub)), inside)) == len(sub)
 
 
@@ -188,13 +194,18 @@ def convex_hull(t: Tree, s: Iterable[str]) -> frozenset[str]:
 
 
 class TreeAutomorphism:
-    """A bijection on the vertices of a fixed tree, applied as a left action."""
+    """A bijection on the vertices of a fixed tree, applied as a left action.
 
-    __slots__ = ("_map", "_hash")
+    The map never changes after construction, so its inverse is made once,
+    on first use, and kept (outside eq, hash and repr).
+    """
 
-    def __init__(self, mapping: Mapping[str, str]):
+    __slots__ = ("_map", "_hash", "_inv")
+
+    def __init__(self, mapping: Mapping[str, str] | Iterable[tuple[str, str]]):
         self._map = dict(mapping)
         self._hash: int | None = None
+        self._inv: TreeAutomorphism | None = None
 
     def __call__(self, v: str) -> str:
         return self._map[v]
@@ -211,7 +222,9 @@ class TreeAutomorphism:
         return TreeAutomorphism({v: self._map[w] for v, w in other._map.items()})
 
     def inverse(self) -> "TreeAutomorphism":
-        return TreeAutomorphism({w: v for v, w in self._map.items()})
+        if self._inv is None:
+            self._inv = TreeAutomorphism({w: v for v, w in self._map.items()})
+        return self._inv
 
     def fixed_vertices(self) -> frozenset[str]:
         return frozenset(v for v, w in self._map.items() if v == w)
@@ -237,14 +250,14 @@ class TreeAutomorphism:
 
 
 def is_tree_automorphism(t: Tree, a: TreeAutomorphism) -> ValidationResult:
-    vset = set(t.vertices)
-    if a.domain() != vset:
+    vset, eset = t._vertex_edge_sets
+    image = a._map
+    if image.keys() != vset:
         return ValidationResult(False, "domain mismatch")
-    if set(a.mapping.values()) != vset:
+    if set(image.values()) != vset:
         return ValidationResult(False, "not a bijection")
-    eset = set(t.edges)
     for u, v in t.edges:
-        if _norm_edge(a(u), a(v)) not in eset:
+        if _norm_edge(image[u], image[v]) not in eset:
             return ValidationResult(False, f"edge ({u},{v}) not preserved")
     return ValidationResult(True, None)
 

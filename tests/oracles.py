@@ -175,6 +175,26 @@ def bfs(start, neighbours):
     return order, parent, depth
 
 
+def orbit(act, v, cap=None):
+    """The tower orbit as first written: (sorted vertices, closed).
+
+    Every call inverts each generator's map afresh, and the search takes
+    every generator and then every inverse at each vertex, however long.
+    A vertex is kept when its word length is at most cap; ``closed`` is
+    False exactly when some kept vertex has word length cap.
+    """
+    steps = []
+    for name in sorted(act.generators):
+        forward = act.generators[name].mapping
+        steps += [forward, {w: u for u, w in forward.items()}]
+    order, _parent, depth = bfs(v, lambda x: [step[x] for step in steps])
+    if cap is None:
+        return tuple(sorted(order)), True
+    limit = max(cap, 0)
+    kept = [y for y in order if depth[y] <= limit]
+    return tuple(sorted(kept)), all(depth[y] != limit for y in kept)
+
+
 def parent_path(parent, b):
     """Follow parent pointers from b back to the search root, root first."""
     out = [b]

@@ -5,6 +5,9 @@ determinants, nested-list products, exhaustive determinant-filter
 enumeration), never from the code under test.
 """
 
+import hashlib
+import json
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -346,6 +349,27 @@ class TestEnumerationOracle:
         assert len(g) == count
         with pytest.raises(CapExceeded):
             enumerate_group(n, m, gens, cap=count - 1)
+
+    def test_sl3_mod4_elements_pinned(self):
+        # recorded before enumerate_group kept its Cayley table
+        g = enumerate_group(3, 4, list(transvection_generators(3, 4).values()))
+        text = json.dumps([list(x.entries) for x in g.elements])
+        assert (len(g), hashlib.sha256(text.encode()).hexdigest()) == (
+            43008, "d6b45bdddc678efb6599429b3396d57512bf6727f3bba6e40277034ef262f87e")
+
+
+class TestCayleyTable:
+    """cayley[k][i] is the index of generators[k] * elements[i], by the naive product."""
+
+    @pytest.mark.parametrize("n, m", [(2, 8), (2, 9), (3, 2), (3, 4)])
+    def test_every_entry(self, n, m):
+        g = enumerate_group(n, m, list(transvection_generators(n, m).values()))
+        assert len(g.cayley) == len(g.generators)
+        for s, row in zip(g.generators, g.cayley):
+            assert len(row) == len(g)
+            for x, k in zip(g.elements, row):
+                sx = oracles.mat_mul(s.rows(), x.rows(), m)
+                assert list(g.elements[k].entries) == [e for r in sx for e in r]
 
 
 class TestNormalCore:

@@ -92,6 +92,16 @@ class TestBuild:
                         assert act.apply_word([(x, 1), (y, 1)], v) == v
         assert found_nontrivial > 0
 
+    def test_inverse_letters_use_one_inverse(self, tower321):
+        act = tower321.levels[1]
+        for name, auto in act.generators.items():
+            inv = auto.inverse()
+            naive = {w: v for v, w in auto.mapping.items()}
+            for v in act.tree.vertices:
+                assert act.apply_word([(name, -1)], v) == naive[v]
+                assert act.apply_word([(name, 1), (name, -1)], v) == v
+            assert auto.inverse() is inv
+
     def test_action_is_left_translation(self, tower321):
         # vertex labels are reduced matrices; the generator u must send the
         # vertex of M to the vertex of u*M (not M*u)
@@ -348,6 +358,13 @@ class TestSerializedBytes:
         assert (hashlib.sha256(data).hexdigest(), len(data)) == (
             "8e51fa46af04d7b8acc7ff5682c17fd8c50a359e8ad602508001607aa94825ee", 16_335_267)
 
+    def test_pinned_depth_three_mod_27(self):
+        # the benchmark's second tower, the one with a level between the
+        # bottom and the top
+        data = serialized(build_congruence_tower(2, 3, 3))
+        assert (hashlib.sha256(data).hexdigest(), len(data)) == (
+            "ab39f78fddbb57ba25e61497b6d1448ae471a19c1c98949f0d1e3ecfdfac182e", 3_525_689)
+
 
 def reduced_id(vid: str, p: int) -> str:
     """The id of the coset below ``vid``: its entries reduced mod p^(b-1)."""
@@ -403,3 +420,106 @@ class TestGeneratorImages:
                     x = [flat[i * n:(i + 1) * n] for i in range(n)]
                     ux = oracles.mat_mul(u, x, p ** int(b))
                     assert auto(v) == f"{b}|" + ",".join(str(e) for row in ux for e in row)
+
+
+def sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# Recorded before generator images came from the closure's Cayley table and
+# uncapped orbits stopped walking inverses: the decoration of the first leaf
+# of the top level, as `tower decorate` makes it.  "anchors" hashes the
+# pendant anchors in numbering order, "vertices" the decorated tree's vertex
+# sequence, and each map the sorted (vertex, image) pairs as JSON.
+DECORATION_PINS = {
+    (2, 3, 2): {
+        "seed": "2|0,1,8,0",
+        "pendants": 648,
+        "anchors": "85f7ed23ee92273b068535b7b6a372b61dfbb7852b3a3ba3ca3c8c049d2c7ac1",
+        "vertices": "159f8f3d96b802747c670ba89b4fdfa2f316fc9e4461b03112a3cdfe17655337",
+        "maps": {
+            "u12": "2b5533b24ccebc77725cb7e8d966961770eb3058f17c5fe3cafcfd6b7bb5beb0",
+            "u21": "b1cfc350ffdbac12951f0ce0496abbe64a70ec1453e8897e79dd53528e428981",
+        },
+    },
+    (3, 2, 1): {
+        "seed": "1|0,0,1,0,1,0,1,0,0",
+        "pendants": 168,
+        "anchors": "b95cf81640762100b6fb973dbe432dcd12a50cf9e74b84d574cf7617bb8c7a6a",
+        "vertices": "c09f2223d1fd84ea0e7b0a3e653d65aa5d2cdf39e80a96575129e33aae64c045",
+        "maps": {
+            "u12": "68fe47dabe68def65db6ee354a9c393576d3774e158789b6538fc1c86fa179d1",
+            "u13": "70b06036091f88e3eccc63d712ee7e3579e3d2cdbaa4da4c04891a658f1c9dbd",
+            "u21": "071cf65b8bf601fe1a0d8cd8f77c0d44a9921c3b59acbf2dae9483215773846b",
+            "u23": "94d8129bb3fadf963a7d1598d580c8f67604c289a87bf455d4662889305bcc15",
+            "u31": "48595754f28348e74265cb47b8f7d76db83fbacd627f53235940c4f155088c7d",
+            "u32": "f4e866a066ef9b0da2f4d77d1f83cd7573d8671e9b04771278505bf7f6b3efe1",
+        },
+    },
+}
+
+# (level, vertex, cap) -> (size, closed, first 16 hex digits of the SHA-256
+# of the sorted orbit, one vertex per line), in the tower (2, 3, 2): the
+# first vertex of every class b <= level, recorded with the decoration pins
+ORBIT_PINS = {
+    (0, "0|e", None): (1, True, "869f843f42b5bdfc"),
+    (0, "0|e", 0): (1, False, "869f843f42b5bdfc"),
+    (0, "0|e", 1): (1, True, "869f843f42b5bdfc"),
+    (0, "0|e", 2): (1, True, "869f843f42b5bdfc"),
+    (0, "0|e", 3): (1, True, "869f843f42b5bdfc"),
+    (1, "0|e", None): (1, True, "869f843f42b5bdfc"),
+    (1, "0|e", 0): (1, False, "869f843f42b5bdfc"),
+    (1, "0|e", 1): (1, True, "869f843f42b5bdfc"),
+    (1, "0|e", 2): (1, True, "869f843f42b5bdfc"),
+    (1, "0|e", 3): (1, True, "869f843f42b5bdfc"),
+    (1, "1|0,1,2,0", None): (24, True, "5e4e7d646efb9256"),
+    (1, "1|0,1,2,0", 0): (1, False, "c313bc869624a540"),
+    (1, "1|0,1,2,0", 1): (5, False, "94add87af3067986"),
+    (1, "1|0,1,2,0", 2): (13, False, "b5aa95df3496da74"),
+    (1, "1|0,1,2,0", 3): (23, False, "f1ca4eaf179bebc6"),
+    (2, "0|e", None): (1, True, "869f843f42b5bdfc"),
+    (2, "0|e", 0): (1, False, "869f843f42b5bdfc"),
+    (2, "0|e", 1): (1, True, "869f843f42b5bdfc"),
+    (2, "0|e", 2): (1, True, "869f843f42b5bdfc"),
+    (2, "0|e", 3): (1, True, "869f843f42b5bdfc"),
+    (2, "1|0,1,2,0", None): (24, True, "5e4e7d646efb9256"),
+    (2, "1|0,1,2,0", 0): (1, False, "c313bc869624a540"),
+    (2, "1|0,1,2,0", 1): (5, False, "94add87af3067986"),
+    (2, "1|0,1,2,0", 2): (13, False, "b5aa95df3496da74"),
+    (2, "1|0,1,2,0", 3): (23, False, "f1ca4eaf179bebc6"),
+    (2, "2|0,1,8,0", None): (648, True, "7d649179af5405b2"),
+    (2, "2|0,1,8,0", 0): (1, False, "82cfe6bdaec6d48e"),
+    (2, "2|0,1,8,0", 1): (5, False, "296e73d0c322caec"),
+    (2, "2|0,1,8,0", 2): (17, False, "a4e3dd6bd7221271"),
+    (2, "2|0,1,8,0", 3): (47, False, "186031fba3a3331e"),
+}
+
+
+class TestDecorationPins:
+    @pytest.mark.parametrize("npd", sorted(DECORATION_PINS))
+    def test_pinned(self, npd):
+        want = DECORATION_PINS[npd]
+        sys_ = build_congruence_tower(*npd)
+        seed = sys_.levels[-1].tree.leaves()[0]
+        dec = attach_decorations(sys_, seed)
+        got = {
+            "seed": seed,
+            "pendants": len(dec.pendants),
+            "anchors": sha("\n".join(p.anchor for p in dec.pendants)),
+            "vertices": sha("\n".join(dec.action.tree.vertices)),
+            "maps": {name: sha(json.dumps(sorted(auto.mapping.items())))
+                     for name, auto in sorted(dec.action.generators.items())},
+        }
+        assert got == want
+
+
+class TestOrbitPins:
+    @pytest.fixture(scope="class")
+    def tower232(self):
+        return build_congruence_tower(2, 3, 2)
+
+    @pytest.mark.parametrize("level, vertex, cap", sorted(ORBIT_PINS, key=str))
+    def test_pinned(self, tower232, level, vertex, cap):
+        res = orbit(tower232.levels[level], vertex, cap)
+        got = (len(res), res.closed, sha("\n".join(res.vertices))[:16])
+        assert got == ORBIT_PINS[(level, vertex, cap)]

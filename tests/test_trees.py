@@ -226,6 +226,22 @@ class TestAutomorphisms:
         assert (h * h.inverse()).is_identity()
         assert (h * h * h).is_identity()
 
+    def test_inverse_is_made_once(self):
+        h = TreeAutomorphism({"c": "c", "l1": "l2", "l2": "l3", "l3": "l1"})
+        assert h.inverse() is h.inverse()
+        assert h.inverse().inverse() == h
+        assert h.inverse() == TreeAutomorphism({"c": "c", "l1": "l3", "l2": "l1", "l3": "l2"})
+
+    def test_cached_inverse_leaves_eq_hash_repr_alone(self):
+        pairs = {"c": "c", "l1": "l2", "l2": "l1", "l3": "l3"}
+        h, fresh = TreeAutomorphism(pairs), TreeAutomorphism(pairs)
+        before = (hash(h), repr(h))
+        h.inverse()
+        assert h == fresh and fresh == h
+        assert (hash(h), repr(h)) == before == (hash(fresh), repr(fresh))
+        assert repr(h) == "TreeAutomorphism({'l1': 'l2', 'l2': 'l1'})"
+        assert len({h, fresh, h.inverse()}) == 1   # a swap is its own inverse
+
     def test_rejects_non_automorphism(self):
         t = path4()
         swap_ends = TreeAutomorphism({"a": "d", "b": "b", "c": "c", "d": "a"})

@@ -1,8 +1,8 @@
 """The exact checkers of ordering and realize against their naive twins.
 
 ``ordering.check_axioms``, ``ordering.check_invariance``,
-``realize.verify_realization`` and ``PLHomeo.__call__`` each have a naive
-twin in ``tests/oracles.py`` that redoes every product and segment scan in
+``realize.verify_realization``, ``PLHomeo.__call__`` and ``tower.orbit``
+each have a naive twin in ``tests/oracles.py`` that redoes every product and segment scan in
 its innermost loop.  Both sides get the same random inputs, broken ones
 included, and must return the same report field for field, or raise the
 same error.
@@ -15,6 +15,7 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from conftest import pruefer_tree
 from treeact.matrices import GroupMatrix, elementary
 from treeact.ordering import (
     Ball,
@@ -34,6 +35,13 @@ from treeact.realize import (
     realize,
     verify_realization,
 )
+from treeact.tower import (
+    FiniteTreeAction,
+    attach_decorations,
+    build_congruence_tower,
+    orbit,
+)
+from treeact.trees import random_automorphism_fixing_leaf
 
 U = elementary(2, 1, 2, 1)
 A = GroupMatrix.from_rows([[1, 1, 0], [0, 1, 0], [0, 0, 1]])
@@ -249,3 +257,42 @@ class TestVerifyRealizationTwin:
         assert got == outcome(oracles.verify_realization, rm, [bad])
         assert got == ("raised", RealizeError, "element not realized")
 
+
+
+# -- tower orbits against the two-sided search of oracles.orbit -----------------
+
+TOWERS = {npd: build_congruence_tower(*npd) for npd in [(2, 2, 2), (2, 3, 2), (3, 2, 1)]}
+CAPS = st.one_of(st.none(), st.integers(0, 5))
+
+
+def orbit_outcome(act, v, cap):
+    res = orbit(act, v, cap)
+    return res.vertices, res.closed
+
+
+class TestOrbitTwin:
+    """``tower.orbit`` walks the generators alone when it has no cap."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from(sorted(TOWERS)), SEEDS, CAPS, st.booleans())
+    def test_towers(self, npd, seed, cap, decorated):
+        rng = random.Random(seed)
+        sys_ = TOWERS[npd]
+        act = sys_.levels[rng.randrange(len(sys_.levels))]
+        if decorated:
+            act = attach_decorations(sys_, rng.choice(sys_.levels[-1].tree.leaves())).action
+        v = rng.choice(act.tree.vertices)
+        assert orbit_outcome(act, v, cap) == oracles.orbit(act, v, cap)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(2, 40), SEEDS, st.integers(1, 3), CAPS)
+    def test_random_tree_actions(self, size, seed, gens, cap):
+        rng = random.Random(seed)
+        tree = pruefer_tree(size, rng)
+        e = tree.leaves()[0]
+        act = FiniteTreeAction(tree, {
+            f"g{k}": random_automorphism_fixing_leaf(tree, e, rng) for k in range(gens)
+        })
+        act.validate()
+        v = rng.choice(tree.vertices)
+        assert orbit_outcome(act, v, cap) == oracles.orbit(act, v, cap)
