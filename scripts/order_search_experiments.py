@@ -24,13 +24,20 @@ from treeact.ordering import (
 from treeact.presets import SEARCH_PRESETS, search_instance
 
 
+def progress(exc):
+    """How far a search got before its budget ran out."""
+    return (f"(branches {exc.branches}, depth {exc.depth}, "
+            f"classes {exc.classes_assigned}/{exc.classes}, steps {exc.propagation_steps})")
+
+
 def run_preset(name, budget):
     f, inner, outer = search_instance(name)
     start = time.monotonic()
     try:
         res = search_invariant(f, inner, outer, budget=budget)
-    except SearchBudgetExhausted:
-        print(f"{name:<22} balls {len(inner):>3}/{len(outer):>4}  budget-exhausted")
+    except SearchBudgetExhausted as exc:
+        print(f"{name:<22} balls {len(inner):>3}/{len(outer):>4}  "
+              f"budget-exhausted {progress(exc)}")
         return True
     elapsed = time.monotonic() - start
     verified = True
@@ -54,8 +61,8 @@ def hexagon_experiment(radius, budget):
     try:
         res = search_invariant(gens, inner, outer, budget=budget)
         verdict = res.status
-    except SearchBudgetExhausted:
-        verdict = "budget-exhausted"
+    except SearchBudgetExhausted as exc:
+        verdict = f"budget-exhausted {progress(exc)}"
     print(f"hexagon-ball r={radius}      balls {len(inner):>3}/{len(outer):>4}  "
           f"{verdict:<6} {time.monotonic() - start:6.2f}s")
 

@@ -752,7 +752,9 @@ def run(config: RunConfig) -> int:
     provenance = {"package": "treeact", "version": __version__, **command.provenance}
     try:
         outcome, details = command.handler(config)
-    except (CapExceeded, SearchBudgetExhausted) as exc:
+    except SearchBudgetExhausted as exc:
+        outcome, details = "budget-exhausted", {"message": str(exc), **exc.progress()}
+    except CapExceeded as exc:
         outcome, details = "budget-exhausted", {"message": str(exc)}
     report = {
         "command": config.command,

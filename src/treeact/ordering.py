@@ -28,7 +28,30 @@ class OrderingError(ValueError):
 
 
 class SearchBudgetExhausted(RuntimeError):
-    """The search ran out of budget before reaching Sat or Unsat."""
+    """The search ran out of budget before reaching Sat or Unsat.
+
+    The fields say how far it got: the decisions tried (``branches``), the
+    depth of the decision stack, the classes assigned out of all classes,
+    and the budget units used (``propagation_steps``).
+    """
+
+    def __init__(self, *, branches: int, depth: int, classes_assigned: int,
+                 classes: int, propagation_steps: int) -> None:
+        super().__init__("search budget exhausted")
+        self.branches = branches
+        self.depth = depth
+        self.classes_assigned = classes_assigned
+        self.classes = classes
+        self.propagation_steps = propagation_steps
+
+    def progress(self) -> dict[str, int]:
+        return {
+            "branches": self.branches,
+            "depth": self.depth,
+            "classes_assigned": self.classes_assigned,
+            "classes": self.classes,
+            "propagation_steps": self.propagation_steps,
+        }
 
 
 Word = tuple[tuple[str, int], ...]
@@ -355,9 +378,11 @@ def search_invariant(
 
     Depth-first over pair variables in canonical order, assigning -1 before
     +1, propagating transitivity and the invariance gluing after every step.
-    The returned witness is re-verified by the public checkers before it is
-    handed out.  Raises SearchBudgetExhausted when the node budget runs out
-    (deliberately distinct from Unsat).
+    One budget unit is one pop of the propagation queue, repeated entries
+    included; ``budget`` (the CLI's ``--budget``) caps their number.  The
+    returned witness is re-verified by the public checkers before it is
+    handed out.  Raises SearchBudgetExhausted, with how far the search got,
+    when the budget runs out (deliberately distinct from Unsat).
     """
     for g in b.elements:
         if g not in b2:
@@ -374,20 +399,21 @@ def search_invariant(
         for j in range(i + 1, size):
             vars_.add((i, j))
     first_contradiction: list[TraceStep] = []
+    at = [b2.index(g) for g in b.elements]
     for fm in f:
-        for g in b.elements:
-            ig = b2.index(g)
-            for h in b.elements:
-                ih = b2.index(h)
+        # each fg and its b2 index once; a missing image raises at the first
+        # pair that needs it, after any contradiction found before that pair
+        moved = [b2._index.get(fm * g) for g in b.elements]
+        fw = format_word(b2.word(fm)) if fm in b2 else "f"
+        label = f"left multiplication by {fw}"
+        for ig, fg in zip(at, moved):
+            for ih, fh in zip(at, moved):
                 if ig >= ih:
                     continue
-                fg, fh = fm * g, fm * h
-                if fg not in b2 or fh not in b2:
+                if fg is None or fh is None:
                     raise OrderingError("ball containment violated")
                 p1, s1 = _canonical_pair(ig, ih)
-                p2, s2 = _canonical_pair(b2.index(fg), b2.index(fh))
-                fw = format_word(b2.word(fm)) if fm in b2 else "f"
-                label = f"left multiplication by {fw}"
+                p2, s2 = _canonical_pair(fg, fh)
                 if not vars_.union(p1, p2, s1 * s2, label):
                     steps = [TraceStep(p1, +1, "assume a sign for this pair")]
                     steps += [
@@ -401,20 +427,31 @@ def search_invariant(
                         "unsat", None, UnsatTrace(0, tuple(steps)), 0
                     )
 
-    # Class structure: root pair -> members with relative parity.
-    members: dict[tuple[int, int], list[tuple[tuple[int, int], int]]] = {}
+    # Class structure: root pair -> members (i, j, parity), and force[k][x],
+    # the class entry (root, value) that makes k > x.
+    members: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
+    signed: dict[tuple[int, int], tuple[tuple, tuple]] = {}
+    force: list[list] = [[None] * size for _ in range(size)]
     for i in range(size):
         for j in range(i + 1, size):
             root, s = vars_.find((i, j))
-            members.setdefault(root, []).append(((i, j), s))
+            members.setdefault(root, []).append((i, j, s))
+            if root not in signed:
+                signed[root] = ((root, 1), (root, -1))
+            up, down = signed[root]
+            force[i][j], force[j][i] = (up, down) if s == 1 else (down, up)
     roots = sorted(members, key=lambda p: (min(rank[p[0]], rank[p[1]]),
                                            max(rank[p[0]], rank[p[1]])))
 
     # rel[i][j] = phi(x_i, x_j), 0 while unassigned; a class's value is rel
-    # at its root pair, and the trail lists the pairs set, in order
+    # at its root pair.  Bit k of gt[x] is set when k > x, bit k of lt[x]
+    # when x > k.  The trail lists the pairs set, in order, greater first.
     rel = [[0] * size for _ in range(size)]
+    gt = [0] * size
+    lt = [0] * size
     trail: list[tuple[int, int]] = []
-    stats = {"nodes": 0, "branches": 0}
+    nodes = branches = 0  # budget units used, decisions tried
+    stack: list[list] = []  # frames [pos, values_left, mark]
 
     def set_rel(i: int, j: int, s: int) -> bool:
         cur = rel[i][j]
@@ -422,57 +459,66 @@ def search_invariant(
             return cur == s
         rel[i][j] = s
         rel[j][i] = -s
-        trail.append((i, j))
+        a, c = (i, j) if s == 1 else (j, i)
+        gt[c] |= 1 << a
+        lt[a] |= 1 << c
+        trail.append((a, c))
         return True
 
     def assign(root: tuple[int, int], val: int, chain: list[TraceStep]) -> bool:
         """Assign a class and propagate; records steps into chain."""
-        queue: deque[tuple[tuple[int, int], int, str]] = deque()
-        queue.append((root, val, "decision or forced class"))
+        nonlocal nodes
+        queue: deque[tuple[tuple[int, int], int]] = deque([(root, val)])
+        why = "decision or forced class"
         while queue:
-            stats["nodes"] += 1
-            if stats["nodes"] > budget:
-                raise SearchBudgetExhausted("search budget exhausted")
-            r, v, why = queue.popleft()
+            nodes += 1
+            if nodes > budget:
+                raise SearchBudgetExhausted(
+                    branches=branches,
+                    depth=len(stack),
+                    classes_assigned=sum(1 for p, q in roots if rel[p][q]),
+                    classes=len(roots),
+                    propagation_steps=budget,
+                )
+            r, v = queue.popleft()
             fixed = rel[r[0]][r[1]]
             if fixed:
                 if fixed != v:
                     chain.append(TraceStep(r, v, f"class already fixed opposite ({why})"))
                     return False
-                continue
-            chain.append(TraceStep(r, v, why))
-            for (i, j), s in members[r]:
-                if not set_rel(i, j, v * s):
-                    chain.append(TraceStep((i, j), v * s, "pair already oriented opposite"))
-                    return False
-                # transitive closure through the new edge (both directions)
-                a, bb = (i, j) if v * s == 1 else (j, i)  # a > b
-                for k in range(size):
-                    if k == a or k == bb:
-                        continue
-                    # k > a > b forces k > b
-                    if rel[k][a] == 1 and rel[k][bb] != 1:
-                        if rel[k][bb] == -1:
-                            chain.append(TraceStep((k, bb), 1, "transitivity conflict"))
-                            return False
-                        p, s2 = _canonical_pair(k, bb)
-                        r2, s3 = vars_.find(p)
-                        queue.append((r2, s2 * s3, "forced by transitivity"))
-                    # a > b > k forces a > k
-                    if rel[bb][k] == 1 and rel[a][k] != 1:
-                        if rel[a][k] == -1:
-                            chain.append(TraceStep((a, k), 1, "transitivity conflict"))
-                            return False
-                        p, s2 = _canonical_pair(a, k)
-                        r2, s3 = vars_.find(p)
-                        queue.append((r2, s2 * s3, "forced by transitivity"))
+            else:
+                chain.append(TraceStep(r, v, why))
+                for i, j, s in members[r]:
+                    if not set_rel(i, j, v * s):
+                        chain.append(TraceStep((i, j), v * s, "pair already oriented opposite"))
+                        return False
+                    # transitive closure through the new edge a > c, by masks
+                    a, c = (i, j) if v * s == 1 else (j, i)
+                    above_a, below_c = gt[a], lt[c]
+                    clash = above_a & below_c  # k > a > c > k
+                    if clash:
+                        k = (clash & -clash).bit_length() - 1
+                        chain.append(TraceStep((k, c), 1, "transitivity conflict"))
+                        return False
+                    # k > a > c forces k > c, and a > c > k forces a > k;
+                    # queued by increasing k (no k is in both, as none clashes)
+                    over = above_a & ~gt[c]
+                    todo = over | (below_c & ~lt[a])
+                    while todo:
+                        low = todo & -todo
+                        k = low.bit_length() - 1
+                        queue.append(force[k][c] if over & low else force[a][k])
+                        todo ^= low
+            why = "forced by transitivity"
         return True
 
     def undo(mark: int) -> None:
         while len(trail) > mark:
-            i, j = trail.pop()
-            rel[i][j] = 0
-            rel[j][i] = 0
+            a, c = trail.pop()
+            rel[a][c] = 0
+            rel[c][a] = 0
+            gt[c] ^= 1 << a
+            lt[a] ^= 1 << c
 
     def next_pos(pos: int) -> int:
         while pos < len(roots) and rel[roots[pos][0]][roots[pos][1]]:
@@ -482,7 +528,6 @@ def search_invariant(
     # iterative depth-first search; values tried -1 before +1 so the found
     # witness is the canonically least satisfying leaf
     found = False
-    stack: list[list] = []  # frames [pos, values_left, mark]
     start = next_pos(0)
     if start == len(roots):
         found = True
@@ -497,7 +542,7 @@ def search_invariant(
         if values:
             val = values.pop(0)
             frame[2] = len(trail)
-            stats["branches"] += 1
+            branches += 1
             chain: list[TraceStep] = []
             if assign(roots[pos], val, chain):
                 stack.append([next_pos(pos + 1), [-1, 1], 0])
@@ -513,8 +558,8 @@ def search_invariant(
         return SearchResult(
             "unsat",
             None,
-            UnsatTrace(stats["branches"], tuple(first_contradiction)),
-            stats["branches"],
+            UnsatTrace(branches, tuple(first_contradiction)),
+            branches,
         )
     signs = {
         (i, j): rel[i][j]
@@ -528,7 +573,7 @@ def search_invariant(
     invariance = check_invariance(witness, f, b, b2)
     if not axioms.passed or not invariance.passed:
         raise AssertionError("internal error: witness failed re-verification")
-    return SearchResult("sat", witness, None, stats["branches"])
+    return SearchResult("sat", witness, None, branches)
 
 
 # -- compactness extraction -----------------------------------------------------

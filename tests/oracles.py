@@ -7,11 +7,20 @@ checkers' original loops.  Tests compare package output against these,
 never the other way round.
 """
 
+import random
 from collections import deque
 from fractions import Fraction
 from itertools import product
 
-from treeact.ordering import OrderingError
+from treeact.ordering import (
+    OrderAssignment,
+    OrderingError,
+    SearchBudgetExhausted,
+    SearchResult,
+    TraceStep,
+    UnsatTrace,
+    format_word,
+)
 from treeact.realize import NEG_INF, POS_INF
 
 
@@ -303,3 +312,226 @@ def verify_realization(rm, maps):
                 if lhs != rhs:
                     comp.append(f"compose mismatch at t={rm.value(x)}")
     return (not mono and not equiv and not comp, tuple(mono), tuple(equiv), tuple(comp))
+
+
+# -- naive twin of the invariant-order search -------------------------------------
+
+
+class _NaivePairVars:
+    """Union-find with parity over unordered pairs, as first written."""
+
+    def __init__(self):
+        self.parent = {}
+        self.parity = {}
+        self.edges = {}
+
+    def add(self, p):
+        if p not in self.parent:
+            self.parent[p] = p
+            self.parity[p] = 1
+            self.edges[p] = []
+
+    def find(self, p):
+        chain = []
+        while self.parent[p] != p:
+            chain.append(p)
+            p = self.parent[p]
+        root = p
+        s = 1
+        for q in reversed(chain):
+            s = self.parity[q] * s
+            self.parent[q] = root
+            self.parity[q] = s
+        return root, (s if chain else 1)
+
+    def union(self, p, q, rel, label):
+        self.add(p)
+        self.add(q)
+        rp, sp = self.find(p)
+        rq, sq = self.find(q)
+        if rp == rq:
+            if sp != rel * sq:
+                return False
+        else:
+            self.parent[rp] = rq
+            self.parity[rp] = rel * sp * sq
+        self.edges[p].append((q, rel, label))
+        self.edges[q].append((p, rel, label))
+        return True
+
+    def chain_between(self, p, q):
+        _order, parent, _depth = bfs(p, lambda v: [w for w, _rel, _label in self.edges[v]])
+        out = []
+        cur = q
+        while parent.get(cur) is not None:
+            x = parent[cur]
+            out.append((cur, next(lb for w, _rel, lb in self.edges[x] if w == cur)))
+            cur = x
+        out.reverse()
+        return out
+
+
+def _canonical_pair(i, j):
+    return ((i, j), 1) if i < j else ((j, i), -1)
+
+
+def search_invariant(f, b, b2, budget=500_000, shuffle_seed=None):
+    """The invariant-order search as first written: (SearchResult, units).
+
+    Every pair of every f in F is multiplied afresh, every forced pair is
+    looked up in the union-find, and each new edge a > b scans all k for
+    k > a and b > k.  ``units`` is the number of budget units (queue pops)
+    the search used; it raises what ``ordering.search_invariant`` raises.
+    """
+    for g in b.elements:
+        if g not in b2:
+            raise OrderingError("ball containment violated")
+    size = len(b2)
+    order = list(range(size))
+    if shuffle_seed is not None:
+        random.Random(shuffle_seed).shuffle(order)
+    rank = {i: r for r, i in enumerate(order)}
+
+    vars_ = _NaivePairVars()
+    for i in range(size):
+        for j in range(i + 1, size):
+            vars_.add((i, j))
+    first_contradiction = []
+    for fm in f:
+        for g in b.elements:
+            ig = b2.index(g)
+            for h in b.elements:
+                ih = b2.index(h)
+                if ig >= ih:
+                    continue
+                fg, fh = fm * g, fm * h
+                if fg not in b2 or fh not in b2:
+                    raise OrderingError("ball containment violated")
+                p1, s1 = _canonical_pair(ig, ih)
+                p2, s2 = _canonical_pair(b2.index(fg), b2.index(fh))
+                fw = format_word(b2.word(fm)) if fm in b2 else "f"
+                label = f"left multiplication by {fw}"
+                if not vars_.union(p1, p2, s1 * s2, label):
+                    steps = [TraceStep(p1, +1, "assume a sign for this pair")]
+                    steps += [
+                        TraceStep(pr, 0, f"forced equal/opposite via {lb}")
+                        for pr, lb in vars_.chain_between(p1, p2)
+                    ]
+                    steps.append(TraceStep(p2, -1, f"also forced opposite via {label}"))
+                    return SearchResult("unsat", None, UnsatTrace(0, tuple(steps)), 0), 0
+
+    members = {}
+    for i in range(size):
+        for j in range(i + 1, size):
+            root, s = vars_.find((i, j))
+            members.setdefault(root, []).append(((i, j), s))
+    roots = sorted(members, key=lambda p: (min(rank[p[0]], rank[p[1]]),
+                                           max(rank[p[0]], rank[p[1]])))
+
+    rel = [[0] * size for _ in range(size)]
+    trail = []
+    stats = {"nodes": 0, "branches": 0}
+    stack = []
+
+    def set_rel(i, j, s):
+        cur = rel[i][j]
+        if cur != 0:
+            return cur == s
+        rel[i][j] = s
+        rel[j][i] = -s
+        trail.append((i, j))
+        return True
+
+    def assign(root, val, chain):
+        queue = deque([(root, val, "decision or forced class")])
+        while queue:
+            stats["nodes"] += 1
+            if stats["nodes"] > budget:
+                raise SearchBudgetExhausted(
+                    branches=stats["branches"], depth=len(stack),
+                    classes_assigned=sum(1 for r in roots if rel[r[0]][r[1]]),
+                    classes=len(roots), propagation_steps=budget,
+                )
+            r, v, why = queue.popleft()
+            fixed = rel[r[0]][r[1]]
+            if fixed:
+                if fixed != v:
+                    chain.append(TraceStep(r, v, f"class already fixed opposite ({why})"))
+                    return False
+                continue
+            chain.append(TraceStep(r, v, why))
+            for (i, j), s in members[r]:
+                if not set_rel(i, j, v * s):
+                    chain.append(TraceStep((i, j), v * s, "pair already oriented opposite"))
+                    return False
+                a, bb = (i, j) if v * s == 1 else (j, i)
+                for k in range(size):
+                    if k == a or k == bb:
+                        continue
+                    if rel[k][a] == 1 and rel[k][bb] != 1:
+                        if rel[k][bb] == -1:
+                            chain.append(TraceStep((k, bb), 1, "transitivity conflict"))
+                            return False
+                        p, s2 = _canonical_pair(k, bb)
+                        r2, s3 = vars_.find(p)
+                        queue.append((r2, s2 * s3, "forced by transitivity"))
+                    if rel[bb][k] == 1 and rel[a][k] != 1:
+                        if rel[a][k] == -1:
+                            chain.append(TraceStep((a, k), 1, "transitivity conflict"))
+                            return False
+                        p, s2 = _canonical_pair(a, k)
+                        r2, s3 = vars_.find(p)
+                        queue.append((r2, s2 * s3, "forced by transitivity"))
+        return True
+
+    def undo(mark):
+        while len(trail) > mark:
+            i, j = trail.pop()
+            rel[i][j] = 0
+            rel[j][i] = 0
+
+    def next_pos(pos):
+        while pos < len(roots) and rel[roots[pos][0]][roots[pos][1]]:
+            pos += 1
+        return pos
+
+    found = False
+    start = next_pos(0)
+    if start == len(roots):
+        found = True
+    else:
+        stack.append([start, [-1, 1], 0])
+    while stack:
+        frame = stack[-1]
+        pos, values, _mark = frame
+        if pos == len(roots):
+            found = True
+            break
+        if values:
+            val = values.pop(0)
+            frame[2] = len(trail)
+            stats["branches"] += 1
+            chain = []
+            if assign(roots[pos], val, chain):
+                stack.append([next_pos(pos + 1), [-1, 1], 0])
+            else:
+                if not first_contradiction:
+                    first_contradiction.extend(chain)
+                undo(frame[2])
+        else:
+            stack.pop()
+            if stack:
+                undo(stack[-1][2])
+    if not found:
+        trace = UnsatTrace(stats["branches"], tuple(first_contradiction))
+        return SearchResult("unsat", None, trace, stats["branches"]), stats["nodes"]
+    signs = {
+        (i, j): rel[i][j]
+        for i in range(size)
+        for j in range(size)
+        if i != j and rel[i][j] != 0
+    }
+    witness = OrderAssignment(b2, signs)
+    if not (check_axioms(witness)[0] and check_invariance(witness, f, b, b2)[0]):
+        raise AssertionError("internal error: witness failed re-verification")
+    return SearchResult("sat", witness, None, stats["branches"]), stats["nodes"]

@@ -49,6 +49,19 @@ class TestExitCodes:
         )
         assert code == 2 and report["outcome"] == "budget-exhausted"
 
+    def test_budget_report_says_how_far(self):
+        code, report = run_report(
+            "order", "search", "--preset", "z-ball-3", "--budget", "1"
+        )
+        assert code == 2 and report["details"] == {
+            "message": "search budget exhausted",
+            "branches": 1,
+            "depth": 1,
+            "classes_assigned": 1,
+            "classes": 9,
+            "propagation_steps": 1,
+        }
+
     def test_usage_is_three(self):
         code, _ = run_cli("tower", "bogus")
         assert code == 3

@@ -35,6 +35,7 @@ from treeact.ordering import (
     search_invariant,
 )
 from treeact.matrices import CapExceeded
+from treeact.presets import search_instance
 
 
 def z_gen():
@@ -256,12 +257,23 @@ SEARCH_PINS = {
                        "686660ef4895d698bc9bb68729e82b037c8980d0f0e7b35a167a4825c715fc60"),
     "z2-ball-4": (41, 61, 228,
                   "9097aff51e6e62f411a327a37b187319fe7b9ce0e03748a98165875f5d0a1f46"),
+    # recorded before the propagation moved to bitsets
+    "heisenberg-ball-3": (53, 135, 1949,
+                          "53949fc35ce645fae4a872c3d4ebabf03fd8392dd55935f021bbdc97ad08ccea"),
+    "z-ball-80": (161, 163, 1,
+                  "c142b844652e2da9e30cfc0b68cecad23b11593f82186e6797f403ba11adce9a"),
 }
 
 
 def pinned_instance(name):
+    """F, the inner ball and the outer ball, as the benchmark builds them."""
     if name == "hexagon-ball-1":
         gens, names, radius = six_generators(1), [f"a{k}" for k in range(1, 7)], 1
+    elif name == "heisenberg-ball-3":
+        gens, names, radius = [elementary(3, 1, 2, 1), elementary(3, 2, 3, 1)], ["u12", "u23"], 3
+    elif name == "z-ball-80":
+        u = z_gen()
+        return [u, u.inverse()], ball_generate([u], 80, ["g"]), ball_generate([u], 81, ["g"])
     else:
         a = GroupMatrix.from_rows([[1, 1, 0], [0, 1, 0], [0, 0, 1]])
         b = GroupMatrix.from_rows([[1, 0, 1], [0, 1, 0], [0, 0, 1]])
@@ -286,6 +298,28 @@ class TestSearchPins:
         assert search_invariant(gens, inner, outer, budget=8524).is_sat
         with pytest.raises(SearchBudgetExhausted):
             search_invariant(gens, inner, outer, budget=8523)
+
+    # the exact number of budget units each search takes, recorded before the
+    # propagation moved to bitsets
+    @pytest.mark.parametrize("name,units", [
+        ("hexagon-ball-1", 15_847),
+        ("heisenberg-ball-3", 43_252),
+        ("z-ball-80", 708_562),
+    ])
+    def test_budget_boundaries(self, name, units):
+        f, inner, outer = pinned_instance(name)
+        assert search_invariant(f, inner, outer, budget=units).is_sat
+        with pytest.raises(SearchBudgetExhausted):
+            search_invariant(f, inner, outer, budget=units - 1)
+
+    def test_shuffled_order(self):
+        # heisenberg-ball-2 in the variable order of shuffle_seed=3
+        f, inner, outer = search_instance("heisenberg-ball-2")
+        res = search_invariant(f, inner, outer, budget=10 ** 8, shuffle_seed=3)
+        assert res.is_sat and res.decisions == 142
+        triples = sorted([i, j, s] for (i, j), s in res.witness.signs.items())
+        assert hashlib.sha256(json.dumps(triples).encode()).hexdigest() == (
+            "b9fe094045fc6c5d0328c05c27399bc71ea3833f12d8c04d9c3c2a56c2912aeb")
 
 
 class TestCompactnessExtract:

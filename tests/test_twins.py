@@ -1,8 +1,9 @@
 """The exact checkers of ordering and realize against their naive twins.
 
 ``ordering.check_axioms``, ``ordering.check_invariance``,
-``realize.verify_realization``, ``PLHomeo.__call__`` and ``tower.orbit``
-each have a naive twin in ``tests/oracles.py`` that redoes every product and segment scan in
+``ordering.search_invariant``, ``realize.verify_realization``,
+``PLHomeo.__call__`` and ``tower.orbit`` each have a naive twin in
+``tests/oracles.py`` that redoes every product and segment scan in
 its innermost loop.  Both sides get the same random inputs, broken ones
 included, and must return the same report field for field, or raise the
 same error.
@@ -12,6 +13,7 @@ import random
 from dataclasses import astuple
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
@@ -21,9 +23,12 @@ from treeact.ordering import (
     Ball,
     OrderAssignment,
     OrderingError,
+    SearchBudgetExhausted,
     ball_generate,
     check_axioms,
     check_invariance,
+    invariance_set,
+    search_invariant,
 )
 from treeact.realize import (
     NEG_INF,
@@ -296,3 +301,78 @@ class TestOrbitTwin:
         act.validate()
         v = rng.choice(tree.vertices)
         assert orbit_outcome(act, v, cap) == oracles.orbit(act, v, cap)
+
+
+# Generators and inner radii of the searched balls: Z, Z^2, the Heisenberg
+# group, and finite cyclic subgroups of SL_2(Z) of orders 2, 3, 4 and 6.
+SEARCH_GROUPS = {
+    "z": ([U], 5),
+    "z2": ([A, B], 2),
+    "heisenberg": ([elementary(3, 1, 2, 1), elementary(3, 2, 3, 1)], 1),
+    "order-2": ([GroupMatrix.from_rows([[-1, 0], [0, -1]])], 2),
+    "order-3": ([GroupMatrix.from_rows([[0, -1], [1, -1]])], 3),
+    "order-4": ([GroupMatrix.from_rows([[0, -1], [1, 0]])], 3),
+    "order-6": ([GroupMatrix.from_rows([[0, -1], [1, 1]])], 4),
+}
+TWIN_BUDGET = 50_000
+
+
+def search_summary(fn, *args, **kwargs):
+    """Status, decisions and witness signs or Unsat trace JSON; or what was
+    raised, with the progress of an exhausted budget."""
+    try:
+        res = fn(*args, **kwargs)
+    except SearchBudgetExhausted as exc:
+        return "raised", str(exc), exc.progress()
+    except OrderingError as exc:
+        return "raised", type(exc), str(exc)
+    res = res[0] if isinstance(res, tuple) else res
+    body = res.witness.signs if res.is_sat else res.trace.to_json()
+    return res.status, res.decisions, body
+
+
+class TestSearchTwin:
+    @staticmethod
+    def compare(group, mode, radius, grow, shuffle_seed, budgets):
+        """Both searches agree at the smallest budget that completes and at
+        each of ``budgets(units)``; the classes assigned when a budget runs
+        out part of the way depend on the order of the queue."""
+        gens, _max_r = SEARCH_GROUPS[group]
+        names = [f"g{k}" for k in range(len(gens))]
+        f = invariance_set(gens, mode)
+        inner = ball_generate(gens, radius, names)
+        outer = ball_generate(gens, radius + grow, names)
+        try:
+            _res, units = oracles.search_invariant(
+                f, inner, outer, TWIN_BUDGET, shuffle_seed)
+        except (OrderingError, SearchBudgetExhausted):
+            units = TWIN_BUDGET
+        for budget in {units, *budgets(units)}:
+            naive = search_summary(oracles.search_invariant, f, inner, outer, budget, shuffle_seed)
+            fast = search_summary(search_invariant, f, inner, outer, budget, shuffle_seed)
+            assert fast == naive, budget
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(sorted(SEARCH_GROUPS)), st.sampled_from(["gens", "gens+inv"]),
+           st.integers(0, 5), st.integers(0, 2), st.one_of(st.none(), SEEDS),
+           st.floats(0, 1))
+    def test_random_balls(self, group, mode, inner_r, grow, shuffle_seed, cut):
+        radius = min(inner_r, SEARCH_GROUPS[group][1])
+        self.compare(group, mode, radius, grow, shuffle_seed,
+                     lambda units: {max(units - 1, 0), int(cut * units)})
+
+    # instances where pushing one kind of forced pair before the other, rather
+    # than by increasing k, changes the classes assigned at some budget
+    @pytest.mark.parametrize("group,mode,radius,grow,shuffle_seed", [
+        ("order-6", "gens", 2, 1, None),
+        ("heisenberg", "gens+inv", 1, 1, None),
+        ("heisenberg", "gens+inv", 1, 1, 1),
+    ])
+    def test_every_budget(self, group, mode, radius, grow, shuffle_seed):
+        self.compare(group, mode, radius, grow, shuffle_seed, range)
+
+    def test_one_element_inner_ball_leaving_the_outer_ball(self):
+        # e's image u lies outside the radius-0 outer ball, but there are no pairs
+        e = z_ball(0)
+        assert search_summary(search_invariant, [U], e, e) == ("sat", 0, {})
+        assert search_summary(oracles.search_invariant, [U], e, e) == ("sat", 0, {})
