@@ -25,7 +25,6 @@ from .ordering import (
     check_invariance,
     compactness_extract,
     ll_test,
-    order_from_action,
     search_invariant,
 )
 from .realize import (

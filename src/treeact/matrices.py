@@ -318,14 +318,14 @@ class FiniteMatrixGroup:
     """A finite matrix group mod m, stored as canonically sorted elements.
 
     ``cayley[k][i]`` is the index of ``generators[k] * elements[i]``, as
-    ``enumerate_group`` found it (a group read from JSON has none).
+    ``enumerate_group`` found it.
     """
 
     n: int
     mod: int
     elements: tuple[GroupMatrix, ...]
     generators: tuple[GroupMatrix, ...]
-    cayley: tuple[list[int], ...] = ()
+    cayley: tuple[list[int], ...]
 
     def __post_init__(self) -> None:
         self._index = {g.entries: k for k, g in enumerate(self.elements)}
@@ -365,7 +365,6 @@ class FiniteMatrixGroup:
         return tuple(sorted((x for x, *_ in found), key=lambda x: x.entries))
 
     def left_coset_reps(self, sub: Sequence[GroupMatrix]) -> list[GroupMatrix]:
-        subset = {g.entries for g in sub}
         reps = []
         covered: set[tuple[int, ...]] = set()
         for x in self.elements:
@@ -510,18 +509,3 @@ def matrix_from_json(obj: Mapping) -> GroupMatrix:
         raise MatrixError(f"matrix entries must be a list of {n * n} integers")
     return GroupMatrix(n, tuple(entries), mod)
 
-
-def group_to_json(g: FiniteMatrixGroup) -> dict:
-    return {
-        "n": g.n,
-        "mod": g.mod,
-        "elements": [list(x.entries) for x in g.elements],
-        "generators": [g.index(x) for x in g.generators],
-    }
-
-
-def group_from_json(obj: Mapping) -> FiniteMatrixGroup:
-    n, m = int(obj["n"]), int(obj["mod"])
-    elements = tuple(GroupMatrix(n, tuple(e), m) for e in obj["elements"])
-    gens = tuple(elements[i] for i in obj["generators"])
-    return FiniteMatrixGroup(n, m, elements, gens)

@@ -453,17 +453,14 @@ def search_invariant(
     nodes = branches = 0  # budget units used, decisions tried
     stack: list[list] = []  # frames [pos, values_left, mark]
 
-    def set_rel(i: int, j: int, s: int) -> bool:
-        cur = rel[i][j]
-        if cur != 0:
-            return cur == s
+    def set_rel(i: int, j: int, s: int) -> None:
+        # every pair of a class is set together, when the class is unfixed
         rel[i][j] = s
         rel[j][i] = -s
         a, c = (i, j) if s == 1 else (j, i)
         gt[c] |= 1 << a
         lt[a] |= 1 << c
         trail.append((a, c))
-        return True
 
     def assign(root: tuple[int, int], val: int, chain: list[TraceStep]) -> bool:
         """Assign a class and propagate; records steps into chain."""
@@ -489,9 +486,7 @@ def search_invariant(
             else:
                 chain.append(TraceStep(r, v, why))
                 for i, j, s in members[r]:
-                    if not set_rel(i, j, v * s):
-                        chain.append(TraceStep((i, j), v * s, "pair already oriented opposite"))
-                        return False
+                    set_rel(i, j, v * s)
                     # transitive closure through the new edge a > c, by masks
                     a, c = (i, j) if v * s == 1 else (j, i)
                     above_a, below_c = gt[a], lt[c]
@@ -643,46 +638,6 @@ def order_from_probe_keys(
             if c > 0:
                 raise OrderingError("probe order not transitive at this scale")
     return OrderAssignment.from_total_order(ball, ascending)
-
-
-def order_from_action(act, z: str, probes: Sequence[str], b: Ball) -> OrderAssignment:
-    """Order ball elements by their action on probe vertices along an arc from z.
-
-    ``act`` is a tower FiniteTreeAction; ball elements act through their
-    witness words.  All probe images must stay on one arc starting at z;
-    vertices are compared by distance from z along that arc.
-    """
-    from . import trees
-
-    tree = act.tree
-    for name, auto in act.generators.items():
-        if auto(z) != z:
-            raise OrderingError("every generator must fix z")
-    # positions of probes: strictly increasing along an arc away from z
-    if not probes:
-        raise OrderingError("at least one probe required")
-    far = max(probes, key=lambda v: len(trees.path(tree, z, v)))
-    arc = trees.path(tree, z, far)
-    pos_on_arc = {v: k for k, v in enumerate(arc)}
-    last = -1
-    for x in probes:
-        if x not in pos_on_arc:
-            raise OrderingError("probes must lie on a common arc from z")
-        if pos_on_arc[x] <= last:
-            raise OrderingError("probes must be ordered away from z")
-        last = pos_on_arc[x]
-
-    moved = {g: [act.apply_word(b.word(g), x) for x in probes] for g in b.elements}
-    images = {y for ys in moved.values() for y in ys}
-    hull = trees.convex_hull(tree, images | {z})
-    # the image hull must be an arc with z as an end point
-    for v in hull:
-        inside = sum(1 for w in tree.adjacency[v] if w in hull)
-        if inside > 2 or (v == z and inside > 1):
-            raise OrderingError("probe images do not lie on a common arc from z")
-    dist = {v: len(trees.path(tree, z, v)) - 1 for v in images}
-    keys = {g: tuple(dist[y] for y in ys) for g, ys in moved.items()}
-    return order_from_probe_keys(b, keys)
 
 
 # -- bounded domination test -------------------------------------------------------

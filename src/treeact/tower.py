@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
 from math import cos, pi, sin
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from ._walk import walk
 from .matrices import (
@@ -32,7 +32,6 @@ from .trees import (
     _is_str_map,
     first_point_map,
     is_tree_automorphism,
-    midpoint_name,
     tree_from_json,
     tree_to_json,
     validate_tree,
@@ -60,13 +59,6 @@ class FiniteTreeAction:
             if not res:
                 raise TowerError(f"generator {name}: {res.reason}")
 
-    def apply_word(self, word: Sequence[tuple[str, int]], v: str) -> str:
-        # word s1 s2 ... sk acts as the composite map of s1 after ... after sk
-        for name, e in reversed(list(word)):
-            auto = self.generators[name]
-            v = auto(v) if e == 1 else auto.inverse()(v)
-        return v
-
 
 @dataclass(eq=False)
 class InverseSystem:
@@ -75,28 +67,6 @@ class InverseSystem:
     levels: list[FiniteTreeAction]
     bonds: list[dict[str, str]]      # bonds[a]: level a+1 vertices -> level a
     provenance: dict = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class Thread:
-    """One vertex per level, compatible with the bonding maps."""
-
-    vertices: tuple[str, ...]
-
-
-def is_thread(sys: InverseSystem, thread: Thread) -> bool:
-    if len(thread.vertices) != len(sys.levels):
-        return False
-    for a, bond in enumerate(sys.bonds):
-        if bond.get(thread.vertices[a + 1]) != thread.vertices[a]:
-            return False
-    return True
-
-
-def act_on_thread(sys: InverseSystem, name: str, thread: Thread) -> Thread:
-    return Thread(
-        tuple(sys.levels[a].generators[name](v) for a, v in enumerate(thread.vertices))
-    )
 
 
 # -- congruence tower ------------------------------------------------------------
@@ -495,23 +465,6 @@ def projection_orbit_growth(
         sizes.append(len(res))
         closed.append(res.closed)
     return ProjectionGrowth(tuple(sizes), tuple(closed))
-
-
-# -- geometric realization (edge subdivision) for whole actions -------------------
-
-
-def subdivide_action(act: FiniteTreeAction) -> FiniteTreeAction:
-    """Subdivide every edge once and extend the generators over midpoints."""
-    from .trees import subdivide_tree
-
-    new_tree = subdivide_tree(act.tree)
-    gens = {}
-    for name, auto in act.generators.items():
-        mapping = auto.mapping
-        for u, v in act.tree.edges:
-            mapping[midpoint_name(u, v)] = midpoint_name(auto(u), auto(v))
-        gens[name] = TreeAutomorphism(mapping)
-    return FiniteTreeAction(new_tree, gens, act.context)
 
 
 # -- serialization ----------------------------------------------------------------

@@ -420,26 +420,6 @@ def random_automorphism_fixing_leaf(t: Tree, e: str, rng) -> TreeAutomorphism:
     return TreeAutomorphism(mapping)
 
 
-# -- subdivision (geometric realization step) ---------------------------------
-
-
-def midpoint_name(u: str, v: str) -> str:
-    a, b = _norm_edge(u, v)
-    return f"{a}~{b}"
-
-
-def subdivide_tree(t: Tree) -> Tree:
-    """Insert one regular (degree-2) vertex in the middle of every edge."""
-    verts = list(t.vertices)
-    edges = []
-    for u, v in t.edges:
-        m = midpoint_name(u, v)
-        verts.append(m)
-        edges.append((u, m))
-        edges.append((m, v))
-    return Tree(tuple(verts), tuple(edges))
-
-
 # -- serialization -------------------------------------------------------------
 
 

@@ -1,0 +1,119 @@
+"""Static hygiene of the package modules, by the standard-library ast only.
+
+Two faults are caught: a module-level import that the module never uses,
+and a plain local assignment (``x = ...``) in a function whose name is
+never read in that function or the functions nested in it.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import treeact
+
+MODULES = sorted(p for p in Path(treeact.__file__).parent.glob("*.py")
+                 if p.name != "__init__.py")
+
+
+def _loaded_names(tree: ast.AST) -> set[str]:
+    """Every name read under tree, string annotations included."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        annotation = getattr(node, "annotation", None) or getattr(node, "returns", None)
+        if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
+            names |= _loaded_names(ast.parse(annotation.value, mode="eval"))
+    return names
+
+
+def unused_imports(source: str) -> list[str]:
+    module = ast.parse(source)
+    used = _loaded_names(module)
+    found = []
+    for stmt in module.body:
+        if isinstance(stmt, ast.ImportFrom) and stmt.module == "__future__":
+            continue
+        if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+            for alias in stmt.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound not in used:
+                    found.append(f"line {stmt.lineno}: {bound}")
+    return found
+
+
+def _own_scope(func: ast.AST):
+    """The nodes of func's own scope, without nested functions and classes."""
+    todo = list(ast.iter_child_nodes(func))
+    while todo:
+        node = todo.pop()
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)):
+            yield node
+            todo.extend(ast.iter_child_nodes(node))
+
+
+def unread_locals(source: str) -> list[str]:
+    found = []
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        read = _loaded_names(func)
+        stores, outer = [], {"_"}
+        for node in _own_scope(func):
+            if isinstance(node, (ast.Global, ast.Nonlocal)):
+                outer.update(node.names)
+            elif isinstance(node, ast.Assign):
+                stores += [t for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, (ast.AnnAssign, ast.AugAssign, ast.NamedExpr)):
+                if isinstance(node.target, ast.Name):
+                    stores.append(node.target)
+        for target in stores:
+            if target.id not in read | outer:
+                found.append(f"line {target.lineno}: {target.id} in {func.name}")
+    return found
+
+
+def test_every_module_is_checked():
+    assert {p.stem for p in MODULES} >= {"cli", "matrices", "ordering", "tower", "trees"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unread_locals(path):
+    assert unread_locals(path.read_text()) == []
+
+
+class TestCheckers:
+    def test_unused_import_is_found(self):
+        src = "from typing import Mapping, Sequence\nimport os.path\n\nx: Mapping = {}\n"
+        assert unused_imports(src) == ["line 1: Sequence", "line 2: os"]
+
+    def test_string_annotation_counts_as_use(self):
+        src = "from typing import Sequence\n\ndef f(xs: 'Sequence[int]') -> None:\n    pass\n"
+        assert unused_imports(src) == []
+
+    def test_unread_local_is_found(self):
+        src = ("def reps(sub):\n"
+               "    subset = {g for g in sub}\n"
+               "    out = []\n"
+               "    for h in sub:\n"
+               "        out.append(h)\n"
+               "    return out\n")
+        assert unread_locals(src) == ["line 2: subset in reps"]
+
+    def test_closure_and_nonlocal_reads_count(self):
+        src = ("def outer():\n"
+               "    n = 0\n"
+               "    seen = set()\n"
+               "    def bump():\n"
+               "        nonlocal n\n"
+               "        n += 1\n"
+               "        return seen\n"
+               "    bump()\n"
+               "    return n\n")
+        assert unread_locals(src) == []

@@ -22,8 +22,6 @@ from treeact.matrices import (
     congruence_membership,
     elementary,
     enumerate_group,
-    group_from_json,
-    group_to_json,
     matrix_from_json,
     matrix_to_json,
     normal_core,
@@ -454,9 +452,3 @@ class TestSerialization:
         assert matrix_from_json(matrix_to_json(m)) == m
         mm = elementary(2, 2, 1, 3, mod=5)
         assert matrix_from_json(matrix_to_json(mm)) == mm
-
-    def test_group_round_trip(self):
-        g = enumerate_group(2, 2, [elementary(2, 1, 2, 1), elementary(2, 2, 1, 1)])
-        again = group_from_json(group_to_json(g))
-        assert again.elements == g.elements
-        assert again.generators == g.generators

@@ -376,63 +376,6 @@ class TestCompactnessExtract:
                         assert res.assignment.sign(g, h) == chain[k].sign(g, h)
 
 
-class TestOrderFromAction:
-    @staticmethod
-    def arc_action():
-        from treeact.tower import FiniteTreeAction
-        from treeact.trees import Tree, TreeAutomorphism
-
-        tree = Tree(("z", "p1", "p2"), (("z", "p1"), ("p1", "p2")))
-        gens = {"t": TreeAutomorphism.identity(tree.vertices)}
-        return FiniteTreeAction(tree, gens)
-
-    def test_identity_ball_gives_empty_assignment(self):
-        from treeact.ordering import order_from_action
-
-        t = GroupMatrix.from_rows([[-1, 0], [0, -1]])
-        b = ball_generate([t], 0, ["t"])
-        phi = order_from_action(self.arc_action(), "z", ["p1", "p2"], b)
-        assert phi.signs == {}
-
-    def test_trivial_action_cannot_separate(self):
-        from treeact.ordering import order_from_action
-
-        t = GroupMatrix.from_rows([[-1, 0], [0, -1]])
-        b = ball_generate([t], 1, ["t"])
-        with pytest.raises(OrderingError, match="probes insufficient"):
-            order_from_action(self.arc_action(), "z", ["p1", "p2"], b)
-
-    def test_generator_must_fix_z(self):
-        from treeact.tower import FiniteTreeAction
-        from treeact.trees import Tree, TreeAutomorphism
-        from treeact.ordering import order_from_action
-
-        tree = Tree(("z", "c", "w"), (("z", "c"), ("c", "w")))
-        flip = TreeAutomorphism({"z": "w", "c": "c", "w": "z"})
-        act = FiniteTreeAction(tree, {"t": flip})
-        t = GroupMatrix.from_rows([[-1, 0], [0, -1]])
-        b = ball_generate([t], 1, ["t"])
-        with pytest.raises(OrderingError, match="fix z"):
-            order_from_action(act, "z", ["c"], b)
-
-    def test_images_leaving_the_arc_are_rejected(self):
-        # an arm swap fixes z but throws probe images onto a branch
-        from treeact.tower import FiniteTreeAction
-        from treeact.trees import Tree, TreeAutomorphism
-        from treeact.ordering import order_from_action
-
-        tree = Tree(
-            ("z", "c", "a1", "b1"),
-            (("z", "c"), ("c", "a1"), ("c", "b1")),
-        )
-        swap = TreeAutomorphism({"z": "z", "c": "c", "a1": "b1", "b1": "a1"})
-        act = FiniteTreeAction(tree, {"t": swap})
-        t = GroupMatrix.from_rows([[-1, 0], [0, -1]])
-        b = ball_generate([t], 1, ["t"])
-        with pytest.raises(OrderingError, match="common arc"):
-            order_from_action(act, "z", ["a1"], b)
-
-
 class TestDominationTest:
     @staticmethod
     def shift_sample():

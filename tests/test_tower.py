@@ -15,19 +15,15 @@ import oracles
 from treeact.matrices import CapExceeded, sl_order
 from treeact.tower import (
     InverseSystem,
-    Thread,
     TowerError,
-    act_on_thread,
     attach_decorations,
     build_congruence_tower,
     degree_profile,
-    is_thread,
     orbit,
     projection_orbit_growth,
     star_dendrite,
     star_to_json,
     star_to_svg,
-    subdivide_action,
     system_from_json,
     system_to_json,
     verify_all_bonds,
@@ -85,22 +81,12 @@ class TestBuild:
                     if m1 == mats[z] and (x, y) != (z,):
                         found_nontrivial += 1
                         for v in act.tree.vertices:
-                            assert act.apply_word([(x, 1), (y, 1)], v) == act.generators[z](v)
+                            assert act.generators[x](act.generators[y](v)) == act.generators[z](v)
                 if m1.is_identity():
                     found_nontrivial += 1
                     for v in act.tree.vertices:
-                        assert act.apply_word([(x, 1), (y, 1)], v) == v
+                        assert act.generators[x](act.generators[y](v)) == v
         assert found_nontrivial > 0
-
-    def test_inverse_letters_use_one_inverse(self, tower321):
-        act = tower321.levels[1]
-        for name, auto in act.generators.items():
-            inv = auto.inverse()
-            naive = {w: v for v, w in auto.mapping.items()}
-            for v in act.tree.vertices:
-                assert act.apply_word([(name, -1)], v) == naive[v]
-                assert act.apply_word([(name, 1), (name, -1)], v) == v
-            assert auto.inverse() is inv
 
     def test_action_is_left_translation(self, tower321):
         # vertex labels are reduced matrices; the generator u must send the
@@ -155,30 +141,6 @@ class TestBonds:
     def test_missing_level_rejected(self):
         with pytest.raises(TowerError):
             verify_equivariant_bond(trivial_system(), 0)
-
-
-class TestThreads:
-    def test_root_to_leaf_thread(self, tower321):
-        leaf = tower321.levels[1].tree.leaves()[0]
-        th = Thread(("0|e", leaf))
-        assert is_thread(tower321, th)
-        for name in tower321.levels[0].generators:
-            assert is_thread(tower321, act_on_thread(tower321, name, th))
-
-    def test_constant_root_thread(self, tower321):
-        assert is_thread(tower321, Thread(("0|e", "0|e")))
-
-    def test_wrong_length_thread(self, tower321):
-        assert not is_thread(tower321, Thread(("0|e",)))
-
-    def test_parent_mismatch_thread(self):
-        sys_ = build_congruence_tower(2, 2, 2)
-        leaf = sys_.levels[2].tree.leaves()[0]
-        wrong_parent = next(
-            v for v in sys_.levels[1].tree.leaves() if sys_.bonds[1][leaf] != v
-        )
-        assert not is_thread(sys_, Thread(("0|e", wrong_parent, leaf)))
-        assert is_thread(sys_, Thread(("0|e", sys_.bonds[1][leaf], leaf)))
 
 
 class TestOrbit:
@@ -283,13 +245,6 @@ class TestProjectionGrowth:
         growth = projection_orbit_growth(tower321, dec, dec.pendants[0].tip)
         assert growth.sizes == (1, 168)
         assert growth.strictly_increasing()
-
-
-class TestSubdivideAction:
-    def test_midpoints_follow_generators(self, tower321):
-        act = subdivide_action(tower321.levels[1])
-        act.validate()
-        assert len(act.tree.vertices) == 169 + 168
 
 
 class TestDepthTwoCounts:

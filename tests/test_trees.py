@@ -21,7 +21,6 @@ from treeact.trees import (
     point_order,
     random_automorphism_fixing_leaf,
     second_fixed_point,
-    subdivide_tree,
     tree_from_json,
     tree_to_dot,
     tree_to_json,
@@ -353,10 +352,3 @@ class TestSerialization:
     def test_dot_export(self):
         dot = tree_to_dot(star3())
         assert '"c" -- "l1";' in dot and dot.startswith("graph")
-
-    def test_subdivide(self):
-        t = path4()
-        s = subdivide_tree(t)
-        assert validate_tree(s).ok
-        assert len(s.vertices) == len(t.vertices) + len(t.edges)
-        assert all(len(s.adjacency[m]) == 2 for m in s.vertices if "~" in m)
