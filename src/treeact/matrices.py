@@ -123,10 +123,6 @@ class GroupMatrix:
     def rows(self) -> list[list[int]]:
         return [list(self.entries[i * self.n:(i + 1) * self.n]) for i in range(self.n)]
 
-    def entry(self, i: int, j: int) -> int:
-        """1-indexed entry access."""
-        return self.entries[(i - 1) * self.n + (j - 1)]
-
     def det(self) -> int:
         d = _det_flat(self.entries, self.n)
         return d % self.mod if self.mod is not None else d

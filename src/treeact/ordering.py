@@ -293,78 +293,28 @@ class SearchResult:
         return self.status == "sat"
 
 
-class _PairVars:
-    """Unordered pairs of b2 indices glued by the invariance constraints.
-
-    Union-find with parity: two pairs in one class must receive equal signs
-    (parity +1) or opposite signs (parity -1).  A class whose canonical
-    orientations disagree with themselves is an immediate contradiction.
-    """
-
-    def __init__(self) -> None:
-        self.parent: dict[tuple[int, int], tuple[int, int]] = {}
-        self.parity: dict[tuple[int, int], int] = {}
-        self.edges: dict[tuple[int, int], list] = {}
-
-    def add(self, p: tuple[int, int]) -> None:
-        if p not in self.parent:
-            self.parent[p] = p
-            self.parity[p] = 1
-            self.edges[p] = []
-
-    def find(self, p: tuple[int, int]) -> tuple[tuple[int, int], int]:
-        chain = []
-        while self.parent[p] != p:
-            chain.append(p)
-            p = self.parent[p]
-        root = p
-        # compress: point every chain node at the root with its cumulative sign
-        s = 1
-        for q in reversed(chain):
-            s = self.parity[q] * s
-            self.parent[q] = root
-            self.parity[q] = s
-        return root, (s if chain else 1)
-
-    def union(self, p, q, rel: int, label: str) -> bool:
-        """Glue p and q with sign(p) = rel * sign(q). False on contradiction."""
-        self.add(p)
-        self.add(q)
-        rp, sp = self.find(p)
-        rq, sq = self.find(q)
-        if rp == rq:
-            if sp != rel * sq:
-                return False
-            self.edges[p].append((q, rel, label))
-            self.edges[q].append((p, rel, label))
-            return True
-        self.parent[rp] = rq
-        self.parity[rp] = rel * sp * sq
-        self.edges[p].append((q, rel, label))
-        self.edges[q].append((p, rel, label))
-        return True
-
-    def chain_between(self, p, q) -> list[tuple[tuple[int, int], str]]:
-        """Edge path from p to q through recorded constraint edges."""
-        prev: dict = {}
-        neighbours = lambda v: [w for w, _rel, _label in self.edges[v]]
-        for y, x, k, _depth in walk(p, neighbours):
-            if x is not None:
-                prev[y] = (x, self.edges[x][k][2])
-            if y == q:
-                break
-        out = []
-        cur = q
-        while cur in prev:
-            x, label = prev[cur]
-            out.append((cur, label))
-            cur = x
-        out.reverse()
-        return out
-
-
-def _canonical_pair(i: int, j: int) -> tuple[tuple[int, int], int]:
-    return ((i, j), 1) if i < j else ((j, i), -1)
+def _gluing_chain(
+    log: list[tuple[int, int, str]], p: int, q: int, size: int
+) -> list[tuple[tuple[int, int], str]]:
+    """The gluings on a shortest path from pair p to pair q, as (pair, label),
+    walking the logged gluings breadth first in the order they were made."""
+    adj: dict[int, list[tuple[int, str]]] = {}
+    for x, y, label in log:
+        adj.setdefault(x, []).append((y, label))
+        adj.setdefault(y, []).append((x, label))
+    prev: dict[int, tuple[int, str]] = {}
+    for y, x, k, _depth in walk(p, lambda v: [w for w, _label in adj.get(v, ())]):
+        if x is not None:
+            prev[y] = (x, adj[x][k][1])
+        if y == q:
+            break
+    out = []
+    while q in prev:
+        x, label = prev[q]
+        out.append((divmod(q, size), label))
+        q = x
+    out.reverse()
+    return out
 
 
 def search_invariant(
@@ -393,11 +343,28 @@ def search_invariant(
         random.Random(shuffle_seed).shuffle(order)
     rank = {i: r for r, i in enumerate(order)}
 
-    # Glue pairs related by the invariance condition.
-    vars_ = _PairVars()
-    for i in range(size):
-        for j in range(i + 1, size):
-            vars_.add((i, j))
+    # The pair i < j of b2 indices is the int i*size + j, never 0.  The
+    # invariance gluing is a union-find with parity over these ints:
+    # parent[p] is 0 at a root, and parity[p] is +1 when p must take the
+    # sign of parent[p], -1 when it must take the opposite sign.  Every
+    # gluing made is logged, in order, for the chain of an Unsat trace.
+    parent = [0] * (size * size)
+    parity = [1] * (size * size)
+    log: list[tuple[int, int, str]] = []
+
+    def find(p: int) -> tuple[int, int]:
+        chain = []
+        while parent[p]:
+            chain.append(p)
+            p = parent[p]
+        # compress: point every chain node at the root with its cumulative sign
+        s = 1
+        for q in reversed(chain):
+            s = parity[q] * s
+            parent[q] = p
+            parity[q] = s
+        return p, s
+
     first_contradiction: list[TraceStep] = []
     at = [b2.index(g) for g in b.elements]
     for fm in f:
@@ -412,60 +379,59 @@ def search_invariant(
                     continue
                 if fg is None or fh is None:
                     raise OrderingError("ball containment violated")
-                p1, s1 = _canonical_pair(ig, ih)
-                p2, s2 = _canonical_pair(fg, fh)
-                if not vars_.union(p1, p2, s1 * s2, label):
-                    steps = [TraceStep(p1, +1, "assume a sign for this pair")]
+                # glue sign(ig, ih) = rel * sign of the image's canonical pair
+                p = ig * size + ih
+                q, rel = (fg * size + fh, 1) if fg < fh else (fh * size + fg, -1)
+                rp, sp = find(p)
+                rq, sq = find(q)
+                if rp != rq:
+                    parent[rp] = rq
+                    parity[rp] = rel * sp * sq
+                elif sp != rel * sq:
+                    steps = [TraceStep((ig, ih), +1, "assume a sign for this pair")]
                     steps += [
                         TraceStep(pr, 0, f"forced equal/opposite via {lb}")
-                        for pr, lb in vars_.chain_between(p1, p2)
+                        for pr, lb in _gluing_chain(log, p, q, size)
                     ]
                     steps.append(
-                        TraceStep(p2, -1, f"also forced opposite via {label}")
+                        TraceStep(divmod(q, size), -1, f"also forced opposite via {label}")
                     )
                     return SearchResult(
                         "unsat", None, UnsatTrace(0, tuple(steps)), 0
                     )
+                log.append((p, q, label))
 
-    # Class structure: root pair -> members (i, j, parity), and force[k][x],
-    # the class entry (root, value) that makes k > x.
-    members: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
-    signed: dict[tuple[int, int], tuple[tuple, tuple]] = {}
+    # Classes: root -> members (i, j, parity), and force[k][x], the class
+    # entry (root, value) that makes k > x; both entries of a class are
+    # shared by all its pairs.
+    members: dict[int, list[tuple[int, int, int]]] = {}
+    signed: dict[int, tuple[tuple[int, int], tuple[int, int]]] = {}
     force: list[list] = [[None] * size for _ in range(size)]
     for i in range(size):
         for j in range(i + 1, size):
-            root, s = vars_.find((i, j))
+            root, s = find(i * size + j)
             members.setdefault(root, []).append((i, j, s))
             if root not in signed:
                 signed[root] = ((root, 1), (root, -1))
             up, down = signed[root]
             force[i][j], force[j][i] = (up, down) if s == 1 else (down, up)
-    roots = sorted(members, key=lambda p: (min(rank[p[0]], rank[p[1]]),
-                                           max(rank[p[0]], rank[p[1]])))
+    roots = sorted(members, key=lambda p: sorted((rank[p // size], rank[p % size])))
 
-    # rel[i][j] = phi(x_i, x_j), 0 while unassigned; a class's value is rel
-    # at its root pair.  Bit k of gt[x] is set when k > x, bit k of lt[x]
-    # when x > k.  The trail lists the pairs set, in order, greater first.
-    rel = [[0] * size for _ in range(size)]
+    # value[root] is the class's sign, 0 while unassigned; a member (i, j, s)
+    # then has phi(x_i, x_j) = value * s.  Bit k of gt[x] is set when k > x,
+    # bit k of lt[x] when x > k.  The trail lists the classes assigned, in
+    # order.
+    value = [0] * (size * size)
     gt = [0] * size
     lt = [0] * size
-    trail: list[tuple[int, int]] = []
+    trail: list[int] = []
     nodes = branches = 0  # budget units used, decisions tried
     stack: list[list] = []  # frames [pos, values_left, mark]
 
-    def set_rel(i: int, j: int, s: int) -> None:
-        # every pair of a class is set together, when the class is unfixed
-        rel[i][j] = s
-        rel[j][i] = -s
-        a, c = (i, j) if s == 1 else (j, i)
-        gt[c] |= 1 << a
-        lt[a] |= 1 << c
-        trail.append((a, c))
-
-    def assign(root: tuple[int, int], val: int, chain: list[TraceStep]) -> bool:
+    def assign(root: int, val: int, chain: list[TraceStep]) -> bool:
         """Assign a class and propagate; records steps into chain."""
         nonlocal nodes
-        queue: deque[tuple[tuple[int, int], int]] = deque([(root, val)])
+        queue: deque[tuple[int, int]] = deque([(root, val)])
         why = "decision or forced class"
         while queue:
             nodes += 1
@@ -473,22 +439,26 @@ def search_invariant(
                 raise SearchBudgetExhausted(
                     branches=branches,
                     depth=len(stack),
-                    classes_assigned=sum(1 for p, q in roots if rel[p][q]),
+                    classes_assigned=len(trail),
                     classes=len(roots),
                     propagation_steps=budget,
                 )
             r, v = queue.popleft()
-            fixed = rel[r[0]][r[1]]
+            fixed = value[r]
             if fixed:
                 if fixed != v:
-                    chain.append(TraceStep(r, v, f"class already fixed opposite ({why})"))
+                    chain.append(TraceStep(divmod(r, size), v,
+                                           f"class already fixed opposite ({why})"))
                     return False
             else:
-                chain.append(TraceStep(r, v, why))
+                chain.append(TraceStep(divmod(r, size), v, why))
+                value[r] = v
+                trail.append(r)
                 for i, j, s in members[r]:
-                    set_rel(i, j, v * s)
                     # transitive closure through the new edge a > c, by masks
                     a, c = (i, j) if v * s == 1 else (j, i)
+                    gt[c] |= 1 << a
+                    lt[a] |= 1 << c
                     above_a, below_c = gt[a], lt[c]
                     clash = above_a & below_c  # k > a > c > k
                     if clash:
@@ -508,15 +478,19 @@ def search_invariant(
         return True
 
     def undo(mark: int) -> None:
+        # a failed assign may stop partway through a class, so each member's
+        # bits are cleared, not flipped
         while len(trail) > mark:
-            a, c = trail.pop()
-            rel[a][c] = 0
-            rel[c][a] = 0
-            gt[c] ^= 1 << a
-            lt[a] ^= 1 << c
+            r = trail.pop()
+            v = value[r]
+            value[r] = 0
+            for i, j, s in members[r]:
+                a, c = (i, j) if v * s == 1 else (j, i)
+                gt[c] &= ~(1 << a)
+                lt[a] &= ~(1 << c)
 
     def next_pos(pos: int) -> int:
-        while pos < len(roots) and rel[roots[pos][0]][roots[pos][1]]:
+        while pos < len(roots) and value[roots[pos]]:
             pos += 1
         return pos
 
@@ -556,12 +530,7 @@ def search_invariant(
             UnsatTrace(branches, tuple(first_contradiction)),
             branches,
         )
-    signs = {
-        (i, j): rel[i][j]
-        for i in range(size)
-        for j in range(size)
-        if i != j and rel[i][j] != 0
-    }
+    signs = {(i, j): value[r] * s for r in roots for i, j, s in members[r]}
     witness = OrderAssignment(b2, signs)
     # Mandatory re-verification through the public checkers.
     axioms = check_axioms(witness)

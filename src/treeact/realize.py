@@ -137,9 +137,6 @@ class PLHomeo:
         """Composition (self after other) on other's breakpoint inputs."""
         return PLHomeo(tuple((x, self(y)) for x, y in other.breakpoints))
 
-    def is_identity_on_breakpoints(self) -> bool:
-        return all(x == y for x, y in self.breakpoints)
-
 
 @dataclass(frozen=True)
 class GeneratorMap:
@@ -195,9 +192,6 @@ class FixedSet:
     points: tuple[Fraction, ...]
     intervals: tuple[tuple[Fraction, Fraction], ...]
     formal_endpoints_fixed: bool = True
-
-    def is_empty_in_interior(self) -> bool:
-        return not self.points and not self.intervals
 
 
 def fixed_set(m: PLHomeo) -> FixedSet:

@@ -496,9 +496,10 @@ def system_to_json(sys: InverseSystem) -> dict:
 def system_from_json(obj: Mapping) -> InverseSystem:
     """Parse a tower written by ``system_to_json``.
 
-    Every generator image and bond entry must name a vertex of its level,
-    and each bond must map every vertex of the level above it.  The levels
-    themselves are not validated: ``FiniteTreeAction.validate`` does that.
+    Every level must name the generators of level 0, every generator image
+    and bond entry must name a vertex of its level, and each bond must map
+    every vertex of the level above it.  The levels themselves are not
+    validated: ``FiniteTreeAction.validate`` does that.
     """
     levels_in = obj.get("levels") if isinstance(obj, Mapping) else None
     if not (isinstance(levels_in, list) and levels_in
@@ -525,6 +526,8 @@ def system_from_json(obj: Mapping) -> InverseSystem:
             if not set(images) <= set(tree.vertices):
                 raise TowerError(f"level {a}: generator {name} has an image outside the level")
             gens[name] = TreeAutomorphism(dict(zip(tree.vertices, images)))
+        if levels and set(gens) != set(levels[0].generators):
+            raise TowerError(f"level {a}: its generators are not those of level 0")
         context = {"matrices": matrices} if matrices else None
         levels.append(FiniteTreeAction(tree, gens, context))
     bonds = [dict(b) for b in obj["bonds"]]

@@ -226,9 +226,6 @@ class TreeAutomorphism:
             self._inv = TreeAutomorphism({w: v for v, w in self._map.items()})
         return self._inv
 
-    def fixed_vertices(self) -> frozenset[str]:
-        return frozenset(v for v, w in self._map.items() if v == w)
-
     def is_identity(self) -> bool:
         return all(v == w for v, w in self._map.items())
 

@@ -578,7 +578,8 @@ class TestTowerFromFile:
     # with the exit codes of tower verify, orbits, decorate and build on it:
     # a reference to no vertex is bad input everywhere; a generator that is
     # not a bijection fails `verify`, is bad input for the commands that
-    # walk an orbit, and passes `build`, which only counts vertices
+    # walk an orbit, and passes `build`, which only counts vertices; levels
+    # that name different generators are bad input everywhere
     CORRUPTIONS = {
         "bond entry deleted": (lambda t: t["bonds"][0].pop("1|1,1,1,0"), (3, 3, 3, 3)),
         "bond value unknown": (lambda t: t["bonds"][0].update({"1|1,1,1,0": "nowhere"}),
@@ -587,6 +588,10 @@ class TestTowerFromFile:
                           (3, 3, 3, 3)),
         "image repeated": (lambda t: t["levels"][1]["generators"]["u12"].__setitem__(
             1, t["levels"][1]["generators"]["u12"][2]), (1, 3, 3, 0)),
+        "generator missing from level 0": (lambda t: t["levels"][0]["generators"].pop("u12"),
+                                           (3, 3, 3, 3)),
+        "generator added to level 1": (lambda t: t["levels"][1]["generators"].update(
+            zz=t["levels"][1]["generators"]["u12"]), (3, 3, 3, 3)),
     }
 
     @pytest.mark.parametrize("column, sub", enumerate(["verify", "orbits", "decorate", "build"]))

@@ -1,8 +1,9 @@
 """Static hygiene of the package modules, by the standard-library ast only.
 
-Two faults are caught: a module-level import that the module never uses,
-and a plain local assignment (``x = ...``) in a function whose name is
-never read in that function or the functions nested in it.
+Three faults are caught: a module-level import that the module never uses,
+a plain local assignment (``x = ...``) in a function whose name is never
+read in that function or the functions nested in it, and a module-level
+private function or class (``_name``) that no module of the package reads.
 """
 
 import ast
@@ -12,8 +13,8 @@ import pytest
 
 import treeact
 
-MODULES = sorted(p for p in Path(treeact.__file__).parent.glob("*.py")
-                 if p.name != "__init__.py")
+PACKAGE = sorted(Path(treeact.__file__).parent.glob("*.py"))
+MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
 
 
 def _loaded_names(tree: ast.AST) -> set[str]:
@@ -74,6 +75,24 @@ def unread_locals(source: str) -> list[str]:
     return found
 
 
+def unread_private_definitions(sources: dict[str, str]) -> list[str]:
+    """Module-level private functions and classes that no top-level
+    statement of any module reads, their own definition aside."""
+    tops = [(name, stmt) for name, source in sources.items()
+            for stmt in ast.parse(source).body]
+    reads = [_loaded_names(stmt) | {node.attr for node in ast.walk(stmt)
+                                    if isinstance(node, ast.Attribute)}
+             for _name, stmt in tops]
+    found = []
+    for k, (name, stmt) in enumerate(tops):
+        if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        private = stmt.name.startswith("_") and not stmt.name.startswith("__")
+        if private and not any(stmt.name in read for m, read in enumerate(reads) if m != k):
+            found.append(f"{name} line {stmt.lineno}: {stmt.name}")
+    return found
+
+
 def test_every_module_is_checked():
     assert {p.stem for p in MODULES} >= {"cli", "matrices", "ordering", "tower", "trees"}
 
@@ -86,6 +105,10 @@ def test_no_unused_imports(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unread_locals(path):
     assert unread_locals(path.read_text()) == []
+
+
+def test_no_unread_private_definitions():
+    assert unread_private_definitions({p.name: p.read_text() for p in PACKAGE}) == []
 
 
 class TestCheckers:
@@ -117,3 +140,10 @@ class TestCheckers:
                "    bump()\n"
                "    return n\n")
         assert unread_locals(src) == []
+
+    def test_unread_private_definition_is_found(self):
+        sources = {"a.py": ("def _used():\n    pass\n\n"
+                            "def _left():\n    return _left()\n\n"
+                            "class _Kept:\n    pass\n"),
+                   "b.py": "from .a import _used, _Kept\n\nx = _used() or _Kept\n"}
+        assert unread_private_definitions(sources) == ["a.py line 4: _left"]

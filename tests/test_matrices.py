@@ -134,7 +134,7 @@ class TestSixGenerators:
 
     def test_a4_entry_r2(self):
         a4 = six_generators(2)[3]
-        assert a4.entry(2, 1) == 2
+        assert to_rows(a4)[1][0] == 2
 
     def test_all_determinant_one(self):
         for g in six_generators(3):

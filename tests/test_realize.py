@@ -120,7 +120,7 @@ class TestPLHomeo:
         m = PLHomeo(((0, 1), (1, 3)))
         inv = m.inverse()
         comp = inv * m
-        assert comp.is_identity_on_breakpoints()
+        assert all(x == y for x, y in comp.breakpoints)
 
 
 class TestGeneratorMap:
@@ -128,7 +128,7 @@ class TestGeneratorMap:
         ball = z_ball(3)
         rm = realize(standard_enumeration(3), natural_order(ball))
         gm = generator_pl_map(rm, GroupMatrix.identity(2), ball, label="e")
-        assert gm.homeo.is_identity_on_breakpoints()
+        assert all(x == y for x, y in gm.homeo.breakpoints)
         assert len(gm.domain) == len(ball)
 
     def test_translation_breakpoints(self):
@@ -224,7 +224,7 @@ class TestFixedSet:
     def test_translation_empty_interior(self):
         m = PLHomeo(tuple((Fraction(k), Fraction(k + 1)) for k in range(-3, 3)))
         fs = fixed_set(m)
-        assert fs.is_empty_in_interior()
+        assert not fs.points and not fs.intervals
         assert fs.formal_endpoints_fixed
 
     def test_partial_interval(self):

@@ -371,6 +371,21 @@ class TestSearchTwin:
     def test_every_budget(self, group, mode, radius, grow, shuffle_seed):
         self.compare(group, mode, radius, grow, shuffle_seed, range)
 
+    # Unsat gluings whose trace walks two earlier gluings
+    @pytest.mark.parametrize("group,mode,radius,grow", [
+        ("order-6", "gens", 3, 0),
+        ("order-6", "gens+inv", 2, 1),
+    ])
+    def test_gluing_chain_of_two(self, group, mode, radius, grow):
+        self.compare(group, mode, radius, grow, None, range)
+        gens = SEARCH_GROUPS[group][0]
+        inner = ball_generate(gens, radius, ["g0"])
+        res = search_invariant(invariance_set(gens, mode), inner,
+                               ball_generate(gens, radius + grow, ["g0"]))
+        reasons = [step.reason for step in res.trace.forcing_chain]
+        assert res.decisions == 0
+        assert sum(r.startswith("forced equal/opposite via") for r in reasons) == 2
+
     def test_one_element_inner_ball_leaving_the_outer_ball(self):
         # e's image u lies outside the radius-0 outer ball, but there are no pairs
         e = z_ball(0)
