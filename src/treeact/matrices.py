@@ -8,6 +8,7 @@ matrices are admitted into group computations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from ._walk import walk
@@ -311,23 +312,30 @@ def verify_ll_identity(
 
 @dataclass(eq=False)
 class FiniteMatrixGroup:
-    """A finite matrix group mod m, stored as canonically sorted elements.
+    """A finite matrix group mod m, stored as canonically sorted entry tuples.
 
-    ``cayley[k][i]`` is the index of ``generators[k] * elements[i]``, as
-    ``enumerate_group`` found it.
+    ``cayley[k][i]`` is the index of ``generators[k] * entries[i]``, as
+    ``enumerate_group`` found it.  ``elements``, the same elements as
+    ``GroupMatrix`` objects, is made on first read, for callers that
+    multiply them.
     """
 
     n: int
     mod: int
-    elements: tuple[GroupMatrix, ...]
+    entries: tuple[tuple[int, ...], ...]
     generators: tuple[GroupMatrix, ...]
     cayley: tuple[list[int], ...]
 
-    def __post_init__(self) -> None:
-        self._index = {g.entries: k for k, g in enumerate(self.elements)}
+    @cached_property
+    def elements(self) -> tuple[GroupMatrix, ...]:
+        return tuple(GroupMatrix(self.n, e, self.mod) for e in self.entries)
+
+    @cached_property
+    def _index(self) -> dict[tuple[int, ...], int]:
+        return {e: k for k, e in enumerate(self.entries)}
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.entries)
 
     def __contains__(self, g: GroupMatrix) -> bool:
         return g.entries in self._index
@@ -433,8 +441,7 @@ def enumerate_group(
     for r, i in enumerate(order):
         rank[i] = r
     cayley = tuple([rank[c[i]] for i in order] for c in columns)
-    elements = tuple(GroupMatrix(n, seen[i], m) for i in order)
-    return FiniteMatrixGroup(n, m, elements, tuple(reduced), cayley)
+    return FiniteMatrixGroup(n, m, tuple(map(seen.__getitem__, order)), tuple(reduced), cayley)
 
 
 def normal_core(

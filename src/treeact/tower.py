@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain
 from math import cos, pi, sin
 from typing import Mapping
@@ -116,8 +117,7 @@ def build_congruence_tower(
     top, cayley = [], ()
     if depth:
         group = enumerate_group(n, p ** depth, [integral[name] for name in gen_names], cap=cap)
-        top, cayley = [g.entries for g in group.elements], group.cayley
-        del group   # the levels need only the entries and the table
+        top, cayley = group.entries, group.cayley
 
     root = _vertex_id(0, ())
     below = [root] * len(top)   # each top element's vertex one level down
@@ -394,15 +394,46 @@ class Pendant:
 
 @dataclass(eq=False)
 class DecoratedAction:
-    action: FiniteTreeAction
+    """The deepest level's action with a pendant arc over each orbit vertex.
+
+    ``action``, the decorated tree with every generator extended to permute
+    the arcs with their anchors, is made on first read: projection growth
+    needs only ``base`` and ``pendants``.
+    """
+
+    base: FiniteTreeAction
     pendants: tuple[Pendant, ...]
+
+    @cached_property
+    def action(self) -> FiniteTreeAction:
+        act = self.base
+        verts = list(act.tree.vertices)
+        edges = list(act.tree.edges)
+        for p in self.pendants:
+            verts += (p.mid, p.tip)
+            edges += ((p.anchor, p.mid), (p.mid, p.tip))
+        anchors = [p.anchor for p in self.pendants]
+        position = {anchor: i for i, anchor in enumerate(anchors)}
+        mids = [p.mid for p in self.pendants]
+        tips = [p.tip for p in self.pendants]
+        gens: dict[str, TreeAutomorphism] = {}
+        for name, auto in act.generators.items():
+            # the arc over the i-th orbit vertex goes to the arc over its image
+            to = [position[auto._map[anchor]] for anchor in anchors]
+            gens[name] = TreeAutomorphism(chain(
+                auto._map.items(),
+                zip(mids, map(mids.__getitem__, to)),
+                zip(tips, map(tips.__getitem__, to)),
+            ))
+        return FiniteTreeAction(Tree(tuple(verts), tuple(edges)), gens, act.context)
 
 
 def attach_decorations(sys: InverseSystem, seed: str) -> DecoratedAction:
     """Attach a subdivided pendant arc over each vertex in the orbit of seed.
 
     The orbit is enumerated from the seed in breadth-first order; the arc
-    over the i-th orbit vertex carries length label 1/i.
+    over the i-th orbit vertex carries length label 1/i and has vertices
+    ``pend{i}m`` and ``pend{i}t``, which must name no vertex of the tower.
     Every generator extends to permute the pendant arcs with the orbit.
     """
     act = sys.levels[-1]
@@ -413,28 +444,13 @@ def attach_decorations(sys: InverseSystem, seed: str) -> DecoratedAction:
         raise TowerError("seed must be a leaf")
 
     order = [y for y, *_ in _orbit_walk(act, seed, True)]
-    position = {anchor: i for i, anchor in enumerate(order)}
-    mids = [f"pend{i}m" for i in range(1, len(order) + 1)]
-    tips = [f"pend{i}t" for i in range(1, len(order) + 1)]
-    pendants = [Pendant(anchor, mid, tip, Fraction(1, i))
-                for i, (anchor, mid, tip) in enumerate(zip(order, mids, tips), start=1)]
-    verts = list(tree.vertices)
-    edges = list(tree.edges)
-    for p in pendants:
-        verts += (p.mid, p.tip)
-        edges += ((p.anchor, p.mid), (p.mid, p.tip))
-    new_tree = Tree(tuple(verts), tuple(edges))
-
-    gens: dict[str, TreeAutomorphism] = {}
-    for name, auto in act.generators.items():
-        # the arc over the i-th orbit vertex goes to the arc over its image
-        to = [position[auto._map[anchor]] for anchor in order]
-        gens[name] = TreeAutomorphism(chain(
-            auto._map.items(),
-            zip(mids, map(mids.__getitem__, to)),
-            zip(tips, map(tips.__getitem__, to)),
-        ))
-    return DecoratedAction(FiniteTreeAction(new_tree, gens, act.context), tuple(pendants))
+    pendants = tuple(Pendant(anchor, f"pend{i}m", f"pend{i}t", Fraction(1, i))
+                     for i, anchor in enumerate(order, start=1))
+    taken = set(chain.from_iterable(level.tree.vertices for level in sys.levels))
+    clash = next((v for p in pendants for v in (p.mid, p.tip) if v in taken), None)
+    if clash is not None:
+        raise TowerError(f"pendant vertex {clash} is already a vertex of the tower")
+    return DecoratedAction(act, pendants)
 
 
 @dataclass(frozen=True)
@@ -452,16 +468,26 @@ def projection_orbit_growth(
     x: str,
     cap: int | None = None,
 ) -> ProjectionGrowth:
-    """Orbit size of the first-point projection of x into each level subtree."""
-    tree = decorated.action.tree
+    """Orbit size of the first-point projection of x into each level subtree.
+
+    ``decorated`` must come from ``attach_decorations(sys, ...)``.  The
+    decorated tree is never made: a pendant hangs off its anchor, so a
+    pendant vertex projects through its anchor, and a level's projection is
+    taken in the deepest level's tree.  The decorated generators extend the
+    deepest level's unchanged on its vertices, so the orbit of a projection
+    is taken in the deepest level's action.
+    """
+    act = decorated.base
+    tree = act.tree
     if x not in tree.adjacency:
-        raise TowerError("vertex not in decorated tree")
+        x = next((p.anchor for p in decorated.pendants if x in (p.mid, p.tip)), None)
+        if x is None:
+            raise TowerError("vertex not in decorated tree")
     sizes = []
     closed = []
-    for act in sys.levels:
-        level_set = frozenset(act.tree.vertices)
-        r = first_point_map(tree, level_set, x)
-        res = orbit(decorated.action, r, cap)
+    for level in sys.levels:
+        r = first_point_map(tree, frozenset(level.tree.vertices), x)
+        res = orbit(act, r, cap)
         sizes.append(len(res))
         closed.append(res.closed)
     return ProjectionGrowth(tuple(sizes), tuple(closed))

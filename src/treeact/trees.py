@@ -398,25 +398,6 @@ def automorphisms_fixing_leaf(t: Tree, e: str) -> Iterator[TreeAutomorphism]:
         yield TreeAutomorphism(m)
 
 
-def random_automorphism_fixing_leaf(t: Tree, e: str, rng) -> TreeAutomorphism:
-    """A random automorphism fixing leaf e (uniform over sibling shuffles)."""
-    children = _rooted_children(t, e)
-    memo: dict = {}
-    mapping: dict[str, str] = {e: e}
-
-    def rec(v: str, w: str) -> None:
-        mapping[v] = w
-        groups_w = _sibling_classes(w, children, memo)
-        for key, srcs in _sibling_classes(v, children, memo).items():
-            dsts = list(groups_w[key])
-            rng.shuffle(dsts)
-            for s, d in zip(srcs, dsts):
-                rec(s, d)
-
-    rec(e, e)
-    return TreeAutomorphism(mapping)
-
-
 # -- serialization -------------------------------------------------------------
 
 

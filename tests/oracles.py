@@ -22,6 +22,8 @@ from treeact.ordering import (
     format_word,
 )
 from treeact.realize import NEG_INF, POS_INF
+from treeact.tower import ProjectionGrowth, TowerError, orbit as tower_orbit
+from treeact.trees import TreeAutomorphism, _rooted_children, _sibling_classes, first_point_map
 
 
 def mat_mul(a, b, mod=None):
@@ -210,6 +212,46 @@ def parent_path(parent, b):
     while parent[out[-1]] is not None:
         out.append(parent[out[-1]])
     return out[::-1]
+
+
+def projection_orbit_growth(sys, decorated, x, cap=None):
+    """The projection growth as first written (only ``orbit`` renamed):
+    first-point projections and orbits in the decorated tree and action
+    themselves, both made in full."""
+    tree = decorated.action.tree
+    if x not in tree.adjacency:
+        raise TowerError("vertex not in decorated tree")
+    sizes = []
+    closed = []
+    for act in sys.levels:
+        level_set = frozenset(act.tree.vertices)
+        r = first_point_map(tree, level_set, x)
+        res = tower_orbit(decorated.action, r, cap)
+        sizes.append(len(res))
+        closed.append(res.closed)
+    return ProjectionGrowth(tuple(sizes), tuple(closed))
+
+
+# -- test inputs -----------------------------------------------------------------
+
+
+def random_automorphism_fixing_leaf(t, e, rng):
+    """A random automorphism fixing leaf e (uniform over sibling shuffles)."""
+    children = _rooted_children(t, e)
+    memo = {}
+    mapping = {e: e}
+
+    def rec(v, w):
+        mapping[v] = w
+        groups_w = _sibling_classes(w, children, memo)
+        for key, srcs in _sibling_classes(v, children, memo).items():
+            dsts = list(groups_w[key])
+            rng.shuffle(dsts)
+            for s, d in zip(srcs, dsts):
+                rec(s, d)
+
+    rec(e, e)
+    return TreeAutomorphism(mapping)
 
 
 # -- naive twins of the exact checkers in ordering and realize ------------------

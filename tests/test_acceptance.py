@@ -16,6 +16,7 @@ from math import cos, factorial, isclose, pi, sin
 
 import oracles
 from conftest import pruefer_tree
+from oracles import random_automorphism_fixing_leaf
 from treeact.matrices import (
     GroupMatrix,
     elementary,
@@ -50,7 +51,6 @@ from treeact.trees import (
     automorphisms_fixing_leaf,
     common_fixed_point,
     count_automorphisms_fixing_leaf,
-    random_automorphism_fixing_leaf,
     second_fixed_point,
 )
 

@@ -579,7 +579,8 @@ class TestTowerFromFile:
     # a reference to no vertex is bad input everywhere; a generator that is
     # not a bijection fails `verify`, is bad input for the commands that
     # walk an orbit, and passes `build`, which only counts vertices; levels
-    # that name different generators are bad input everywhere
+    # that name different generators are bad input everywhere; a vertex
+    # named like a pendant is bad input only for `decorate`
     CORRUPTIONS = {
         "bond entry deleted": (lambda t: t["bonds"][0].pop("1|1,1,1,0"), (3, 3, 3, 3)),
         "bond value unknown": (lambda t: t["bonds"][0].update({"1|1,1,1,0": "nowhere"}),
@@ -592,6 +593,8 @@ class TestTowerFromFile:
                                            (3, 3, 3, 3)),
         "generator added to level 1": (lambda t: t["levels"][1]["generators"].update(
             zz=t["levels"][1]["generators"]["u12"]), (3, 3, 3, 3)),
+        "root renamed to a pendant vertex": (lambda t: t.update(json.loads(
+            json.dumps(t).replace('"0|e"', '"pend2m"'))), (0, 0, 3, 0)),
     }
 
     @pytest.mark.parametrize("column, sub", enumerate(["verify", "orbits", "decorate", "build"]))

@@ -1,12 +1,15 @@
 """Static hygiene of the package modules, by the standard-library ast only.
 
-Three faults are caught: a module-level import that the module never uses,
+Four faults are caught: a module-level import that the module never uses,
 a plain local assignment (``x = ...``) in a function whose name is never
-read in that function or the functions nested in it, and a module-level
-private function or class (``_name``) that no module of the package reads.
+read in that function or the functions nested in it, a module-level
+private function or class (``_name``) that no module of the package reads,
+and a public function, class or method that nothing in the package, the
+scripts or the benchmark reads outside its own definition.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -15,18 +18,36 @@ import treeact
 
 PACKAGE = sorted(Path(treeact.__file__).parent.glob("*.py"))
 MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
+ROOT = Path(__file__).resolve().parents[1]
+CALLERS = sorted(p for d in ("scripts", "perfbench") for p in (ROOT / d).rglob("*.py"))
+
+# Public definitions that only tests read, kept on purpose: name -> why.
+KEEP_PUBLIC = {
+    "automorphisms_fixing_leaf":
+        "acceptance criterion 6 enumerates a leaf's stabiliser with it on small trees",
+    "count_automorphisms_fixing_leaf":
+        "acceptance criterion 6 checks that enumeration's size against it",
+    "action":
+        "DecoratedAction's decorated tree and maps, made on first read; the decoration "
+        "pins and the naive twin of projection_orbit_growth read them",
+}
+
+
+def _read_names(tree: ast.AST, attributes: bool = False):
+    """Every name read under tree, string annotations included, and with
+    attributes every attribute name too; once per read."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            yield node.id
+        elif attributes and isinstance(node, ast.Attribute):
+            yield node.attr
+        annotation = getattr(node, "annotation", None) or getattr(node, "returns", None)
+        if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
+            yield from _read_names(ast.parse(annotation.value, mode="eval"), attributes)
 
 
 def _loaded_names(tree: ast.AST) -> set[str]:
-    """Every name read under tree, string annotations included."""
-    names = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
-            names.add(node.id)
-        annotation = getattr(node, "annotation", None) or getattr(node, "returns", None)
-        if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
-            names |= _loaded_names(ast.parse(annotation.value, mode="eval"))
-    return names
+    return set(_read_names(tree))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -80,9 +101,7 @@ def unread_private_definitions(sources: dict[str, str]) -> list[str]:
     statement of any module reads, their own definition aside."""
     tops = [(name, stmt) for name, source in sources.items()
             for stmt in ast.parse(source).body]
-    reads = [_loaded_names(stmt) | {node.attr for node in ast.walk(stmt)
-                                    if isinstance(node, ast.Attribute)}
-             for _name, stmt in tops]
+    reads = [set(_read_names(stmt, attributes=True)) for _name, stmt in tops]
     found = []
     for k, (name, stmt) in enumerate(tops):
         if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -90,6 +109,26 @@ def unread_private_definitions(sources: dict[str, str]) -> list[str]:
         private = stmt.name.startswith("_") and not stmt.name.startswith("__")
         if private and not any(stmt.name in read for m, read in enumerate(reads) if m != k):
             found.append(f"{name} line {stmt.lineno}: {stmt.name}")
+    return found
+
+
+def unread_public_definitions(sources: dict[str, str], callers: list[str]) -> list[str]:
+    """Public module-level functions and classes, and public methods of
+    module-level classes, in sources that no read in sources or callers
+    names outside the definition itself.  Dunders count as private."""
+    modules = {name: ast.parse(source) for name, source in sources.items()}
+    reads = Counter()
+    for tree in [*modules.values(), *map(ast.parse, callers)]:
+        reads.update(_read_names(tree, attributes=True))
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    found = []
+    for name, module in modules.items():
+        for stmt in module.body:
+            members = stmt.body if isinstance(stmt, ast.ClassDef) else []
+            for d in [stmt, *members]:
+                if (isinstance(d, kinds) and not d.name.startswith("_")
+                        and reads[d.name] == sum(1 for r in _read_names(d, True) if r == d.name)):
+                    found.append(f"{name} line {d.lineno}: {d.name}")
     return found
 
 
@@ -109,6 +148,15 @@ def test_no_unread_locals(path):
 
 def test_no_unread_private_definitions():
     assert unread_private_definitions({p.name: p.read_text() for p in PACKAGE}) == []
+
+
+def test_every_public_definition_is_read():
+    assert CALLERS and {p.parent.name for p in CALLERS} == {"scripts", "perfbench"}
+    found = unread_public_definitions({p.name: p.read_text() for p in PACKAGE},
+                                      [p.read_text() for p in CALLERS])
+    assert [f for f in found if f.split(": ")[1] not in KEEP_PUBLIC] == []
+    # a kept name that gains a reader leaves the list
+    assert sorted(f.split(": ")[1] for f in found) == sorted(KEEP_PUBLIC)
 
 
 class TestCheckers:
@@ -147,3 +195,14 @@ class TestCheckers:
                             "class _Kept:\n    pass\n"),
                    "b.py": "from .a import _used, _Kept\n\nx = _used() or _Kept\n"}
         assert unread_private_definitions(sources) == ["a.py line 4: _left"]
+
+    def test_unread_public_definition_is_found(self):
+        sources = {"a.py": ("def used():\n    pass\n\n"
+                            "def left(n):\n    return left(n - 1)\n\n"
+                            "class Box:\n"
+                            "    def __len__(self):\n        return 0\n\n"
+                            "    def size(self):\n        return Box().size()\n\n"
+                            "    def read(self) -> 'Box':\n        return self\n")}
+        callers = ["from a import Box, used\n\nused()\nBox().read()\n"]
+        assert unread_public_definitions(sources, callers) == [
+            "a.py line 4: left", "a.py line 11: size"]

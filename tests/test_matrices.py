@@ -287,6 +287,17 @@ class TestEnumerateGroup:
         assert sl_order(3, 2, 2) == 43008
         assert sl_order(2, 3, 1) == 24
 
+    @pytest.mark.parametrize("n, m, order", [(2, 8, 384), (3, 2, 168)])
+    def test_elements_are_made_on_first_read(self, n, m, order):
+        g = enumerate_group(n, m, list(transvection_generators(n, m).values()))
+        assert len(g) == order
+        x = g.generators[-1]
+        assert x in g and GroupMatrix.identity(n, m) in g
+        assert g.entries[g.index(x)] == x.entries
+        assert "elements" not in vars(g)
+        assert [h.entries for h in g.elements] == list(g.entries)
+        assert g.elements is g.elements
+
 
 @st.composite
 def left_factors(draw):

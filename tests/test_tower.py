@@ -231,6 +231,22 @@ class TestDecorations:
         with pytest.raises(TowerError, match="leaf"):
             attach_decorations(tower321, "0|e")
 
+    def test_pendant_name_taken_by_a_tower_vertex(self):
+        # the root renamed to the mid vertex of the second pendant
+        text = json.dumps(system_to_json(build_congruence_tower(2, 2, 1)))
+        sys_ = system_from_json(json.loads(text.replace('"0|e"', '"pend2m"')))
+        for act in sys_.levels:
+            act.validate()
+        leaf = sys_.levels[1].tree.leaves()[0]
+        with pytest.raises(TowerError, match="pendant vertex pend2m is already a vertex"):
+            attach_decorations(sys_, leaf)
+
+    def test_decorated_tree_is_made_on_first_read(self, tower321):
+        dec = attach_decorations(tower321, tower321.levels[1].tree.leaves()[0])
+        projection_orbit_growth(tower321, dec, dec.pendants[0].tip)
+        assert "action" not in vars(dec)
+        assert dec.action is dec.action
+
 
 class TestProjectionGrowth:
     def test_depth_zero(self):

@@ -19,7 +19,6 @@ from treeact.trees import (
     is_tree_automorphism,
     path,
     point_order,
-    random_automorphism_fixing_leaf,
     second_fixed_point,
     tree_from_json,
     tree_to_dot,
@@ -28,6 +27,7 @@ from treeact.trees import (
 )
 
 from conftest import pruefer_tree
+from oracles import random_automorphism_fixing_leaf
 
 
 def star3():

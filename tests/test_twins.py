@@ -4,9 +4,10 @@
 ``ordering.search_invariant``, ``realize.verify_realization``,
 ``PLHomeo.__call__`` and ``tower.orbit`` each have a naive twin in
 ``tests/oracles.py`` that redoes every product and segment scan in
-its innermost loop.  Both sides get the same random inputs, broken ones
-included, and must return the same report field for field, or raise the
-same error.
+its innermost loop; ``tower.projection_orbit_growth`` has one that works
+on the decorated tree and action made in full.  Both sides get the same
+random inputs, broken ones included, and must return the same report
+field for field, or raise the same error.
 """
 
 import random
@@ -42,11 +43,12 @@ from treeact.realize import (
 )
 from treeact.tower import (
     FiniteTreeAction,
+    TowerError,
     attach_decorations,
     build_congruence_tower,
     orbit,
+    projection_orbit_growth,
 )
-from treeact.trees import random_automorphism_fixing_leaf
 
 U = elementary(2, 1, 2, 1)
 A = GroupMatrix.from_rows([[1, 1, 0], [0, 1, 0], [0, 0, 1]])
@@ -296,11 +298,40 @@ class TestOrbitTwin:
         tree = pruefer_tree(size, rng)
         e = tree.leaves()[0]
         act = FiniteTreeAction(tree, {
-            f"g{k}": random_automorphism_fixing_leaf(tree, e, rng) for k in range(gens)
+            f"g{k}": oracles.random_automorphism_fixing_leaf(tree, e, rng) for k in range(gens)
         })
         act.validate()
         v = rng.choice(tree.vertices)
         assert orbit_outcome(act, v, cap) == oracles.orbit(act, v, cap)
+
+
+def growth_outcome(fn, sys_, dec, x, cap):
+    try:
+        return "value", fn(sys_, dec, x, cap)
+    except TowerError as exc:
+        return "raised", str(exc)
+
+
+class TestProjectionGrowthTwin:
+    """``tower.projection_orbit_growth`` projects through a pendant's anchor
+    in the deepest level, never making the decorated tree."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from(sorted(TOWERS)), SEEDS,
+           st.sampled_from(["vertex", "mid", "tip", "outside"]),
+           st.one_of(st.none(), st.integers(0, 4)))
+    def test_towers(self, npd, seed, kind, cap):
+        rng = random.Random(seed)
+        sys_ = TOWERS[npd]
+        dec = attach_decorations(sys_, rng.choice(sys_.levels[-1].tree.leaves()))
+        pendant = rng.choice(dec.pendants)
+        x = {"vertex": rng.choice(sys_.levels[-1].tree.vertices),
+             "mid": pendant.mid, "tip": pendant.tip, "outside": "pend0t"}[kind]
+        got = growth_outcome(projection_orbit_growth, sys_, dec, x, cap)
+        assert "action" not in vars(dec)
+        assert got == growth_outcome(oracles.projection_orbit_growth, sys_, dec, x, cap)
+        if kind == "outside":
+            assert got == ("raised", "vertex not in decorated tree")
 
 
 # Generators and inner radii of the searched balls: Z, Z^2, the Heisenberg
