@@ -36,8 +36,6 @@ def main():
     for n in range(3, args.n_max + 1):
         for i in range(1, n - 1):
             for j in range(i + 1, n):
-                if j > n - 1:
-                    continue
                 for l in (1, 2, 3):
                     ok &= describe(
                         f"embedded n={n} i={i} j={j} l={l}",

@@ -56,6 +56,5 @@ from .trees import (
     first_point_map,
     path,
     point_order,
-    second_fixed_point,
     validate_tree,
 )

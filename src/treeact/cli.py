@@ -82,7 +82,6 @@ from .trees import (
     common_fixed_point,
     convex_hull,
     point_order,
-    second_fixed_point,
     tree_from_json,
     tree_to_dot,
     validate_tree,
@@ -543,20 +542,26 @@ def _h_tree_info(cfg: RunConfig):
     return ("pass" if res.ok else "fail"), details
 
 
-def _h_tree_hull(cfg: RunConfig):
+def _valid_tree(cfg: RunConfig):
+    """The --in tree; one that fails validate_tree is bad input."""
     t = tree_from_json(_read_json(cfg.inputs["infile"]))
+    res = validate_tree(t)
+    if not res:
+        raise TreeError(f"not a tree: {res.reason}")
+    return t
+
+
+def _h_tree_hull(cfg: RunConfig):
+    t = _valid_tree(cfg)
     hull = convex_hull(t, cfg.parameters["vertices"])
     return "pass", {"hull": sorted(hull), "size": len(hull)}
 
 
 def _h_tree_fix(cfg: RunConfig):
-    t = tree_from_json(_read_json(cfg.inputs["infile"]))
+    t = _valid_tree(cfg)
     autos = [automorphism_from_json(_read_json(p)) for p in cfg.inputs["maps"]]
     leaf = cfg.parameters["leaf"]
-    if len(autos) == 1:
-        found = second_fixed_point(t, autos[0], leaf)
-    else:
-        found = common_fixed_point(t, autos, leaf)
+    found = common_fixed_point(t, autos, leaf)
     return "pass", {"fixed_vertex": found, "leaf": leaf, "maps": len(autos)}
 
 
@@ -577,22 +582,24 @@ class Arg:
     gave can be told apart from a default.  An option with ``unless`` belongs
     to the alternative to those options: once one of them is given, giving
     this option is an error and its default is dropped; otherwise
-    ``required`` applies.  ``expand`` turns the value into other options of
-    the same subcommand instead of recording it.
+    ``required`` applies.  An option with ``needs`` applies only once one of
+    those options is given.  ``expand`` turns the value into other options
+    of the same subcommand instead of recording it.
     """
 
     flags: tuple[str, ...]
     role: str
     default: object
     unless: tuple[str, ...]
+    needs: tuple[str, ...]
     required: bool
     expand: Callable[[str], dict] | None
     options: dict  # passed on to ``add_argument``
 
 
-def _arg(*flags, role=PARAM, default=None, unless=(), required=False, expand=None,
+def _arg(*flags, role=PARAM, default=None, unless=(), needs=(), required=False, expand=None,
          **options) -> Arg:
-    return Arg(flags, role, default, unless, required, expand, options)
+    return Arg(flags, role, default, unless, needs, required, expand, options)
 
 
 @dataclass(frozen=True)
@@ -617,7 +624,8 @@ _ORBIT_CAP = _arg("--orbit-cap", type=_count)
 
 COMMANDS = {
     "tower build": Command(_h_tower_build, _TOWER_ARGS + (
-        _arg("--star", type=int), _OUT, _arg("--svg", role=OUTPUT), _arg("--dot-dir", role=OUTPUT),
+        _arg("--star", type=int), _OUT, _arg("--svg", role=OUTPUT, needs=("star",)),
+        _arg("--dot-dir", role=OUTPUT, unless=("star",)),
     ), _TOWER_PROVENANCE),
     "tower verify": Command(_h_tower_verify, _TOWER_ARGS, _TOWER_PROVENANCE),
     "tower orbits": Command(_h_tower_orbits, _TOWER_ARGS + (
@@ -657,7 +665,7 @@ COMMANDS = {
         _arg("--order", role=INPUT, unless=("preset",), required=True),
         _arg("--enum", role=INPUT, unless=("preset",), required=True),
         _arg("--out", role=OUTPUT, help="directory for the CSV (and SVG) files"),
-        _arg("--svg", role=OUTPUT, action="store_true"),
+        _arg("--svg", role=OUTPUT, needs=("out",), action="store_true"),
     )),
     "identities hexagon": Command(_h_identities_hexagon, (
         _arg("-r", type=int, default=1),
@@ -736,6 +744,9 @@ def parse(argv=None) -> RunConfig:
             if dest in given:
                 raise UsageError(f"{flag[dest]} does not apply with {flag[blocker]}")
             continue
+        if dest in given and a.needs and not any(u in given for u in a.needs):
+            raise UsageError(f"{flag[dest]} applies only with "
+                             + " or ".join(flag[u] for u in a.needs))
         value = given.get(dest, a.default)
         if value is None and a.required:
             alternative = " or ".join(flag[u] for u in a.unless)

@@ -316,8 +316,8 @@ class FiniteMatrixGroup:
 
     ``cayley[k][i]`` is the index of ``generators[k] * entries[i]``, as
     ``enumerate_group`` found it.  ``elements``, the same elements as
-    ``GroupMatrix`` objects, is made on first read, for callers that
-    multiply them.
+    ``GroupMatrix`` objects, and ``_mul``, the full product table the
+    subgroup methods run on, are made on first read.
     """
 
     n: int
@@ -334,6 +334,15 @@ class FiniteMatrixGroup:
     def _index(self) -> dict[tuple[int, ...], int]:
         return {e: k for k, e in enumerate(self.entries)}
 
+    @cached_property
+    def _mul(self) -> tuple[list[int], ...]:
+        """``_mul[i][j]`` is the index of ``entries[i] * entries[j]``."""
+        n, m, index = self.n, self.mod, self._index
+        return tuple(
+            [index[tuple(v % m for v in _mul_flat(a, b, n))] for b in self.entries]
+            for a in self.entries
+        )
+
     def __len__(self) -> int:
         return len(self.entries)
 
@@ -346,58 +355,39 @@ class FiniteMatrixGroup:
     def index(self, g: GroupMatrix) -> int:
         return self._index[g.entries]
 
-    def is_subgroup(self, subset: Iterable[GroupMatrix]) -> bool:
-        sub = {g.entries for g in subset}
-        ident = tuple(e % self.mod for e in _identity_flat(self.n))
-        if ident not in sub:
-            return False
-        mats = [GroupMatrix(self.n, s, self.mod) for s in sorted(sub)]
-        for x in mats:
-            if x.entries not in self._index:
-                return False
-            if x.inverse().entries not in sub:
-                return False
-            for y in mats:
-                if (x * y).entries not in sub:
-                    return False
-        return True
+    def _close(self, steps: Sequence[int]) -> tuple[int, ...]:
+        # finite: the monoid the steps generate is the subgroup
+        mul = self._mul
+        found = walk(self._index[_identity_flat(self.n)],
+                     lambda x: map(mul[x].__getitem__, steps))
+        return tuple(sorted(x for x, *_ in found))
 
     def closure(self, seed: Iterable[GroupMatrix]) -> tuple[GroupMatrix, ...]:
         """Subgroup generated by seed elements, as sorted elements."""
-        steps = list(seed)  # finite: the monoid they generate is the subgroup
-        found = walk(self.identity(), lambda x: [x * s for s in steps])
-        return tuple(sorted((x for x, *_ in found), key=lambda x: x.entries))
-
-    def left_coset_reps(self, sub: Sequence[GroupMatrix]) -> list[GroupMatrix]:
-        reps = []
-        covered: set[tuple[int, ...]] = set()
-        for x in self.elements:
-            if x.entries in covered:
-                continue
-            reps.append(x)
-            for h in sub:
-                covered.add((x * h).entries)
-        return reps
+        steps = [self._index.get(x.entries) if x.mod == self.mod else None for x in seed]
+        if None in steps:
+            raise MatrixError("seed element not in the group")
+        return tuple(self.elements[i] for i in self._close(steps))
 
     def all_subgroups(self, cap: int = 10_000) -> list[tuple[GroupMatrix, ...]]:
         """Every subgroup, found by closing each subgroup extended by one element."""
-        trivial = self.closure([])
-        found = {tuple(g.entries for g in trivial): trivial}
+        trivial = self._close([])
+        found = {trivial}
         worklist = [trivial]
         while worklist:
             current = worklist.pop()
-            member = {g.entries for g in current}
-            for x in self.elements:
-                if x.entries in member:
+            member = set(current)
+            for x in range(len(self)):
+                if x in member:
                     continue
-                bigger = self.closure(list(current) + [x])
-                key = tuple(g.entries for g in bigger)
-                if key not in found:
+                bigger = self._close(current + (x,))
+                if bigger not in found:
                     if len(found) >= cap:
                         raise CapExceeded("subgroup lattice too large for cap")
-                    found[key] = bigger
+                    found.add(bigger)
                     worklist.append(bigger)
-        return [found[k] for k in sorted(found)]
+        # index order is entry order, so this sorts as the entry tuples would
+        return [tuple(self.elements[i] for i in sub) for sub in sorted(found)]
 
 
 def enumerate_group(
@@ -453,16 +443,20 @@ def normal_core(
     x^-1 k x in h for every x.  Conjugating by one representative per coset
     suffices, since h is closed under conjugation by its own elements.
     """
-    hset = {x.entries for x in h}
-    hmats = tuple(GroupMatrix(g.n, e, g.mod) for e in sorted(hset))
-    if not g.is_subgroup(hmats):
+    mul = g._mul
+    e = g._index[_identity_flat(g.n)]
+    hset = {g._index.get(x.entries) for x in h}   # h may be an iterator: read it once
+    # a finite set closed under products is a subgroup: no inverse test needed
+    if None in hset or e not in hset or any(mul[a][b] not in hset for a in hset for b in hset):
         raise MatrixError("not a subgroup")
-    reps = g.left_coset_reps(hmats)
-    core = []
-    for k in hmats:
-        if all((x.inverse() * k * x).entries in hset for x in reps):
-            core.append(k)
-    return tuple(core)
+    reps = []
+    covered: set[int] = set()
+    for x in range(len(g)):
+        if x not in covered:
+            reps.append((mul[x].index(e), x))   # (x^-1, x)
+            covered.update(mul[x][k] for k in hset)
+    core = [k for k in sorted(hset) if all(mul[mul[xi][k]][x] in hset for xi, x in reps)]
+    return tuple(g.elements[k] for k in core)
 
 
 def congruence_membership(a: GroupMatrix, k: int) -> bool:

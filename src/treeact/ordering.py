@@ -156,12 +156,6 @@ class OrderAssignment:
     def sign(self, g: GroupMatrix, h: GroupMatrix) -> int:
         return self.sign_idx(self.ball.index(g), self.ball.index(h))
 
-    def ascending(self) -> list[GroupMatrix]:
-        """Elements sorted ascending: later elements have sign +1 over earlier."""
-        idx = range(len(self.ball))
-        key = {i: sum(1 for j in idx if j != i and self.signs.get((i, j)) == 1) for i in idx}
-        return [self.ball.elements[i] for i in sorted(idx, key=lambda i: (key[i], i))]
-
     @staticmethod
     def from_total_order(ball: Ball, ascending: Sequence[GroupMatrix]) -> "OrderAssignment":
         pos = {ball.index(g): k for k, g in enumerate(ascending)}

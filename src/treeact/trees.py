@@ -259,54 +259,24 @@ def is_tree_automorphism(t: Tree, a: TreeAutomorphism) -> ValidationResult:
     return ValidationResult(True, None)
 
 
-def _require_fixed_leaf(t: Tree, h: TreeAutomorphism, e: str) -> None:
-    if len(t.vertices) < 2:
-        raise TreeError("tree must have at least two vertices")
-    if e not in t.adjacency:
-        raise TreeError("vertex not in tree")
-    if t.degree(e) != 1:
-        raise TreeError("endpoint must be a leaf")
-    if h(e) != e:
-        raise TreeError("endpoint not fixed")
-
-
-def second_fixed_point(t: Tree, h: TreeAutomorphism, e: str) -> str:
-    """A fixed vertex of h other than the fixed leaf e.
-
-    Always exists: an automorphism fixing a leaf fixes the tree centre (both
-    endpoints, when the centre is an edge).  The witness is canonical:
-    nearest to e, ties broken by identifier.
-    """
-    _require_fixed_leaf(t, h, e)
-    ok = is_tree_automorphism(t, h)
-    if not ok:
-        raise TreeError(f"not an automorphism: {ok.reason}")
-    dist = _distances_from(t, e)
-    fixed = [v for v in t.vertices if v != e and h(v) == v]
-    if not fixed:
-        raise TreeError("no second fixed vertex; input is not an automorphism")
-    return min(fixed, key=lambda v: (dist[v], v))
-
-
 def common_fixed_point(t: Tree, gens: Sequence[TreeAutomorphism], z: str) -> str:
-    """A vertex other than z fixed by every generator (all must fix leaf z)."""
+    """A vertex other than the leaf z fixed by every map (each must fix z).
+
+    Each map is checked to be an automorphism before it is evaluated.  One
+    fixing the leaf z fixes z's only neighbour, the canonical witness: the
+    fixed vertex nearest to z.
+    """
     if len(t.vertices) < 2:
         raise TreeError("tree must have at least two vertices")
     if z not in t.adjacency or t.degree(z) != 1:
         raise TreeError("z must be a leaf")
     for h in gens:
-        if h(z) != z:
-            raise TreeError("generator moves the fixed endpoint")
         ok = is_tree_automorphism(t, h)
         if not ok:
             raise TreeError(f"not an automorphism: {ok.reason}")
-    dist = _distances_from(t, z)
-    common = [
-        v for v in t.vertices if v != z and all(h(v) == v for h in gens)
-    ]
-    if not common:
-        raise TreeError("no common fixed vertex; inputs are not automorphisms")
-    return min(common, key=lambda v: (dist[v], v))
+        if h(z) != z:
+            raise TreeError("generator moves the fixed endpoint")
+    return t.adjacency[z][0]
 
 
 def _distances_from(t: Tree, root: str) -> dict[str, int]:

@@ -118,26 +118,32 @@ def words_up_to(gens, max_len, mod=None):
     return seen
 
 
+def subgroup_closure(seed, mul, inv, identity):
+    """The subgroup generated by seed, by breadth-first search over the seed
+    elements and their inverses."""
+    out = {identity}
+    frontier = [identity]
+    steps = []
+    for g in seed:
+        steps.append(g)
+        steps.append(inv(g))
+    while frontier:
+        new = []
+        for x in frontier:
+            for s in steps:
+                y = mul(x, s)
+                if y not in out:
+                    out.add(y)
+                    new.append(y)
+        frontier = new
+    return frozenset(out)
+
+
 def subgroup_lattice(elements, mul, inv, identity):
     """All subgroups of a small group given by opaque hashable elements."""
 
     def close(seed):
-        out = {identity}
-        frontier = [identity]
-        steps = []
-        for g in seed:
-            steps.append(g)
-            steps.append(inv(g))
-        while frontier:
-            new = []
-            for x in frontier:
-                for s in steps:
-                    y = mul(x, s)
-                    if y not in out:
-                        out.add(y)
-                        new.append(y)
-            frontier = new
-        return frozenset(out)
+        return subgroup_closure(seed, mul, inv, identity)
 
     found = {close([])}
     work = [close([])]
@@ -153,17 +159,18 @@ def subgroup_lattice(elements, mul, inv, identity):
     return found
 
 
-def max_normal_subgroup_inside(elements, mul, inv, identity, inside):
-    """Largest normal subgroup (of the whole group) contained in ``inside``."""
-    lattice = subgroup_lattice(elements, mul, inv, identity)
-    best = frozenset({identity})
-    for sub in lattice:
-        if not sub <= inside:
-            continue
-        normal = all(mul(mul(inv(x), k), x) in sub for k in sub for x in elements)
-        if normal and len(sub) > len(best):
-            best = sub
-    return best
+def max_normal_subgroup_inside(lattice, elements, mul, inv, inside):
+    """Largest normal subgroup (of the whole group) contained in ``inside``.
+
+    ``lattice`` is the group's ``subgroup_lattice``; the trivial subgroup in
+    it is normal, so there always is one.
+    """
+    return max(
+        (sub for sub in lattice
+         if sub <= inside
+         and all(mul(mul(inv(x), k), x) in sub for k in sub for x in elements)),
+        key=len,
+    )
 
 
 def bfs(start, neighbours):

@@ -51,7 +51,6 @@ from treeact.trees import (
     automorphisms_fixing_leaf,
     common_fixed_point,
     count_automorphisms_fixing_leaf,
-    second_fixed_point,
 )
 
 
@@ -216,7 +215,7 @@ def test_criterion_6_fixed_point_shadows():
         else:
             autos = [random_automorphism_fixing_leaf(t, e, rng) for _ in range(5)]
         for h in autos:
-            o = second_fixed_point(t, h, e)
+            o = common_fixed_point(t, [h], e)
             assert o != e and h(o) == o
             checked_autos += 1
         # generator sets of size <= 3 drawn from the stabiliser
@@ -234,16 +233,15 @@ def test_criterion_7_normal_core():
         g = enumerate_group(2, modulus, [elementary(2, 1, 2, 1), elementary(2, 2, 1, 1)])
         assert len(g) == order
         subgroups = g.all_subgroups()
-        # independent lattice for the brute-force maximal normal subgroup
+        # independent lattice for the brute-force maximal normal subgroup,
+        # made once per group by matrix products
+        elements = list(g.elements)
+        mul, inv = (lambda x, y: x * y), (lambda x: x.inverse())
+        lattice = oracles.subgroup_lattice(elements, mul, inv, g.identity())
+        assert {frozenset(h) for h in subgroups} == lattice
         for h in subgroups:
             core = normal_core(g, h)
-            brute = oracles.max_normal_subgroup_inside(
-                list(g.elements),
-                lambda x, y: x * y,
-                lambda x: x.inverse(),
-                g.identity(),
-                frozenset(h),
-            )
+            brute = oracles.max_normal_subgroup_inside(lattice, elements, mul, inv, frozenset(h))
             assert frozenset(core) == brute
             index_h = len(g) // len(h)
             index_core = len(g) // len(core)

@@ -525,6 +525,16 @@ class TestGivenValues:
     def test_option_that_does_not_apply_is_rejected(self, argv):
         assert run_cli(*argv) == (3, "")
 
+    @pytest.mark.parametrize("line, written, words", [
+        ("tower build -n 2 -p 2 --depth 1 --svg {out}/x.svg", "x.svg", "--svg applies only with --star"),
+        ("tower build --star 2 --dot-dir {out}/d", "d", "--dot-dir does not apply with --star"),
+        ("realize --preset realize-z-21 --svg", None, "--svg applies only with --out"),
+    ])
+    def test_output_option_that_writes_nothing_is_rejected(self, tmp_path, capsys, line, written, words):
+        assert run_cli(*line.format(out=tmp_path).split()) == (3, "")
+        assert words in capsys.readouterr().err
+        assert written is None or not (tmp_path / written).exists()
+
     @pytest.mark.parametrize("argv", [
         "order from-action --probe-count -1",
         "order from-action --power-cap -1",
@@ -662,6 +672,29 @@ class TestMalformedInput:
         bad = tmp_path / "order.json"
         bad.write_text(json.dumps(payload))
         assert run_cli("order", "check", "--order", str(bad)) == (3, "")
+
+    @pytest.mark.parametrize("argv, tree, mapping", [
+        ("tree hull --in {tree} --vertices a,c",
+         {"vertices": ["a", "b", "c"], "edges": [["a", "b"], ["b", "c"], ["a", "c"]]}, None),
+        ("tree fix --in {tree} --leaf d --map {map}",
+         {"vertices": ["a", "b", "c", "d"], "edges": [["a", "b"], ["b", "c"], ["a", "c"], ["a", "d"]]},
+         {"mapping": {"a": "a", "b": "c", "c": "b", "d": "d"}}),
+    ], ids=["hull", "fix"])
+    def test_graph_that_is_not_a_tree_is_three(self, tmp_path, capsys, argv, tree, mapping):
+        files = {"tree": tmp_path / "tree.json", "map": tmp_path / "map.json"}
+        files["tree"].write_text(json.dumps(tree))
+        files["map"].write_text(json.dumps(mapping))
+        assert run_cli(*argv.format(**files).split()) == (3, "")
+        assert capsys.readouterr().err == "error: not a tree: cycle\n"
+
+    @pytest.mark.parametrize("copies", [1, 2])
+    def test_map_that_misses_the_leaf_is_three(self, tmp_path, capsys, copies):
+        tree, partial = tmp_path / "t.json", tmp_path / "m.json"
+        tree.write_text(json.dumps({"vertices": ["a", "b", "c"], "edges": [["a", "b"], ["b", "c"]]}))
+        partial.write_text(json.dumps({"mapping": {"b": "b", "c": "c"}}))
+        argv = ["tree", "fix", "--in", str(tree), "--leaf", "a"] + ["--map", str(partial)] * copies
+        assert run_cli(*argv) == (3, "")
+        assert capsys.readouterr().err == "error: not an automorphism: domain mismatch\n"
 
     def test_binary_file_is_three(self, tmp_path):
         bad = tmp_path / "tree.json"

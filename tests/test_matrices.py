@@ -5,6 +5,7 @@ determinants, nested-list products, exhaustive determinant-filter
 enumeration), never from the code under test.
 """
 
+import functools
 import hashlib
 import json
 
@@ -397,22 +398,64 @@ class TestNormalCore:
         g = self._sl2z2()
         h = g.closure([elementary(2, 1, 2, 1, mod=2)])
         assert len(h) == 2
-        core = normal_core(g, h)
+        core = normal_core(g, iter(h))   # read once: an iterator will do
         assert len(core) == 1
         # brute force: no nontrivial normal subgroup sits inside h
-        best = oracles.max_normal_subgroup_inside(
-            list(g.elements),
-            lambda x, y: x * y,
-            lambda x: x.inverse(),
-            g.identity(),
-            frozenset(h),
-        )
+        elements = list(g.elements)
+        mul, inv = (lambda x, y: x * y), (lambda x: x.inverse())
+        lattice = oracles.subgroup_lattice(elements, mul, inv, g.identity())
+        best = oracles.max_normal_subgroup_inside(lattice, elements, mul, inv, frozenset(h))
         assert frozenset(core) == best
 
     def test_rejects_non_subgroup(self):
         g = self._sl2z2()
         with pytest.raises(MatrixError, match="not a subgroup"):
             normal_core(g, [elementary(2, 1, 2, 1, mod=2)])
+
+    @pytest.mark.parametrize("case", ["outside", "no identity", "not closed"])
+    def test_rejects_each_kind_of_non_subgroup(self, case):
+        g = self._sl2z2()
+        u, v = elementary(2, 1, 2, 1, mod=2), elementary(2, 2, 1, 1, mod=2)
+        h = {
+            "outside": [g.identity(), elementary(2, 1, 2, 3, mod=4)],
+            "no identity": [],                     # closed, but empty
+            "not closed": [g.identity(), u, v],   # u and v are inverse to themselves
+        }[case]
+        with pytest.raises(MatrixError, match="not a subgroup"):
+            normal_core(g, iter(h))
+
+
+@functools.cache
+def sl2(m):
+    return enumerate_group(2, m, [elementary(2, 1, 2, 1), elementary(2, 2, 1, 1)])
+
+
+class TestSubgroupTable:
+    """The product table and the closure on it, against matrix products."""
+
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_product_table(self, m):
+        g = sl2(m)
+        for x, row in zip(g.elements, g._mul):
+            for y, k in zip(g.elements, row):
+                xy = oracles.mat_mul(x.rows(), y.rows(), m)
+                assert list(g.entries[k]) == [e for r in xy for e in r]
+
+    @given(st.sampled_from([3, 4]), st.lists(st.integers(0, 47), max_size=3))
+    def test_closure_matches_breadth_first_closure(self, m, picks):
+        g = sl2(m)
+        seed = [g.elements[i % len(g)] for i in picks]
+        want = oracles.subgroup_closure(seed, lambda x, y: x * y, lambda x: x.inverse(), g.identity())
+        got = g.closure(seed)
+        assert list(got) == sorted(want, key=lambda x: x.entries)
+
+    def test_closure_rejects_a_seed_outside_the_group(self):
+        u12, u23 = elementary(3, 1, 2, 1, mod=4), elementary(3, 2, 3, 1, mod=4)
+        h = enumerate_group(3, 4, [u12, u23])
+        outside = elementary(3, 3, 1, 1, mod=4)
+        assert outside not in h
+        with pytest.raises(MatrixError, match="seed element not in the group"):
+            h.closure([outside])
 
 
 class TestCongruenceMembership:

@@ -19,7 +19,6 @@ from treeact.trees import (
     is_tree_automorphism,
     path,
     point_order,
-    second_fixed_point,
     tree_from_json,
     tree_to_dot,
     tree_to_json,
@@ -276,25 +275,25 @@ class TestAutomorphisms:
 class TestSecondFixedPoint:
     def test_identity_returns_neighbor(self):
         t = path4()
-        o = second_fixed_point(t, TreeAutomorphism.identity(t.vertices), "a")
+        o = common_fixed_point(t, [TreeAutomorphism.identity(t.vertices)], "a")
         assert o == "b"
 
     def test_star_swap(self):
         t = star3()
         h = TreeAutomorphism({"c": "c", "l1": "l1", "l2": "l3", "l3": "l2"})
-        assert second_fixed_point(t, h, "l1") == "c"
+        assert common_fixed_point(t, [h], "l1") == "c"
 
     def test_path3_only_identity(self):
         t = Tree(("a", "b", "c"), (("a", "b"), ("b", "c")))
         autos = list(automorphisms_fixing_leaf(t, "a"))
         assert len(autos) == 1 and autos[0].is_identity()
-        assert second_fixed_point(t, autos[0], "a") in {"b", "c"}
+        assert common_fixed_point(t, autos, "a") in {"b", "c"}
 
     def test_endpoint_not_fixed(self):
         t = star3()
         h = TreeAutomorphism({"c": "c", "l1": "l2", "l2": "l1", "l3": "l3"})
-        with pytest.raises(TreeError, match="endpoint not fixed"):
-            second_fixed_point(t, h, "l1")
+        with pytest.raises(TreeError, match="moves the fixed endpoint"):
+            common_fixed_point(t, [h], "l1")
 
     @settings(max_examples=40)
     @given(random_trees(max_size=50), st.integers(0, 2 ** 31))
@@ -302,7 +301,7 @@ class TestSecondFixedPoint:
         # automorphisms fixing a leaf always fix at least one more vertex
         e = t.leaves()[0]
         h = random_automorphism_fixing_leaf(t, e, random.Random(seed))
-        o = second_fixed_point(t, h, e)
+        o = common_fixed_point(t, [h], e)
         assert o != e and h(o) == o
         assert sum(1 for v in t.vertices if h(v) == v) >= 2
 
