@@ -7,6 +7,7 @@ matrices are admitted into group computations.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
@@ -30,12 +31,9 @@ class CapExceeded(RuntimeError):
 
 
 def _mul_flat(a: tuple[int, ...], b: tuple[int, ...], n: int) -> tuple[int, ...]:
-    out = []
-    for i in range(n):
-        row = a[i * n:(i + 1) * n]
-        for j in range(n):
-            out.append(sum(row[k] * b[k * n + j] for k in range(n)))
-    return tuple(out)
+    rows = [a[i:i + n] for i in range(0, n * n, n)]
+    cols = [b[j::n] for j in range(n)]
+    return tuple([sum(map(operator.mul, row, col)) for row in rows for col in cols])
 
 
 def _left_plan(s: Sequence[int], n: int) -> list[tuple[int, list[tuple[int, int]]]]:
@@ -346,14 +344,12 @@ class FiniteMatrixGroup:
     def __len__(self) -> int:
         return len(self.entries)
 
+    def _find(self, g: GroupMatrix) -> int | None:
+        """The index of g, or None when g is not in the group."""
+        return self._index.get(g.entries) if (g.n, g.mod) == (self.n, self.mod) else None
+
     def __contains__(self, g: GroupMatrix) -> bool:
-        return g.entries in self._index
-
-    def identity(self) -> GroupMatrix:
-        return GroupMatrix.identity(self.n, self.mod)
-
-    def index(self, g: GroupMatrix) -> int:
-        return self._index[g.entries]
+        return self._find(g) is not None
 
     def _close(self, steps: Sequence[int]) -> tuple[int, ...]:
         # finite: the monoid the steps generate is the subgroup
@@ -364,7 +360,7 @@ class FiniteMatrixGroup:
 
     def closure(self, seed: Iterable[GroupMatrix]) -> tuple[GroupMatrix, ...]:
         """Subgroup generated by seed elements, as sorted elements."""
-        steps = [self._index.get(x.entries) if x.mod == self.mod else None for x in seed]
+        steps = [self._find(x) for x in seed]
         if None in steps:
             raise MatrixError("seed element not in the group")
         return tuple(self.elements[i] for i in self._close(steps))
@@ -445,7 +441,7 @@ def normal_core(
     """
     mul = g._mul
     e = g._index[_identity_flat(g.n)]
-    hset = {g._index.get(x.entries) for x in h}   # h may be an iterator: read it once
+    hset = {g._find(x) for x in h}   # h may be an iterator: read it once
     # a finite set closed under products is a subgroup: no inverse test needed
     if None in hset or e not in hset or any(mul[a][b] not in hset for a in hset for b in hset):
         raise MatrixError("not a subgroup")

@@ -16,9 +16,10 @@ import io
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
-from .matrices import GroupMatrix
+from .matrices import GroupMatrix, _mul_flat
 from .ordering import Ball, OrderAssignment, OrderingError, format_word, order_from_probe_keys
 
 
@@ -42,10 +43,42 @@ POS_INF = _Endpoint("+inf")
 
 @dataclass(eq=False)
 class RealizationMap:
-    """Order-compatible injection of the enumerated elements into Q."""
+    """Order-compatible injection of the enumerated elements into Q; inside,
+    points are read by rank, their place in ascending t (made on first read)."""
 
     elements: tuple[GroupMatrix, ...]          # enumeration order
     t: dict[GroupMatrix, Fraction]
+
+    @cached_property
+    def _points(self) -> list[GroupMatrix]:
+        return sorted(self.t, key=self.t.__getitem__)
+
+    @cached_property
+    def values(self) -> list[Fraction]:
+        return [self.t[x] for x in self._points]
+
+    @cached_property
+    def _rank(self) -> dict[tuple[int, ...], int]:
+        return {x.entries: r for r, x in enumerate(self._points)}
+
+    @cached_property
+    def _rows(self) -> dict[GroupMatrix, list[int | None]]:
+        return {}
+
+    def row(self, g: GroupMatrix) -> list[int | None]:
+        """For each realized point x, in rank order, the rank of g x, or None
+        when g x is not realized: one flat product per point."""
+        row = self._rows.get(g)
+        if row is None:
+            points = self._points
+            if points:
+                g._check_compatible(points[0])
+            n, m, a = g.n, g.mod, g.entries
+            products = [_mul_flat(a, x.entries, n) for x in points]
+            if m is not None:
+                products = [tuple(v % m for v in p) for p in products]
+            row = self._rows[g] = list(map(self._rank.get, products))
+        return row
 
     def value(self, g: GroupMatrix) -> Fraction:
         if g not in self.t:
@@ -157,15 +190,9 @@ def generator_pl_map(
     """PL action of g: breakpoints (t(x), t(g x)) over the largest valid sub-ball."""
     if label is None:
         label = format_word(closure.word(g)) if g in closure else "g"
-    domain = []
-    pts = []
-    for x in closure.elements:
-        if x not in rm:
-            continue
-        gx = g * x
-        if gx in rm:
-            domain.append(x)
-            pts.append((rm.value(x), rm.value(gx)))
+    row, rank = rm.row(g), rm._rank
+    domain = [x for x in closure.elements if x in rm and row[rank[x.entries]] is not None]
+    pts = [(rm.t[x], rm.values[row[rank[x.entries]]]) for x in domain]
     if not pts:
         raise RealizeError("empty realizable sub-ball")
     try:
@@ -240,44 +267,52 @@ class RealizationReport:
 
 
 def verify_realization(rm: RealizationMap, maps: Sequence[GeneratorMap]) -> RealizationReport:
-    """Re-check monotonicity, equivariance and composition of realized maps."""
-    # one product per map element g and realized y: g*y, or None if unrealized
-    table = {g: {y: gy if (gy := g * y) in rm else None for y in rm.t}
-             for g in dict.fromkeys(gm.element for gm in maps)}
-    mono: list[str] = []
-    equiv: list[str] = []
-    comp: list[str] = []
-    for gm in maps:
+    """Re-check monotonicity, equivariance and composition of realized maps.
+
+    Points are read by rank: one row per map element, and each map evaluated
+    once at every realized value.
+    """
+    values, rank = rm.values, rm._rank
+    rows = [rm.row(gm.element) for gm in maps]
+    evals = [[gm.homeo(v) for v in values] for gm in maps]
+    # ok[k][r]: map k sends the point of rank r to t(g x), with g x realized
+    ok = [[gx is not None and y == values[gx] for y, gx in zip(ev, row)]
+          for ev, row in zip(evals, rows)]
+    # the rank of each domain point, None where it is not realized
+    ranks = [[rank[x.entries] if x in rm else None for x in gm.domain] for gm in maps]
+    mono, equiv, comp = [], [], []
+    for gm, row, fine, dom in zip(maps, rows, ok, ranks):
         bps = gm.homeo.breakpoints
         for (x0, y0), (x1, y1) in zip(bps, bps[1:]):
             if not (x0 < x1 and y0 < y1):
                 mono.append(f"{gm.word}: breakpoints out of order at {x0}")
-        row = table[gm.element]
-        for x in gm.domain:
-            # an unrealized x with g*x realized raises in rm.value below
-            gx = row[x] if x in row else gm.element * x
-            if gx is not None and gx in rm:
-                if gm.homeo(rm.value(x)) != rm.value(gx):
-                    equiv.append(f"{gm.word}: map(t(x)) != t(g*x) at t(x)={rm.value(x)}")
-    by_element = {gm.element: gm for gm in maps}
-    pool = [gm.element for gm in maps]
-    for g in pool:
-        row_g = table[g]
-        for h in pool:
-            gh = row_g.get(h)
-            if gh is None:  # h or g*h is not realized
-                gh = g * h
-            if gh not in by_element:
+        for x, r in zip(gm.domain, dom):
+            if r is None:
+                if gm.element * x in rm:
+                    raise RealizeError("element not realized")
+            elif row[r] is not None and not fine[r]:
+                equiv.append(f"{gm.word}: map(t(x)) != t(g*x) at t(x)={values[r]}")
+    # each element is checked with the last of its maps
+    by_element = {gm.element: k for k, gm in enumerate(maps)}
+    last = [by_element[gm.element] for gm in maps]
+    at = [rank[gm.element.entries] if gm.element in rm else None for gm in maps]
+    for kg, row_g in zip(last, rows):
+        g, ok_g = maps[kg].element, ok[kg]
+        for kh, h_at in zip(last, at):
+            gh = row_g[h_at] if h_at is not None else None
+            kgh = by_element.get(rm._points[gh] if gh is not None else g * maps[kh].element)
+            if kgh is None:
                 continue
-            mg, mh, mgh = by_element[g], by_element[h], by_element[gh]
-            row_h = table[h]
-            for x in mh.domain:
-                hx = row_h.get(x)
-                if hx is None or row_g[hx] is None:
+            row_h, ok_h, ok_gh = rows[kh], ok[kh], ok[kgh]
+            for r in ranks[kh]:
+                if r is None or (hx := row_h[r]) is None or row_g[hx] is None:
                     continue
-                tx = rm.t[x]
-                if mg.homeo(mh.homeo(tx)) != mgh.homeo(tx):
-                    comp.append(f"compose mismatch at t={tx}")
+                # where all three maps are equivariant, both sides are t(g h x)
+                if ok_h[r] and ok_g[hx] and ok_gh[r]:
+                    continue
+                mg_mh = evals[kg][hx] if ok_h[r] else maps[kg].homeo(evals[kh][r])
+                if mg_mh != evals[kgh][r]:
+                    comp.append(f"compose mismatch at t={values[r]}")
     return RealizationReport(not mono and not equiv and not comp,
                              tuple(mono), tuple(equiv), tuple(comp))
 
@@ -311,15 +346,14 @@ def order_from_realization(
     t(g x) when both are realized; a probe where either side is missing has
     image None and is skipped by ``order_from_probe_keys``.
     """
-    values = sorted(rm.t.values())
     if probes is None:
-        probes = values
-    by_value = {v: g for g, v in rm.t.items()}
-    for p in probes:
-        if p not in by_value:
-            raise RealizeError("probe is not a realized point")
-
-    keys = {g: tuple(rm.t.get(g * by_value[p]) for p in probes) for g in ball.elements}
+        probes = rm.values
+    by_value = {v: r for r, v in enumerate(rm.values)}
+    if any(p not in by_value for p in probes):
+        raise RealizeError("probe is not a realized point")
+    at = [by_value[p] for p in probes]
+    # rank is strictly increasing in t, so rank keys compare as t keys would
+    keys = {g: tuple(map(rm.row(g).__getitem__, at)) for g in ball.elements}
     return order_from_probe_keys(ball, keys)
 
 

@@ -7,6 +7,7 @@ checkers' original loops.  Tests compare package output against these,
 never the other way round.
 """
 
+import functools
 import random
 from collections import deque
 from fractions import Fraction
@@ -21,7 +22,7 @@ from treeact.ordering import (
     UnsatTrace,
     format_word,
 )
-from treeact.realize import NEG_INF, POS_INF
+from treeact.realize import NEG_INF, POS_INF, RealizeError
 from treeact.tower import ProjectionGrowth, TowerError, orbit as tower_orbit
 from treeact.trees import TreeAutomorphism, _rooted_children, _sibling_classes, first_point_map
 
@@ -361,6 +362,42 @@ def verify_realization(rm, maps):
                 if lhs != rhs:
                     comp.append(f"compose mismatch at t={rm.value(x)}")
     return (not mono and not equiv and not comp, tuple(mono), tuple(equiv), tuple(comp))
+
+
+def order_from_probe_keys(ball, keys):
+    """Twin of ``ordering.order_from_probe_keys``, as first written."""
+    def compare(a, b):
+        for va, vb in zip(keys[a], keys[b]):
+            if va is not None and vb is not None and va != vb:
+                return 1 if va > vb else -1
+        return 0
+
+    ascending = sorted(ball.elements, key=functools.cmp_to_key(compare))
+    for i, a in enumerate(ascending):
+        for b in ascending[i + 1:]:
+            c = compare(a, b)
+            if c == 0:
+                raise OrderingError(
+                    "probes insufficient (action not almost free at this scale)"
+                )
+            if c > 0:
+                raise OrderingError("probe order not transitive at this scale")
+    return OrderAssignment.from_total_order(ball, ascending)
+
+
+def order_from_realization(rm, ball, probes=None):
+    """Twin of ``realize.order_from_realization`` with Fraction keys: every
+    ball element times every probe's preimage, one matrix product each."""
+    values = sorted(rm.t.values())
+    if probes is None:
+        probes = values
+    by_value = {v: g for g, v in rm.t.items()}
+    for p in probes:
+        if p not in by_value:
+            raise RealizeError("probe is not a realized point")
+
+    keys = {g: tuple(rm.t.get(g * by_value[p]) for p in probes) for g in ball.elements}
+    return order_from_probe_keys(ball, keys)
 
 
 # -- naive twin of the invariant-order search -------------------------------------

@@ -237,7 +237,7 @@ def test_criterion_7_normal_core():
         # made once per group by matrix products
         elements = list(g.elements)
         mul, inv = (lambda x, y: x * y), (lambda x: x.inverse())
-        lattice = oracles.subgroup_lattice(elements, mul, inv, g.identity())
+        lattice = oracles.subgroup_lattice(elements, mul, inv, GroupMatrix.identity(2, modulus))
         assert {frozenset(h) for h in subgroups} == lattice
         for h in subgroups:
             core = normal_core(g, h)

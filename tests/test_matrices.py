@@ -294,7 +294,9 @@ class TestEnumerateGroup:
         assert len(g) == order
         x = g.generators[-1]
         assert x in g and GroupMatrix.identity(n, m) in g
-        assert g.entries[g.index(x)] == x.entries
+        # membership compares dimension and modulus, not entries alone
+        assert GroupMatrix(n, x.entries, m + 1) not in g and GroupMatrix(n, x.entries) not in g
+        assert g.entries[g.entries.index(x.entries)] == x.entries
         assert "elements" not in vars(g)
         assert [h.entries for h in g.elements] == list(g.entries)
         assert g.elements is g.elements
@@ -347,6 +349,24 @@ class TestLeftMulKernel:
             assert _left_plan(u.entries, 4) == [(i, [(min(i, j), 1), (max(i, j), 1)])]
 
 
+@st.composite
+def factor_pairs(draw):
+    """Two n x n factors over Z or Z/m with small entries, not necessarily det 1."""
+    n = draw(st.integers(1, 4))
+    mod = draw(st.one_of(st.none(), st.integers(2, 7)))
+    entries = st.lists(st.integers(-9, 9), min_size=n * n, max_size=n * n)
+    return GroupMatrix(n, tuple(draw(entries)), mod), GroupMatrix(n, tuple(draw(entries)), mod)
+
+
+class TestProductKernel:
+    """``GroupMatrix.__mul__`` (the column-slice kernel) against oracles.mat_mul."""
+
+    @given(factor_pairs())
+    def test_matches_naive_product(self, pair):
+        a, b = pair
+        assert (a * b).rows() == oracles.mat_mul(a.rows(), b.rows(), a.mod)
+
+
 class TestEnumerationOracle:
     """enumerate_group against the exhaustive determinant filter."""
 
@@ -392,7 +412,8 @@ class TestNormalCore:
 
     def test_trivial_subgroup(self):
         g = self._sl2z2()
-        assert normal_core(g, [g.identity()]) == (g.identity(),)
+        e = GroupMatrix.identity(g.n, g.mod)
+        assert normal_core(g, [e]) == (e,)
 
     def test_order_two_subgroup_has_trivial_core(self):
         g = self._sl2z2()
@@ -403,7 +424,7 @@ class TestNormalCore:
         # brute force: no nontrivial normal subgroup sits inside h
         elements = list(g.elements)
         mul, inv = (lambda x, y: x * y), (lambda x: x.inverse())
-        lattice = oracles.subgroup_lattice(elements, mul, inv, g.identity())
+        lattice = oracles.subgroup_lattice(elements, mul, inv, GroupMatrix.identity(g.n, g.mod))
         best = oracles.max_normal_subgroup_inside(lattice, elements, mul, inv, frozenset(h))
         assert frozenset(core) == best
 
@@ -412,14 +433,17 @@ class TestNormalCore:
         with pytest.raises(MatrixError, match="not a subgroup"):
             normal_core(g, [elementary(2, 1, 2, 1, mod=2)])
 
-    @pytest.mark.parametrize("case", ["outside", "no identity", "not closed"])
+    @pytest.mark.parametrize("case", ["outside", "other modulus", "no identity", "not closed"])
     def test_rejects_each_kind_of_non_subgroup(self, case):
         g = self._sl2z2()
+        e = GroupMatrix.identity(g.n, g.mod)
         u, v = elementary(2, 1, 2, 1, mod=2), elementary(2, 2, 1, 1, mod=2)
         h = {
-            "outside": [g.identity(), elementary(2, 1, 2, 3, mod=4)],
+            "outside": [e, elementary(2, 1, 2, 3, mod=4)],
+            # its entries are u's, reduced mod 3 rather than mod 2
+            "other modulus": [e, elementary(2, 1, 2, 1, mod=3)],
             "no identity": [],                     # closed, but empty
-            "not closed": [g.identity(), u, v],   # u and v are inverse to themselves
+            "not closed": [e, u, v],   # u and v are inverse to themselves
         }[case]
         with pytest.raises(MatrixError, match="not a subgroup"):
             normal_core(g, iter(h))
@@ -445,7 +469,8 @@ class TestSubgroupTable:
     def test_closure_matches_breadth_first_closure(self, m, picks):
         g = sl2(m)
         seed = [g.elements[i % len(g)] for i in picks]
-        want = oracles.subgroup_closure(seed, lambda x, y: x * y, lambda x: x.inverse(), g.identity())
+        e = GroupMatrix.identity(g.n, g.mod)
+        want = oracles.subgroup_closure(seed, lambda x, y: x * y, lambda x: x.inverse(), e)
         got = g.closure(seed)
         assert list(got) == sorted(want, key=lambda x: x.entries)
 

@@ -98,6 +98,30 @@ class TestRealize:
             d = v.denominator
             assert d & (d - 1) == 0
 
+    @settings(max_examples=25)
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([None, 5]))
+    def test_rank_rows_match_matrix_products(self, seed, mod):
+        # over Z and over Z/5, part of a ball realized in a random order
+        rng = random.Random(seed)
+        ball = ball_generate([elementary(2, 1, 2, 1, mod), elementary(2, 2, 1, 1, mod)], 2)
+        elems = list(ball.elements)
+        rng.shuffle(elems)
+        rm = realize(elems[:rng.randint(1, len(elems))],
+                     OrderAssignment.from_total_order(ball, elems))
+        assert rm.values == sorted(rm.t.values())
+        points = sorted(rm.t, key=rm.t.__getitem__)
+        for g in ball.elements:
+            want = [points.index(g * x) if g * x in rm else None for x in points]
+            assert rm.row(g) == want
+            assert rm.row(g) is rm.row(g)
+
+    def test_rank_row_rejects_a_foreign_element(self):
+        rm = realize(standard_enumeration(1), natural_order(z_ball(1)))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            rm.row(GroupMatrix.identity(3))
+        with pytest.raises(ValueError, match="coefficient domain mismatch"):
+            rm.row(GroupMatrix.identity(2, 3))
+
 
 class TestPLHomeo:
     def test_validation(self):

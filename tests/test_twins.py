@@ -38,6 +38,7 @@ from treeact.realize import (
     PLHomeo,
     RealizeError,
     generator_pl_map,
+    order_from_realization,
     realize,
     verify_realization,
 )
@@ -198,8 +199,8 @@ class TestPLEvaluationTwin:
         assert repr(m) == f"PLHomeo(breakpoints={pts!r})"
 
 
-def random_bundle(rng):
-    """A partly realized ball, some of its maps, and its unrealized elements."""
+def random_realization(rng):
+    """A ball in its natural order, realized on a random part of it."""
     if rng.random() < 0.5:
         ball = z_ball(rng.randint(1, 4))
         key = lambda m: m.entries[1]  # noqa: E731
@@ -210,7 +211,12 @@ def random_bundle(rng):
     enumeration = list(ball.elements)
     rng.shuffle(enumeration)
     enumeration = enumeration[:rng.randint(1, len(enumeration))]
-    rm = realize(enumeration, order)
+    return ball, key, realize(enumeration, order)
+
+
+def random_bundle(rng):
+    """A partly realized ball, some of its maps, and its unrealized elements."""
+    ball, key, rm = random_realization(rng)
     maps = []
     for g in rng.sample(ball.elements, rng.randint(1, len(ball))):
         try:
@@ -264,6 +270,48 @@ class TestVerifyRealizationTwin:
         assert got == outcome(oracles.verify_realization, rm, [bad])
         assert got == ("raised", RealizeError, "element not realized")
 
+
+class TestRoundTripTwin:
+    """``order_from_realization`` reads ranks; its twin keys by Fractions."""
+
+    @staticmethod
+    def agree(rm, ball, probes):
+        got = outcome(order_from_realization, rm, ball, probes)
+        want = outcome(oracles.order_from_realization, rm, ball, probes)
+        if got[0] == want[0] == "value":
+            got, want = got[1].signs, want[1].signs
+        assert got == want
+        return got
+
+    @settings(max_examples=80, deadline=None)
+    @given(SEEDS, st.sampled_from(["default", "subset", "foreign", "few"]))
+    def test_random_realizations(self, seed, kind):
+        rng = random.Random(seed)
+        ball, _key, rm = random_realization(rng)
+        values = sorted(rm.t.values())
+        probes = {
+            "default": None,
+            "subset": rng.sample(values, rng.randint(1, len(values))),
+            "foreign": rng.sample(values, rng.randint(0, len(values))),
+            "few": rng.sample(values, min(len(values), rng.randint(0, 2))),
+        }[kind]
+        if kind == "foreign":   # below every realized value, so never realized
+            probes.insert(rng.randint(0, len(probes)), values[0] - Fraction(1, 3))
+        self.agree(rm, ball, probes)
+
+    def test_each_outcome_is_met(self):
+        ball = z_ball(3)
+        order = OrderAssignment.from_total_order(
+            ball, sorted(ball.elements, key=lambda m: m.entries[1]))
+        whole = realize(list(reversed(ball.elements)), order)
+        assert self.agree(whole, ball, None) == order.signs
+        zero = whole.value(U ** 0)
+        assert self.agree(whole, ball, [zero]) == order.signs
+        assert self.agree(whole, ball, [zero + Fraction(1, 3)]) == (
+            "raised", RealizeError, "probe is not a realized point")
+        assert self.agree(whole, ball, []) == (
+            "raised", OrderingError,
+            "probes insufficient (action not almost free at this scale)")
 
 
 # -- tower orbits against the two-sided search of oracles.orbit -----------------
