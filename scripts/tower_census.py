@@ -3,11 +3,11 @@
 
 Builds the coset tree for each requested (n, p, depth), checks the vertex
 counts against the closed-form quotient orders, and prints one table row per
-tower.  A row is consistent only if it also passes what ``treeact tower
-verify`` checks: every level is a tree acted on by automorphisms, every bond
-is equivariant, surjective, monotone and the identity below, and the degree
-profile stabilizes.  Everything is exact; a row that disagrees with the
-formula would be a bug, not noise.
+tower.  A row is consistent only if the tower also passes ``verify_tower``,
+the check ``treeact tower verify`` reports: every level is a tree acted on by
+automorphisms, every bond is equivariant, surjective, monotone and the
+identity below, and the degree profile stabilizes.  Everything is exact; a
+row that disagrees with the formula would be a bug, not noise.
 """
 
 import argparse
@@ -15,22 +15,7 @@ import sys
 import time
 
 from treeact.matrices import sl_order
-from treeact.tower import (
-    TowerError,
-    build_congruence_tower,
-    degree_profile,
-    verify_all_bonds,
-    verify_bond_structure,
-)
-
-
-def levels_valid(sys_):
-    try:
-        for act in sys_.levels:
-            act.validate()
-    except TowerError:
-        return False
-    return True
+from treeact.tower import build_congruence_tower, verify_tower
 
 
 def census_row(n, p, depth, cap):
@@ -41,26 +26,17 @@ def census_row(n, p, depth, cap):
     leaves = len(top.leaves()) if len(top.vertices) > 1 else 1
     expected_leaves = sl_order(n, p, depth)
     expected_vertices = sum(sl_order(n, p, b) for b in range(depth + 1))
-    bonds = verify_all_bonds(sys_)
-    structure = all(verify_bond_structure(sys_, a).passed for a in range(len(sys_.bonds)))
-    dp = degree_profile(sys_)
-    ok = (
-        leaves == expected_leaves
-        and len(top.vertices) == expected_vertices
-        and levels_valid(sys_)
-        and bonds.passed
-        and structure
-        and dp.stabilized in (True, None)
-    )
+    rep = verify_tower(sys_)
     return {
         "n": n, "p": p, "depth": depth,
         "vertices": len(top.vertices),
         "leaves": leaves,
         "expected_leaves": expected_leaves,
-        "max_degrees": dp.max_degrees,
-        "equivariant": bonds.passed,
+        "max_degrees": rep.degrees.max_degrees,
+        "equivariant": rep.bonds.passed,
         "seconds": build_s,
-        "ok": ok,
+        "ok": (leaves == expected_leaves and len(top.vertices) == expected_vertices
+               and not rep.reasons),
     }
 
 

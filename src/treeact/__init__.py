@@ -46,7 +46,7 @@ from .tower import (
     orbit,
     projection_orbit_growth,
     star_dendrite,
-    verify_equivariant_bond,
+    verify_tower,
 )
 from .trees import (
     Tree,

@@ -73,8 +73,7 @@ from .tower import (
     star_to_svg,
     system_from_json,
     system_to_json,
-    verify_all_bonds,
-    verify_bond_structure,
+    verify_tower,
 )
 from .trees import (
     TreeError,
@@ -190,29 +189,13 @@ def _h_tower_build(cfg: RunConfig):
 
 
 def _h_tower_verify(cfg: RunConfig):
-    sys_ = _tower_from_config(cfg)
-    reasons = []
-    for k, act in enumerate(sys_.levels):
-        try:
-            act.validate()
-        except TowerError as exc:
-            reasons.append(f"level {k}: {exc}")
-    bonds = verify_all_bonds(sys_)
-    if not bonds.passed:
-        reasons.append(f"equivariance violations: {len(bonds.violations)}")
-    for level in range(len(sys_.bonds)):
-        st = verify_bond_structure(sys_, level)
-        if not st.passed:
-            reasons.extend(st.reasons)
-    dp = degree_profile(sys_)
-    if dp.stabilized is False:
-        reasons.append("degree profile did not stabilize at the expected bound")
+    rep = verify_tower(_tower_from_config(cfg))
     details = {
-        "checked_equivariance_pairs": bonds.checked,
-        "max_degrees": list(dp.max_degrees),
-        "reasons": reasons,
+        "checked_equivariance_pairs": rep.bonds.checked,
+        "max_degrees": list(rep.degrees.max_degrees),
+        "reasons": list(rep.reasons),
     }
-    return ("pass" if not reasons else "fail"), details
+    return ("pass" if not rep.reasons else "fail"), details
 
 
 def _h_tower_orbits(cfg: RunConfig):

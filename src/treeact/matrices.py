@@ -358,13 +358,6 @@ class FiniteMatrixGroup:
                      lambda x: map(mul[x].__getitem__, steps))
         return tuple(sorted(x for x, *_ in found))
 
-    def closure(self, seed: Iterable[GroupMatrix]) -> tuple[GroupMatrix, ...]:
-        """Subgroup generated by seed elements, as sorted elements."""
-        steps = [self._find(x) for x in seed]
-        if None in steps:
-            raise MatrixError("seed element not in the group")
-        return tuple(self.elements[i] for i in self._close(steps))
-
     def all_subgroups(self, cap: int = 10_000) -> list[tuple[GroupMatrix, ...]]:
         """Every subgroup, found by closing each subgroup extended by one element."""
         trivial = self._close([])

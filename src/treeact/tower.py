@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from itertools import chain
 from math import cos, pi, sin
 from typing import Mapping
@@ -20,6 +19,8 @@ from typing import Mapping
 from ._walk import walk
 from .matrices import (
     CapExceeded,
+    GroupMatrix,
+    _is_int,
     enumerate_group,
     matrix_from_json,
     matrix_to_json,
@@ -49,7 +50,6 @@ class FiniteTreeAction:
 
     tree: Tree
     generators: dict[str, TreeAutomorphism]
-    context: dict | None = None   # e.g. {"n": 3, "matrices": {name: GroupMatrix}}
 
     def validate(self) -> None:
         ok = validate_tree(self.tree)
@@ -63,11 +63,13 @@ class FiniteTreeAction:
 
 @dataclass(eq=False)
 class InverseSystem:
-    """Finite truncation of an inverse limit: levels plus bonding vertex maps."""
+    """Finite truncation of an inverse limit: levels plus bonding vertex maps,
+    and the integral matrix each generator name stands for, when known."""
 
     levels: list[FiniteTreeAction]
     bonds: list[dict[str, str]]      # bonds[a]: level a+1 vertices -> level a
     provenance: dict = field(default_factory=dict)
+    matrices: dict[str, GroupMatrix] = field(default_factory=dict)
 
 
 # -- congruence tower ------------------------------------------------------------
@@ -150,7 +152,6 @@ def build_congruence_tower(
         levels.append(FiniteTreeAction(
             Tree(verts, edges),
             {name: TreeAutomorphism(images[name]) for name in gen_names},
-            {"n": n, "p": p, "matrices": {name: integral[name] for name in gen_names}},
         ))
 
     return InverseSystem(
@@ -163,6 +164,7 @@ def build_congruence_tower(
             "representative_rule": "entries reduced to [0, p^beta)",
             "generators": gen_names,
         },
+        matrices={name: integral[name] for name in gen_names},
     )
 
 
@@ -173,31 +175,15 @@ class BondReport:
     violations: tuple[tuple[str, str], ...]   # (generator, vertex)
 
 
-def verify_equivariant_bond(sys: InverseSystem, level: int) -> BondReport:
-    """Exhaustively check bond(g.x) = g.bond(x) for all generators and vertices."""
-    if level + 1 >= len(sys.levels):
-        raise TowerError("no bond at this level")
-    upper = sys.levels[level + 1]
-    lower = sys.levels[level]
-    bond = sys.bonds[level]
-    checked = 0
-    bad = []
-    for name, auto in upper.generators.items():
-        lower_auto = lower.generators[name]
-        for v in upper.tree.vertices:
-            checked += 1
-            if bond[auto(v)] != lower_auto(bond[v]):
-                bad.append((name, v))
-    return BondReport(not bad, checked, tuple(bad))
-
-
 def verify_all_bonds(sys: InverseSystem) -> BondReport:
+    """Exhaustively check bond(g.x) = g.bond(x) for every bond, generator and vertex."""
     checked = 0
     bad: list[tuple[str, str]] = []
-    for level in range(len(sys.bonds)):
-        rep = verify_equivariant_bond(sys, level)
-        checked += rep.checked
-        bad.extend(rep.violations)
+    for lower, upper, bond in zip(sys.levels, sys.levels[1:], sys.bonds):
+        for name, auto in upper.generators.items():
+            down = lower.generators[name]
+            bad += [(name, v) for v in upper.tree.vertices if bond[auto(v)] != down(bond[v])]
+            checked += len(upper.tree.vertices)
     return BondReport(not bad, checked, tuple(bad))
 
 
@@ -298,6 +284,38 @@ def degree_profile(sys: InverseSystem) -> DegreeProfile:
     return DegreeProfile(tuple(degs), expected, stabilized)
 
 
+@dataclass(frozen=True)
+class TowerReport:
+    reasons: tuple[str, ...]   # empty exactly when the tower is verified
+    bonds: BondReport
+    degrees: DegreeProfile
+
+
+def verify_tower(sys: InverseSystem) -> TowerReport:
+    """Check a tower; it is verified exactly when the report gives no reason.
+
+    Each level must be a tree that its generators act on by automorphisms;
+    every bond equivariant, surjective, monotone and the identity on the
+    lower copy; and the degree profile stable at the bound the provenance
+    gives.  The reasons come in that order.
+    """
+    reasons = []
+    for k, act in enumerate(sys.levels):
+        try:
+            act.validate()
+        except TowerError as exc:
+            reasons.append(f"level {k}: {exc}")
+    bonds = verify_all_bonds(sys)
+    if not bonds.passed:
+        reasons.append(f"equivariance violations: {len(bonds.violations)}")
+    for level in range(len(sys.bonds)):
+        reasons.extend(verify_bond_structure(sys, level).reasons)
+    degrees = degree_profile(sys)
+    if degrees.stabilized is False:
+        reasons.append("degree profile did not stabilize at the expected bound")
+    return TowerReport(tuple(reasons), bonds, degrees)
+
+
 # -- star dendrite (harmonic star with exact symbolic angles) ---------------------
 
 
@@ -396,36 +414,13 @@ class Pendant:
 class DecoratedAction:
     """The deepest level's action with a pendant arc over each orbit vertex.
 
-    ``action``, the decorated tree with every generator extended to permute
-    the arcs with their anchors, is made on first read: projection growth
-    needs only ``base`` and ``pendants``.
+    Every generator permutes the arcs as it permutes their anchors, so the
+    decorated tree and its maps are never made: ``base`` and ``pendants``
+    determine them.
     """
 
     base: FiniteTreeAction
     pendants: tuple[Pendant, ...]
-
-    @cached_property
-    def action(self) -> FiniteTreeAction:
-        act = self.base
-        verts = list(act.tree.vertices)
-        edges = list(act.tree.edges)
-        for p in self.pendants:
-            verts += (p.mid, p.tip)
-            edges += ((p.anchor, p.mid), (p.mid, p.tip))
-        anchors = [p.anchor for p in self.pendants]
-        position = {anchor: i for i, anchor in enumerate(anchors)}
-        mids = [p.mid for p in self.pendants]
-        tips = [p.tip for p in self.pendants]
-        gens: dict[str, TreeAutomorphism] = {}
-        for name, auto in act.generators.items():
-            # the arc over the i-th orbit vertex goes to the arc over its image
-            to = [position[auto._map[anchor]] for anchor in anchors]
-            gens[name] = TreeAutomorphism(chain(
-                auto._map.items(),
-                zip(mids, map(mids.__getitem__, to)),
-                zip(tips, map(tips.__getitem__, to)),
-            ))
-        return FiniteTreeAction(Tree(tuple(verts), tuple(edges)), gens, act.context)
 
 
 def attach_decorations(sys: InverseSystem, seed: str) -> DecoratedAction:
@@ -497,7 +492,6 @@ def projection_orbit_growth(
 
 
 def system_to_json(sys: InverseSystem) -> dict:
-    matrices = {}
     levels = []
     for act in sys.levels:
         gens = {
@@ -505,13 +499,9 @@ def system_to_json(sys: InverseSystem) -> dict:
             for name, auto in sorted(act.generators.items())
         }
         levels.append({"tree": tree_to_json(act.tree), "generators": gens})
-        if act.context and "matrices" in act.context:
-            matrices = {
-                name: matrix_to_json(m) for name, m in act.context["matrices"].items()
-            }
     return {
         "provenance": sys.provenance,
-        "generator_matrices": matrices,
+        "generator_matrices": {name: matrix_to_json(m) for name, m in sys.matrices.items()},
         "levels": levels,
         "bonds": [
             {v: bond[v] for v in sorted(bond)} for bond in sys.bonds
@@ -525,7 +515,8 @@ def system_from_json(obj: Mapping) -> InverseSystem:
     Every level must name the generators of level 0, every generator image
     and bond entry must name a vertex of its level, and each bond must map
     every vertex of the level above it.  The levels themselves are not
-    validated: ``FiniteTreeAction.validate`` does that.
+    validated: ``FiniteTreeAction.validate`` does that.  A provenance ``n`` or
+    ``p`` must be an integer of at least 2: ``degree_profile`` computes with it.
     """
     levels_in = obj.get("levels") if isinstance(obj, Mapping) else None
     if not (isinstance(levels_in, list) and levels_in
@@ -537,6 +528,10 @@ def system_from_json(obj: Mapping) -> InverseSystem:
             and isinstance(obj.get("provenance", {}), Mapping)):
         raise TowerError("tower must be an object with a nonempty 'levels' list (each with "
                          "'tree' and 'generators') and one 'bonds' map per level above 0")
+    provenance = dict(obj.get("provenance", {}))
+    for key in ("n", "p"):
+        if key in provenance and not (_is_int(provenance[key]) and provenance[key] >= 2):
+            raise TowerError(f"provenance {key} must be an integer >= 2")
     matrices = {
         name: matrix_from_json(m)
         for name, m in obj.get("generator_matrices", {}).items()
@@ -554,12 +549,11 @@ def system_from_json(obj: Mapping) -> InverseSystem:
             gens[name] = TreeAutomorphism(dict(zip(tree.vertices, images)))
         if levels and set(gens) != set(levels[0].generators):
             raise TowerError(f"level {a}: its generators are not those of level 0")
-        context = {"matrices": matrices} if matrices else None
-        levels.append(FiniteTreeAction(tree, gens, context))
+        levels.append(FiniteTreeAction(tree, gens))
     bonds = [dict(b) for b in obj["bonds"]]
     for a, bond in enumerate(bonds):
         if set(bond) != set(levels[a + 1].tree.vertices):
             raise TowerError(f"bond {a}: its keys must be the vertices of level {a + 1}")
         if not set(bond.values()) <= set(levels[a].tree.vertices):
             raise TowerError(f"bond {a}: a value is not a vertex of level {a}")
-    return InverseSystem(levels, bonds, dict(obj.get("provenance", {})))
+    return InverseSystem(levels, bonds, provenance, matrices)

@@ -11,7 +11,7 @@ import functools
 import random
 from collections import deque
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 
 from treeact.ordering import (
     OrderAssignment,
@@ -23,8 +23,21 @@ from treeact.ordering import (
     format_word,
 )
 from treeact.realize import NEG_INF, POS_INF, RealizeError
-from treeact.tower import ProjectionGrowth, TowerError, orbit as tower_orbit
-from treeact.trees import TreeAutomorphism, _rooted_children, _sibling_classes, first_point_map
+from treeact.tower import (
+    FiniteTreeAction,
+    ProjectionGrowth,
+    TowerError,
+    build_congruence_tower,
+    orbit as tower_orbit,
+    system_to_json,
+)
+from treeact.trees import (
+    Tree,
+    TreeAutomorphism,
+    _rooted_children,
+    _sibling_classes,
+    first_point_map,
+)
 
 
 def mat_mul(a, b, mod=None):
@@ -222,11 +235,37 @@ def parent_path(parent, b):
     return out[::-1]
 
 
+def decorated_action(decorated):
+    """The decorated tree, with every generator extended to permute the
+    pendant arcs as it permutes their anchors, made in full."""
+    act = decorated.base
+    verts = list(act.tree.vertices)
+    edges = list(act.tree.edges)
+    for p in decorated.pendants:
+        verts += (p.mid, p.tip)
+        edges += ((p.anchor, p.mid), (p.mid, p.tip))
+    anchors = [p.anchor for p in decorated.pendants]
+    position = {anchor: i for i, anchor in enumerate(anchors)}
+    mids = [p.mid for p in decorated.pendants]
+    tips = [p.tip for p in decorated.pendants]
+    gens = {}
+    for name, auto in act.generators.items():
+        # the arc over the i-th orbit vertex goes to the arc over its image
+        to = [position[auto(anchor)] for anchor in anchors]
+        gens[name] = TreeAutomorphism(chain(
+            auto.mapping.items(),
+            zip(mids, map(mids.__getitem__, to)),
+            zip(tips, map(tips.__getitem__, to)),
+        ))
+    return FiniteTreeAction(Tree(tuple(verts), tuple(edges)), gens)
+
+
 def projection_orbit_growth(sys, decorated, x, cap=None):
     """The projection growth as first written (only ``orbit`` renamed):
     first-point projections and orbits in the decorated tree and action
     themselves, both made in full."""
-    tree = decorated.action.tree
+    action = decorated_action(decorated)
+    tree = action.tree
     if x not in tree.adjacency:
         raise TowerError("vertex not in decorated tree")
     sizes = []
@@ -234,7 +273,7 @@ def projection_orbit_growth(sys, decorated, x, cap=None):
     for act in sys.levels:
         level_set = frozenset(act.tree.vertices)
         r = first_point_map(tree, level_set, x)
-        res = tower_orbit(decorated.action, r, cap)
+        res = tower_orbit(action, r, cap)
         sizes.append(len(res))
         closed.append(res.closed)
     return ProjectionGrowth(tuple(sizes), tuple(closed))
@@ -260,6 +299,44 @@ def random_automorphism_fixing_leaf(t, e, rng):
 
     rec(e, e)
     return TreeAutomorphism(mapping)
+
+
+def _times_u12(vid):
+    """The level-1 id of x*u12 (mod 2), given the level-1 id of x.  Right
+    multiplication commutes with the generators' left translation."""
+    a, b, c, d = (int(e) for e in vid.split("|")[1].split(","))
+    return f"1|{a},{(a + b) % 2},{c},{(c + d) % 2}"
+
+
+def broken_towers():
+    """The serialized n=2 p=2 depth-2 tower broken in five ways, one for each
+    kind of reason `tower verify` gives: label -> JSON payload."""
+    def broken(edit):
+        payload = system_to_json(build_congruence_tower(2, 2, 2))
+        edit(payload)
+        return payload
+
+    def scramble(bond):
+        # two new leaves with different parents trade parents
+        new = [v for v in bond if v.startswith("2|")]
+        a = new[0]
+        b = next(v for v in new if bond[v] != bond[a])
+        bond[a], bond[b] = bond[b], bond[a]
+
+    def regraft(bond):
+        # equivariant, onto and the identity below, but each new leaf goes to
+        # its parent times u12, which is not adjacent to it
+        bond.update([(v, _times_u12(w)) for v, w in bond.items() if v.startswith("2|")])
+
+    return {
+        "invalid_level": broken(lambda t: t["levels"][1]["tree"]["edges"].append(
+            t["levels"][1]["tree"]["edges"][0])),
+        "scrambled_bond": broken(lambda t: scramble(t["bonds"][1])),
+        "bond_moves_lower_copy": broken(lambda t: t["bonds"][1].update(
+            dict.fromkeys(t["bonds"][1], "0|e"))),
+        "disconnected_preimage": broken(lambda t: regraft(t["bonds"][1])),
+        "provenance_p_3": broken(lambda t: t["provenance"].update(p=3)),
+    }
 
 
 # -- naive twins of the exact checkers in ordering and realize ------------------

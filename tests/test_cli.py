@@ -11,6 +11,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+import oracles
 from treeact import cli, presets
 from treeact.ordering import OrderingError
 
@@ -414,8 +415,9 @@ class TestGoldenReports:
 
 
 # The same pin for one non-preset command line per optional argument of every
-# subcommand.  {name} stands for a file made by ``_write_inputs``; no path
-# appears in a report, so the digests do not depend on where the files live.
+# subcommand, and for `tower verify` on each of ``oracles.broken_towers``.
+# {name} stands for a file made by ``_write_inputs``; no path appears in a
+# report, so the digests do not depend on where the files live.
 GOLDEN_LINES = {
     "tower build congruence": ("tower build -n 2 -p 3 --depth 1 --cap 1000 --out {out}/t.json --dot-dir {out}/dots", 0, "ce8a99d8a13694b701a0777d4b9455dde96283240334e629c3824725caca7f84"),
     "tower build star": ("tower build --star 3 --out {out}/star.json --svg {out}/star.svg", 0, "43c4c704eac0e1cd59f487e0dd31b55f4c374d3afe3551502bf6d1c660171164"),
@@ -423,6 +425,11 @@ GOLDEN_LINES = {
     "tower build star preset": ("tower build --preset star-dendrite-8", 0, "b6d489975b700e4c5963f6edc72586c5630fc1914ac91d709341301288749859"),
     "tower build in": ("tower build --in {tower}", 0, "eba567df1cf3b66523421af33395ca3be6294694017b255ac6d192ad94e664a9"),
     "tower verify in": ("tower verify --in {tower}", 0, "31e66941aecc0f850e4dd091b9d85cb4fbe39f7b3eafe11bc01cc272a797b86f"),
+    "tower verify broken invalid level": ("tower verify --in {broken_invalid_level}", 1, "dcbdbf918e89fe42d4b16ac3a91d25b6d5a058b2d010dd408b7b27ed5539d72b"),
+    "tower verify broken scrambled bond": ("tower verify --in {broken_scrambled_bond}", 1, "85e35eb176735452ba78485489bb00c9003ff15f7a1d02166a99ba063535946b"),
+    "tower verify broken bond moves lower copy": ("tower verify --in {broken_bond_moves_lower_copy}", 1, "46f306209f4c53c1f13768d0199ce19d954bb3cac161d522b5aab8caa6066b59"),
+    "tower verify broken disconnected preimage": ("tower verify --in {broken_disconnected_preimage}", 1, "0cca8f72b33f3a6337167c4515acf0d369467eb49bc4ec5591b19a73e4428a68"),
+    "tower verify broken provenance p 3": ("tower verify --in {broken_provenance_p_3}", 1, "1c1757256e1516b287490f8f4f86ba793da83a3df7d59c2f3edad060e8ca088f"),
     "tower verify cap": ("tower verify -n 2 -p 2 --depth 1 --cap 100 --report {out}/r.json", 0, "5f4d86fe6bb61a48dc47b8d8d7e80f5ebbbf28b0179d6cdf0fe14e1b3f55d9a6"),
     "tower orbits": ("tower orbits -n 2 -p 3 --depth 1 --vertex 1|0,2,1,1 --orbit-cap 2", 0, "3db589992a62191cc25702bbb1a47c1d06087fac4d8b3c2f27a14a5b099f2fc0"),
     "tower decorate": ("tower decorate -n 2 -p 3 --depth 1 --seed-leaf 1|0,1,2,2 --orbit-cap 3", 0, "2d6d7f4ff19e94920774cd8fcccc07d809590d769f8cdb172a9df523605fff57"),
@@ -463,6 +470,8 @@ def _write_inputs(root):
     })
     files["swap"] = put("swap.json", {"mapping": {"a": "a", "b": "b", "c": "d", "d": "c", "e": "f", "f": "e"}})
     files["ident"] = put("ident.json", {"mapping": {v: v for v in "abcdef"}})
+    for label, payload in oracles.broken_towers().items():
+        files[f"broken_{label}"] = put(f"broken_{label}.json", payload)
     files["tower"] = str(root / "tower.json")
     files["order"] = str(root / "order.json")
     assert run_cli("tower", "build", "-n", "2", "-p", "2", "--depth", "1", "--out", files["tower"])[0] == 0
@@ -660,6 +669,18 @@ class TestMalformedInput:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(payload))
         assert run_cli(*golden_argv(argv, {**input_files, "bad": str(bad)})) == (3, "")
+
+    @pytest.mark.parametrize("sub", ["verify", "build"])
+    @pytest.mark.parametrize("key, value", [
+        ("n", "2"), ("n", True), ("n", None), ("p", 1), ("p", 2.0), ("p", False)])
+    def test_provenance_that_is_not_an_int_of_at_least_two_is_three(
+            self, tmp_path, input_files, capsys, sub, key, value):
+        payload = json.loads(Path(input_files["tower"]).read_text())
+        payload["provenance"][key] = value
+        bad = tmp_path / "tower.json"
+        bad.write_text(json.dumps(payload))
+        assert run_cli("tower", sub, "--in", str(bad)) == (3, "")
+        assert capsys.readouterr().err == f"error: provenance {key} must be an integer >= 2\n"
 
     @pytest.mark.parametrize("edit", [
         lambda signs: signs + [[0, 99, 1]],         # an index outside the ball

@@ -5,10 +5,14 @@ a plain local assignment (``x = ...``) in a function whose name is never
 read in that function or the functions nested in it, a module-level
 private function or class (``_name``) that no module of the package reads,
 and a public function, class or method that nothing in the package, the
-scripts or the benchmark reads outside its own definition.
+scripts or the benchmark reads outside its own definition.  A method is read
+only through an attribute (``x.name``): a local variable of the same name
+does not read it.
 """
 
 import ast
+import builtins
+import importlib
 from collections import Counter
 from pathlib import Path
 
@@ -27,9 +31,9 @@ KEEP_PUBLIC = {
         "acceptance criterion 6 enumerates a leaf's stabiliser with it on small trees",
     "count_automorphisms_fixing_leaf":
         "acceptance criterion 6 checks that enumeration's size against it",
-    "action":
-        "DecoratedAction's decorated tree and maps, made on first read; the decoration "
-        "pins and the naive twin of projection_orbit_growth read them",
+    "mapping":
+        "TreeAutomorphism's map as a dict; the oracles and the decoration pins read maps "
+        "through it",
 }
 
 
@@ -44,6 +48,23 @@ def _read_names(tree: ast.AST, attributes: bool = False):
         annotation = getattr(node, "annotation", None) or getattr(node, "returns", None)
         if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
             yield from _read_names(ast.parse(annotation.value, mode="eval"), attributes)
+
+
+def _attribute_reads(tree: ast.AST):
+    return (node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute))
+
+
+def _inherited(cls: ast.ClassDef) -> set[str]:
+    """The attributes cls gets from bases outside the package, builtins such
+    as ``ValueError`` or ``module.Class`` such as ``argparse.ArgumentParser``:
+    a method of that name overrides one that its base's own code calls."""
+    names = set()
+    for base in cls.bases:
+        if isinstance(base, ast.Name) and hasattr(builtins, base.id):
+            names.update(dir(getattr(builtins, base.id)))
+        elif isinstance(base, ast.Attribute) and isinstance(base.value, ast.Name):
+            names.update(dir(getattr(importlib.import_module(base.value.id), base.attr)))
+    return names
 
 
 def _loaded_names(tree: ast.AST) -> set[str]:
@@ -115,19 +136,28 @@ def unread_private_definitions(sources: dict[str, str]) -> list[str]:
 def unread_public_definitions(sources: dict[str, str], callers: list[str]) -> list[str]:
     """Public module-level functions and classes, and public methods of
     module-level classes, in sources that no read in sources or callers
-    names outside the definition itself.  Dunders count as private."""
+    names outside the definition itself; a method is read only as an
+    attribute.  Dunders count as private, and a method that overrides one
+    inherited from outside the package is read by its base."""
     modules = {name: ast.parse(source) for name, source in sources.items()}
-    reads = Counter()
+    reads, attribute_reads = Counter(), Counter()
     for tree in [*modules.values(), *map(ast.parse, callers)]:
         reads.update(_read_names(tree, attributes=True))
+        attribute_reads.update(_attribute_reads(tree))
     kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     found = []
     for name, module in modules.items():
         for stmt in module.body:
-            members = stmt.body if isinstance(stmt, ast.ClassDef) else []
-            for d in [stmt, *members]:
-                if (isinstance(d, kinds) and not d.name.startswith("_")
-                        and reads[d.name] == sum(1 for r in _read_names(d, True) if r == d.name)):
+            if not isinstance(stmt, kinds):
+                continue
+            scans = [(stmt, reads, lambda d: _read_names(d, True))]
+            if isinstance(stmt, ast.ClassDef):
+                inherited = _inherited(stmt)
+                scans += [(d, attribute_reads, _attribute_reads) for d in stmt.body
+                          if isinstance(d, kinds) and d.name not in inherited]
+            for d, counted, own_reads in scans:
+                if (not d.name.startswith("_")
+                        and counted[d.name] == sum(1 for r in own_reads(d) if r == d.name)):
                     found.append(f"{name} line {d.lineno}: {d.name}")
     return found
 
@@ -206,3 +236,13 @@ class TestCheckers:
         callers = ["from a import Box, used\n\nused()\nBox().read()\n"]
         assert unread_public_definitions(sources, callers) == [
             "a.py line 4: left", "a.py line 11: size"]
+
+    def test_method_is_read_only_as_an_attribute(self):
+        sources = {"a.py": ("import argparse\n\n"
+                            "class Box:\n"
+                            "    def close(self):\n        pass\n\n"
+                            "class P(argparse.ArgumentParser):\n"
+                            "    def error(self, message):\n        pass\n\n"
+                            "def use(close):\n    return Box(), P, close\n")}
+        callers = ["from a import use\n\nuse(None)\n"]
+        assert unread_public_definitions(sources, callers) == ["a.py line 4: close"]

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from treeact.matrices import GroupMatrix, elementary
-from treeact.ordering import OrderAssignment, OrderingError, ball_generate
+from treeact.ordering import OrderAssignment, OrderingError, ball_generate, check_axioms
 from treeact.realize import (
     NEG_INF,
     POS_INF,
@@ -85,6 +85,33 @@ class TestRealize:
         partial = OrderAssignment(ball, {(0, 1): 1})
         with pytest.raises(OrderingError):
             realize(list(ball.elements), partial)
+
+    @settings(max_examples=80)
+    @given(st.integers(1, 3), st.integers(0, 2 ** 32 - 1), st.integers(0, 3))
+    def test_realizes_exactly_the_orders_that_pass_the_axioms(self, radius, seed, flips):
+        # a complete antisymmetric assignment, a total order with a few pairs
+        # flipped, realized in a random enumeration
+        rng = random.Random(seed)
+        ball = z_ball(radius)
+        elems = list(ball.elements)
+        rng.shuffle(elems)
+        signs = {(i, j): s for (i, j), s in
+                 OrderAssignment.from_total_order(ball, elems).signs.items() if i < j}
+        for _ in range(flips):
+            pair = tuple(sorted(rng.sample(range(len(ball)), 2)))
+            signs[pair] = -signs[pair]
+        order = OrderAssignment(ball, signs)
+        rng.shuffle(elems)
+        try:
+            rm = realize(elems, order)
+        except OrderingError:
+            rm = None
+        assert (rm is not None) == check_axioms(order).passed
+        if rm is not None:
+            for g in elems:
+                for h in elems:
+                    if g != h:
+                        assert (order.sign(g, h) == 1) == (rm.value(g) > rm.value(h))
 
     @settings(max_examples=25)
     @given(st.integers(0, 2 ** 32 - 1))

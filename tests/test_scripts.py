@@ -12,7 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from treeact.tower import FiniteTreeAction, InverseSystem, build_congruence_tower
+import oracles
+from treeact.tower import FiniteTreeAction, InverseSystem, build_congruence_tower, system_from_json
 from treeact.trees import Tree
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -78,3 +79,9 @@ class TestCensusChecks:
         collapsed = {v: "0|e" for v in sys_.bonds[1]}
         row = self.row_for(monkeypatch, InverseSystem(sys_.levels, [sys_.bonds[0], collapsed]))
         assert row["equivariant"] and not row["ok"]
+
+    @pytest.mark.parametrize("label", sorted(oracles.broken_towers()))
+    def test_broken_tower(self, monkeypatch, label):
+        # the towers whose failing `tower verify` reports the CLI golden lines pin
+        row = self.row_for(monkeypatch, system_from_json(oracles.broken_towers()[label]))
+        assert row["equivariant"] == (label != "scrambled_bond") and not row["ok"]

@@ -28,7 +28,6 @@ from treeact.tower import (
     system_to_json,
     verify_all_bonds,
     verify_bond_structure,
-    verify_equivariant_bond,
 )
 from treeact.trees import validate_tree
 
@@ -71,7 +70,7 @@ class TestBuild:
         # mod 2 every transvection squares to the identity, a relation the
         # integral matrices do not satisfy
         act = tower321.levels[1]
-        mats = {name: m.reduce_mod(2) for name, m in act.context["matrices"].items()}
+        mats = {name: m.reduce_mod(2) for name, m in tower321.matrices.items()}
         names = sorted(mats)
         found_nontrivial = 0
         for x in names:
@@ -92,7 +91,7 @@ class TestBuild:
         # vertex labels are reduced matrices; the generator u must send the
         # vertex of M to the vertex of u*M (not M*u)
         act = tower321.levels[1]
-        for name, u in act.context["matrices"].items():
+        for name, u in tower321.matrices.items():
             auto = act.generators[name]
             for vid in list(act.tree.vertices)[1:10]:
                 entries = tuple(int(x) for x in vid.split("|")[1].split(","))
@@ -112,7 +111,7 @@ class TestBuild:
 
 class TestBonds:
     def test_equivariance_passes(self, tower321):
-        rep = verify_equivariant_bond(tower321, 0)
+        rep = verify_all_bonds(tower321)
         assert rep.passed
         assert rep.checked == 6 * 169
 
@@ -127,20 +126,20 @@ class TestBonds:
     def test_scrambled_bond_fails_with_witness(self):
         # depth 2 so that different leaves have different parents
         sys_ = build_congruence_tower(2, 2, 2)
-        assert verify_equivariant_bond(sys_, 1).passed
+        assert verify_all_bonds(sys_).passed
         bond = dict(sys_.bonds[1])
         leaves = sys_.levels[2].tree.leaves()
         a = leaves[0]
         b = next(v for v in leaves if bond[v] != bond[a])
         bond[a], bond[b] = bond[b], bond[a]
         broken = InverseSystem(sys_.levels, [sys_.bonds[0], bond], sys_.provenance)
-        rep = verify_equivariant_bond(broken, 1)
+        rep = verify_all_bonds(broken)
         assert not rep.passed
-        assert rep.violations
+        assert rep.violations and {v for _name, v in rep.violations} <= set(leaves)
 
     def test_missing_level_rejected(self):
-        with pytest.raises(TowerError):
-            verify_equivariant_bond(trivial_system(), 0)
+        with pytest.raises(TowerError, match="no bond at this level"):
+            verify_bond_structure(trivial_system(), 0)
 
 
 class TestOrbit:
@@ -212,8 +211,9 @@ class TestDecorations:
         dec = attach_decorations(sys_, "0|e")
         assert len(dec.pendants) == 1
         assert dec.pendants[0].length == 1
-        assert validate_tree(dec.action.tree).ok
-        dec.action.validate()
+        act = oracles.decorated_action(dec)
+        assert validate_tree(act.tree).ok
+        act.validate()
 
     def test_full_orbit_pendants(self, tower321):
         leaf = tower321.levels[1].tree.leaves()[0]
@@ -222,9 +222,10 @@ class TestDecorations:
         assert [p.length for p in dec.pendants[:3]] == [
             Fraction(1, 1), Fraction(1, 2), Fraction(1, 3),
         ]
-        dec.action.validate()
+        act = oracles.decorated_action(dec)
+        act.validate()
         # generators permute pendant tips transitively with the leaf orbit
-        res = orbit(dec.action, dec.pendants[0].tip)
+        res = orbit(act, dec.pendants[0].tip)
         assert len(res) == 168
 
     def test_seed_must_be_leaf(self, tower321):
@@ -240,12 +241,6 @@ class TestDecorations:
         leaf = sys_.levels[1].tree.leaves()[0]
         with pytest.raises(TowerError, match="pendant vertex pend2m is already a vertex"):
             attach_decorations(sys_, leaf)
-
-    def test_decorated_tree_is_made_on_first_read(self, tower321):
-        dec = attach_decorations(tower321, tower321.levels[1].tree.leaves()[0])
-        projection_orbit_growth(tower321, dec, dec.pendants[0].tip)
-        assert "action" not in vars(dec)
-        assert dec.action is dec.action
 
 
 class TestProjectionGrowth:
@@ -473,13 +468,14 @@ class TestDecorationPins:
         sys_ = build_congruence_tower(*npd)
         seed = sys_.levels[-1].tree.leaves()[0]
         dec = attach_decorations(sys_, seed)
+        act = oracles.decorated_action(dec)
         got = {
             "seed": seed,
             "pendants": len(dec.pendants),
             "anchors": sha("\n".join(p.anchor for p in dec.pendants)),
-            "vertices": sha("\n".join(dec.action.tree.vertices)),
+            "vertices": sha("\n".join(act.tree.vertices)),
             "maps": {name: sha(json.dumps(sorted(auto.mapping.items())))
-                     for name, auto in sorted(dec.action.generators.items())},
+                     for name, auto in sorted(act.generators.items())},
         }
         assert got == want
 

@@ -335,7 +335,8 @@ class TestOrbitTwin:
         sys_ = TOWERS[npd]
         act = sys_.levels[rng.randrange(len(sys_.levels))]
         if decorated:
-            act = attach_decorations(sys_, rng.choice(sys_.levels[-1].tree.leaves())).action
+            act = oracles.decorated_action(
+                attach_decorations(sys_, rng.choice(sys_.levels[-1].tree.leaves())))
         v = rng.choice(act.tree.vertices)
         assert orbit_outcome(act, v, cap) == oracles.orbit(act, v, cap)
 
@@ -376,7 +377,6 @@ class TestProjectionGrowthTwin:
         x = {"vertex": rng.choice(sys_.levels[-1].tree.vertices),
              "mid": pendant.mid, "tip": pendant.tip, "outside": "pend0t"}[kind]
         got = growth_outcome(projection_orbit_growth, sys_, dec, x, cap)
-        assert "action" not in vars(dec)
         assert got == growth_outcome(oracles.projection_orbit_growth, sys_, dec, x, cap)
         if kind == "outside":
             assert got == ("raised", "vertex not in decorated tree")
