@@ -19,12 +19,10 @@ from .matrices import (
 from .ordering import (
     Ball,
     OrderAssignment,
-    QuasiOrderSample,
     ball_generate,
     check_axioms,
     check_invariance,
     compactness_extract,
-    ll_test,
     search_invariant,
 )
 from .realize import (

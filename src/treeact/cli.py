@@ -215,10 +215,7 @@ def _h_tower_decorate(cfg: RunConfig):
     monotone = all(a <= b for a, b in zip(growth.sizes, growth.sizes[1:]))
     details = {
         "pendants": len(decorated.pendants),
-        "lengths_head": [
-            f"{p.length.numerator}/{p.length.denominator}"
-            for p in decorated.pendants[:3]
-        ],
+        "lengths_head": [f"1/{i}" for i in range(1, min(3, len(decorated.pendants)) + 1)],
         "projection_vertex": x,
         "orbit_sizes": list(growth.sizes),
         "strictly_increasing": growth.strictly_increasing(),
@@ -322,42 +319,7 @@ def _realize_z_ball(radius: int):
     for k in range(1, radius + 1):
         enumeration.append(u ** k)
         enumeration.append(u ** (-k))
-    return u, ball, order, enumeration
-
-
-def _h_order_from_action(cfg: RunConfig):
-    u, ball, order, enumeration = _realize_z_ball(10)
-    rm = realize(enumeration, order)
-    probes = sorted(rm.t.values())[:cfg.parameters.get("probe_count")]
-    recovered = order_from_realization(rm, ball, probes)
-    reproduced = recovered.signs == order.signs
-    details = {
-        "ball_size": len(ball),
-        "probes": len(probes),
-        "reproduced_input_order": reproduced,
-    }
-    power_cap = cfg.parameters.get("power_cap")
-    if power_cap is not None:
-        # bounded domination of the unit translation over the identity,
-        # evaluated on the realized piecewise-linear maps
-        from .ordering import QuasiOrderSample, ll_test
-
-        map_e = generator_pl_map(rm, GroupMatrix.identity(2), ball, label="e").homeo
-        map_g = generator_pl_map(rm, u, ball, label="g").homeo
-        sample = QuasiOrderSample(
-            probes=(0,), apply=lambda m, x: m(x), position=lambda x: x
-        )
-        verdict = ll_test(sample, map_e, map_g, power_cap)
-        details["domination_check"] = {
-            "pair": ["e", "g"],
-            "holds_up_to_cap": verdict.holds,
-            "cap": verdict.cap,
-            "via": verdict.via,
-            "failed_at": verdict.failed_at,
-        }
-    if "out" in cfg.outputs:
-        _write_text(cfg.outputs["out"], _dump(assignment_to_json(recovered)))
-    return ("pass" if reproduced else "fail"), details
+    return ball, order, enumeration
 
 
 def _enumeration_from_json(obj, ball) -> list:
@@ -370,7 +332,7 @@ def _enumeration_from_json(obj, ball) -> list:
 
 def _h_realize(cfg: RunConfig):
     if "preset" in cfg.parameters:
-        u, ball, order, enumeration = _realize_z_ball(10)
+        ball, order, enumeration = _realize_z_ball(10)
     else:
         order = assignment_from_json(_read_json(cfg.inputs["order"]))
         ball = order.ball
@@ -380,6 +342,10 @@ def _h_realize(cfg: RunConfig):
             for name, g in zip(ball.names, ball.generators)]
     report = verify_realization(rm, maps)
     free = almost_free_report(maps)
+    try:
+        round_trip = order_from_realization(rm, ball).signs == order.signs
+    except OrderingError:  # probes insufficient, or the probe order not transitive
+        round_trip = False
     outdir = cfg.outputs.get("out")
     if outdir:
         _write_text(str(Path(outdir) / "realization.csv"), realization_to_csv(rm, ball))
@@ -394,8 +360,9 @@ def _h_realize(cfg: RunConfig):
         "t_max": f"{t_items[-1][1].numerator}/{t_items[-1][1].denominator}",
         "verified": report.passed,
         "almost_free": free.almost_free,
+        "round_trip": round_trip,
     }
-    return ("pass" if report.passed else "fail"), details
+    return ("pass" if report.passed and round_trip else "fail"), details
 
 
 # -- identities ---------------------------------------------------------------------
@@ -635,12 +602,6 @@ COMMANDS = {
     "order extract": Command(_h_order_extract, (
         _arg("--chain", role=INPUT, action="append", required=True),
         _arg("--target-radius", type=int, required=True),
-        _OUT,
-    )),
-    "order from-action": Command(_h_order_from_action, (
-        _arg("--preset", choices=("realized-z-21",), default="realized-z-21"),
-        _arg("--probe-count", type=_count),
-        _arg("--power-cap", type=_count),
         _OUT,
     )),
     "realize": Command(_h_realize, (

@@ -15,7 +15,7 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from itertools import islice
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from ._walk import walk
 from .matrices import (
@@ -601,74 +601,6 @@ def order_from_probe_keys(
             if c > 0:
                 raise OrderingError("probe order not transitive at this scale")
     return OrderAssignment.from_total_order(ball, ascending)
-
-
-# -- bounded domination test -------------------------------------------------------
-
-
-@dataclass(eq=False)
-class QuasiOrderSample:
-    """Probe-based comparison oracle: elements compared by their probe images.
-
-    ``apply(elem, point)`` must realize a left action; elements need an
-    ``inverse()``.  Comparison is lexicographic over the probe list using
-    ``position`` as the coordinate of a point.
-    """
-
-    probes: tuple
-    apply: Callable
-    position: Callable
-
-    def key(self, elem) -> tuple:
-        return tuple(self.position(self.apply(elem, x)) for x in self.probes)
-
-
-@dataclass(frozen=True)
-class DominationVerdict:
-    """Result of a bounded check of the relation "g is dominated by h".
-
-    ``holds`` means one alternative (h or h^-1 as the bound) survived for
-    every exponent with absolute value up to the cap; this is explicitly an
-    approximation truncated at the cap, never a proof.
-    """
-
-    holds: bool
-    cap: int
-    via: str | None           # "h" or "h-inverse" when holds
-    failed_at: int | None     # smallest cap at which both alternatives break
-
-
-def ll_test(sample: QuasiOrderSample, g, h, k: int) -> DominationVerdict:
-    """Bounded test of g << h (all powers of g below h, or all below h^-1)."""
-    if k < 1:
-        raise OrderingError("power cap must be positive")
-    key_h = sample.key(h)
-    key_hinv = sample.key(h.inverse())
-    ginv = g.inverse()
-    ident = g * ginv
-
-    def power_keys():
-        # exponents ordered 0, 1, -1, 2, -2, ...: first failure index is the
-        # smallest |exponent| that breaks an alternative.
-        yield 0, sample.key(ident)
-        cur_p, cur_m = ident, ident
-        for j in range(1, k + 1):
-            cur_p = cur_p * g
-            yield j, sample.key(cur_p)
-            cur_m = cur_m * ginv
-            yield -j, sample.key(cur_m)
-
-    fail_h: int | None = None
-    fail_hinv: int | None = None
-    for j, key in power_keys():
-        if fail_h is None and not key <= key_h:
-            fail_h = abs(j)
-        if fail_hinv is None and not key <= key_hinv:
-            fail_hinv = abs(j)
-        if fail_h is not None and fail_hinv is not None:
-            return DominationVerdict(False, k, None, max(fail_h, fail_hinv))
-    via = "h" if fail_h is None else "h-inverse"
-    return DominationVerdict(True, k, via, None)
 
 
 # -- serialization ----------------------------------------------------------------

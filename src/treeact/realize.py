@@ -335,24 +335,16 @@ def almost_free_report(maps: Sequence[GeneratorMap]) -> AlmostFreeReport:
     return AlmostFreeReport(not witnesses, tuple(witnesses))
 
 
-def order_from_realization(
-    rm: RealizationMap, ball: Ball, probes: Sequence[Fraction] | None = None
-) -> OrderAssignment:
-    """Recover an order on the ball from the realized action on probe points.
+def order_from_realization(rm: RealizationMap, ball: Ball) -> OrderAssignment:
+    """Recover an order on the ball from the realized action on Q.
 
-    Probes default to all realized values in ascending order (away from the
+    Every realized value is a probe, taken in ascending order (away from the
     lower formal endpoint).  Each element acts partially: g moves t(x) to
     t(g x) when both are realized; a probe where either side is missing has
     image None and is skipped by ``order_from_probe_keys``.
     """
-    if probes is None:
-        probes = rm.values
-    by_value = {v: r for r, v in enumerate(rm.values)}
-    if any(p not in by_value for p in probes):
-        raise RealizeError("probe is not a realized point")
-    at = [by_value[p] for p in probes]
     # rank is strictly increasing in t, so rank keys compare as t keys would
-    keys = {g: tuple(map(rm.row(g).__getitem__, at)) for g in ball.elements}
+    keys = {g: tuple(rm.row(g)) for g in ball.elements}
     return order_from_probe_keys(ball, keys)
 
 

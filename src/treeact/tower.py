@@ -407,7 +407,6 @@ class Pendant:
     anchor: str
     mid: str
     tip: str
-    length: Fraction
 
 
 @dataclass(eq=False)
@@ -439,7 +438,7 @@ def attach_decorations(sys: InverseSystem, seed: str) -> DecoratedAction:
         raise TowerError("seed must be a leaf")
 
     order = [y for y, *_ in _orbit_walk(act, seed, True)]
-    pendants = tuple(Pendant(anchor, f"pend{i}m", f"pend{i}t", Fraction(1, i))
+    pendants = tuple(Pendant(anchor, f"pend{i}m", f"pend{i}t")
                      for i, anchor in enumerate(order, start=1))
     taken = set(chain.from_iterable(level.tree.vertices for level in sys.levels))
     clash = next((v for p in pendants for v in (p.mid, p.tip) if v in taken), None)

@@ -22,7 +22,7 @@ from treeact.ordering import (
     UnsatTrace,
     format_word,
 )
-from treeact.realize import NEG_INF, POS_INF, RealizeError
+from treeact.realize import NEG_INF, POS_INF
 from treeact.tower import (
     FiniteTreeAction,
     ProjectionGrowth,
@@ -462,18 +462,11 @@ def order_from_probe_keys(ball, keys):
     return OrderAssignment.from_total_order(ball, ascending)
 
 
-def order_from_realization(rm, ball, probes=None):
+def order_from_realization(rm, ball):
     """Twin of ``realize.order_from_realization`` with Fraction keys: every
-    ball element times every probe's preimage, one matrix product each."""
-    values = sorted(rm.t.values())
-    if probes is None:
-        probes = values
-    by_value = {v: g for g, v in rm.t.items()}
-    for p in probes:
-        if p not in by_value:
-            raise RealizeError("probe is not a realized point")
-
-    keys = {g: tuple(rm.t.get(g * by_value[p]) for p in probes) for g in ball.elements}
+    ball element times every realized point, one matrix product each."""
+    points = sorted(rm.t, key=rm.t.get)
+    keys = {g: tuple(rm.t.get(g * x) for x in points) for g in ball.elements}
     return order_from_probe_keys(ball, keys)
 
 

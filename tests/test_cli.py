@@ -223,11 +223,6 @@ class TestOrder:
         assert code == 0
         assert report["details"]["supporters"] == [0, 1, 2]
 
-    def test_from_action_round_trip(self):
-        code, report = run_report("order", "from-action")
-        assert code == 0
-        assert report["details"]["reproduced_input_order"] is True
-
     def test_shuffle_stable_unsat(self):
         for seed in ("1", "99"):
             code, report = run_report(
@@ -259,6 +254,22 @@ class TestRealizeCommand:
             "--out", str(tmp_path / "out"),
         )
         assert code == 0 and report["details"]["elements"] == 9
+
+    def test_preset_round_trips(self):
+        code, report = run_report("realize", "--preset", "realize-z-21")
+        assert code == 0 and report["details"]["round_trip"] is True
+
+    def test_sub_enumeration_does_not_round_trip(self, tmp_path):
+        # three realized points leave elements of the ball that no probe
+        # image tells apart, so the order read back is not the witness
+        order = tmp_path / "order.json"
+        run_cli("order", "search", "--preset", "z-ball-3", "--out", str(order))
+        enum = tmp_path / "enum.json"
+        enum.write_text(json.dumps({"indices": [4, 3, 5]}))
+        code, report = run_report("realize", "--order", str(order), "--enum", str(enum))
+        assert code == 1 and report["outcome"] == "fail"
+        assert report["details"]["verified"] is True
+        assert report["details"]["round_trip"] is False
 
     def test_cyclic_order_is_not_total(self, tmp_path, capsys):
         # the radius-1 Z ball, indexed u^-1, e, u, ordered cyclically:
@@ -391,7 +402,7 @@ GOLDEN_REPORTS = {
     "hexagon-r2": (0, "c91be0515c9f6a9ec4f2ea6f7a36b4f29965dc1d418159da2da6359634230685"),
     "hexagon-r3": (0, "836b0741b12bd50b91555884229dcf6120059d9e164f08f23166b1db7910e90b"),
     "ll-heisenberg": (0, "9897043cfa27c4cca63c0e94dcf5c7a4c0cfb0638961c13e8b1d691af7ca9979"),
-    "realize-z-21": (0, "995315cd12180ee076196b4e9cfeda10d5412f6a43a796a034e86a89ce327b16"),
+    "realize-z-21": (0, "ef4e1e4601b55a4571018d7f001d2af743d5a7db7e3cc03921ab78a2d92f1019"),
     "star-dendrite-1": (0, "a4669e0cb3dc2f3f8c5819ebec0dfa9219e2d623cfd56ed26b246a6868a34c49"),
     "star-dendrite-8": (0, "b6d489975b700e4c5963f6edc72586c5630fc1914ac91d709341301288749859"),
     "torsion-z2": (1, "0f1110836239910da4dcad5d4074779f9f3dd17a66e31538dce2580a2a5dfe57"),
@@ -437,8 +448,7 @@ GOLDEN_LINES = {
     "order search defaults": ("order search --gens {gens}", 0, "f40dafd4630229abf51302bce01fa96afc92331296560264e69d5cb2c702c7d1"),
     "order check": ("order check --order {order} --invariant gens --inner-radius 1", 0, "d06ab5906d706de6cd8c17f7803335b6f170ee83007b984cbdbf98dd4020402e"),
     "order extract": ("order extract --chain {order} --chain {order} --target-radius 1 --out {out}/x.json", 0, "f9fd4f9f25b524325480cb3fdbeac27688e46a3eda620d2baccc8d98b7c21e97"),
-    "order from-action": ("order from-action --preset realized-z-21 --probe-count 11 --power-cap 5 --out {out}/fa.json", 0, "332cddfd52bf067d479e4add67b4b41e08a1b0de97cc3ad3aaa277610b2a9b73"),
-    "realize files": ("realize --order {order} --enum {enum} --svg --out {out}/real", 0, "331a6f00b7ecffc57508221293839667eac128c05e07621468f8399d0e0af971"),
+    "realize files": ("realize --order {order} --enum {enum} --svg --out {out}/real", 0, "4bbb0165795d6e89dd1dd1be49b53382f139af596a1c8bb8f790f31a10ec2041"),
     "identities hexagon": ("identities hexagon --embedded 5 1 3 2", 0, "9a6bff3266ca4ac4df664772f0110851b010fbbc0a6dea2fc9b7462bb4cd729c"),
     "identities ll": ("identities ll --r-max 2 --m-max 3 --p-max 2 --q-max 4", 0, "3b328bc0b429d2c44bc508e3b4c28404ecc73cbee877de416391d3a5c7e16c54"),
     "identities congruence matrix": ("identities congruence --level 2 --matrix {matrix} --scan 6", 0, "de8b5aa03f20004405409e028a4af18dfd0b4928c23d5adc99c51631193a6913"),
@@ -545,8 +555,6 @@ class TestGivenValues:
         assert written is None or not (tmp_path / written).exists()
 
     @pytest.mark.parametrize("argv", [
-        "order from-action --probe-count -1",
-        "order from-action --power-cap -1",
         "identities ll --r-max -1",
         "identities ll --m-max -1",
         "identities ll --p-max -1",

@@ -7,8 +7,7 @@ Core claims:
     - the search returns Unsat on torsion (stably under reordering), Sat
       with re-verified witnesses on orderable instances, and a distinct
       budget-exhausted outcome;
-    - compactness extraction picks the majority restriction;
-    - the bounded domination test matches hand-computed verdicts.
+    - compactness extraction picks the majority restriction.
 """
 
 import hashlib
@@ -20,7 +19,6 @@ from treeact.matrices import GroupMatrix, elementary, six_generators
 from treeact.ordering import (
     OrderAssignment,
     OrderingError,
-    QuasiOrderSample,
     SearchBudgetExhausted,
     assignment_from_json,
     assignment_to_json,
@@ -31,7 +29,6 @@ from treeact.ordering import (
     check_invariance,
     compactness_extract,
     format_word,
-    ll_test,
     search_invariant,
 )
 from treeact.matrices import CapExceeded
@@ -380,38 +377,6 @@ class TestCompactnessExtract:
                     if i != j:
                         g, h = target.elements[i], target.elements[j]
                         assert res.assignment.sign(g, h) == chain[k].sign(g, h)
-
-
-class TestDominationTest:
-    @staticmethod
-    def shift_sample():
-        # elements are 2x2 unipotent powers acting on integer probes by
-        # adding their upper-right entry
-        return QuasiOrderSample(
-            probes=(0, 5),
-            apply=lambda g, x: x + g.entries[1],
-            position=lambda x: x,
-        )
-
-    def test_fixed_below_moving(self):
-        s = self.shift_sample()
-        verdict = ll_test(s, GroupMatrix.identity(2), z_gen(), 25)
-        assert verdict.holds and verdict.via == "h"
-
-    def test_two_translations_fail_at_two(self):
-        s = self.shift_sample()
-        verdict = ll_test(s, z_gen(), z_gen(), 3)
-        assert not verdict.holds
-        assert verdict.failed_at == 2
-
-    def test_self_comparison_fails_at_two(self):
-        s = self.shift_sample()
-        verdict = ll_test(s, z_gen(), z_gen(), 5)
-        assert verdict.failed_at == 2
-
-    def test_power_cap_validation(self):
-        with pytest.raises(OrderingError):
-            ll_test(self.shift_sample(), z_gen(), z_gen(), 0)
 
 
 class TestSerialization:

@@ -210,7 +210,7 @@ class TestDecorations:
         sys_ = trivial_system()
         dec = attach_decorations(sys_, "0|e")
         assert len(dec.pendants) == 1
-        assert dec.pendants[0].length == 1
+        assert (dec.pendants[0].mid, dec.pendants[0].tip) == ("pend1m", "pend1t")
         act = oracles.decorated_action(dec)
         assert validate_tree(act.tree).ok
         act.validate()
@@ -219,9 +219,7 @@ class TestDecorations:
         leaf = tower321.levels[1].tree.leaves()[0]
         dec = attach_decorations(tower321, leaf)
         assert len(dec.pendants) == 168
-        assert [p.length for p in dec.pendants[:3]] == [
-            Fraction(1, 1), Fraction(1, 2), Fraction(1, 3),
-        ]
+        assert [p.tip for p in dec.pendants[:3]] == ["pend1t", "pend2t", "pend3t"]
         act = oracles.decorated_action(dec)
         act.validate()
         # generators permute pendant tips transitively with the leaf orbit

@@ -275,43 +275,39 @@ class TestRoundTripTwin:
     """``order_from_realization`` reads ranks; its twin keys by Fractions."""
 
     @staticmethod
-    def agree(rm, ball, probes):
-        got = outcome(order_from_realization, rm, ball, probes)
-        want = outcome(oracles.order_from_realization, rm, ball, probes)
+    def agree(rm, ball):
+        got = outcome(order_from_realization, rm, ball)
+        want = outcome(oracles.order_from_realization, rm, ball)
         if got[0] == want[0] == "value":
             got, want = got[1].signs, want[1].signs
         assert got == want
         return got
 
     @settings(max_examples=80, deadline=None)
-    @given(SEEDS, st.sampled_from(["default", "subset", "foreign", "few"]))
-    def test_random_realizations(self, seed, kind):
-        rng = random.Random(seed)
-        ball, _key, rm = random_realization(rng)
-        values = sorted(rm.t.values())
-        probes = {
-            "default": None,
-            "subset": rng.sample(values, rng.randint(1, len(values))),
-            "foreign": rng.sample(values, rng.randint(0, len(values))),
-            "few": rng.sample(values, min(len(values), rng.randint(0, 2))),
-        }[kind]
-        if kind == "foreign":   # below every realized value, so never realized
-            probes.insert(rng.randint(0, len(probes)), values[0] - Fraction(1, 3))
-        self.agree(rm, ball, probes)
+    @given(SEEDS)
+    def test_random_realizations(self, seed):
+        ball, _key, rm = random_realization(random.Random(seed))
+        self.agree(rm, ball)
 
     def test_each_outcome_is_met(self):
         ball = z_ball(3)
         order = OrderAssignment.from_total_order(
             ball, sorted(ball.elements, key=lambda m: m.entries[1]))
+        power = {m.entries[1]: m for m in ball.elements}
         whole = realize(list(reversed(ball.elements)), order)
-        assert self.agree(whole, ball, None) == order.signs
-        zero = whole.value(U ** 0)
-        assert self.agree(whole, ball, [zero]) == order.signs
-        assert self.agree(whole, ball, [zero + Fraction(1, 3)]) == (
-            "raised", RealizeError, "probe is not a realized point")
-        assert self.agree(whole, ball, []) == (
+        assert self.agree(whole, ball) == order.signs
+        part = realize([power[0], power[1]], order)
+        assert self.agree(part, ball) == (
             "raised", OrderingError,
             "probes insufficient (action not almost free at this scale)")
+        # ordered by exponent as -2, -1, 2, 0, 1: skipping the probes with a
+        # missing image, the comparator puts u^-2 above u^0 although the
+        # sorted result puts it below
+        small = z_ball(2)
+        scrambled = OrderAssignment.from_total_order(
+            small, [power[k] for k in (-2, -1, 2, 0, 1)])
+        assert self.agree(realize(list(small.elements), scrambled), small) == (
+            "raised", OrderingError, "probe order not transitive at this scale")
 
 
 # -- tower orbits against the two-sided search of oracles.orbit -----------------
