@@ -582,7 +582,9 @@ def order_from_probe_keys(
     Keys compare lexicographically, skipping every probe where either image
     is None.  Skipped probes can make that comparison intransitive, so the
     sorted result is checked against every pair.  Raises ``OrderingError``
-    when the probes leave two elements equal or the order is not transitive.
+    when the probes leave two elements equal, naming why (no probe has an
+    image under both, or every probe that has agrees), or when the order is
+    not transitive.
     """
     def compare(a: GroupMatrix, b: GroupMatrix) -> int:
         for va, vb in zip(keys[a], keys[b]):
@@ -595,8 +597,12 @@ def order_from_probe_keys(
         for b in ascending[i + 1:]:
             c = compare(a, b)
             if c == 0:
+                shared = any(va is not None and vb is not None
+                             for va, vb in zip(keys[a], keys[b]))
                 raise OrderingError(
-                    "probes insufficient (action not almost free at this scale)"
+                    "probes insufficient: every shared probe agrees "
+                    "(action not almost free at this scale)" if shared else
+                    "probes insufficient: no probe is realized for both elements"
                 )
             if c > 0:
                 raise OrderingError("probe order not transitive at this scale")

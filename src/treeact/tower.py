@@ -181,8 +181,8 @@ def verify_all_bonds(sys: InverseSystem) -> BondReport:
     bad: list[tuple[str, str]] = []
     for lower, upper, bond in zip(sys.levels, sys.levels[1:], sys.bonds):
         for name, auto in upper.generators.items():
-            down = lower.generators[name]
-            bad += [(name, v) for v in upper.tree.vertices if bond[auto(v)] != down(bond[v])]
+            up, down = auto._map, lower.generators[name]._map
+            bad += [(name, v) for v in upper.tree.vertices if bond[up[v]] != down[bond[v]]]
             checked += len(upper.tree.vertices)
     return BondReport(not bad, checked, tuple(bad))
 
@@ -470,18 +470,34 @@ def projection_orbit_growth(
     taken in the deepest level's tree.  The decorated generators extend the
     deepest level's unchanged on its vertices, so the orbit of a projection
     is taken in the deepest level's action.
+
+    The deepest level is the whole tree, so x (or its anchor) is its own
+    projection there.  Without a cap, the deepest orbit of a pendant vertex
+    is read off the decoration: its anchor lies in the orbit that
+    ``attach_decorations`` walked, and an orbit is the same from each of its
+    points, so its size is the number of pendants and it is closed.  This
+    relies on generators that permute the vertices, as
+    ``FiniteTreeAction.validate`` checks.  A tower vertex, or any cap,
+    walks the deepest orbit as the other levels do.
     """
     act = decorated.base
     tree = act.tree
-    if x not in tree.adjacency:
+    pendant = x not in tree.adjacency
+    if pendant:
         x = next((p.anchor for p in decorated.pendants if x in (p.mid, p.tip)), None)
         if x is None:
             raise TowerError("vertex not in decorated tree")
     sizes = []
     closed = []
-    for level in sys.levels:
-        r = first_point_map(tree, frozenset(level.tree.vertices), x)
-        res = orbit(act, r, cap)
+    for level in sys.levels[:-1]:
+        res = orbit(act, first_point_map(tree, frozenset(level.tree.vertices), x), cap)
+        sizes.append(len(res))
+        closed.append(res.closed)
+    if pendant and cap is None:
+        sizes.append(len(decorated.pendants))
+        closed.append(True)
+    else:
+        res = orbit(act, x, cap)
         sizes.append(len(res))
         closed.append(res.closed)
     return ProjectionGrowth(tuple(sizes), tuple(closed))

@@ -157,16 +157,16 @@ def first_point_map(t: Tree, sub: Iterable[str], x: str) -> str:
 
     ``sub`` must induce a connected subtree; the path from x meets it
     exactly in the returned vertex, and r(x) = x for x already inside.
+    In a tree every path from x into a connected subtree enters it at that
+    one vertex, so it is the subtree vertex nearest to x: a breadth-first
+    walk from x stops at the first subtree vertex it meets.
     """
     subset = frozenset(sub)
     if x not in t.adjacency:
         raise TreeError("vertex not in tree")
-    if not subset <= set(t.vertices) or not _is_connected_subset(t, subset):
+    if not subset <= t.adjacency.keys() or not _is_connected_subset(t, subset):
         raise TreeError("subtree required")
-    if x in subset:
-        return x
-    target = min(subset)
-    for v in path(t, x, target):
+    for v, *_ in walk(x, t.adjacency.__getitem__):
         if v in subset:
             return v
     raise TreeError("vertices not connected")
@@ -254,7 +254,8 @@ def is_tree_automorphism(t: Tree, a: TreeAutomorphism) -> ValidationResult:
     if set(image.values()) != vset:
         return ValidationResult(False, "not a bijection")
     for u, v in t.edges:
-        if _norm_edge(image[u], image[v]) not in eset:
+        gu, gv = image[u], image[v]
+        if ((gu, gv) if gu <= gv else (gv, gu)) not in eset:
             return ValidationResult(False, f"edge ({u},{v}) not preserved")
     return ValidationResult(True, None)
 

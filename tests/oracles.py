@@ -28,15 +28,14 @@ from treeact.tower import (
     ProjectionGrowth,
     TowerError,
     build_congruence_tower,
-    orbit as tower_orbit,
     system_to_json,
 )
 from treeact.trees import (
     Tree,
     TreeAutomorphism,
+    TreeError,
     _rooted_children,
     _sibling_classes,
-    first_point_map,
 )
 
 
@@ -235,6 +234,26 @@ def parent_path(parent, b):
     return out[::-1]
 
 
+def first_point_map(t, sub, x):
+    """The first-point map as first written: check that sub is a connected
+    set of vertices, take the path from x to min(sub) and return its first
+    vertex in sub."""
+    subset = frozenset(sub)
+    adj = t.adjacency
+    if x not in adj:
+        raise TreeError("vertex not in tree")
+    if not subset or not subset <= set(t.vertices):
+        raise TreeError("subtree required")
+    inside, _parent, _depth = bfs(next(iter(subset)), lambda y: [z for z in adj[y] if z in subset])
+    if len(inside) != len(subset):
+        raise TreeError("subtree required")
+    _order, parent, _depth = bfs(x, adj.__getitem__)
+    target = min(subset)
+    if target not in parent:
+        raise TreeError("vertices not connected")
+    return next(v for v in parent_path(parent, target) if v in subset)
+
+
 def decorated_action(decorated):
     """The decorated tree, with every generator extended to permute the
     pendant arcs as it permutes their anchors, made in full."""
@@ -261,9 +280,9 @@ def decorated_action(decorated):
 
 
 def projection_orbit_growth(sys, decorated, x, cap=None):
-    """The projection growth as first written (only ``orbit`` renamed):
-    first-point projections and orbits in the decorated tree and action
-    themselves, both made in full."""
+    """The projection growth as first written: first-point projections and
+    orbits in the decorated tree and action themselves, both made in full,
+    by the naive ``first_point_map`` and ``orbit`` above."""
     action = decorated_action(decorated)
     tree = action.tree
     if x not in tree.adjacency:
@@ -272,10 +291,9 @@ def projection_orbit_growth(sys, decorated, x, cap=None):
     closed = []
     for act in sys.levels:
         level_set = frozenset(act.tree.vertices)
-        r = first_point_map(tree, level_set, x)
-        res = tower_orbit(action, r, cap)
-        sizes.append(len(res))
-        closed.append(res.closed)
+        vertices, is_closed = orbit(action, first_point_map(tree, level_set, x), cap)
+        sizes.append(len(vertices))
+        closed.append(is_closed)
     return ProjectionGrowth(tuple(sizes), tuple(closed))
 
 
@@ -442,7 +460,8 @@ def verify_realization(rm, maps):
 
 
 def order_from_probe_keys(ball, keys):
-    """Twin of ``ordering.order_from_probe_keys``, as first written."""
+    """Twin of ``ordering.order_from_probe_keys``, as first written, with the
+    cause of a tie named."""
     def compare(a, b):
         for va, vb in zip(keys[a], keys[b]):
             if va is not None and vb is not None and va != vb:
@@ -454,9 +473,11 @@ def order_from_probe_keys(ball, keys):
         for b in ascending[i + 1:]:
             c = compare(a, b)
             if c == 0:
+                if any(va is not None and vb is not None for va, vb in zip(keys[a], keys[b])):
+                    raise OrderingError("probes insufficient: every shared probe agrees "
+                                        "(action not almost free at this scale)")
                 raise OrderingError(
-                    "probes insufficient (action not almost free at this scale)"
-                )
+                    "probes insufficient: no probe is realized for both elements")
             if c > 0:
                 raise OrderingError("probe order not transitive at this scale")
     return OrderAssignment.from_total_order(ball, ascending)

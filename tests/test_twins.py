@@ -4,10 +4,11 @@
 ``ordering.search_invariant``, ``realize.verify_realization``,
 ``PLHomeo.__call__`` and ``tower.orbit`` each have a naive twin in
 ``tests/oracles.py`` that redoes every product and segment scan in
-its innermost loop; ``tower.projection_orbit_growth`` has one that works
-on the decorated tree and action made in full.  Both sides get the same
-random inputs, broken ones included, and must return the same report
-field for field, or raise the same error.
+its innermost loop; ``trees.first_point_map`` has one that takes the whole
+path to the least subtree vertex, and ``tower.projection_orbit_growth`` one
+that works on the decorated tree and action made in full.  Both sides get
+the same random inputs, broken ones included, and must return the same
+report field for field, or raise the same error.
 """
 
 import random
@@ -29,6 +30,7 @@ from treeact.ordering import (
     check_axioms,
     check_invariance,
     invariance_set,
+    order_from_probe_keys,
     search_invariant,
 )
 from treeact.realize import (
@@ -50,6 +52,7 @@ from treeact.tower import (
     orbit,
     projection_orbit_growth,
 )
+from treeact.trees import Tree, TreeError, first_point_map
 
 U = elementary(2, 1, 2, 1)
 A = GroupMatrix.from_rows([[1, 1, 0], [0, 1, 0], [0, 0, 1]])
@@ -299,7 +302,7 @@ class TestRoundTripTwin:
         part = realize([power[0], power[1]], order)
         assert self.agree(part, ball) == (
             "raised", OrderingError,
-            "probes insufficient (action not almost free at this scale)")
+            "probes insufficient: no probe is realized for both elements")
         # ordered by exponent as -2, -1, 2, 0, 1: skipping the probes with a
         # missing image, the comparator puts u^-2 above u^0 although the
         # sorted result puts it below
@@ -309,10 +312,92 @@ class TestRoundTripTwin:
         assert self.agree(realize(list(small.elements), scrambled), small) == (
             "raised", OrderingError, "probe order not transitive at this scale")
 
+    @pytest.mark.parametrize("keys, cause", [
+        # the first element is below the others, and the last two have
+        # images under disjoint probes only
+        ([(0, 0), (1, None), (None, 1)], "no probe is realized for both elements"),
+        # the last two share one probe, and it gives both the same image
+        ([(0, 0), (1, 1), (1, None)],
+         "every shared probe agrees (action not almost free at this scale)"),
+    ])
+    def test_insufficient_probes_name_their_cause(self, keys, cause):
+        ball = z_ball(1)
+        by_element = dict(zip(ball.elements, keys))
+        got = outcome(order_from_probe_keys, ball, by_element)
+        assert got == outcome(oracles.order_from_probe_keys, ball, by_element)
+        assert got == ("raised", OrderingError, f"probes insufficient: {cause}")
+
+
+# -- first-point maps against the whole path of oracles.first_point_map -------
+
+
+def first_point_outcome(fn, t, sub, x):
+    try:
+        return "value", fn(t, sub, x)
+    except TreeError as exc:
+        return "raised", str(exc)
+
+
+def connected_subset(tree, rng):
+    """A random vertex grown by random neighbours, a random number of times."""
+    adj = tree.adjacency
+    sub = {rng.choice(tree.vertices)}
+    for _ in range(rng.randrange(len(tree.vertices))):
+        frontier = sorted({y for v in sub for y in adj[v]} - sub)
+        if not frontier:
+            break
+        sub.add(rng.choice(frontier))
+    return sub
+
+
+class TestFirstPointTwin:
+    """``trees.first_point_map`` stops at the nearest subtree vertex."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 30), SEEDS,
+           st.sampled_from(["connected", "random", "stray", "empty"]),
+           st.sampled_from(["inside", "outside", "missing"]), st.booleans())
+    def test_random_trees(self, size, seed, subset_kind, x_kind, forest):
+        rng = random.Random(seed)
+        tree = pruefer_tree(size, rng)
+        if forest and tree.edges:
+            # one edge dropped: x may lie in another component than the subtree
+            edges = list(tree.edges)
+            edges.pop(rng.randrange(len(edges)))
+            tree = Tree(tree.vertices, tuple(edges))
+        sub = {
+            "connected": lambda: connected_subset(tree, rng),
+            "random": lambda: set(rng.sample(tree.vertices, rng.randint(1, size))),
+            "stray": lambda: connected_subset(tree, rng) | {"zz"},
+            "empty": set,
+        }[subset_kind]()
+        rest = sorted(set(tree.vertices) - sub) or list(tree.vertices)
+        x = {"inside": lambda: rng.choice(sorted(sub or tree.vertices)),
+             "outside": lambda: rng.choice(rest),
+             "missing": lambda: "nope"}[x_kind]()
+        got = first_point_outcome(first_point_map, tree, sub, x)
+        assert got == first_point_outcome(oracles.first_point_map, tree, sub, x)
+
+    def test_each_outcome_is_met(self):
+        # the path v0 - v1 - v2 - v3, and the forest without its middle edge
+        path = Tree(("v0", "v1", "v2", "v3"), (("v0", "v1"), ("v1", "v2"), ("v2", "v3")))
+        forest = Tree(path.vertices, (("v0", "v1"), ("v2", "v3")))
+        for t, sub, x, want in [
+            (path, {"v0", "v1"}, "v3", ("value", "v1")),
+            (path, {"v2", "v3"}, "v2", ("value", "v2")),
+            (path, {"v0", "v2"}, "v3", ("raised", "subtree required")),
+            (path, {"v1", "zz"}, "v3", ("raised", "subtree required")),
+            (path, {"v1"}, "nope", ("raised", "vertex not in tree")),
+            (forest, {"v0", "v1"}, "v3", ("raised", "vertices not connected")),
+        ]:
+            got = first_point_outcome(first_point_map, t, sub, x)
+            assert got == first_point_outcome(oracles.first_point_map, t, sub, x) == want
+
 
 # -- tower orbits against the two-sided search of oracles.orbit -----------------
 
-TOWERS = {npd: build_congruence_tower(*npd) for npd in [(2, 2, 2), (2, 3, 2), (3, 2, 1)]}
+TOWERS = {npd: build_congruence_tower(*npd)
+          for npd in [(2, 2, 2), (2, 2, 3), (2, 3, 2), (3, 2, 1)]}
 CAPS = st.one_of(st.none(), st.integers(0, 5))
 
 
@@ -357,25 +442,41 @@ def growth_outcome(fn, sys_, dec, x, cap):
         return "raised", str(exc)
 
 
+GROWTH_KINDS = ["vertex", "anchor", "mid", "tip", "outside"]
+
+
 class TestProjectionGrowthTwin:
     """``tower.projection_orbit_growth`` projects through a pendant's anchor
-    in the deepest level, never making the decorated tree."""
+    in the deepest level, never making the decorated tree, and without a
+    cap reads a pendant's deepest orbit off the decoration."""
+
+    @staticmethod
+    def agree(sys_, dec, rng, kind, cap):
+        pendant = rng.choice(dec.pendants)
+        x = {"vertex": rng.choice(sys_.levels[-1].tree.vertices), "anchor": pendant.anchor,
+             "mid": pendant.mid, "tip": pendant.tip, "outside": "pend0t"}[kind]
+        got = growth_outcome(projection_orbit_growth, sys_, dec, x, cap)
+        assert got == growth_outcome(oracles.projection_orbit_growth, sys_, dec, x, cap)
+        return got
 
     @settings(max_examples=80, deadline=None)
-    @given(st.sampled_from(sorted(TOWERS)), SEEDS,
-           st.sampled_from(["vertex", "mid", "tip", "outside"]),
+    @given(st.sampled_from(sorted(TOWERS)), SEEDS, st.sampled_from(GROWTH_KINDS),
            st.one_of(st.none(), st.integers(0, 4)))
     def test_towers(self, npd, seed, kind, cap):
         rng = random.Random(seed)
         sys_ = TOWERS[npd]
         dec = attach_decorations(sys_, rng.choice(sys_.levels[-1].tree.leaves()))
-        pendant = rng.choice(dec.pendants)
-        x = {"vertex": rng.choice(sys_.levels[-1].tree.vertices),
-             "mid": pendant.mid, "tip": pendant.tip, "outside": "pend0t"}[kind]
-        got = growth_outcome(projection_orbit_growth, sys_, dec, x, cap)
-        assert got == growth_outcome(oracles.projection_orbit_growth, sys_, dec, x, cap)
+        got = self.agree(sys_, dec, rng, kind, cap)
         if kind == "outside":
             assert got == ("raised", "vertex not in decorated tree")
+
+    @pytest.mark.parametrize("kind", GROWTH_KINDS[:-1])
+    def test_uncapped_on_four_levels(self, kind):
+        sys_ = TOWERS[(2, 2, 3)]
+        rng = random.Random(kind)
+        dec = attach_decorations(sys_, sys_.levels[-1].tree.leaves()[-1])
+        got = self.agree(sys_, dec, rng, kind, None)
+        assert got[0] == "value" and len(got[1].sizes) == 4 and all(got[1].closed)
 
 
 # Generators and inner radii of the searched balls: Z, Z^2, the Heisenberg
