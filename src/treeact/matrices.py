@@ -23,11 +23,15 @@ class CapExceeded(RuntimeError):
     """An enumeration grew past its explicit desk-scale cap."""
 
 
-# -- flat-tuple kernels (hot paths work on raw entry tuples) -------------------
+# -- flat-tuple and packed kernels (hot paths skip GroupMatrix) ----------------
 # enumerate_group, whose Cayley table gives the tower its generator images,
-# multiplies on the left by sparse matrices (u_ij adds row j to row i), so its
-# kernel rewrites only the rows the left factor changes: O(n) work per changed
-# row, not an O(n^3) product.
+# holds each element mod m as one int: n rows of n fields, each w bits wide,
+# the first entry most significant, so the ints sort as their entry tuples do.
+# A field has room for a row of s x before reduction, at most n (m-1)^2, so
+# a changed row of a left factor s is a sum of v-multiples of whole packed
+# rows of x with no carry between fields.  The closure multiplies on the left
+# by sparse matrices (u_ij adds row j to row i): one row sum per changed row,
+# not an O(n^3) product.
 
 
 def _mul_flat(a: tuple[int, ...], b: tuple[int, ...], n: int) -> tuple[int, ...]:
@@ -46,17 +50,48 @@ def _left_plan(s: Sequence[int], n: int) -> list[tuple[int, list[tuple[int, int]
     return plan
 
 
-def _left_mul_mod(plan, x: tuple[int, ...], n: int, m: int) -> tuple[int, ...]:
-    """s x mod m for s given by _left_plan(s, n) and x reduced mod m."""
-    out = list(x)
-    for i, terms in plan:
-        acc = [0] * n
-        for k, v in terms:
-            base = k * n
-            for j in range(n):
-                acc[j] += v * x[base + j]
-        out[i * n:(i + 1) * n] = [a % m for a in acc]
-    return tuple(out)
+def _field_width(n: int, m: int) -> int:
+    return (n * (m - 1) ** 2).bit_length()
+
+
+def _pack(entries: Iterable[int], w: int) -> int:
+    x = 0
+    for e in entries:
+        x = (x << w) | e
+    return x
+
+
+def _unpack(x: int, count: int, w: int) -> tuple[int, ...]:
+    mask = (1 << w) - 1
+    return tuple([(x >> (w * k)) & mask for k in range(count - 1, -1, -1)])
+
+
+def _left_kernel(s: Sequence[int], n: int, m: int, memo: dict[int, int]):
+    """x -> s x mod m on packed elements reduced mod m, s with entries in [0, m).
+
+    ``memo`` maps a summed row to its reduction mod m; one dict serves every
+    left factor with the same n and m.
+    """
+    w = _field_width(n, m)
+    rowmask = (1 << n * w) - 1
+    full = (1 << n * n * w) - 1
+    shift = [(n - 1 - i) * n * w for i in range(n)]
+    rows = [(full ^ (rowmask << shift[i]), shift[i], [(shift[k], v) for k, v in terms])
+            for i, terms in _left_plan(s, n)]
+
+    def apply(x: int) -> int:
+        y = x
+        for clear, at, terms in rows:
+            acc = 0
+            for sh, v in terms:
+                acc += v * ((x >> sh) & rowmask)
+            r = memo.get(acc)
+            if r is None:
+                r = memo[acc] = _pack([e % m for e in _unpack(acc, n, w)], w)
+            y = (y & clear) | (r << at)
+        return y
+
+    return apply
 
 
 def _det_flat(entries: Sequence[int], n: int) -> int:
@@ -401,13 +436,15 @@ def enumerate_group(
         if g.det() != 1 % m:
             raise MatrixError("determinant must be 1")
         reduced.append(g)
-    plans = [_left_plan(g.entries, n) for g in reduced]
-    seen = [tuple(e % m for e in _identity_flat(n))]
-    found = {seen[0]: 0}                    # entries -> position in seen
-    columns = [[] for _ in plans]           # columns[k][i]: position of s_k seen[i]
+    w = _field_width(n, m)
+    memo: dict[int, int] = {}
+    steps = [_left_kernel(g.entries, n, m, memo) for g in reduced]
+    seen = [_pack(_identity_flat(n), w)]
+    found = {seen[0]: 0}                    # packed element -> position in seen
+    columns = [[] for _ in steps]           # columns[k][i]: position of s_k seen[i]
     for x in seen:   # seen grows while the loop reads it: a breadth-first closure
-        for plan, column in zip(plans, columns):
-            y = _left_mul_mod(plan, x, n, m)
+        for step, column in zip(steps, columns):
+            y = step(x)
             j = found.get(y)
             if j is None:
                 if len(seen) >= cap:
@@ -415,12 +452,30 @@ def enumerate_group(
                 j = found[y] = len(seen)
                 seen.append(y)
             column.append(j)
+    del found
     order = sorted(range(len(seen)), key=seen.__getitem__)
     rank = [0] * len(seen)
     for r, i in enumerate(order):
         rank[i] = r
     cayley = tuple([rank[c[i]] for i in order] for c in columns)
-    return FiniteMatrixGroup(n, m, tuple(map(seen.__getitem__, order)), tuple(reduced), cayley)
+    del columns, rank
+    # decode each element once, row by row through a memo of decoded rows
+    rw = n * w
+    rowmask = (1 << rw) - 1
+    shifts = range((n - 1) * rw, -1, -rw)
+    decoded: dict[int, tuple[int, ...]] = {}
+    entries = []
+    for i in order:
+        x = seen[i]
+        t: tuple[int, ...] = ()
+        for sh in shifts:
+            r = (x >> sh) & rowmask
+            d = decoded.get(r)
+            if d is None:
+                d = decoded[r] = _unpack(r, n, w)
+            t += d
+        entries.append(t)
+    return FiniteMatrixGroup(n, m, tuple(entries), tuple(reduced), cayley)
 
 
 def normal_core(

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
 from math import cos, pi, sin
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from ._walk import walk
 from .matrices import (
@@ -89,7 +89,7 @@ def _is_prime(p: int) -> bool:
 def _vertex_id(beta: int, entries: tuple[int, ...]) -> str:
     if beta == 0:
         return "0|e"
-    return f"{beta}|" + ",".join(str(e) for e in entries)
+    return f"{beta}|" + ",".join(map(str, entries))
 
 
 def build_congruence_tower(
@@ -133,7 +133,7 @@ def build_congruence_tower(
             # a coset's id is its reduction (top is reduced mod p^depth already);
             # any top lift i gives its parent and, through the Cayley table, its images
             m = p ** beta
-            reduced = top if beta == depth else [tuple(e % m for e in y) for y in top]
+            reduced = top if beta == depth else [tuple([e % m for e in y]) for y in top]
             lift = {x: i for i, x in enumerate(reduced)}
             ids = {x: _vertex_id(beta, x) for x in sorted(lift)}
             here = [ids[x] for x in reduced]
@@ -195,7 +195,7 @@ class BondStructureReport:
 
 def verify_bond_structure(sys: InverseSystem, level: int) -> BondStructureReport:
     """Bond must be surjective, monotone, and the identity on the lower copy."""
-    if level + 1 >= len(sys.levels):
+    if level < 0 or level + 1 >= len(sys.levels):
         raise TowerError("no bond at this level")
     upper = sys.levels[level + 1].tree
     lower = sys.levels[level].tree
@@ -232,8 +232,8 @@ class OrbitResult:
 def _orbit_walk(act: FiniteTreeAction, v: str, inverses: bool):
     """Breadth-first orbit of v: sorted generator names, each then its inverse if walked."""
     autos = [act.generators[name] for name in sorted(act.generators)]
-    steps = [s._map.__getitem__ for a in autos for s in ((a, a.inverse()) if inverses else (a,))]
-    return walk(v, lambda x: [s(x) for s in steps])
+    maps = [s._map for a in autos for s in ((a, a.inverse()) if inverses else (a,))]
+    return walk(v, lambda x: [m[x] for m in maps])
 
 
 def orbit(act: FiniteTreeAction, v: str, cap: int | None = None) -> OrbitResult:
@@ -402,8 +402,7 @@ def star_to_svg(sd: StarDendrite) -> str:
 # -- decorations (pendant arcs over an orbit of leaves) ---------------------------
 
 
-@dataclass(frozen=True)
-class Pendant:
+class Pendant(NamedTuple):
     anchor: str
     mid: str
     tip: str
@@ -438,8 +437,8 @@ def attach_decorations(sys: InverseSystem, seed: str) -> DecoratedAction:
         raise TowerError("seed must be a leaf")
 
     order = [y for y, *_ in _orbit_walk(act, seed, True)]
-    pendants = tuple(Pendant(anchor, f"pend{i}m", f"pend{i}t")
-                     for i, anchor in enumerate(order, start=1))
+    nums = range(1, len(order) + 1)
+    pendants = tuple(map(Pendant, order, [f"pend{i}m" for i in nums], [f"pend{i}t" for i in nums]))
     taken = set(chain.from_iterable(level.tree.vertices for level in sys.levels))
     clash = next((v for p in pendants for v in (p.mid, p.tip) if v in taken), None)
     if clash is not None:

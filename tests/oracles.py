@@ -109,6 +109,30 @@ def sl_by_det_filter(n, m):
     return count, elements
 
 
+def group_closure(gens, m, cap):
+    """The group that nested-list matrices gens make mod m, by breadth-first
+    left products from the identity: (elements, table) with the elements as
+    sorted entry tuples and table[k][i] the index of gens[k] * elements[i],
+    or None once the group has more than cap elements."""
+    n = len(gens[0])
+    e = tuple(x for row in mat_identity(n) for x in row)
+    seen, queue, image = {e}, deque([e]), {}
+    while queue:
+        x = queue.popleft()
+        rows = [list(x[i * n:(i + 1) * n]) for i in range(n)]
+        for k, g in enumerate(gens):
+            y = tuple(v for row in mat_mul(g, rows, m) for v in row)
+            image[k, x] = y
+            if y not in seen:
+                if len(seen) >= cap:
+                    return None
+                seen.add(y)
+                queue.append(y)
+    elements = sorted(seen)
+    index = {x: i for i, x in enumerate(elements)}
+    return elements, [[index[image[k, x]] for x in elements] for k in range(len(gens))]
+
+
 def words_up_to(gens, max_len, mod=None):
     """All products of at most max_len generator/inverse factors."""
     n = len(gens[0])

@@ -10,15 +10,18 @@ import hashlib
 import json
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from treeact.matrices import (
     CapExceeded,
     GroupMatrix,
     MatrixError,
-    _left_mul_mod,
+    _field_width,
+    _left_kernel,
     _left_plan,
+    _pack,
+    _unpack,
     commutator,
     congruence_membership,
     elementary,
@@ -326,21 +329,43 @@ def naive_left_mul(s, x, n, m):
     return tuple(e for row in oracles.mat_mul(rows(s), rows(x), m) for e in row)
 
 
+def packed_left_mul(s, x, n, m, memo=None):
+    """s x mod m through the packed kernel: pack x, apply, unpack."""
+    w = _field_width(n, m)
+    return _unpack(_left_kernel(s, n, m, {} if memo is None else memo)(_pack(x, w)), n * n, w)
+
+
 class TestLeftMulKernel:
-    """The sparse left product against the nested-list product of oracles.py."""
+    """The packed left product against the nested-list product of oracles.py."""
 
     @given(left_factors())
     def test_matches_naive_product(self, case):
         n, m, s, x = case
-        assert _left_mul_mod(_left_plan(s, n), x, n, m) == naive_left_mul(s, x, n, m)
+        assert packed_left_mul(s, x, n, m) == naive_left_mul(s, x, n, m)
 
     def test_identity_and_every_transvection(self):
         for n in (2, 3, 4):
             for m in range(2, 28):
                 x = tuple((7 * k + 3) % m for k in range(n * n))
+                memo = {}   # one memo serves every factor of the same n and m
                 for s in [GroupMatrix.identity(n, m), *transvection_generators(n, m).values()]:
-                    got = _left_mul_mod(_left_plan(s.entries, n), x, n, m)
+                    got = packed_left_mul(s.entries, x, n, m, memo)
                     assert got == naive_left_mul(s.entries, x, n, m)
+
+    def test_field_headroom(self):
+        # every entry m - 1: each field of a row sum reaches n (m - 1)^2
+        n, m = 4, 27
+        s = x = (m - 1,) * (n * n)
+        assert n * (m - 1) ** 2 < 2 ** _field_width(n, m)
+        assert packed_left_mul(s, x, n, m) == naive_left_mul(s, x, n, m)
+
+    @given(st.integers(2, 27).flatmap(lambda m: st.lists(
+        st.lists(st.integers(0, m - 1), min_size=9, max_size=9).map(tuple),
+        max_size=20).map(lambda xs: (m, xs))))
+    def test_packed_ints_sort_as_entry_tuples(self, case):
+        m, xs = case
+        w = _field_width(3, m)
+        assert [_unpack(x, 9, w) for x in sorted(_pack(x, w) for x in xs)] == sorted(xs)
 
     def test_plan_lists_only_changed_rows(self):
         assert _left_plan(GroupMatrix.identity(4, 5).entries, 4) == []
@@ -386,6 +411,48 @@ class TestEnumerationOracle:
         text = json.dumps([list(x.entries) for x in g.elements])
         assert (len(g), hashlib.sha256(text.encode()).hexdigest()) == (
             43008, "d6b45bdddc678efb6599429b3396d57512bf6727f3bba6e40277034ef262f87e")
+
+
+@st.composite
+def generator_sets(draw):
+    """(n, m, gens): one to three nested-list generators mod m, each the
+    identity, a transvection, or a product of random transvections."""
+    n = draw(st.sampled_from([2, 3, 4]))
+    m = draw(st.integers(2, 27))
+    pairs = st.sampled_from([(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j])
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        g = oracles.mat_identity(n)
+        for _ in range(draw(st.sampled_from([0, 1, 4]))):
+            i, j = draw(pairs)
+            g = oracles.mat_mul(oracles.unipotent(n, i, j, draw(st.integers(1, m - 1))), g, m)
+        gens.append(g)
+    return n, m, gens
+
+
+class TestEnumerationTwin:
+    """enumerate_group against the naive breadth-first closure of oracles.py."""
+
+    LIMIT = 5000
+
+    @settings(max_examples=60, deadline=None)
+    @given(generator_sets())
+    def test_matches_naive_closure(self, case):
+        n, m, rows = case
+        gens = [GroupMatrix(n, tuple(x for row in g for x in row), m) for g in rows]
+        want = oracles.group_closure(rows, m, self.LIMIT)
+        if want is None:
+            with pytest.raises(CapExceeded, match="group too large for cap"):
+                enumerate_group(n, m, gens, cap=self.LIMIT)
+            return
+        elements, table = want
+        g = enumerate_group(n, m, gens, cap=len(elements))
+        assert list(g.entries) == elements
+        assert [list(c) for c in g.cayley] == table
+        assert g.generators == tuple(gens)
+        if len(elements) > 1:
+            with pytest.raises(CapExceeded, match="group too large for cap"):
+                enumerate_group(n, m, gens, cap=len(elements) - 1)
 
 
 class TestCayleyTable:

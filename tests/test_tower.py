@@ -141,6 +141,13 @@ class TestBonds:
         with pytest.raises(TowerError, match="no bond at this level"):
             verify_bond_structure(trivial_system(), 0)
 
+    @pytest.mark.parametrize("level", [-1, 2])
+    def test_level_outside_the_bonds_rejected(self, level):
+        sys_ = build_congruence_tower(2, 2, 2)
+        assert len(sys_.bonds) == 2
+        with pytest.raises(TowerError, match="no bond at this level"):
+            verify_bond_structure(sys_, level)
+
 
 class TestOrbit:
     def test_root_orbit(self, tower321):
