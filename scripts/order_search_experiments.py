@@ -43,7 +43,7 @@ def run_preset(name, budget):
     verified = True
     if res.is_sat:
         verified = (check_axioms(res.witness).passed
-                    and check_invariance(res.witness, f, inner, outer).passed)
+                    and check_invariance(res.witness, f, inner).passed)
         extra = "(witness re-verified)" if verified else "(WITNESS FAILED RE-VERIFICATION)"
     else:
         extra = f"(branches {res.trace.branches}, chain {len(res.trace.forcing_chain)})"

@@ -273,6 +273,9 @@ def _h_order_search(cfg: RunConfig):
 
 
 def _h_order_check(cfg: RunConfig):
+    mode = cfg.parameters["invariant"]
+    if mode == "none" and "inner_radius" in cfg.parameters:
+        raise UsageError("--inner-radius applies only with --invariant gens or gens+inv")
     phi = assignment_from_json(_read_json(cfg.inputs["order"]))
     axioms = check_axioms(phi)
     details = {
@@ -280,7 +283,6 @@ def _h_order_check(cfg: RunConfig):
         "transitivity_violations": len(axioms.transitivity_violations),
     }
     ok = axioms.passed
-    mode = cfg.parameters["invariant"]
     if mode != "none":
         inner = ball_generate(
             phi.ball.generators,

@@ -342,6 +342,8 @@ def verify_ll_identity(
 
 # -- finite quotients ----------------------------------------------------------
 
+_SUBGROUP_CAP = 10_000  # at most this many subgroups in FiniteMatrixGroup.all_subgroups
+
 
 @dataclass(eq=False)
 class FiniteMatrixGroup:
@@ -393,8 +395,9 @@ class FiniteMatrixGroup:
                      lambda x: map(mul[x].__getitem__, steps))
         return tuple(sorted(x for x, *_ in found))
 
-    def all_subgroups(self, cap: int = 10_000) -> list[tuple[GroupMatrix, ...]]:
-        """Every subgroup, found by closing each subgroup extended by one element."""
+    def all_subgroups(self) -> list[tuple[GroupMatrix, ...]]:
+        """Every subgroup, found by closing each subgroup extended by one
+        element; more than ``_SUBGROUP_CAP`` of them raise ``CapExceeded``."""
         trivial = self._close([])
         found = {trivial}
         worklist = [trivial]
@@ -406,7 +409,7 @@ class FiniteMatrixGroup:
                     continue
                 bigger = self._close(current + (x,))
                 if bigger not in found:
-                    if len(found) >= cap:
+                    if len(found) >= _SUBGROUP_CAP:
                         raise CapExceeded("subgroup lattice too large for cap")
                     found.add(bigger)
                     worklist.append(bigger)
@@ -439,6 +442,8 @@ def enumerate_group(
     w = _field_width(n, m)
     memo: dict[int, int] = {}
     steps = [_left_kernel(g.entries, n, m, memo) for g in reduced]
+    if cap < 1:
+        raise CapExceeded("group too large for cap")
     seen = [_pack(_identity_flat(n), w)]
     found = {seen[0]: 0}                    # packed element -> position in seen
     columns = [[] for _ in steps]           # columns[k][i]: position of s_k seen[i]

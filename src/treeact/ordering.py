@@ -153,9 +153,6 @@ class OrderAssignment:
         except KeyError:
             raise OrderingError("incomplete assignment") from None
 
-    def sign(self, g: GroupMatrix, h: GroupMatrix) -> int:
-        return self.sign_idx(self.ball.index(g), self.ball.index(h))
-
     @staticmethod
     def from_total_order(ball: Ball, ascending: Sequence[GroupMatrix]) -> "OrderAssignment":
         pos = {ball.index(g): k for k, g in enumerate(ascending)}
@@ -204,7 +201,7 @@ def check_axioms(phi: OrderAssignment) -> AxiomReport:
 @dataclass(frozen=True)
 class InvarianceReport:
     passed: bool
-    violations: tuple[tuple[int, int, int], ...]  # (f, g, h) as b2 indices
+    violations: tuple[tuple[int, int, int], ...]  # (f, g, h) as indices of phi's ball
 
 
 def invariance_set(gens: Sequence[GroupMatrix], mode: str) -> list[GroupMatrix]:
@@ -217,36 +214,31 @@ def invariance_set(gens: Sequence[GroupMatrix], mode: str) -> list[GroupMatrix]:
 
 
 def check_invariance(
-    phi: OrderAssignment,
-    f: Sequence[GroupMatrix],
-    b: Ball,
-    b2: Ball | None = None,
+    phi: OrderAssignment, f: Sequence[GroupMatrix], b: Ball
 ) -> InvarianceReport:
     """Check phi(fg, fh) = phi(g, h) for f in F and distinct g, h in b."""
-    outer = b2 if b2 is not None else phi.ball
     elems, index, signs = b.elements, phi.ball._index, phi.signs
     first: dict[GroupMatrix, int] = {}  # g == h compares values: equal ones share a slot
     same = [first.setdefault(g, k) for k, g in enumerate(elems)]
     at = [index.get(g) for g in elems]
     bad = []
     for fm in f:
-        # each fg and its index once; a missing sign defers to phi.sign's error
-        moved = [fm * g for g in elems]
-        at_moved = [index.get(x) if x in outer else None for x in moved]
+        # each fg's index in phi's ball once, None outside it
+        at_moved = [index.get(fm * g) for g in elems]
         for a, (ia, ja) in enumerate(zip(at_moved, at)):
             for c, (ic, jc) in enumerate(zip(at_moved, at)):
                 if same[a] == same[c]:
                     continue
                 s, t = signs.get((ia, ic)), signs.get((ja, jc))
                 if s is None or t is None:
-                    if moved[a] not in outer or moved[c] not in outer:
+                    # the first failure of phi(fg, fh), then of phi(g, h)
+                    if ia is None or ic is None:
                         raise OrderingError("ball containment violated")
-                    s, t = phi.sign(moved[a], moved[c]), phi.sign(elems[a], elems[c])
+                    if s is not None and (ja is None or jc is None):
+                        raise OrderingError("element not in ball")
+                    raise OrderingError("incomplete assignment")
                 if s != t:
-                    bad.append(
-                        (outer.index(fm) if fm in outer else -1,
-                         outer.index(elems[a]), outer.index(elems[c]))
-                    )
+                    bad.append((index.get(fm, -1), ja, jc))
     return InvarianceReport(not bad, tuple(bad))
 
 
@@ -528,7 +520,7 @@ def search_invariant(
     witness = OrderAssignment(b2, signs)
     # Mandatory re-verification through the public checkers.
     axioms = check_axioms(witness)
-    invariance = check_invariance(witness, f, b, b2)
+    invariance = check_invariance(witness, f, b)
     if not axioms.passed or not invariance.passed:
         raise AssertionError("internal error: witness failed re-verification")
     return SearchResult("sat", witness, None, branches)
@@ -557,13 +549,11 @@ def compactness_extract(
     ]
     signatures: dict[tuple[int, ...], list[int]] = {}
     for k, phi in enumerate(chain):
-        try:
-            sig = tuple(
-                phi.sign(target.elements[i], target.elements[j]) for i, j in pairs
-            )
-        except OrderingError:
-            continue
-        signatures.setdefault(sig, []).append(k)
+        # a member that lacks a target element or a pair has a None and is skipped
+        at = [phi.ball._index.get(g) for g in target.elements]
+        sig = tuple(phi.signs.get((at[i], at[j])) for i, j in pairs)
+        if None not in sig:
+            signatures.setdefault(sig, []).append(k)
     if not signatures:
         raise OrderingError("insufficient chain")
     best = max(sorted(signatures), key=lambda s: len(signatures[s]))
@@ -575,9 +565,10 @@ def compactness_extract(
 
 
 def order_from_probe_keys(
-    ball: Ball, keys: Mapping[GroupMatrix, tuple]
+    ball: Ball, keys: Sequence[Sequence[int | None]]
 ) -> OrderAssignment:
-    """Total order on the ball from per-element probe-image keys.
+    """Total order on the ball from per-element probe-image keys, where
+    ``keys[k]`` belongs to ``ball.elements[k]``.
 
     Keys compare lexicographically, skipping every probe where either image
     is None.  Skipped probes can make that comparison intransitive, so the
@@ -586,13 +577,13 @@ def order_from_probe_keys(
     image under both, or every probe that has agrees), or when the order is
     not transitive.
     """
-    def compare(a: GroupMatrix, b: GroupMatrix) -> int:
+    def compare(a: int, b: int) -> int:
         for va, vb in zip(keys[a], keys[b]):
             if va is not None and vb is not None and va != vb:
                 return 1 if va > vb else -1
         return 0
 
-    ascending = sorted(ball.elements, key=functools.cmp_to_key(compare))
+    ascending = sorted(range(len(ball)), key=functools.cmp_to_key(compare))
     for i, a in enumerate(ascending):
         for b in ascending[i + 1:]:
             c = compare(a, b)
@@ -606,7 +597,7 @@ def order_from_probe_keys(
                 )
             if c > 0:
                 raise OrderingError("probe order not transitive at this scale")
-    return OrderAssignment.from_total_order(ball, ascending)
+    return OrderAssignment.from_total_order(ball, [ball.elements[k] for k in ascending])
 
 
 # -- serialization ----------------------------------------------------------------

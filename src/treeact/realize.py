@@ -61,24 +61,18 @@ class RealizationMap:
     def _rank(self) -> dict[tuple[int, ...], int]:
         return {x.entries: r for r, x in enumerate(self._points)}
 
-    @cached_property
-    def _rows(self) -> dict[GroupMatrix, list[int | None]]:
-        return {}
-
     def row(self, g: GroupMatrix) -> list[int | None]:
         """For each realized point x, in rank order, the rank of g x, or None
-        when g x is not realized: one flat product per point."""
-        row = self._rows.get(g)
-        if row is None:
-            points = self._points
-            if points:
-                g._check_compatible(points[0])
-            n, m, a = g.n, g.mod, g.entries
-            products = [_mul_flat(a, x.entries, n) for x in points]
-            if m is not None:
-                products = [tuple(v % m for v in p) for p in products]
-            row = self._rows[g] = list(map(self._rank.get, products))
-        return row
+        when g x is not realized: one flat product per point, made anew on
+        every call."""
+        points = self._points
+        if points:
+            g._check_compatible(points[0])
+        n, m, a = g.n, g.mod, g.entries
+        products = [_mul_flat(a, x.entries, n) for x in points]
+        if m is not None:
+            products = [tuple(v % m for v in p) for p in products]
+        return list(map(self._rank.get, products))
 
     def value(self, g: GroupMatrix) -> Fraction:
         if g not in self.t:
@@ -96,30 +90,36 @@ def realize(enumeration: Sequence[GroupMatrix], order: OrderAssignment) -> Reali
     """Build t by induction: first element at 0, new extremes step by one,
     anything in between lands at the midpoint of its assigned neighbours.
 
-    Each new g is compared with every element placed before it, and placed
-    above exactly those h with sign(g, h) = +1; since sign(h, g) = -sign(g, h),
-    t agrees with the order on every pair, and no pair is checked again.
+    Each new g is compared, by ball index, with every element placed before
+    it, and placed above exactly those h with sign(g, h) = +1; since
+    sign(h, g) = -sign(g, h), t agrees with the order on every pair, and no
+    pair is checked again.
     """
     if not enumeration:
         raise RealizeError("empty enumeration")
     if len(set(enumeration)) != len(enumeration):
         raise RealizeError("enumeration repeats an element")
+    index, sign = order.ball.index, order.sign_idx
     t: dict[GroupMatrix, Fraction] = {enumeration[0]: Fraction(0)}
-    assigned: list[GroupMatrix] = [enumeration[0]]  # kept sorted ascending
+    values = [Fraction(0)]  # t of the placed elements, ascending
+    # their ball indices, in the same order; a lone element is not looked up
+    assigned = [index(enumeration[0])] if len(enumeration) > 1 else []
     for g in enumeration[1:]:
-        below = [h for h in assigned if order.sign(g, h) == 1]
+        i = index(g)
+        below = [j for j in assigned if sign(i, j) == 1]
         k = len(below)
         # sanity: the elements below g must be exactly the first k assigned
         if below != assigned[:k]:
             raise OrderingError("order not total on the enumeration")
         if k == 0:
-            val = t[assigned[0]] - 1
-        elif k == len(assigned):
-            val = t[assigned[-1]] + 1
+            val = values[0] - 1
+        elif k == len(values):
+            val = values[-1] + 1
         else:
-            val = (t[assigned[k - 1]] + t[assigned[k]]) / 2
+            val = (values[k - 1] + values[k]) / 2
         t[g] = val
-        assigned.insert(k, g)
+        assigned.insert(k, i)
+        values.insert(k, val)
     return RealizationMap(tuple(enumeration), t)
 
 
@@ -184,11 +184,9 @@ def generator_pl_map(
     rm: RealizationMap,
     g: GroupMatrix,
     closure: Ball,
-    label: str | None = None,
+    label: str,
 ) -> GeneratorMap:
     """PL action of g: breakpoints (t(x), t(g x)) over the largest valid sub-ball."""
-    if label is None:
-        label = format_word(closure.word(g)) if g in closure else "g"
     row, rank = rm.row(g), rm._rank
     domain = [x for x in closure.elements if x in rm and row[rank[x.entries]] is not None]
     pts = [(rm.t[x], rm.values[row[rank[x.entries]]]) for x in domain]
@@ -344,8 +342,7 @@ def order_from_realization(rm: RealizationMap, ball: Ball) -> OrderAssignment:
     image None and is skipped by ``order_from_probe_keys``.
     """
     # rank is strictly increasing in t, so rank keys compare as t keys would
-    keys = {g: tuple(rm.row(g)) for g in ball.elements}
-    return order_from_probe_keys(ball, keys)
+    return order_from_probe_keys(ball, [rm.row(g) for g in ball.elements])
 
 
 # -- CSV / SVG exports ----------------------------------------------------------

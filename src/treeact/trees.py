@@ -50,18 +50,15 @@ class Tree:
                 v: tuple(Fraction(c) for c in coords)
                 for v, coords in self.embedding.items()
             }
-        self._adj: dict[str, tuple[str, ...]] | None = None
 
-    @property
+    @cached_property
     def adjacency(self) -> dict[str, tuple[str, ...]]:
-        if self._adj is None:
-            nbrs: dict[str, list[str]] = {v: [] for v in self.vertices}
-            for u, v in self.edges:
-                if u in nbrs and v in nbrs and u != v:
-                    nbrs[u].append(v)
-                    nbrs[v].append(u)
-            self._adj = {v: tuple(sorted(ws)) for v, ws in nbrs.items()}
-        return self._adj
+        nbrs: dict[str, list[str]] = {v: [] for v in self.vertices}
+        for u, v in self.edges:
+            if u in nbrs and v in nbrs and u != v:
+                nbrs[u].append(v)
+                nbrs[v].append(u)
+        return {v: tuple(sorted(ws)) for v, ws in nbrs.items()}
 
     @cached_property
     def _vertex_edge_sets(self) -> tuple[frozenset[str], frozenset[tuple[str, str]]]:
@@ -112,7 +109,7 @@ def validate_tree(t: Tree) -> ValidationResult:
     if len(t.edges) < len(t.vertices) - 1:
         return ValidationResult(False, "disconnected")
     # |E| = |V|-1 holds; connectivity now rules out a cycle+island split.
-    if len(_distances_from(t, t.vertices[0])) != len(t.vertices):
+    if sum(1 for _ in walk(t.vertices[0], t.adjacency.__getitem__)) != len(t.vertices):
         return ValidationResult(False, "disconnected")
     if t.embedding is not None:
         if set(t.embedding) != vset:
@@ -278,10 +275,6 @@ def common_fixed_point(t: Tree, gens: Sequence[TreeAutomorphism], z: str) -> str
         if h(z) != z:
             raise TreeError("generator moves the fixed endpoint")
     return t.adjacency[z][0]
-
-
-def _distances_from(t: Tree, root: str) -> dict[str, int]:
-    return {x: depth for x, _up, _k, depth in walk(root, t.adjacency.__getitem__)}
 
 
 # -- automorphism enumeration (rooted at a fixed leaf) ------------------------

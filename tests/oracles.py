@@ -424,7 +424,8 @@ def check_invariance(phi, f, b, b2=None):
                 fg, fh = fm * g, fm * h
                 if fg not in outer or fh not in outer:
                     raise OrderingError("ball containment violated")
-                if phi.sign(fg, fh) != phi.sign(g, h):
+                if (phi.sign_idx(phi.ball.index(fg), phi.ball.index(fh))
+                        != phi.sign_idx(phi.ball.index(g), phi.ball.index(h))):
                     bad.append(
                         (outer.index(fm) if fm in outer else -1,
                          outer.index(g), outer.index(h))

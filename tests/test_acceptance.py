@@ -145,7 +145,7 @@ def test_criterion_4_ordering_search():
     res_z = search_invariant(f, zb, zb2)
     assert res_z.is_sat
     assert check_axioms(res_z.witness).passed
-    assert check_invariance(res_z.witness, f, zb, zb2).passed
+    assert check_invariance(res_z.witness, f, zb).passed
     # Z^2 ball radius 1 with both generators: Sat
     a2, b2m = elementary(3, 1, 2, 1), elementary(3, 1, 3, 1)
     zz = ball_generate([a2, b2m], 1, ["a", "b"])

@@ -569,6 +569,12 @@ class TestGivenValues:
         assert run_cli(*argv.split()) == (3, "")
         assert "must be a non-negative integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("extra", ["", "--invariant none "])
+    def test_inner_radius_without_invariance_is_rejected(self, extra, input_files, capsys):
+        line = f"order check --order {{order}} {extra}--inner-radius 2"
+        assert run_cli(*golden_argv(line, input_files)) == (3, "")
+        assert "--inner-radius applies only with --invariant" in capsys.readouterr().err
+
 
 class TestTowerFromFile:
     """With --in the tower comes from the file: no build option applies or is recorded."""

@@ -10,9 +10,10 @@ import hashlib
 import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
+from treeact import matrices
 from treeact.matrices import (
     CapExceeded,
     GroupMatrix,
@@ -437,6 +438,7 @@ class TestEnumerationTwin:
 
     @settings(max_examples=60, deadline=None)
     @given(generator_sets())
+    @example((3, 5, [oracles.mat_identity(3)]))   # the trivial group, |G| = 1
     def test_matches_naive_closure(self, case):
         n, m, rows = case
         gens = [GroupMatrix(n, tuple(x for row in g for x in row), m) for g in rows]
@@ -450,9 +452,8 @@ class TestEnumerationTwin:
         assert list(g.entries) == elements
         assert [list(c) for c in g.cayley] == table
         assert g.generators == tuple(gens)
-        if len(elements) > 1:
-            with pytest.raises(CapExceeded, match="group too large for cap"):
-                enumerate_group(n, m, gens, cap=len(elements) - 1)
+        with pytest.raises(CapExceeded, match="group too large for cap"):
+            enumerate_group(n, m, gens, cap=len(elements) - 1)
 
 
 class TestCayleyTable:
@@ -549,6 +550,15 @@ class TestSubgroupTable:
         h = enumerate_group(3, 4, [u12, u23])
         outside = elementary(3, 3, 1, 1, mod=4)
         assert outside not in h and h._find(outside) is None
+
+    def test_subgroup_cap(self, monkeypatch):
+        # SL_2(Z/2) has six subgroups: they fit a cap of six, not of five
+        g = enumerate_group(2, 2, [elementary(2, 1, 2, 1), elementary(2, 2, 1, 1)])
+        monkeypatch.setattr(matrices, "_SUBGROUP_CAP", 6)
+        assert len(g.all_subgroups()) == 6
+        monkeypatch.setattr(matrices, "_SUBGROUP_CAP", 5)
+        with pytest.raises(CapExceeded, match="subgroup lattice too large for cap"):
+            g.all_subgroups()
 
 
 class TestCongruenceMembership:
