@@ -355,11 +355,11 @@ def _h_realize(cfg: RunConfig):
             _write_text(str(Path(outdir) / f"map_{gm.word}.csv"), plhomeo_to_csv(gm))
             if cfg.outputs.get("svg"):
                 _write_text(str(Path(outdir) / f"map_{gm.word}.svg"), plhomeo_to_svg(gm))
-    t_items = sorted(rm.t.items(), key=lambda kv: kv[1])
+    t_min, t_max = rm.values[0], rm.values[-1]
     details = {
         "elements": len(rm),
-        "t_min": f"{t_items[0][1].numerator}/{t_items[0][1].denominator}",
-        "t_max": f"{t_items[-1][1].numerator}/{t_items[-1][1].denominator}",
+        "t_min": f"{t_min.numerator}/{t_min.denominator}",
+        "t_max": f"{t_max.numerator}/{t_max.denominator}",
         "verified": report.passed,
         "almost_free": free.almost_free,
         "round_trip": round_trip,

@@ -81,9 +81,6 @@ class Ball:
             raise OrderingError("element not in ball")
         return self._index[g]
 
-    def word(self, g: GroupMatrix) -> Word:
-        return self.words[g]
-
 
 def ball_generate(
     gens: Sequence[GroupMatrix],
@@ -320,9 +317,9 @@ def search_invariant(
     handed out.  Raises SearchBudgetExhausted, with how far the search got,
     when the budget runs out (deliberately distinct from Unsat).
     """
-    for g in b.elements:
-        if g not in b2:
-            raise OrderingError("ball containment violated")
+    at = [b2._index.get(g) for g in b.elements]
+    if None in at:
+        raise OrderingError("ball containment violated")
     size = len(b2)
     order = list(range(size))
     if shuffle_seed is not None:
@@ -352,12 +349,11 @@ def search_invariant(
         return p, s
 
     first_contradiction: list[TraceStep] = []
-    at = [b2.index(g) for g in b.elements]
     for fm in f:
         # each fg and its b2 index once; a missing image raises at the first
         # pair that needs it, after any contradiction found before that pair
         moved = [b2._index.get(fm * g) for g in b.elements]
-        fw = format_word(b2.word(fm)) if fm in b2 else "f"
+        fw = format_word(b2.words[fm]) if fm in b2 else "f"
         label = f"left multiplication by {fw}"
         for ig, fg in zip(at, moved):
             for ih, fh in zip(at, moved):

@@ -43,29 +43,27 @@ POS_INF = _Endpoint("+inf")
 
 @dataclass(eq=False)
 class RealizationMap:
-    """Order-compatible injection of the enumerated elements into Q; inside,
-    points are read by rank, their place in ascending t (made on first read)."""
+    """Order-compatible injection of the enumerated elements into Q, kept in
+    the ascending order ``realize`` builds; inside, points are read by rank,
+    their place in that order."""
 
-    elements: tuple[GroupMatrix, ...]          # enumeration order
-    t: dict[GroupMatrix, Fraction]
-
-    @cached_property
-    def _points(self) -> list[GroupMatrix]:
-        return sorted(self.t, key=self.t.__getitem__)
+    elements: tuple[GroupMatrix, ...]   # enumeration order
+    points: list[GroupMatrix]           # the realized elements, ascending in t
+    values: list[Fraction]              # their t, in the same order
 
     @cached_property
-    def values(self) -> list[Fraction]:
-        return [self.t[x] for x in self._points]
+    def t(self) -> dict[GroupMatrix, Fraction]:
+        return dict(zip(self.points, self.values))
 
     @cached_property
     def _rank(self) -> dict[tuple[int, ...], int]:
-        return {x.entries: r for r, x in enumerate(self._points)}
+        return {x.entries: r for r, x in enumerate(self.points)}
 
     def row(self, g: GroupMatrix) -> list[int | None]:
         """For each realized point x, in rank order, the rank of g x, or None
         when g x is not realized: one flat product per point, made anew on
         every call."""
-        points = self._points
+        points = self.points
         if points:
             g._check_compatible(points[0])
         n, m, a = g.n, g.mod, g.entries
@@ -99,11 +97,10 @@ def realize(enumeration: Sequence[GroupMatrix], order: OrderAssignment) -> Reali
         raise RealizeError("empty enumeration")
     if len(set(enumeration)) != len(enumeration):
         raise RealizeError("enumeration repeats an element")
-    index, sign = order.ball.index, order.sign_idx
-    t: dict[GroupMatrix, Fraction] = {enumeration[0]: Fraction(0)}
+    ball = order.ball
+    index, sign = ball.index, order.sign_idx
     values = [Fraction(0)]  # t of the placed elements, ascending
-    # their ball indices, in the same order; a lone element is not looked up
-    assigned = [index(enumeration[0])] if len(enumeration) > 1 else []
+    assigned = [index(enumeration[0])]  # their ball indices, in the same order
     for g in enumeration[1:]:
         i = index(g)
         below = [j for j in assigned if sign(i, j) == 1]
@@ -117,10 +114,9 @@ def realize(enumeration: Sequence[GroupMatrix], order: OrderAssignment) -> Reali
             val = values[-1] + 1
         else:
             val = (values[k - 1] + values[k]) / 2
-        t[g] = val
         assigned.insert(k, i)
         values.insert(k, val)
-    return RealizationMap(tuple(enumeration), t)
+    return RealizationMap(tuple(enumeration), [ball.elements[i] for i in assigned], values)
 
 
 @dataclass(frozen=True)
@@ -162,13 +158,6 @@ class PLHomeo:
         (x0, y0), (x1, y1) = pts[k - 1], pts[k]
         return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
 
-    def inverse(self) -> "PLHomeo":
-        return PLHomeo(tuple((y, x) for x, y in self.breakpoints))
-
-    def __mul__(self, other: "PLHomeo") -> "PLHomeo":
-        """Composition (self after other) on other's breakpoint inputs."""
-        return PLHomeo(tuple((x, self(y)) for x, y in other.breakpoints))
-
 
 @dataclass(frozen=True)
 class GeneratorMap:
@@ -198,7 +187,7 @@ def generator_pl_map(
         # g is not increasing on this domain: name two neighbours it reverses
         by_t = sorted(range(len(pts)), key=lambda k: pts[k][0])
         a, b = next((a, b) for a, b in zip(by_t, by_t[1:]) if pts[a][1] >= pts[b][1])
-        x, y = (format_word(closure.word(domain[k])) for k in (a, b))
+        x, y = (format_word(closure.words[domain[k]]) for k in (a, b))
         raise RealizeError(f"generator {label} reverses the order of {x} < {y}, so its "
                            "breakpoints are not strictly increasing: the order is not "
                            "invariant there") from None
@@ -207,15 +196,11 @@ def generator_pl_map(
 
 @dataclass(frozen=True)
 class FixedSet:
-    """Fixed locus of a PL map within its breakpoint hull.
-
-    The formal endpoints are fixed by construction and are reported by the
-    flag rather than listed.
-    """
+    """Fixed locus of a PL map within its breakpoint hull; the formal
+    endpoints, fixed by every map, are not listed."""
 
     points: tuple[Fraction, ...]
     intervals: tuple[tuple[Fraction, Fraction], ...]
-    formal_endpoints_fixed: bool = True
 
 
 def fixed_set(m: PLHomeo) -> FixedSet:
@@ -258,16 +243,16 @@ def fixed_set(m: PLHomeo) -> FixedSet:
 @dataclass(frozen=True)
 class RealizationReport:
     passed: bool
-    monotonicity_failures: tuple[str, ...]
     equivariance_failures: tuple[str, ...]
     composition_failures: tuple[str, ...]
 
 
 def verify_realization(rm: RealizationMap, maps: Sequence[GeneratorMap]) -> RealizationReport:
-    """Re-check monotonicity, equivariance and composition of realized maps.
+    """Re-check equivariance and composition of realized maps.
 
-    Points are read by rank: one row per map element, and each map evaluated
-    once at every realized value.
+    Monotonicity needs no check: ``PLHomeo`` rejects breakpoints that do not
+    increase strictly, and is frozen.  Points are read by rank: one row per
+    map element, and each map evaluated once at every realized value.
     """
     values, rank = rm.values, rm._rank
     rows = [rm.row(gm.element) for gm in maps]
@@ -277,12 +262,8 @@ def verify_realization(rm: RealizationMap, maps: Sequence[GeneratorMap]) -> Real
           for ev, row in zip(evals, rows)]
     # the rank of each domain point, None where it is not realized
     ranks = [[rank[x.entries] if x in rm else None for x in gm.domain] for gm in maps]
-    mono, equiv, comp = [], [], []
+    equiv, comp = [], []
     for gm, row, fine, dom in zip(maps, rows, ok, ranks):
-        bps = gm.homeo.breakpoints
-        for (x0, y0), (x1, y1) in zip(bps, bps[1:]):
-            if not (x0 < x1 and y0 < y1):
-                mono.append(f"{gm.word}: breakpoints out of order at {x0}")
         for x, r in zip(gm.domain, dom):
             if r is None:
                 if gm.element * x in rm:
@@ -297,7 +278,7 @@ def verify_realization(rm: RealizationMap, maps: Sequence[GeneratorMap]) -> Real
         g, ok_g = maps[kg].element, ok[kg]
         for kh, h_at in zip(last, at):
             gh = row_g[h_at] if h_at is not None else None
-            kgh = by_element.get(rm._points[gh] if gh is not None else g * maps[kh].element)
+            kgh = by_element.get(rm.points[gh] if gh is not None else g * maps[kh].element)
             if kgh is None:
                 continue
             row_h, ok_h, ok_gh = rows[kh], ok[kh], ok[kgh]
@@ -310,8 +291,7 @@ def verify_realization(rm: RealizationMap, maps: Sequence[GeneratorMap]) -> Real
                 mg_mh = evals[kg][hx] if ok_h[r] else maps[kg].homeo(evals[kh][r])
                 if mg_mh != evals[kgh][r]:
                     comp.append(f"compose mismatch at t={values[r]}")
-    return RealizationReport(not mono and not equiv and not comp,
-                             tuple(mono), tuple(equiv), tuple(comp))
+    return RealizationReport(not equiv and not comp, tuple(equiv), tuple(comp))
 
 
 @dataclass(frozen=True)
@@ -354,7 +334,7 @@ def realization_to_csv(rm: RealizationMap, ball: Ball) -> str:
     w.writerow(["word", "t"])
     for g in rm.elements:
         frac = rm.value(g)
-        w.writerow([format_word(ball.word(g)), f"{frac.numerator}/{frac.denominator}"])
+        w.writerow([format_word(ball.words[g]), f"{frac.numerator}/{frac.denominator}"])
     return buf.getvalue()
 
 

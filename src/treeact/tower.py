@@ -424,10 +424,12 @@ class DecoratedAction:
 def attach_decorations(sys: InverseSystem, seed: str) -> DecoratedAction:
     """Attach a subdivided pendant arc over each vertex in the orbit of seed.
 
-    The orbit is enumerated from the seed in breadth-first order; the arc
-    over the i-th orbit vertex carries length label 1/i and has vertices
-    ``pend{i}m`` and ``pend{i}t``, which must name no vertex of the tower.
-    Every generator extends to permute the pendant arcs with the orbit.
+    The orbit is numbered from the seed along the walk ``orbit`` takes
+    without a cap: breadth-first, through the generators alone, sorted by
+    name.  The arc over the i-th orbit vertex carries length label 1/i and
+    has vertices ``pend{i}m`` and ``pend{i}t``, which must name no vertex of
+    the tower.  Every generator extends to permute the pendant arcs with the
+    orbit.
     """
     act = sys.levels[-1]
     tree = act.tree
@@ -436,7 +438,7 @@ def attach_decorations(sys: InverseSystem, seed: str) -> DecoratedAction:
     if len(tree.vertices) > 1 and tree.degree(seed) != 1:
         raise TowerError("seed must be a leaf")
 
-    order = [y for y, *_ in _orbit_walk(act, seed, True)]
+    order = [y for y, *_ in _orbit_walk(act, seed, False)]
     nums = range(1, len(order) + 1)
     pendants = tuple(map(Pendant, order, [f"pend{i}m" for i in nums], [f"pend{i}t" for i in nums]))
     taken = set(chain.from_iterable(level.tree.vertices for level in sys.levels))
@@ -531,6 +533,9 @@ def system_from_json(obj: Mapping) -> InverseSystem:
     every vertex of the level above it.  The levels themselves are not
     validated: ``FiniteTreeAction.validate`` does that.  A provenance ``n`` or
     ``p`` must be an integer of at least 2: ``degree_profile`` computes with it.
+    A file whose (n^2 - 1) * (bit length of p - 1) is 64 or more is rejected
+    before the power is taken: its degree bound p^(n^2-1) + 1 is then at
+    least 2^64, which no vertex of a tower reaches.
     """
     levels_in = obj.get("levels") if isinstance(obj, Mapping) else None
     if not (isinstance(levels_in, list) and levels_in
@@ -546,6 +551,9 @@ def system_from_json(obj: Mapping) -> InverseSystem:
     for key in ("n", "p"):
         if key in provenance and not (_is_int(provenance[key]) and provenance[key] >= 2):
             raise TowerError(f"provenance {key} must be an integer >= 2")
+    if ("n" in provenance and "p" in provenance
+            and (provenance["n"] ** 2 - 1) * (provenance["p"].bit_length() - 1) >= 64):
+        raise TowerError("provenance p^(n^2-1) is too large to be a vertex degree")
     matrices = {
         name: matrix_from_json(m)
         for name, m in obj.get("generator_matrices", {}).items()

@@ -72,12 +72,6 @@ class Tree:
     def leaves(self) -> tuple[str, ...]:
         return tuple(v for v in sorted(self.vertices) if len(self.adjacency[v]) == 1)
 
-    def __contains__(self, v: str) -> bool:
-        return v in self.adjacency
-
-    def __len__(self) -> int:
-        return len(self.vertices)
-
 
 @dataclass(frozen=True)
 class ValidationResult:
@@ -181,6 +175,8 @@ def convex_hull(t: Tree, s: Iterable[str]) -> frozenset[str]:
     pts = sorted(set(s))
     if not pts:
         raise TreeError("empty vertex set")
+    if any(v not in t.adjacency for v in pts):
+        raise TreeError("vertex not in tree")
     hull: set[str] = set(pts)
     base = pts[0]
     for v in pts[1:]:
@@ -214,17 +210,10 @@ class TreeAutomorphism:
     def domain(self) -> frozenset[str]:
         return frozenset(self._map)
 
-    def __mul__(self, other: "TreeAutomorphism") -> "TreeAutomorphism":
-        # (g * h)(v) = g(h(v)); composition matches left actions.
-        return TreeAutomorphism({v: self._map[w] for v, w in other._map.items()})
-
     def inverse(self) -> "TreeAutomorphism":
         if self._inv is None:
             self._inv = TreeAutomorphism({w: v for v, w in self._map.items()})
         return self._inv
-
-    def is_identity(self) -> bool:
-        return all(v == w for v, w in self._map.items())
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, TreeAutomorphism) and self._map == other._map
@@ -237,10 +226,6 @@ class TreeAutomorphism:
     def __repr__(self) -> str:
         moved = {v: w for v, w in sorted(self._map.items()) if v != w}
         return f"TreeAutomorphism({moved or 'id'})"
-
-    @staticmethod
-    def identity(vertices: Iterable[str]) -> "TreeAutomorphism":
-        return TreeAutomorphism({v: v for v in vertices})
 
 
 def is_tree_automorphism(t: Tree, a: TreeAutomorphism) -> ValidationResult:

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import shlex
+import time
 from contextlib import redirect_stdout
 from importlib import resources
 from pathlib import Path
@@ -359,6 +360,12 @@ class TestTreeCommands:
         )
         assert report["details"]["hull"] == ["a", "b", "c"]
 
+    @pytest.mark.parametrize("vertices", ["zz", ","])
+    def test_hull_unknown_vertex_is_three(self, tree_file, capsys, vertices):
+        argv = ["tree", "hull", "--in", str(tree_file), "--vertices", vertices]
+        assert run_cli(*argv) == (3, "")
+        assert capsys.readouterr().err == "error: vertex not in tree\n"
+
     def test_fix(self, tree_file, tmp_path):
         auto = tmp_path / "auto.json"
         auto.write_text(json.dumps(
@@ -695,6 +702,20 @@ class TestMalformedInput:
         bad.write_text(json.dumps(payload))
         assert run_cli("tower", sub, "--in", str(bad)) == (3, "")
         assert capsys.readouterr().err == f"error: provenance {key} must be an integer >= 2\n"
+
+    @pytest.mark.parametrize("sub", ["verify", "build"])
+    @pytest.mark.parametrize("n", [1000, 4000])
+    def test_provenance_degree_bound_out_of_reach_is_three(
+            self, tmp_path, input_files, capsys, sub, n):
+        payload = json.loads(Path(input_files["tower"]).read_text())
+        payload["provenance"].update(n=n, p=10 ** 6)
+        bad = tmp_path / "tower.json"
+        bad.write_text(json.dumps(payload))
+        start = time.perf_counter()
+        assert run_cli("tower", sub, "--in", str(bad)) == (3, "")
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr().err == (
+            "error: provenance p^(n^2-1) is too large to be a vertex degree\n")
 
     @pytest.mark.parametrize("edit", [
         lambda signs: signs + [[0, 99, 1]],         # an index outside the ball

@@ -85,7 +85,7 @@ class TestBallGenerate:
         b = z_ball(3)
         for g in b.elements:
             acc = GroupMatrix.identity(2)
-            for name, e in b.word(g):
+            for name, e in b.words[g]:
                 acc = acc * (z_gen() if e == 1 else z_gen().inverse())
             assert acc == g
 
@@ -396,5 +396,5 @@ class TestSerialization:
 
     def test_format_word(self):
         b = z_ball(2)
-        words = {format_word(b.word(g)) for g in b.elements}
+        words = {format_word(b.words[g]) for g in b.elements}
         assert "e" in words and "g" in words and "g^-1" in words

@@ -233,6 +233,22 @@ class TestDecorations:
         res = orbit(act, dec.pendants[0].tip)
         assert len(res) == 168
 
+    def test_pendants_follow_the_uncapped_orbit_walk(self):
+        sys_ = build_congruence_tower(2, 2, 2)
+        act = sys_.levels[-1]
+        seed = act.tree.leaves()[0]
+        dec = attach_decorations(sys_, seed)
+        # mod 4 no generator is its own inverse, yet none was made
+        assert all(auto._inv is None for auto in act.generators.values())
+        gens = [act.generators[name] for name in sorted(act.generators)]
+        walked, seen = [seed], {seed}
+        for x in walked:
+            for y in (g(x) for g in gens):
+                if y not in seen:
+                    seen.add(y)
+                    walked.append(y)
+        assert [p.anchor for p in dec.pendants] == walked
+
     def test_seed_must_be_leaf(self, tower321):
         with pytest.raises(TowerError, match="leaf"):
             attach_decorations(tower321, "0|e")
@@ -397,20 +413,20 @@ def sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-# Recorded before generator images came from the closure's Cayley table and
-# uncapped orbits stopped walking inverses: the decoration of the first leaf
-# of the top level, as `tower decorate` makes it.  "anchors" hashes the
-# pendant anchors in numbering order, "vertices" the decorated tree's vertex
-# sequence, and each map the sorted (vertex, image) pairs as JSON.
+# The decoration of the first leaf of the top level, as `tower decorate`
+# makes it, with the pendants numbered along the uncapped orbit walk
+# (generators alone, sorted by name).  "anchors" hashes the pendant anchors
+# in numbering order, "vertices" the decorated tree's vertex sequence, and
+# each map the sorted (vertex, image) pairs as JSON.
 DECORATION_PINS = {
     (2, 3, 2): {
         "seed": "2|0,1,8,0",
         "pendants": 648,
-        "anchors": "85f7ed23ee92273b068535b7b6a372b61dfbb7852b3a3ba3ca3c8c049d2c7ac1",
+        "anchors": "c06d16aa5b0ebf015b7025ae0b400c70cba1e26d0e0df4ee8177e4d3aa903795",
         "vertices": "159f8f3d96b802747c670ba89b4fdfa2f316fc9e4461b03112a3cdfe17655337",
         "maps": {
-            "u12": "2b5533b24ccebc77725cb7e8d966961770eb3058f17c5fe3cafcfd6b7bb5beb0",
-            "u21": "b1cfc350ffdbac12951f0ce0496abbe64a70ec1453e8897e79dd53528e428981",
+            "u12": "bdcd00e141d27b09821bcc3f813741af8cc13e1089688302513f467d991463fa",
+            "u21": "f5893601fa8899f5680e78d02a535c1371cde2eb27b961b48588bfa82ee6df3c",
         },
     },
     (3, 2, 1): {
