@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterable, Mapping, Sequence
 
 from ._walk import walk
@@ -118,6 +118,7 @@ def _det_flat(entries: Sequence[int], n: int) -> int:
     return sign * a[n - 1][n - 1]
 
 
+@cache
 def _identity_flat(n: int) -> tuple[int, ...]:
     return tuple(1 if i == j else 0 for i in range(n) for j in range(n))
 
@@ -176,23 +177,36 @@ class GroupMatrix:
         return GroupMatrix(self.n, _mul_flat(self.entries, other.entries, self.n), self.mod)
 
     def inverse(self) -> "GroupMatrix":
-        # det = 1, so the adjugate is the exact inverse (also mod m).
-        n = self.n
-        if self.det() != (1 % self.mod if self.mod is not None else 1):
-            raise MatrixError("only determinant-1 matrices are invertible here")
-        if n == 1:
+        # Fraction-free Gauss-Jordan (Bareiss) on [A | I], O(n^3) with every
+        # division exact: the left half ends as d I, d = +-det(A) by the sign
+        # of the row swaps, and the right half as d A^-1 = +-adj(A).  det = 1
+        # makes the adjugate the inverse; mod m, the adjugate of the entries'
+        # integer lift reduces to it.
+        if self.entries == (1,):
             return self
-        cof = [0] * (n * n)
-        for i in range(n):
-            for j in range(n):
-                minor = [
-                    self.entries[r * n + c]
-                    for r in range(n) if r != i
-                    for c in range(n) if c != j
-                ]
-                s = -1 if (i + j) % 2 else 1
-                cof[j * n + i] = s * _det_flat(minor, n - 1)
-        return GroupMatrix(n, tuple(cof), self.mod)
+        n, e, ident = self.n, self.entries, _identity_flat(self.n)
+        rows = [list(e[i:i + n] + ident[i:i + n]) for i in range(0, n * n, n)]
+        sign = prev = 1
+        for k in range(n):
+            top = rows[k]
+            if not top[k]:
+                piv = next((r for r in range(k + 1, n) if rows[r][k]), None)
+                if piv is None:  # singular
+                    prev = 0
+                    break
+                rows[k], rows[piv] = rows[piv], top
+                top = rows[k]
+                sign = -sign
+            p = top[k]
+            for i, row in enumerate(rows):
+                f = row[k]
+                if (f or p != prev) and i != k:  # else the step leaves row i as it is
+                    rows[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
+            prev = p
+        det = sign * prev
+        if (det if self.mod is None else det % self.mod) != 1:
+            raise MatrixError("only determinant-1 matrices are invertible here")
+        return GroupMatrix(n, tuple([sign * x for row in rows for x in row[n:]]), self.mod)
 
     def __pow__(self, k: int) -> "GroupMatrix":
         base = self if k >= 0 else self.inverse()

@@ -311,8 +311,9 @@ def search_invariant(
 
     Depth-first over pair variables in canonical order, assigning -1 before
     +1, propagating transitivity and the invariance gluing after every step.
-    One budget unit is one pop of the propagation queue, repeated entries
-    included; ``budget`` (the CLI's ``--budget``) caps their number.  The
+    A forced class is queued at most once per value, so one budget unit is
+    one pop of the propagation queue that assigns a class or finds it fixed
+    the other way; ``budget`` (the CLI's ``--budget``) caps their number.  The
     returned witness is re-verified by the public checkers before it is
     handed out.  Raises SearchBudgetExhausted, with how far the search got,
     when the budget runs out (deliberately distinct from Unsat).
@@ -397,7 +398,12 @@ def search_invariant(
                 signed[root] = ((root, 1), (root, -1))
             up, down = signed[root]
             force[i][j], force[j][i] = (up, down) if s == 1 else (down, up)
-    roots = sorted(members, key=lambda p: sorted((rank[p // size], rank[p % size])))
+
+    def canonical(p: int) -> int:
+        x, y = rank[p // size], rank[p % size]
+        return x * size + y if x < y else y * size + x
+
+    roots = sorted(members, key=canonical)
 
     # value[root] is the class's sign, 0 while unassigned; a member (i, j, s)
     # then has phi(x_i, x_j) = value * s.  Bit k of gt[x] is set when k > x,
@@ -413,7 +419,22 @@ def search_invariant(
     def assign(root: int, val: int, chain: list[TraceStep]) -> bool:
         """Assign a class and propagate; records steps into chain."""
         nonlocal nodes
-        queue: deque[tuple[int, int]] = deque([(root, val)])
+        # known_gt and known_lt are gt and lt with the pairs of every queued
+        # entry added: an entry is queued only when its pair is not yet known,
+        # so each (class, value) waits at most once, and every pop assigns a
+        # class or finds it fixed the other way
+        known_gt, known_lt = gt[:], lt[:]
+        queue: deque[tuple[int, int]] = deque()
+
+        def push(entry: tuple[int, int]) -> None:
+            r, v = entry
+            for i, j, s in members[r]:
+                a, c = (i, j) if v * s == 1 else (j, i)
+                known_gt[c] |= 1 << a
+                known_lt[a] |= 1 << c
+            queue.append(entry)
+
+        push((root, val))
         why = "decision or forced class"
         while queue:
             nodes += 1
@@ -426,36 +447,37 @@ def search_invariant(
                     propagation_steps=budget,
                 )
             r, v = queue.popleft()
-            fixed = value[r]
-            if fixed:
-                if fixed != v:
-                    chain.append(TraceStep(divmod(r, size), v,
-                                           f"class already fixed opposite ({why})"))
+            if value[r]:
+                chain.append(TraceStep(divmod(r, size), v,
+                                       f"class already fixed opposite ({why})"))
+                return False
+            chain.append(TraceStep(divmod(r, size), v, why))
+            value[r] = v
+            trail.append(r)
+            for i, j, s in members[r]:
+                # transitive closure through the new edge a > c, by masks
+                a, c = (i, j) if v * s == 1 else (j, i)
+                gt[c] |= 1 << a
+                lt[a] |= 1 << c
+                above_a, below_c = gt[a], lt[c]
+                clash = above_a & below_c  # k > a > c > k
+                if clash:
+                    k = (clash & -clash).bit_length() - 1
+                    chain.append(TraceStep((k, c), 1, "transitivity conflict"))
                     return False
-            else:
-                chain.append(TraceStep(divmod(r, size), v, why))
-                value[r] = v
-                trail.append(r)
-                for i, j, s in members[r]:
-                    # transitive closure through the new edge a > c, by masks
-                    a, c = (i, j) if v * s == 1 else (j, i)
-                    gt[c] |= 1 << a
-                    lt[a] |= 1 << c
-                    above_a, below_c = gt[a], lt[c]
-                    clash = above_a & below_c  # k > a > c > k
-                    if clash:
-                        k = (clash & -clash).bit_length() - 1
-                        chain.append(TraceStep((k, c), 1, "transitivity conflict"))
-                        return False
-                    # k > a > c forces k > c, and a > c > k forces a > k;
-                    # queued by increasing k (no k is in both, as none clashes)
-                    over = above_a & ~gt[c]
-                    todo = over | (below_c & ~lt[a])
-                    while todo:
-                        low = todo & -todo
-                        k = low.bit_length() - 1
-                        queue.append(force[k][c] if over & low else force[a][k])
-                        todo ^= low
+                # k > a > c forces k > c, and a > c > k forces a > k;
+                # queued by increasing k (no k is in both, as none clashes)
+                over = above_a & ~known_gt[c]
+                todo = over | (below_c & ~known_lt[a])
+                while todo:
+                    low = todo & -todo
+                    todo ^= low
+                    k = low.bit_length() - 1
+                    if over & low:
+                        if not known_gt[c] & low:
+                            push(force[k][c])
+                    elif not known_lt[a] & low:
+                        push(force[a][k])
             why = "forced by transitivity"
         return True
 

@@ -55,8 +55,8 @@ def mat_identity(n):
 
 def mat_det(a):
     n = len(a)
-    if n == 1:
-        return a[0][0]
+    if n == 0:
+        return 1  # the empty minor of a 1x1 adjugate
     total = 0
     for j in range(n):
         minor = [row[:j] + row[j + 1:] for row in a[1:]]
@@ -77,9 +77,14 @@ def mat_pow(a, k, mod=None):
 
 
 def mat_inv(a):
-    # adjugate; only used on determinant-1 integer matrices
-    n = len(a)
+    # only used on determinant-1 integer matrices
     assert mat_det(a) == 1
+    return mat_adj(a)
+
+
+def mat_adj(a):
+    """The adjugate, each entry a signed cofactor determinant."""
+    n = len(a)
     out = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
@@ -577,8 +582,10 @@ def search_invariant(f, b, b2, budget=500_000, shuffle_seed=None):
 
     Every pair of every f in F is multiplied afresh, every forced pair is
     looked up in the union-find, and each new edge a > b scans all k for
-    k > a and b > k.  ``units`` is the number of budget units (queue pops)
-    the search used; it raises what ``ordering.search_invariant`` raises.
+    k > a and b > k.  ``units`` is the number of budget units the search
+    used: queue pops that assign a class or find it fixed the other way, not
+    the repeated entries it also queues.  It raises what
+    ``ordering.search_invariant`` raises.
     """
     for g in b.elements:
         if g not in b2:
@@ -642,6 +649,10 @@ def search_invariant(f, b, b2, budget=500_000, shuffle_seed=None):
     def assign(root, val, chain):
         queue = deque([(root, val, "decision or forced class")])
         while queue:
+            r, v, why = queue.popleft()
+            fixed = rel[r[0]][r[1]]
+            if fixed == v:
+                continue  # a repeated entry is no budget unit
             stats["nodes"] += 1
             if stats["nodes"] > budget:
                 raise SearchBudgetExhausted(
@@ -649,13 +660,9 @@ def search_invariant(f, b, b2, budget=500_000, shuffle_seed=None):
                     classes_assigned=sum(1 for r in roots if rel[r[0]][r[1]]),
                     classes=len(roots), propagation_steps=budget,
                 )
-            r, v, why = queue.popleft()
-            fixed = rel[r[0]][r[1]]
             if fixed:
-                if fixed != v:
-                    chain.append(TraceStep(r, v, f"class already fixed opposite ({why})"))
-                    return False
-                continue
+                chain.append(TraceStep(r, v, f"class already fixed opposite ({why})"))
+                return False
             chain.append(TraceStep(r, v, why))
             for (i, j), s in members[r]:
                 if not set_rel(i, j, v * s):

@@ -14,6 +14,7 @@ import pytest
 
 import oracles
 from treeact import cli, presets
+from treeact.matrices import elementary, matrix_to_json
 from treeact.ordering import OrderingError
 
 
@@ -202,6 +203,20 @@ class TestOrder:
         assert code == 1
         assert report["details"]["transitivity_violations"] == 0
         assert report["details"]["invariance_violations"] > 0
+
+    def test_check_large_generator_is_quick(self, tmp_path):
+        # a 7-element ball of one 120x120 unipotent generator; with an O(n^5)
+        # inverse this check ran for more than 120 s
+        ball = {"radius": 3, "names": ["g"], "count": 7,
+                "generators": [matrix_to_json(elementary(120, 1, 2, 1))]}
+        order = tmp_path / "order.json"
+        order.write_text(json.dumps({
+            "ball": ball, "signs": [[i, j, -1] for i in range(7) for j in range(i + 1, 7)]}))
+        start = time.perf_counter()
+        code, report = run_report("order", "check", "--order", str(order),
+                                  "--invariant", "gens+inv")
+        assert time.perf_counter() - start < 5
+        assert code == 0 and report["details"]["invariance_violations"] == 0
 
     def test_unsat_trace_written(self, tmp_path):
         out = tmp_path / "trace.json"

@@ -91,6 +91,38 @@ class TestElementary:
         assert oracles.mat_mul(to_rows(m), to_rows(m.inverse())) == oracles.mat_identity(3)
 
 
+@st.composite
+def square_matrices(draw):
+    """Small integer or modular matrices, of any determinant."""
+    n = draw(st.integers(1, 4))
+    mod = draw(st.one_of(st.none(), st.integers(2, 7)))
+    entries = draw(st.lists(st.integers(-3, 3), min_size=n * n, max_size=n * n))
+    return GroupMatrix(n, tuple(entries), mod)
+
+
+class TestInverseTwin:
+    # Gauss-Jordan against the cofactor adjugate: the zero-pivot examples
+    # swap rows, and 3 I mod 8 has integer determinant 9
+    @given(st.one_of(square_matrices(), unipotent_products(n=4, length=6)))
+    @example(GroupMatrix(2, (0, 1, -1, 0)))
+    @example(GroupMatrix(3, (0, 0, 1, 1, 0, 0, 0, 1, 0)))
+    @example(GroupMatrix(4, (1, 2, 0, 0, 1, 2, 1, 0, 0, 0, 0, 1, 0, 1, 0, 0)))
+    @example(GroupMatrix(2, (0, 2, 2, 0), 5))
+    @example(GroupMatrix(2, (3, 0, 0, 3), 8))
+    @example(GroupMatrix(2, (2, 0, 0, 1)))
+    @example(GroupMatrix(2, (1, 2, 2, 4)))
+    @example(GroupMatrix(2, (2, 0, 0, 1), 4))
+    def test_matches_adjugate(self, m):
+        n, mod = m.n, m.mod
+        if m.det() != 1:
+            with pytest.raises(MatrixError, match="^only determinant-1 matrices are invertible here$"):
+                m.inverse()
+            return
+        adj = [[x % mod if mod else x for x in row] for row in oracles.mat_adj(to_rows(m))]
+        assert to_rows(m.inverse()) == adj
+        assert m * m.inverse() == GroupMatrix.identity(n, mod)
+
+
 class TestCommutator:
     def test_identity_left(self):
         b = elementary(3, 2, 3, 2)

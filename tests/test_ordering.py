@@ -254,16 +254,19 @@ class TestSearch:
 
 # Two word balls beyond the presets, with the generators and radii of the
 # benchmark's search workload: decision counts and the SHA-256 of the sorted
-# witness sign triples, recorded before the search state was reworked.
+# witness sign triples, recorded before the search state was reworked.  The
+# fourth field is the exact number of budget units each search takes: queue
+# pops that assign a class or find it fixed the other way (a forced class is
+# never queued twice with one value).
 SEARCH_PINS = {
-    "hexagon-ball-1": (13, 121, 2527,
+    "hexagon-ball-1": (13, 121, 2527, 6_792,
                        "686660ef4895d698bc9bb68729e82b037c8980d0f0e7b35a167a4825c715fc60"),
-    "z2-ball-4": (41, 61, 228,
+    "z2-ball-4": (41, 61, 228, 568,
                   "9097aff51e6e62f411a327a37b187319fe7b9ce0e03748a98165875f5d0a1f46"),
     # recorded before the propagation moved to bitsets
-    "heisenberg-ball-3": (53, 135, 1949,
+    "heisenberg-ball-3": (53, 135, 1949, 6_292,
                           "53949fc35ce645fae4a872c3d4ebabf03fd8392dd55935f021bbdc97ad08ccea"),
-    "z-ball-80": (161, 163, 1,
+    "z-ball-80": (161, 163, 1, 163,
                   "c142b844652e2da9e30cfc0b68cecad23b11593f82186e6797f403ba11adce9a"),
 }
 
@@ -287,7 +290,7 @@ def pinned_instance(name):
 class TestSearchPins:
     @pytest.mark.parametrize("name", sorted(SEARCH_PINS))
     def test_decisions_and_witness(self, name):
-        inner_size, outer_size, decisions, digest = SEARCH_PINS[name]
+        inner_size, outer_size, decisions, _units, digest = SEARCH_PINS[name]
         gens, inner, outer = pinned_instance(name)
         assert (len(inner), len(outer)) == (inner_size, outer_size)
         res = search_invariant(gens, inner, outer, budget=10 ** 8)
@@ -296,24 +299,33 @@ class TestSearchPins:
         assert hashlib.sha256(json.dumps(triples).encode()).hexdigest() == digest
 
     def test_budget_boundary(self):
-        # the search of z2-ball-4 takes exactly 8524 budget units
+        units = SEARCH_PINS["z2-ball-4"][3]
         gens, inner, outer = pinned_instance("z2-ball-4")
-        assert search_invariant(gens, inner, outer, budget=8524).is_sat
+        assert search_invariant(gens, inner, outer, budget=units).is_sat
         with pytest.raises(SearchBudgetExhausted):
-            search_invariant(gens, inner, outer, budget=8523)
+            search_invariant(gens, inner, outer, budget=units - 1)
 
-    # the exact number of budget units each search takes, recorded before the
-    # propagation moved to bitsets
     @pytest.mark.parametrize("name,units", [
-        ("hexagon-ball-1", 15_847),
-        ("heisenberg-ball-3", 43_252),
-        ("z-ball-80", 708_562),
+        (name, SEARCH_PINS[name][3]) for name in ("hexagon-ball-1", "heisenberg-ball-3", "z-ball-80")
     ])
     def test_budget_boundaries(self, name, units):
         f, inner, outer = pinned_instance(name)
         assert search_invariant(f, inner, outer, budget=units).is_sat
         with pytest.raises(SearchBudgetExhausted):
             search_invariant(f, inner, outer, budget=units - 1)
+
+    @pytest.mark.parametrize("name", sorted(SEARCH_PINS))
+    def test_units_bounded_by_decisions_times_classes(self, name):
+        # each decision pops at most every class once, plus one conflict
+        _inner, _outer, decisions, units, _digest = SEARCH_PINS[name]
+        f, inner, outer = pinned_instance(name)
+        with pytest.raises(SearchBudgetExhausted) as exc:
+            search_invariant(f, inner, outer, budget=0)
+        assert units <= decisions * (exc.value.classes + 1)
+
+    def test_z_ball_80_within_default_budget(self):
+        f, inner, outer = pinned_instance("z-ball-80")
+        assert search_invariant(f, inner, outer).is_sat
 
     def test_shuffled_order(self):
         # heisenberg-ball-2 in the variable order of shuffle_seed=3
