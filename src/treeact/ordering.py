@@ -589,16 +589,22 @@ def order_from_probe_keys(
     ``keys[k]`` belongs to ``ball.elements[k]``.
 
     Keys compare lexicographically, skipping every probe where either image
-    is None.  Skipped probes can make that comparison intransitive, so the
-    sorted result is checked against every pair.  Raises ``OrderingError``
-    when the probes leave two elements equal, naming why (no probe has an
-    image under both, or every probe that has agrees), or when the order is
-    not transitive.
+    is None: a comparison visits only the set bits of the two keys' masks of
+    imaged probes, lowest first.  Skipped probes can make that comparison
+    intransitive, so the sorted result is checked against every pair.  Raises
+    ``OrderingError`` when the probes leave two elements equal, naming why (no
+    probe has an image under both, or every probe that has agrees), or when
+    the order is not transitive.
     """
+    masks = [sum(1 << r for r, v in enumerate(key) if v is not None) for key in keys]
+
     def compare(a: int, b: int) -> int:
-        for va, vb in zip(keys[a], keys[b]):
-            if va is not None and vb is not None and va != vb:
-                return 1 if va > vb else -1
+        ka, kb, shared = keys[a], keys[b], masks[a] & masks[b]
+        while shared:
+            r = (shared & -shared).bit_length() - 1
+            if ka[r] != kb[r]:
+                return 1 if ka[r] > kb[r] else -1
+            shared &= shared - 1
         return 0
 
     ascending = sorted(range(len(ball)), key=functools.cmp_to_key(compare))
@@ -606,11 +612,9 @@ def order_from_probe_keys(
         for b in ascending[i + 1:]:
             c = compare(a, b)
             if c == 0:
-                shared = any(va is not None and vb is not None
-                             for va, vb in zip(keys[a], keys[b]))
                 raise OrderingError(
                     "probes insufficient: every shared probe agrees "
-                    "(action not almost free at this scale)" if shared else
+                    "(action not almost free at this scale)" if masks[a] & masks[b] else
                     "probes insufficient: no probe is realized for both elements"
                 )
             if c > 0:

@@ -59,6 +59,11 @@ class RealizationMap:
     def _rank(self) -> dict[tuple[int, ...], int]:
         return {x.entries: r for r, x in enumerate(self.points)}
 
+    def rank_of(self, g: GroupMatrix) -> int | None:
+        """The rank of g, or None when g (of any dimension or modulus) is not realized."""
+        ps = self.points
+        return self._rank.get(g.entries) if ps and (g.n, g.mod) == (ps[0].n, ps[0].mod) else None
+
     def row(self, g: GroupMatrix) -> list[int | None]:
         """For each realized point x, in rank order, the rank of g x, or None
         when g x is not realized: one flat product per point, made anew on
@@ -72,13 +77,35 @@ class RealizationMap:
             products = [tuple(v % m for v in p) for p in products]
         return list(map(self._rank.get, products))
 
+    def ball_rows(self, ball: Ball) -> list[list[int | None]]:
+        """The row of every ball element, aligned with ``ball.elements``, made
+        shortest word first.  Where g's word is h's plus a letter s, and one
+        product confirms h s = g, g x = h (s x): g's row reads h's through the
+        letter's, with a product only where s x is not realized.  Any other
+        element (the identity, say) gets a direct row."""
+        words = [ball.words.get(g, ()) for g in ball.elements]
+        at_word = {w: k for k, w in enumerate(words)}
+        step = {(a, e): g ** e for a, g in zip(ball.names, ball.generators) for e in (1, -1)}
+        step_rows = {w: self.row(s) for w, s in step.items()}
+        points, rows = self.points, [None] * len(words)
+        for k in sorted(range(len(words)), key=lambda k: len(words[k])):
+            g, w = ball.elements[k], words[k]
+            h = at_word.get(w[:-1]) if w else None
+            if h is None or w[-1] not in step or ball.elements[h] * step[w[-1]] != g:
+                rows[k] = self.row(g)
+                continue
+            row_h = rows[h]
+            rows[k] = [row_h[q] if q is not None else self.rank_of(g * points[r])
+                       for r, q in enumerate(step_rows[w[-1]])]
+        return rows
+
     def value(self, g: GroupMatrix) -> Fraction:
-        if g not in self.t:
+        if (r := self.rank_of(g)) is None:
             raise RealizeError("element not realized")
-        return self.t[g]
+        return self.values[r]
 
     def __contains__(self, g: GroupMatrix) -> bool:
-        return g in self.t
+        return self.rank_of(g) is not None
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -176,9 +203,11 @@ def generator_pl_map(
     label: str,
 ) -> GeneratorMap:
     """PL action of g: breakpoints (t(x), t(g x)) over the largest valid sub-ball."""
-    row, rank = rm.row(g), rm._rank
-    domain = [x for x in closure.elements if x in rm and row[rank[x.entries]] is not None]
-    pts = [(rm.t[x], rm.values[row[rank[x.entries]]]) for x in domain]
+    row, values = rm.row(g), rm.values
+    at = [(x, r) for x in closure.elements
+          if (r := rm.rank_of(x)) is not None and row[r] is not None]
+    domain = [x for x, _ in at]
+    pts = [(values[r], values[row[r]]) for _, r in at]
     if not pts:
         raise RealizeError("empty realizable sub-ball")
     try:
@@ -254,14 +283,14 @@ def verify_realization(rm: RealizationMap, maps: Sequence[GeneratorMap]) -> Real
     increase strictly, and is frozen.  Points are read by rank: one row per
     map element, and each map evaluated once at every realized value.
     """
-    values, rank = rm.values, rm._rank
+    values = rm.values
     rows = [rm.row(gm.element) for gm in maps]
     evals = [[gm.homeo(v) for v in values] for gm in maps]
     # ok[k][r]: map k sends the point of rank r to t(g x), with g x realized
     ok = [[gx is not None and y == values[gx] for y, gx in zip(ev, row)]
           for ev, row in zip(evals, rows)]
     # the rank of each domain point, None where it is not realized
-    ranks = [[rank[x.entries] if x in rm else None for x in gm.domain] for gm in maps]
+    ranks = [[rm.rank_of(x) for x in gm.domain] for gm in maps]
     equiv, comp = [], []
     for gm, row, fine, dom in zip(maps, rows, ok, ranks):
         for x, r in zip(gm.domain, dom):
@@ -273,7 +302,7 @@ def verify_realization(rm: RealizationMap, maps: Sequence[GeneratorMap]) -> Real
     # each element is checked with the last of its maps
     by_element = {gm.element: k for k, gm in enumerate(maps)}
     last = [by_element[gm.element] for gm in maps]
-    at = [rank[gm.element.entries] if gm.element in rm else None for gm in maps]
+    at = [rm.rank_of(gm.element) for gm in maps]
     for kg, row_g in zip(last, rows):
         g, ok_g = maps[kg].element, ok[kg]
         for kh, h_at in zip(last, at):
@@ -319,10 +348,11 @@ def order_from_realization(rm: RealizationMap, ball: Ball) -> OrderAssignment:
     Every realized value is a probe, taken in ascending order (away from the
     lower formal endpoint).  Each element acts partially: g moves t(x) to
     t(g x) when both are realized; a probe where either side is missing has
-    image None and is skipped by ``order_from_probe_keys``.
+    image None and is skipped by ``order_from_probe_keys``.  The keys are
+    the rank rows that ``RealizationMap.ball_rows`` composes along the words.
     """
     # rank is strictly increasing in t, so rank keys compare as t keys would
-    return order_from_probe_keys(ball, [rm.row(g) for g in ball.elements])
+    return order_from_probe_keys(ball, rm.ball_rows(ball))
 
 
 # -- CSV / SVG exports ----------------------------------------------------------

@@ -6,6 +6,7 @@ min-1, and anything else at the midpoint of its assigned neighbours.
 """
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -383,6 +384,23 @@ class TestRoundTrip:
         recovered = order_from_realization(realize(elems, order), ball)
         assert recovered.signs == order.signs
         assert len(looked_up) <= 3 * len(ball)
+
+    def test_flat_products_stay_linear(self, monkeypatch):
+        # rows are composed along the ball's words: a few flat products per
+        # element, not one per element and realized point (201 * 201 here)
+        ball = z_ball(100)
+        order = natural_order(ball)
+        elems = list(ball.elements)
+        random.Random(5).shuffle(elems)
+        rm = realize(elems, order)
+        made = []
+        for name in ("treeact.realize", "treeact.matrices"):
+            module = sys.modules[name]
+            flat = module._mul_flat
+            monkeypatch.setattr(module, "_mul_flat",
+                                lambda a, b, n, flat=flat: made.append(n) or flat(a, b, n))
+        assert order_from_realization(rm, ball).signs == order.signs
+        assert 0 < len(made) <= 6 * len(ball)
 
 
 class TestExports:

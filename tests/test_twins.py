@@ -1,13 +1,15 @@
 """The exact checkers of ordering and realize against their naive twins.
 
 ``ordering.check_axioms``, ``ordering.check_invariance``,
-``ordering.search_invariant``, ``realize.verify_realization``,
-``PLHomeo.__call__`` and ``tower.orbit`` each have a naive twin in
-``tests/oracles.py`` that redoes every product and segment scan in
-its innermost loop; ``trees.first_point_map`` has one that takes the whole
-path to the least subtree vertex, and ``tower.projection_orbit_growth`` one
-that works on the decorated tree and action made in full.  Both sides get
-the same random inputs, broken ones included, and must return the same
+``ordering.search_invariant``, ``ordering.order_from_probe_keys``,
+``realize.verify_realization``, ``PLHomeo.__call__`` and ``tower.orbit``
+each have a naive twin in ``tests/oracles.py`` that redoes every product
+and segment scan in its innermost loop; ``trees.first_point_map`` has one
+that takes the whole path to the least subtree vertex,
+``tower.projection_orbit_growth`` one that works on the decorated tree and
+action made in full, and the rows ``RealizationMap.ball_rows`` composes
+along the ball's words are the direct ``row`` of each element.  Both sides
+get the same random inputs, broken ones included, and must return the same
 report field for field, or raise the same error.
 """
 
@@ -66,6 +68,11 @@ def z_ball(radius):
 
 def z2_ball(radius):
     return ball_generate([A, B], radius, ["a", "b"])
+
+
+def heisenberg_ball(radius):
+    return ball_generate([elementary(3, 1, 2, 1), elementary(3, 2, 3, 1)], radius,
+                         ["u12", "u23"])
 
 
 def outcome(fn, *args):
@@ -201,13 +208,19 @@ class TestPLEvaluationTwin:
 
 
 def random_realization(rng):
-    """A ball in its natural order, realized on a random part of it."""
-    if rng.random() < 0.5:
+    """A ball in its natural order (the Heisenberg ball in entry order),
+    realized on a random part of it."""
+    kind = rng.random()
+    if kind < 1 / 3:
         ball = z_ball(rng.randint(1, 4))
         key = lambda m: m.entries[1]  # noqa: E731
-    else:
+    elif kind < 2 / 3:
         ball = z2_ball(rng.randint(1, 2))
         key = lambda m: (m.entries[1], m.entries[2])  # noqa: E731
+    else:
+        # non-abelian: a row composed as s h instead of h s differs here
+        ball = heisenberg_ball(rng.randint(1, 2))
+        key = lambda m: m.entries  # noqa: E731
     order = OrderAssignment.from_total_order(ball, sorted(ball.elements, key=key))
     enumeration = list(ball.elements)
     rng.shuffle(enumeration)
@@ -323,6 +336,88 @@ class TestRoundTripTwin:
         got = outcome(order_from_probe_keys, ball, keys)
         assert got == outcome(oracles.order_from_probe_keys, ball, dict(zip(ball.elements, keys)))
         assert got == ("raised", OrderingError, f"probes insufficient: {cause}")
+
+
+class TestComposedRowTwin:
+    """``RealizationMap.ball_rows`` composes rows along the ball's words;
+    its twin is one direct ``row`` per element."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(SEEDS)
+    def test_composed_rows_are_direct_rows(self, seed):
+        ball, _key, rm = random_realization(random.Random(seed))
+        assert rm.ball_rows(ball) == [rm.row(g) for g in ball.elements]
+
+    @pytest.mark.parametrize("radius", [1, 2])
+    def test_words_that_do_not_check_get_direct_rows(self, radius):
+        # hand-made Heisenberg balls whose words are read backwards (s h for
+        # h s) or shuffled among the elements: a composition that trusted
+        # the words would read the wrong element's row
+        ball = heisenberg_ball(radius)
+        rm = realize(list(ball.elements), OrderAssignment.from_total_order(
+            ball, sorted(ball.elements, key=lambda m: m.entries)))
+        shuffled = list(ball.words.values())
+        random.Random(radius).shuffle(shuffled)
+        for words in ({g: w[::-1] for g, w in ball.words.items()},
+                      dict(zip(ball.words, shuffled))):
+            odd = Ball(ball.elements, ball.generators, ball.names, ball.radius, words)
+            assert rm.ball_rows(odd) == [rm.row(g) for g in ball.elements]
+
+
+def random_probe_keys(rng, size):
+    """Keys of one width with None holes and values in {0, 1, 2}, so that
+    shared probes often agree before one differs."""
+    width, holes = rng.randint(0, 5), rng.random()
+    return [[None if rng.random() < holes else rng.randint(0, 2) for _ in range(width)]
+            for _ in range(size)]
+
+
+def passes_an_agreeing_probe(keys):
+    """Whether some pair agrees at its first shared probe and differs later."""
+    for ka in keys:
+        for kb in keys:
+            shared = [(a, b) for a, b in zip(ka, kb) if a is not None and b is not None]
+            if shared and shared[0][0] == shared[0][1] and any(a != b for a, b in shared):
+                return True
+    return False
+
+
+class TestProbeKeyTwin:
+    """``order_from_probe_keys`` visits the set bits of two keys' shared
+    masks; its twin walks every probe of both keys."""
+
+    @staticmethod
+    def agree(ball, keys):
+        got = outcome(order_from_probe_keys, ball, keys)
+        want = outcome(oracles.order_from_probe_keys, ball, dict(zip(ball.elements, keys)))
+        if got[0] == want[0] == "value":
+            got, want = got[1].signs, want[1].signs
+        assert got == want
+        return got
+
+    @settings(max_examples=200, deadline=None)
+    @given(SEEDS)
+    def test_random_keys(self, seed):
+        rng = random.Random(seed)
+        ball = z_ball(rng.randint(0, 3))
+        self.agree(ball, random_probe_keys(rng, len(ball)))
+
+    def test_each_outcome_is_met(self):
+        met, scanned = set(), False
+        for seed in range(400):
+            rng = random.Random(seed)
+            ball = z_ball(rng.randint(0, 3))
+            keys = random_probe_keys(rng, len(ball))
+            got = self.agree(ball, keys)
+            met.add("order" if isinstance(got, dict) else got[2])
+            scanned = scanned or passes_an_agreeing_probe(keys)
+        assert scanned
+        assert met == {
+            "order",
+            "probes insufficient: no probe is realized for both elements",
+            "probes insufficient: every shared probe agrees (action not almost free at this scale)",
+            "probe order not transitive at this scale",
+        }
 
 
 # -- first-point maps against the whole path of oracles.first_point_map -------
