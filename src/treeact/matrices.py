@@ -94,28 +94,30 @@ def _left_kernel(s: Sequence[int], n: int, m: int, memo: dict[int, int]):
     return apply
 
 
-def _det_flat(entries: Sequence[int], n: int) -> int:
-    # Bareiss fraction-free elimination; exact over Z.
-    if n == 1:
-        return entries[0]
-    a = [list(entries[i * n:(i + 1) * n]) for i in range(n)]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for r in range(k + 1, n):
-                if a[r][k] != 0:
-                    a[k], a[r] = a[r], a[k]
-                    sign = -sign
-                    break
-            else:
+def _eliminate(rows: list[list[int]], n: int) -> int:
+    """Fraction-free Gauss-Jordan (Bareiss) on the first n columns of rows,
+    in place, every division exact; returns the determinant of that block A.
+    Unless it is 0, the block ends as det I and the columns to its right as
+    adj(A) times them."""
+    sign = prev = 1
+    for k in range(n):
+        top = rows[k]
+        if not top[k]:
+            piv = next((r for r in range(k + 1, n) if rows[r][k]), None)
+            if piv is None:
                 return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+            rows[k], rows[piv] = rows[piv], top
+            top = rows[k]
+            sign = -sign
+        p = top[k]
+        for i, row in enumerate(rows):
+            f = row[k]
+            if (f or p != prev) and i != k:  # else the step leaves row i as it is
+                rows[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
+        prev = p
+    if sign < 0:
+        rows[:] = [[-x for x in row] for row in rows]
+    return sign * prev
 
 
 @cache
@@ -159,7 +161,7 @@ class GroupMatrix:
         return [list(self.entries[i * self.n:(i + 1) * self.n]) for i in range(self.n)]
 
     def det(self) -> int:
-        d = _det_flat(self.entries, self.n)
+        d = _eliminate(self.rows(), self.n)
         return d % self.mod if self.mod is not None else d
 
     def is_identity(self) -> bool:
@@ -177,36 +179,15 @@ class GroupMatrix:
         return GroupMatrix(self.n, _mul_flat(self.entries, other.entries, self.n), self.mod)
 
     def inverse(self) -> "GroupMatrix":
-        # Fraction-free Gauss-Jordan (Bareiss) on [A | I], O(n^3) with every
-        # division exact: the left half ends as d I, d = +-det(A) by the sign
-        # of the row swaps, and the right half as d A^-1 = +-adj(A).  det = 1
-        # makes the adjugate the inverse; mod m, the adjugate of the entries'
+        # _eliminate on [A | I] leaves [det I | adj(A)]; det = 1 makes the
+        # adjugate the inverse, and mod m the adjugate of the entries'
         # integer lift reduces to it.
-        if self.entries == (1,):
-            return self
-        n, e, ident = self.n, self.entries, _identity_flat(self.n)
-        rows = [list(e[i:i + n] + ident[i:i + n]) for i in range(0, n * n, n)]
-        sign = prev = 1
-        for k in range(n):
-            top = rows[k]
-            if not top[k]:
-                piv = next((r for r in range(k + 1, n) if rows[r][k]), None)
-                if piv is None:  # singular
-                    prev = 0
-                    break
-                rows[k], rows[piv] = rows[piv], top
-                top = rows[k]
-                sign = -sign
-            p = top[k]
-            for i, row in enumerate(rows):
-                f = row[k]
-                if (f or p != prev) and i != k:  # else the step leaves row i as it is
-                    rows[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
-            prev = p
-        det = sign * prev
+        n = self.n
+        rows = [row + [int(i == j) for j in range(n)] for i, row in enumerate(self.rows())]
+        det = _eliminate(rows, n)
         if (det if self.mod is None else det % self.mod) != 1:
             raise MatrixError("only determinant-1 matrices are invertible here")
-        return GroupMatrix(n, tuple([sign * x for row in rows for x in row[n:]]), self.mod)
+        return GroupMatrix(n, tuple([x for row in rows for x in row[n:]]), self.mod)
 
     def __pow__(self, k: int) -> "GroupMatrix":
         base = self if k >= 0 else self.inverse()
@@ -215,8 +196,9 @@ class GroupMatrix:
         while k:
             if k & 1:
                 result = result * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return result
 
     def reduce_mod(self, m: int) -> "GroupMatrix":

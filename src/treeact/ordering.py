@@ -155,13 +155,10 @@ class OrderAssignment:
         pos = {ball.index(g): k for k, g in enumerate(ascending)}
         if len(pos) != len(ball):
             raise OrderingError("total order must cover the ball")
-        signs = {}
-        idx = list(pos)
-        for a in idx:
-            for b in idx:
-                if a != b:
-                    signs[(a, b)] = 1 if pos[a] > pos[b] else -1
-        return OrderAssignment(ball, signs)
+        # one sign per pair i < j: __post_init__ adds the opposite orientation
+        n = len(ball)
+        return OrderAssignment(ball, {(i, j): 1 if pos[i] > pos[j] else -1
+                                      for i in range(n) for j in range(i + 1, n)})
 
 
 @dataclass(frozen=True)
@@ -384,20 +381,19 @@ def search_invariant(
                     )
                 log.append((p, q, label))
 
-    # Classes: root -> members (i, j, parity), and force[k][x], the class
-    # entry (root, value) that makes k > x; both entries of a class are
-    # shared by all its pairs.
+    # Classes: root -> members (i, j, parity).  find compresses every pair
+    # onto its root, so afterwards parent[p] is p's root (0 at a root) and
+    # parity[p] its sign relative to that root.
     members: dict[int, list[tuple[int, int, int]]] = {}
-    signed: dict[int, tuple[tuple[int, int], tuple[int, int]]] = {}
-    force: list[list] = [[None] * size for _ in range(size)]
     for i in range(size):
         for j in range(i + 1, size):
             root, s = find(i * size + j)
             members.setdefault(root, []).append((i, j, s))
-            if root not in signed:
-                signed[root] = ((root, 1), (root, -1))
-            up, down = signed[root]
-            force[i][j], force[j][i] = (up, down) if s == 1 else (down, up)
+
+    def entry(k: int, x: int) -> tuple[int, int]:
+        """The class entry (root, value) that makes k > x."""
+        p = k * size + x if k < x else x * size + k
+        return parent[p] or p, parity[p] if k < x else -parity[p]
 
     def canonical(p: int) -> int:
         x, y = rank[p // size], rank[p % size]
@@ -475,9 +471,9 @@ def search_invariant(
                     k = low.bit_length() - 1
                     if over & low:
                         if not known_gt[c] & low:
-                            push(force[k][c])
+                            push(entry(k, c))
                     elif not known_lt[a] & low:
-                        push(force[a][k])
+                        push(entry(a, k))
             why = "forced by transitivity"
         return True
 

@@ -92,6 +92,42 @@ def _vertex_id(beta: int, entries: tuple[int, ...]) -> str:
     return f"{beta}|" + ",".join(map(str, entries))
 
 
+def _number_cosets(
+    n: int, p: int, depth: int, gens: list[GroupMatrix], cap: int
+) -> tuple[list[str], list[int], list[list[int]], list[int]]:
+    """Number the coset tree's vertices once, level by level: each modulus
+    p^beta adds its cosets in the order of their representatives, so level
+    a is the first counts[a] numbers.  Returns each vertex's id, its parent
+    (the root is its own), each generator's image of it, and counts.
+    """
+    names, parent, counts = [_vertex_id(0, ())], [0], [1]
+    images: list[list[int]] = [[0] for _ in gens]
+    # the mod p^depth quotient as flat tuples, and cayley[k][i]: the index
+    # in top of generator k times top[i]
+    top, cayley = [], ()
+    if depth:
+        group = enumerate_group(n, p ** depth, gens, cap=cap)
+        top, cayley = group.entries, group.cayley
+    below = [0] * len(top)   # each top element's vertex one level down
+    for beta in range(1, depth + 1):
+        # a coset's id is its reduction (top is reduced mod p^depth already);
+        # any top lift i gives its parent and, through the Cayley table, its images
+        m = p ** beta
+        reduced = top if beta == depth else [tuple([e % m for e in y]) for y in top]
+        lift = {x: i for i, x in enumerate(reduced)}
+        number = {x: v for v, x in enumerate(sorted(lift), len(names))}
+        here = [number[x] for x in reduced]
+        for x in number:
+            i = lift[x]
+            names.append(_vertex_id(beta, x))
+            parent.append(below[i])
+            for image, column in zip(images, cayley):
+                image.append(here[column[i]])
+        counts.append(len(names))
+        below = here
+    return names, parent, images, counts
+
+
 def build_congruence_tower(
     n: int, p: int, depth: int, cap: int = 2_000_000
 ) -> InverseSystem:
@@ -100,8 +136,9 @@ def build_congruence_tower(
     Level a has one vertex per coset at each modulus p^b, b <= a; a coset is
     labelled by its canonical representative, the reduction with entries in
     [0, p^b).  New leaves attach to their mod-p^(b-1) parents, and the bond
-    collapses them back onto those parents.  Each level is built by
-    extending the one below with the cosets of the next modulus.
+    collapses them back onto those parents.  The vertices are numbered
+    once, level after level, so every level's tree, generator maps and bond
+    are read off slices of the same lists.
     """
     if n < 2:
         raise TowerError("dimension must be at least 2")
@@ -114,44 +151,24 @@ def build_congruence_tower(
 
     integral = transvection_generators(n)
     gen_names = sorted(integral)
-    # the mod p^depth quotient as flat tuples, and cayley[k][i]: the index
-    # in top of generator k times top[i]
-    top, cayley = [], ()
-    if depth:
-        group = enumerate_group(n, p ** depth, [integral[name] for name in gen_names], cap=cap)
-        top, cayley = group.entries, group.cayley
-
-    root = _vertex_id(0, ())
-    below = [root] * len(top)   # each top element's vertex one level down
-    verts: list[str] = [root]
-    edges: list[tuple[str, str]] = []
-    images = {name: {root: root} for name in gen_names}
+    names, parent, images, counts = _number_cosets(
+        n, p, depth, [integral[name] for name in gen_names], cap)
+    # level a is the first counts[a] vertices, and vertex v > 0 hangs from
+    # ups[v] by edges[v - 1]
+    ups = [names[u] for u in parent]
+    edges = list(zip(ups[1:], names[1:]))
     levels: list[FiniteTreeAction] = []
     bonds: list[dict[str, str]] = []
-    for beta in range(depth + 1):
-        if beta:
-            # a coset's id is its reduction (top is reduced mod p^depth already);
-            # any top lift i gives its parent and, through the Cayley table, its images
-            m = p ** beta
-            reduced = top if beta == depth else [tuple([e % m for e in y]) for y in top]
-            lift = {x: i for i, x in enumerate(reduced)}
-            ids = {x: _vertex_id(beta, x) for x in sorted(lift)}
-            here = [ids[x] for x in reduced]
-            bond = {v: v for v in verts}
-            for x, vid in ids.items():
-                i = lift[x]
-                parent = below[i]
-                verts.append(vid)
-                edges.append((parent, vid))
-                bond[vid] = parent
-                for name, column in zip(gen_names, cayley):
-                    images[name][vid] = here[column[i]]
-            bonds.append(bond)
-            below = here
-        # Tree and TreeAutomorphism copy their inputs: this level's snapshot
+    for a, size in enumerate(counts):
+        verts = names[:size]
+        if a:
+            # the identity on level a-1, each newer vertex onto its parent
+            lower = counts[a - 1]
+            bonds.append(dict(zip(verts, verts[:lower] + ups[lower:size])))
         levels.append(FiniteTreeAction(
-            Tree(verts, edges),
-            {name: TreeAutomorphism(images[name]) for name in gen_names},
+            Tree(verts, edges[:size - 1]),
+            {name: TreeAutomorphism(zip(verts, map(names.__getitem__, image)))
+             for name, image in zip(gen_names, images)},
         ))
 
     return InverseSystem(

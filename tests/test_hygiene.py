@@ -96,7 +96,20 @@ def _own_scope(func: ast.AST):
             todo.extend(ast.iter_child_nodes(node))
 
 
+def _unpacked(target: ast.expr) -> list[ast.Name]:
+    """The names a tuple or list target binds, starred ones included."""
+    if isinstance(target, ast.Starred):
+        target = target.value
+    if isinstance(target, ast.Name):
+        return [target]
+    if isinstance(target, (ast.Tuple, ast.List)):
+        return [name for elt in target.elts for name in _unpacked(elt)]
+    return []
+
+
 def unread_locals(source: str) -> list[str]:
+    """Assigned locals that their function never reads.  A name bound by
+    unpacking counts too, unless it starts with an underscore."""
     found = []
     for func in ast.walk(ast.parse(source)):
         if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -108,10 +121,12 @@ def unread_locals(source: str) -> list[str]:
                 outer.update(node.names)
             elif isinstance(node, ast.Assign):
                 stores += [t for t in node.targets if isinstance(t, ast.Name)]
+                stores += [name for t in node.targets if isinstance(t, (ast.Tuple, ast.List))
+                           for name in _unpacked(t) if not name.id.startswith("_")]
             elif isinstance(node, (ast.AnnAssign, ast.AugAssign, ast.NamedExpr)):
                 if isinstance(node.target, ast.Name):
                     stores.append(node.target)
-        for target in stores:
+        for target in sorted(stores, key=lambda t: (t.lineno, t.col_offset)):
             if target.id not in read | outer:
                 found.append(f"line {target.lineno}: {target.id} in {func.name}")
     return found
@@ -206,6 +221,15 @@ class TestCheckers:
                "        out.append(h)\n"
                "    return out\n")
         assert unread_locals(src) == ["line 2: subset in reps"]
+
+    def test_unread_unpacked_name_is_found(self):
+        src = ("def split(rows):\n"
+               "    names, parent, lifts, ends = rows\n"
+               "    [head, *rest], (_skip, tail) = rows, rows\n"
+               "    first, *middle = rows\n"
+               "    return names, parent, ends, head, tail, first\n")
+        assert unread_locals(src) == ["line 2: lifts in split", "line 3: rest in split",
+                                      "line 4: middle in split"]
 
     def test_closure_and_nonlocal_reads_count(self):
         src = ("def outer():\n"

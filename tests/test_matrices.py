@@ -123,6 +123,42 @@ class TestInverseTwin:
         assert m * m.inverse() == GroupMatrix.identity(n, mod)
 
 
+class TestDetTwin:
+    # the determinant comes from the elimination inverse() runs, on [A] alone
+    @given(square_matrices())
+    @example(GroupMatrix(2, (0, 1, 1, 0)))
+    @example(GroupMatrix(3, (0, 0, 1, 1, 0, 0, 0, 1, 0)))
+    @example(GroupMatrix(2, (1, 2, 2, 4)))
+    @example(GroupMatrix(2, (0, 0, 0, 0), 3))
+    @example(GroupMatrix(1, (0,)))
+    def test_matches_cofactor_expansion(self, m):
+        d = oracles.mat_det(to_rows(m))
+        assert m.det() == (d % m.mod if m.mod else d)
+
+
+class TestPowerProducts:
+    def test_square_only_while_bits_remain(self, monkeypatch):
+        # g ** k makes one product per set bit of |k| and one squaring per
+        # bit after the first; g ** 0 makes none
+        g = elementary(3, 1, 2, 1) * elementary(3, 2, 3, 1)
+        flat, calls = matrices._mul_flat, []
+
+        def counted(a, b, n):
+            calls.append(n)
+            return flat(a, b, n)
+
+        monkeypatch.setattr(matrices, "_mul_flat", counted)
+        for k in range(-64, 65):
+            calls.clear()
+            power = g ** k
+            assert len(calls) == (bin(abs(k)).count("1") + abs(k).bit_length() - 1 if k else 0), k
+            want = oracles.mat_identity(3)
+            step = to_rows(g if k >= 0 else g.inverse())
+            for _ in range(abs(k)):
+                want = oracles.mat_mul(want, step)
+            assert to_rows(power) == want
+
+
 class TestCommutator:
     def test_identity_left(self):
         b = elementary(3, 2, 3, 2)

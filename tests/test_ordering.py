@@ -12,6 +12,7 @@ Core claims:
 
 import hashlib
 import json
+import tracemalloc
 
 import pytest
 import oracles
@@ -322,6 +323,21 @@ class TestSearchPins:
         with pytest.raises(SearchBudgetExhausted) as exc:
             search_invariant(f, inner, outer, budget=0)
         assert units <= decisions * (exc.value.classes + 1)
+
+    def test_setup_memory_per_pair(self):
+        # the set-up keeps the classes and the union-find, no per-pair table
+        # besides: under 400 traced bytes per outer pair (515 with one)
+        f, inner, outer = pinned_instance("hexagon-ball-1")
+        pairs = len(outer) * (len(outer) - 1) // 2
+        assert pairs == 7_260
+        tracemalloc.start()
+        try:
+            with pytest.raises(SearchBudgetExhausted):
+                search_invariant(f, inner, outer, budget=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 400 * pairs
 
     def test_z_ball_80_within_default_budget(self):
         f, inner, outer = pinned_instance("z-ball-80")

@@ -363,7 +363,9 @@ def reduced_id(vid: str, p: int) -> str:
 
 
 class TestNesting:
-    """Level a is level a+1 without its newest vertices, as the bonds say."""
+    """Level a is level a+1 without its newest vertices, as the bonds say:
+    its vertices come first, in order, the generators agree on them, and the
+    bond fixes them and maps each newer vertex to its tree parent."""
 
     @pytest.mark.parametrize("n, p, depth", [(2, 2, 2), (2, 3, 2), (2, 2, 3)])
     def test_small(self, n, p, depth):
@@ -386,6 +388,8 @@ class TestNesting:
             new = upper.tree.vertices[len(old):]
             assert new and all(v.startswith(f"{a + 1}|") for v in new)
             assert all(bond[v] == reduced_id(v, p) for v in new)
+            # a new vertex is a leaf of the upper tree hanging from its bond image
+            assert all(upper.tree.adjacency[v] == (bond[v],) for v in new)
             assert len(bond) == len(upper.tree.vertices)
 
 
