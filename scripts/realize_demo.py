@@ -63,7 +63,7 @@ def main():
         ver = verify_realization(rm, maps)
         free = almost_free_report(maps)
         back = order_from_realization(rm, ball)
-        round_trip = back.signs == order.signs
+        round_trip = back.rank == order.rank
         print(f"{label:<10} denominators {denoms}  verified={ver.passed}  "
               f"almost_free={free.almost_free}  round_trip={round_trip}")
         if args.out:

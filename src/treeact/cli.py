@@ -139,6 +139,15 @@ def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
+def _write_json(path: str, obj) -> None:
+    """Write ``_dump(obj)`` chunk by chunk, never holding the whole text."""
+    p = Path(path)
+    p.parent.mkdir(parents=True, exist_ok=True)
+    with p.open("w", encoding="utf-8") as fh:
+        json.dump(obj, fh, sort_keys=True, indent=2)
+        fh.write("\n")
+
+
 # -- tower ------------------------------------------------------------------------
 
 
@@ -167,7 +176,7 @@ def _h_tower_build(cfg: RunConfig):
     if "star" in cfg.parameters:
         sd = star_dendrite(cfg.parameters["star"])
         if "out" in cfg.outputs:
-            _write_text(cfg.outputs["out"], _dump(star_to_json(sd)))
+            _write_json(cfg.outputs["out"], star_to_json(sd))
         if "svg" in cfg.outputs:
             _write_text(cfg.outputs["svg"], star_to_svg(sd))
         return "pass", {"star": star_to_json(sd)}
@@ -178,7 +187,7 @@ def _h_tower_build(cfg: RunConfig):
     details["max_degrees"] = list(dp.max_degrees)
     details["stable_degree_bound"] = dp.expected_stable
     if "out" in cfg.outputs:
-        _write_text(cfg.outputs["out"], _dump(system_to_json(sys_)))
+        _write_json(cfg.outputs["out"], system_to_json(sys_))
     if "dot_dir" in cfg.outputs:
         for k, act in enumerate(sys_.levels):
             _write_text(
@@ -268,7 +277,7 @@ def _h_order_search(cfg: RunConfig):
     else:
         payload = details["trace"] = result.trace.to_json()
     if "out" in cfg.outputs:
-        _write_text(cfg.outputs["out"], _dump(payload))
+        _write_json(cfg.outputs["out"], payload)
     return ("sat" if result.is_sat else "unsat"), details
 
 
@@ -304,7 +313,7 @@ def _h_order_extract(cfg: RunConfig):
     res = compactness_extract(chain, target)
     payload = assignment_to_json(res.assignment)
     if "out" in cfg.outputs:
-        _write_text(cfg.outputs["out"], _dump(payload))
+        _write_json(cfg.outputs["out"], payload)
     return "pass", {
         "supporters": list(res.supporters),
         "target_size": len(target),
@@ -345,7 +354,9 @@ def _h_realize(cfg: RunConfig):
     report = verify_realization(rm, maps)
     free = almost_free_report(maps)
     try:
-        round_trip = order_from_realization(rm, ball).signs == order.signs
+        # compare file forms: a rank order writes its pairs without a sign table
+        back = order_from_realization(rm, ball)
+        round_trip = assignment_to_json(back) == assignment_to_json(order)
     except OrderingError:  # probes insufficient, or the probe order not transitive
         round_trip = False
     outdir = cfg.outputs.get("out")

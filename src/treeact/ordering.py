@@ -15,6 +15,7 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from itertools import islice
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from ._walk import walk
@@ -123,17 +124,27 @@ def format_word(word: Word) -> str:
     return "*".join(name if e == 1 else f"{name}^-1" for name, e in word)
 
 
-@dataclass(eq=False)
 class OrderAssignment:
-    """Sign function on ordered pairs of distinct ball elements."""
+    """Sign function on ordered pairs of distinct ball elements, in one of two forms.
 
-    ball: Ball
-    signs: dict[tuple[int, int], int]
+    A total order is ``rank``, a permutation of the ball indices: i comes after
+    j when ``rank[i] > rank[j]``, and ``signs`` is a read-only mapping made on
+    first read.  Input that may be partial or inconsistent is a sign table:
+    ``signs`` maps (i, j) to +-1, both orientations stored, and ``rank`` is None.
+    """
 
-    def __post_init__(self) -> None:
+    def __init__(self, ball: Ball, signs: Mapping[tuple[int, int], int] | None = None,
+                 *, rank: Sequence[int] | None = None) -> None:
+        self.ball = ball
+        self.rank = None if rank is None else tuple(rank)
+        self._signs: Mapping[tuple[int, int], int] | None = None
+        if self.rank is not None:
+            if signs is not None or sorted(self.rank) != list(range(len(ball))):
+                raise OrderingError("a rank order takes a permutation of the ball indices only")
+            return
         # Store both orientations; reject inconsistent input.
         full: dict[tuple[int, int], int] = {}
-        for (i, j), s in self.signs.items():
+        for (i, j), s in (signs or {}).items():
             if i == j:
                 raise OrderingError("diagonal pair in assignment")
             if s not in (-1, 1):
@@ -142,23 +153,30 @@ class OrderAssignment:
                 raise OrderingError("conflicting signs for a pair")
             full[(i, j)] = s
             full[(j, i)] = -s
-        self.signs = full
+        self._signs = full
+
+    @property
+    def signs(self) -> Mapping[tuple[int, int], int]:
+        if self._signs is None:  # a rank order: made on first read, read-only
+            r = range(len(self.rank))
+            self._signs = MappingProxyType({(i, j): self.sign_idx(i, j)
+                                            for i in r for j in r if i != j})
+        return self._signs
 
     def sign_idx(self, i: int, j: int) -> int:
-        try:
-            return self.signs[(i, j)]
-        except KeyError:
-            raise OrderingError("incomplete assignment") from None
+        rank = self.rank
+        if rank is not None and i != j and 0 <= i < len(rank) and 0 <= j < len(rank):
+            return 1 if rank[i] > rank[j] else -1
+        s = self._signs.get((i, j)) if rank is None else None
+        if s is None:
+            raise OrderingError("incomplete assignment")
+        return s
 
     @staticmethod
     def from_total_order(ball: Ball, ascending: Sequence[GroupMatrix]) -> "OrderAssignment":
+        # each element's last place: a permutation only if every one is listed once
         pos = {ball.index(g): k for k, g in enumerate(ascending)}
-        if len(pos) != len(ball):
-            raise OrderingError("total order must cover the ball")
-        # one sign per pair i < j: __post_init__ adds the opposite orientation
-        n = len(ball)
-        return OrderAssignment(ball, {(i, j): 1 if pos[i] > pos[j] else -1
-                                      for i in range(n) for j in range(i + 1, n)})
+        return OrderAssignment(ball, rank=[pos.get(i, -1) for i in range(len(ball))])
 
 
 @dataclass(frozen=True)
@@ -170,6 +188,8 @@ class AxiomReport:
 
 def check_axioms(phi: OrderAssignment) -> AxiomReport:
     """Check antisymmetry and transitivity on every pair/triple of the ball."""
+    if phi.rank is not None:  # the constructor checked that the ranks are a permutation
+        return AxiomReport(True, (), ())
     idx = range(len(phi.ball))
     r_bad = []
     for a in idx:
@@ -211,19 +231,26 @@ def check_invariance(
     phi: OrderAssignment, f: Sequence[GroupMatrix], b: Ball
 ) -> InvarianceReport:
     """Check phi(fg, fh) = phi(g, h) for f in F and distinct g, h in b."""
-    elems, index, signs = b.elements, phi.ball._index, phi.signs
+    elems, index, rank = b.elements, phi.ball._index, phi.rank
     first: dict[GroupMatrix, int] = {}  # g == h compares values: equal ones share a slot
     same = [first.setdefault(g, k) for k, g in enumerate(elems)]
     at = [index.get(g) for g in elems]
+    get = (phi.signs.get if rank is None
+           else lambda p: None if None in p else phi.sign_idx(*p))
     bad = []
     for fm in f:
         # each fg's index in phi's ball once, None outside it
         at_moved = [index.get(fm * g) for g in elems]
+        if rank is not None and None not in at_moved and None not in at:
+            # a total order is invariant under fm when rank(fg) increases with rank(g)
+            moved = [m for _r, m in sorted({(rank[j], rank[i]) for i, j in zip(at_moved, at)})]
+            if moved == sorted(moved):
+                continue
         for a, (ia, ja) in enumerate(zip(at_moved, at)):
             for c, (ic, jc) in enumerate(zip(at_moved, at)):
                 if same[a] == same[c]:
                     continue
-                s, t = signs.get((ia, ic)), signs.get((ja, jc))
+                s, t = get((ia, ic)), get((ja, jc))
                 if s is None or t is None:
                     # the first failure of phi(fg, fh), then of phi(g, h)
                     if ia is None or ic is None:
@@ -530,12 +557,14 @@ def search_invariant(
             UnsatTrace(branches, tuple(first_contradiction)),
             branches,
         )
-    signs = {(i, j): value[r] * s for r in roots for i, j, s in members[r]}
-    witness = OrderAssignment(b2, signs)
-    # Mandatory re-verification through the public checkers.
-    axioms = check_axioms(witness)
-    invariance = check_invariance(witness, f, b)
-    if not axioms.passed or not invariance.passed:
+    # The witness is a rank array, lt[x] holding the elements below x.  Each class
+    # pair must agree with it strictly, so no ranks tie; then the public checkers run.
+    ranks = [lt[x].bit_count() for x in range(size)]
+    if any((ranks[i] > ranks[j]) - (ranks[i] < ranks[j]) != value[r] * s
+           for r in roots for i, j, s in members[r]):
+        raise AssertionError("internal error: witness ranks disagree with the classes")
+    witness = OrderAssignment(b2, rank=ranks)
+    if not check_axioms(witness).passed or not check_invariance(witness, f, b).passed:
         raise AssertionError("internal error: witness failed re-verification")
     return SearchResult("sat", witness, None, branches)
 
@@ -565,7 +594,9 @@ def compactness_extract(
     for k, phi in enumerate(chain):
         # a member that lacks a target element or a pair has a None and is skipped
         at = [phi.ball._index.get(g) for g in target.elements]
-        sig = tuple(phi.signs.get((at[i], at[j])) for i, j in pairs)
+        get = (phi.signs.get if phi.rank is None
+               else lambda p: None if None in p else phi.sign_idx(*p))
+        sig = tuple(get((at[i], at[j])) for i, j in pairs)
         if None not in sig:
             signatures.setdefault(sig, []).append(k)
     if not signatures:
@@ -642,9 +673,11 @@ def ball_from_json(obj: Mapping) -> Ball:
 
 
 def assignment_to_json(phi: OrderAssignment) -> dict:
-    triples = sorted(
-        [i, j, s] for (i, j), s in phi.signs.items() if i < j
-    )
+    if phi.rank is None:
+        triples = sorted([i, j, s] for (i, j), s in phi.signs.items() if i < j)
+    else:  # made in sorted order
+        rk, n = phi.rank, len(phi.rank)
+        triples = [[i, j, 1 if rk[i] > rk[j] else -1] for i in range(n) for j in range(i + 1, n)]
     return {"ball": ball_to_json(phi.ball), "signs": triples}
 
 

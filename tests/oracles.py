@@ -393,6 +393,14 @@ def broken_towers():
 # fields and return the report fields as plain tuples, in report order.
 
 
+def _sign(phi, i, j):
+    """phi's explicit sign for (i, j), read off ``phi.signs`` (never ``sign_idx``)."""
+    try:
+        return phi.signs[(i, j)]
+    except KeyError:
+        raise OrderingError("incomplete assignment") from None
+
+
 def check_axioms(phi):
     """O(n^3) twin of ``ordering.check_axioms``: (passed, r_bad, t_bad)."""
     idx = range(len(phi.ball))
@@ -400,19 +408,19 @@ def check_axioms(phi):
     for a in idx:
         for c in idx:
             if a < c:
-                if phi.sign_idx(a, c) != -phi.sign_idx(c, a):
+                if _sign(phi, a, c) != -_sign(phi, c, a):
                     r_bad.append((a, c))
     t_bad = []
     for f in idx:
         for g in idx:
             if g == f:
                 continue
-            if phi.sign_idx(f, g) != 1:
+            if _sign(phi, f, g) != 1:
                 continue
             for h in idx:
                 if h == f or h == g:
                     continue
-                if phi.sign_idx(g, h) == 1 and phi.sign_idx(f, h) != 1:
+                if _sign(phi, g, h) == 1 and _sign(phi, f, h) != 1:
                     t_bad.append((f, g, h))
     return (not r_bad and not t_bad, tuple(r_bad), tuple(t_bad))
 
@@ -429,8 +437,8 @@ def check_invariance(phi, f, b, b2=None):
                 fg, fh = fm * g, fm * h
                 if fg not in outer or fh not in outer:
                     raise OrderingError("ball containment violated")
-                if (phi.sign_idx(phi.ball.index(fg), phi.ball.index(fh))
-                        != phi.sign_idx(phi.ball.index(g), phi.ball.index(h))):
+                if (_sign(phi, phi.ball.index(fg), phi.ball.index(fh))
+                        != _sign(phi, phi.ball.index(g), phi.ball.index(h))):
                     bad.append(
                         (outer.index(fm) if fm in outer else -1,
                          outer.index(g), outer.index(h))

@@ -16,6 +16,7 @@ import oracles
 from treeact import cli, presets
 from treeact.matrices import elementary, matrix_to_json
 from treeact.ordering import OrderingError
+from treeact.tower import build_congruence_tower, system_to_json
 
 
 SCHEMA = json.loads(
@@ -132,6 +133,15 @@ class TestTower:
         payload = json.loads(out.read_text())
         assert payload["provenance"]["p"] == 3
         assert (dots / "level_1.dot").exists()
+
+    def test_build_out_streams_the_dumped_system(self, tmp_path):
+        # --out writes the JSON chunk by chunk: the bytes are those of the whole text
+        out = tmp_path / "tower.json"
+        code, _ = run_report("tower", "build", "-n", "2", "-p", "3", "--depth", "2",
+                             "--out", str(out))
+        assert code == 0
+        want = cli._dump(system_to_json(build_congruence_tower(2, 3, 2)))
+        assert out.read_bytes() == want.encode()
 
     def test_verify(self):
         code, report = run_report("tower", "verify", "-n", "2", "-p", "2", "--depth", "2")

@@ -12,6 +12,7 @@ Core claims:
 
 import hashlib
 import json
+import random
 import tracemalloc
 
 import pytest
@@ -131,6 +132,76 @@ class TestCheckAxioms:
         phi = OrderAssignment(b, {(0, 1): 1})
         with pytest.raises(OrderingError, match="incomplete assignment"):
             check_axioms(phi)
+
+
+class TestRankOrders:
+    """A total order is a rank array; its ``signs`` is a read-only view."""
+
+    def test_from_total_order_rejects_a_repeated_element(self):
+        b = z_ball(1)
+        asc = ascending(natural_order(b))
+        with pytest.raises(OrderingError, match="permutation"):
+            OrderAssignment.from_total_order(b, asc + [asc[0]])
+        with pytest.raises(OrderingError, match="permutation"):
+            OrderAssignment.from_total_order(b, asc[:2] + [asc[0]])
+
+    @pytest.mark.parametrize("rank", [(0, 1), (0, 1, 1), (1, 2, 3), (0, 2, -1), (0, 1, 2, 3)])
+    def test_rank_that_is_not_a_permutation_is_rejected(self, rank):
+        with pytest.raises(OrderingError, match="permutation"):
+            OrderAssignment(z_ball(1), rank=rank)
+
+    def test_rank_order_takes_no_signs(self):
+        with pytest.raises(OrderingError, match="a rank order takes"):
+            OrderAssignment(z_ball(1), {(0, 1): 1}, rank=(0, 1, 2))
+
+    def test_signs_of_a_rank_order_are_read_only(self):
+        phi = natural_order(z_ball(1))
+        with pytest.raises(TypeError):
+            phi.signs[(0, 1)] = -phi.signs[(0, 1)]
+        assert phi.sign_idx(0, 1) == phi.signs[(0, 1)]
+
+    @pytest.mark.parametrize("i,j", [(0, 0), (0, 3), (-1, 0), (1, -3)])
+    def test_no_sign_off_the_pairs(self, i, j):
+        with pytest.raises(OrderingError, match="incomplete assignment"):
+            natural_order(z_ball(1)).sign_idx(i, j)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_forms_agree(self, seed):
+        # a rank order and its sign-table copy write, check and extract alike
+        rng = random.Random(seed)
+        outer, inner, target = z_ball(3), z_ball(2), z_ball(1)
+        elems = list(outer.elements)
+        rng.shuffle(elems)
+        phi = OrderAssignment.from_total_order(outer, elems)
+        table = OrderAssignment(outer, dict(phi.signs))
+        assert table.rank is None and phi.rank is not None
+        assert assignment_to_json(phi) == assignment_to_json(table)
+        assert check_axioms(phi) == check_axioms(table)
+        f = [z_gen(), z_gen().inverse()]
+        assert check_invariance(phi, f, inner) == check_invariance(table, f, inner)
+        nat = natural_order(outer)
+        for chain in ([phi, nat], [nat, phi, phi]):
+            got = compactness_extract(chain, target)
+            want = compactness_extract([OrderAssignment(c.ball, dict(c.signs)) for c in chain],
+                                       target)
+            assert got.supporters == want.supporters
+            assert got.assignment.signs == want.assignment.signs
+
+    def test_order_on_883_elements_in_little_memory(self):
+        # made and checked without a sign table: 156 MB traced with one
+        u = z_gen()
+        outer, inner = z_ball(441), z_ball(440)
+        asc = sorted(outer.elements, key=lambda m: m.entries[1])
+        assert len(outer) == 883
+        tracemalloc.start()
+        try:
+            phi = OrderAssignment.from_total_order(outer, asc)
+            assert check_axioms(phi).passed
+            assert check_invariance(phi, [u, u.inverse()], inner).passed
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
 
 
 class TestCheckInvariance:
