@@ -14,13 +14,13 @@ import functools
 import random
 from collections import deque
 from dataclasses import dataclass
-from itertools import islice
+from itertools import combinations, islice
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from ._walk import walk
 from .matrices import (
-    CapExceeded, GroupMatrix, MatrixError, _is_int, matrix_from_json, matrix_to_json,
+    CapExceeded, GroupMatrix, MatrixError, _is_int, _mul_flat, matrix_from_json, matrix_to_json,
 )
 
 
@@ -60,7 +60,7 @@ Word = tuple[tuple[str, int], ...]
 
 @dataclass(eq=False)
 class Ball:
-    """Word-length ball in a matrix group: identity-containing, inverse-closed."""
+    """Group elements with their words, indexed: a word-length ball, or a realization's points."""
 
     elements: tuple[GroupMatrix, ...]
     generators: tuple[GroupMatrix, ...]
@@ -69,18 +69,65 @@ class Ball:
     words: dict[GroupMatrix, Word]
 
     def __post_init__(self) -> None:
-        self._index = {g: k for k, g in enumerate(self.elements)}
+        self._index = {g.entries: k for k, g in enumerate(self.elements)}
+        self._rows: dict[GroupMatrix, tuple[int | None, ...]] = {}
 
     def __len__(self) -> int:
         return len(self.elements)
 
+    @functools.cached_property
+    def _at_word(self) -> dict[Word, GroupMatrix]:
+        return {w: g for g, w in self.words.items()}
+
+    def _find(self, g: GroupMatrix) -> int | None:
+        """The index of g, or None when g (of any dimension or modulus) is not in the ball."""
+        e = self.elements[0]
+        return self._index.get(g.entries) if (g.n, g.mod) == (e.n, e.mod) else None
+
     def __contains__(self, g: GroupMatrix) -> bool:
-        return g in self._index
+        return self._find(g) is not None
 
     def index(self, g: GroupMatrix) -> int:
-        if g not in self._index:
+        if (k := self._find(g)) is None:
             raise OrderingError("element not in ball")
-        return self._index[g]
+        return k
+
+    def row(self, g: GroupMatrix) -> tuple[int | None, ...]:
+        """For each element x, in ball order, the index of g x in the ball, or
+        None when g x lies outside it; made once per g and kept.
+
+        Where g's word is h's plus a letter s, and one product confirms
+        h s = g, g x = h (s x): g's row reads h's through s's, with a flat
+        product only where s x leaves the ball.  Any other g gets one flat
+        product per element.
+        """
+        rows = self._rows
+        if g in rows:
+            return rows[g]
+        g._check_compatible(self.elements[0])
+        n, m, index = g.n, g.mod, self._index
+
+        def image(a: tuple[int, ...], x: GroupMatrix) -> int | None:
+            p = _mul_flat(a, x.entries, n)
+            return index.get(p if m is None else tuple(v % m for v in p))
+
+        # g, then each prefix h whose row the one before reads, down to a kept
+        # or direct row; a link (h, s) is kept only when h s = g checks
+        chain, h = [], g
+        while h not in rows:
+            word = self.words.get(h, ())
+            link = self._at_word.get(word[:-1]), self._at_word.get(word[-1:])
+            ok = len(word) > 1 and None not in link and link[0] * link[1] == h
+            chain.append((h, link if ok else None))
+            if not ok:
+                break
+            h = link[0]
+        for g, link in reversed(chain):
+            # a direct row reads no s x: every image is a product
+            row_h, row_s = (rows[link[0]], self.row(link[1])) if link else ((), [None] * len(self))
+            rows[g] = tuple([row_h[q] if q is not None else image(g.entries, x)
+                             for x, q in zip(self.elements, row_s)])
+        return rows[g]
 
 
 def ball_generate(
@@ -163,12 +210,18 @@ class OrderAssignment:
                                             for i in r for j in r if i != j})
         return self._signs
 
-    def sign_idx(self, i: int, j: int) -> int:
+    def get_sign(self, i: int | None, j: int | None) -> int | None:
+        """The sign of (i, j), or None when the pair is unknown: an index that
+        is None or out of range, i == j, or a pair the sign table lacks."""
         rank = self.rank
-        if rank is not None and i != j and 0 <= i < len(rank) and 0 <= j < len(rank):
+        if rank is None:
+            return self._signs.get((i, j))
+        if i is not None and j is not None and i != j and 0 <= i < len(rank) and 0 <= j < len(rank):
             return 1 if rank[i] > rank[j] else -1
-        s = self._signs.get((i, j)) if rank is None else None
-        if s is None:
+        return None
+
+    def sign_idx(self, i: int, j: int) -> int:
+        if (s := self.get_sign(i, j)) is None:
             raise OrderingError("incomplete assignment")
         return s
 
@@ -190,16 +243,14 @@ def check_axioms(phi: OrderAssignment) -> AxiomReport:
     """Check antisymmetry and transitivity on every pair/triple of the ball."""
     if phi.rank is not None:  # the constructor checked that the ranks are a permutation
         return AxiomReport(True, (), ())
-    idx = range(len(phi.ball))
-    r_bad = []
-    for a in idx:
-        for c in idx:
-            if a < c:
-                if phi.sign_idx(a, c) != -phi.sign_idx(c, a):
-                    r_bad.append((a, c))
+    signs, idx = phi.signs, range(len(phi.ball))
+    if any((x, y) not in signs for x in idx for y in idx if x != y):
+        raise OrderingError("incomplete assignment")
+    # the constructor stores both orientations alike, but a table edited in place may not
+    r_bad = [(a, c) for a in idx for c in idx if a < c and signs[(a, c)] != -signs[(c, a)]]
     # bit y of below[x] is set when x > y; f > g > h needs f > h, so the
     # violations (f, g, h) are the bits h of below[g] & ~below[f] other than f, g
-    below = [sum(1 << y for y in idx if y != x and phi.signs[(x, y)] == 1) for x in idx]
+    below = [sum(1 << y for y in idx if y != x and signs[(x, y)] == 1) for x in idx]
     t_bad = []
     for f in idx:
         for g in idx:
@@ -227,30 +278,29 @@ def invariance_set(gens: Sequence[GroupMatrix], mode: str) -> list[GroupMatrix]:
     return f
 
 
-def check_invariance(
-    phi: OrderAssignment, f: Sequence[GroupMatrix], b: Ball
-) -> InvarianceReport:
+def check_invariance(phi: OrderAssignment, f: Sequence[GroupMatrix], b: Ball) -> InvarianceReport:
     """Check phi(fg, fh) = phi(g, h) for f in F and distinct g, h in b."""
-    elems, index, rank = b.elements, phi.ball._index, phi.rank
+    elems, ball, rank = b.elements, phi.ball, phi.rank
     first: dict[GroupMatrix, int] = {}  # g == h compares values: equal ones share a slot
     same = [first.setdefault(g, k) for k, g in enumerate(elems)]
-    at = [index.get(g) for g in elems]
-    get = (phi.signs.get if rank is None
-           else lambda p: None if None in p else phi.sign_idx(*p))
+    at = [ball._find(g) for g in elems]
     bad = []
     for fm in f:
-        # each fg's index in phi's ball once, None outside it
-        at_moved = [index.get(fm * g) for g in elems]
+        # each fg's index in phi's ball, None outside it: read off fm's row
+        # where g is in the ball, by a product where it is not
+        row = ball.row(fm) if at.count(None) < len(at) else ()
+        at_moved = [row[j] if j is not None else ball._find(fm * g) for g, j in zip(elems, at)]
         if rank is not None and None not in at_moved and None not in at:
             # a total order is invariant under fm when rank(fg) increases with rank(g)
             moved = [m for _r, m in sorted({(rank[j], rank[i]) for i, j in zip(at_moved, at)})]
             if moved == sorted(moved):
                 continue
+        k_fm = ball._find(fm)
         for a, (ia, ja) in enumerate(zip(at_moved, at)):
             for c, (ic, jc) in enumerate(zip(at_moved, at)):
                 if same[a] == same[c]:
                     continue
-                s, t = get((ia, ic)), get((ja, jc))
+                s, t = phi.get_sign(ia, ic), phi.get_sign(ja, jc)
                 if s is None or t is None:
                     # the first failure of phi(fg, fh), then of phi(g, h)
                     if ia is None or ic is None:
@@ -259,7 +309,7 @@ def check_invariance(
                         raise OrderingError("element not in ball")
                     raise OrderingError("incomplete assignment")
                 if s != t:
-                    bad.append((index.get(fm, -1), ja, jc))
+                    bad.append((-1 if k_fm is None else k_fm, ja, jc))
     return InvarianceReport(not bad, tuple(bad))
 
 
@@ -342,7 +392,7 @@ def search_invariant(
     handed out.  Raises SearchBudgetExhausted, with how far the search got,
     when the budget runs out (deliberately distinct from Unsat).
     """
-    at = [b2._index.get(g) for g in b.elements]
+    at = [b2._find(g) for g in b.elements]
     if None in at:
         raise OrderingError("ball containment violated")
     size = len(b2)
@@ -375,9 +425,10 @@ def search_invariant(
 
     first_contradiction: list[TraceStep] = []
     for fm in f:
-        # each fg and its b2 index once; a missing image raises at the first
-        # pair that needs it, after any contradiction found before that pair
-        moved = [b2._index.get(fm * g) for g in b.elements]
+        # each fg's b2 index, read off fm's row; a missing image raises at the
+        # first pair that needs it, after any contradiction found before that pair
+        row = b2.row(fm)
+        moved = [row[i] for i in at]
         fw = format_word(b2.words[fm]) if fm in b2 else "f"
         label = f"left multiplication by {fw}"
         for ig, fg in zip(at, moved):
@@ -396,16 +447,11 @@ def search_invariant(
                     parity[rp] = rel * sp * sq
                 elif sp != rel * sq:
                     steps = [TraceStep((ig, ih), +1, "assume a sign for this pair")]
-                    steps += [
-                        TraceStep(pr, 0, f"forced equal/opposite via {lb}")
-                        for pr, lb in _gluing_chain(log, p, q, size)
-                    ]
-                    steps.append(
-                        TraceStep(divmod(q, size), -1, f"also forced opposite via {label}")
-                    )
-                    return SearchResult(
-                        "unsat", None, UnsatTrace(0, tuple(steps)), 0
-                    )
+                    steps += [TraceStep(pr, 0, f"forced equal/opposite via {lb}")
+                              for pr, lb in _gluing_chain(log, p, q, size)]
+                    steps.append(TraceStep(divmod(q, size), -1,
+                                           f"also forced opposite via {label}"))
+                    return SearchResult("unsat", None, UnsatTrace(0, tuple(steps)), 0)
                 log.append((p, q, label))
 
     # Classes: root -> members (i, j, parity).  find compresses every pair
@@ -578,25 +624,19 @@ class ExtractResult:
     supporters: tuple[int, ...]
 
 
-def compactness_extract(
-    chain: Sequence[OrderAssignment], target: Ball
-) -> ExtractResult:
+def compactness_extract(chain: Sequence[OrderAssignment], target: Ball) -> ExtractResult:
     """Pigeonhole step: the restriction to ``target`` shared by most members.
 
     Each chain member that covers the target ball contributes its restriction
     signature; the most frequent signature wins (ties break to the smallest),
     together with the indices of the members that support it.
     """
-    pairs = [
-        (i, j) for i in range(len(target)) for j in range(len(target)) if i < j
-    ]
+    pairs = list(combinations(range(len(target)), 2))
     signatures: dict[tuple[int, ...], list[int]] = {}
     for k, phi in enumerate(chain):
         # a member that lacks a target element or a pair has a None and is skipped
-        at = [phi.ball._index.get(g) for g in target.elements]
-        get = (phi.signs.get if phi.rank is None
-               else lambda p: None if None in p else phi.sign_idx(*p))
-        sig = tuple(get((at[i], at[j])) for i, j in pairs)
+        at = [phi.ball._find(g) for g in target.elements]
+        sig = tuple(phi.get_sign(at[i], at[j]) for i, j in pairs)
         if None not in sig:
             signatures.setdefault(sig, []).append(k)
     if not signatures:

@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-from .matrices import GroupMatrix, _mul_flat
+from .matrices import GroupMatrix
 from .ordering import Ball, OrderAssignment, OrderingError, format_word, order_from_probe_keys
 
 
@@ -43,61 +43,22 @@ POS_INF = _Endpoint("+inf")
 
 @dataclass(eq=False)
 class RealizationMap:
-    """Order-compatible injection of the enumerated elements into Q, kept in
-    the ascending order ``realize`` builds; inside, points are read by rank,
-    their place in that order."""
+    """Order-compatible injection of the enumerated elements into Q.  Inside,
+    the realized elements are a ``Ball`` in the ascending order ``realize``
+    builds, so an element's index there is its rank, its place in that
+    order, and a row of that ball is a row of ranks."""
 
     elements: tuple[GroupMatrix, ...]   # enumeration order
-    points: list[GroupMatrix]           # the realized elements, ascending in t
+    points: Ball                        # the realized elements, ascending in t
     values: list[Fraction]              # their t, in the same order
 
     @cached_property
     def t(self) -> dict[GroupMatrix, Fraction]:
-        return dict(zip(self.points, self.values))
-
-    @cached_property
-    def _rank(self) -> dict[tuple[int, ...], int]:
-        return {x.entries: r for r, x in enumerate(self.points)}
+        return dict(zip(self.points.elements, self.values))
 
     def rank_of(self, g: GroupMatrix) -> int | None:
         """The rank of g, or None when g (of any dimension or modulus) is not realized."""
-        ps = self.points
-        return self._rank.get(g.entries) if ps and (g.n, g.mod) == (ps[0].n, ps[0].mod) else None
-
-    def row(self, g: GroupMatrix) -> list[int | None]:
-        """For each realized point x, in rank order, the rank of g x, or None
-        when g x is not realized: one flat product per point, made anew on
-        every call."""
-        points = self.points
-        if points:
-            g._check_compatible(points[0])
-        n, m, a = g.n, g.mod, g.entries
-        products = [_mul_flat(a, x.entries, n) for x in points]
-        if m is not None:
-            products = [tuple(v % m for v in p) for p in products]
-        return list(map(self._rank.get, products))
-
-    def ball_rows(self, ball: Ball) -> list[list[int | None]]:
-        """The row of every ball element, aligned with ``ball.elements``, made
-        shortest word first.  Where g's word is h's plus a letter s, and one
-        product confirms h s = g, g x = h (s x): g's row reads h's through the
-        letter's, with a product only where s x is not realized.  Any other
-        element (the identity, say) gets a direct row."""
-        words = [ball.words.get(g, ()) for g in ball.elements]
-        at_word = {w: k for k, w in enumerate(words)}
-        step = {(a, e): g ** e for a, g in zip(ball.names, ball.generators) for e in (1, -1)}
-        step_rows = {w: self.row(s) for w, s in step.items()}
-        points, rows = self.points, [None] * len(words)
-        for k in sorted(range(len(words)), key=lambda k: len(words[k])):
-            g, w = ball.elements[k], words[k]
-            h = at_word.get(w[:-1]) if w else None
-            if h is None or w[-1] not in step or ball.elements[h] * step[w[-1]] != g:
-                rows[k] = self.row(g)
-                continue
-            row_h = rows[h]
-            rows[k] = [row_h[q] if q is not None else self.rank_of(g * points[r])
-                       for r, q in enumerate(step_rows[w[-1]])]
-        return rows
+        return self.points._find(g)
 
     def value(self, g: GroupMatrix) -> Fraction:
         if (r := self.rank_of(g)) is None:
@@ -143,7 +104,10 @@ def realize(enumeration: Sequence[GroupMatrix], order: OrderAssignment) -> Reali
             val = (values[k - 1] + values[k]) / 2
         assigned.insert(k, i)
         values.insert(k, val)
-    return RealizationMap(tuple(enumeration), [ball.elements[i] for i in assigned], values)
+    points = tuple(ball.elements[i] for i in assigned)
+    words = {x: ball.words.get(x, ()) for x in points}   # so rows compose as on the ball
+    return RealizationMap(tuple(enumeration),
+                          Ball(points, ball.generators, ball.names, ball.radius, words), values)
 
 
 @dataclass(frozen=True)
@@ -196,14 +160,9 @@ class GeneratorMap:
     domain: tuple[GroupMatrix, ...]   # the sub-ball actually realized
 
 
-def generator_pl_map(
-    rm: RealizationMap,
-    g: GroupMatrix,
-    closure: Ball,
-    label: str,
-) -> GeneratorMap:
+def generator_pl_map(rm: RealizationMap, g: GroupMatrix, closure: Ball, label: str) -> GeneratorMap:
     """PL action of g: breakpoints (t(x), t(g x)) over the largest valid sub-ball."""
-    row, values = rm.row(g), rm.values
+    row, values = rm.points.row(g), rm.values
     at = [(x, r) for x in closure.elements
           if (r := rm.rank_of(x)) is not None and row[r] is not None]
     domain = [x for x, _ in at]
@@ -280,11 +239,12 @@ def verify_realization(rm: RealizationMap, maps: Sequence[GeneratorMap]) -> Real
     """Re-check equivariance and composition of realized maps.
 
     Monotonicity needs no check: ``PLHomeo`` rejects breakpoints that do not
-    increase strictly, and is frozen.  Points are read by rank: one row per
-    map element, and each map evaluated once at every realized value.
+    increase strictly, and is frozen.  Points are read by rank, through the
+    row each map element keeps on the realized points, and each map is
+    evaluated once at every realized value.
     """
     values = rm.values
-    rows = [rm.row(gm.element) for gm in maps]
+    rows = [rm.points.row(gm.element) for gm in maps]
     evals = [[gm.homeo(v) for v in values] for gm in maps]
     # ok[k][r]: map k sends the point of rank r to t(g x), with g x realized
     ok = [[gx is not None and y == values[gx] for y, gx in zip(ev, row)]
@@ -302,12 +262,10 @@ def verify_realization(rm: RealizationMap, maps: Sequence[GeneratorMap]) -> Real
     # each element is checked with the last of its maps
     by_element = {gm.element: k for k, gm in enumerate(maps)}
     last = [by_element[gm.element] for gm in maps]
-    at = [rm.rank_of(gm.element) for gm in maps]
     for kg, row_g in zip(last, rows):
         g, ok_g = maps[kg].element, ok[kg]
-        for kh, h_at in zip(last, at):
-            gh = row_g[h_at] if h_at is not None else None
-            kgh = by_element.get(rm.points[gh] if gh is not None else g * maps[kh].element)
+        for kh in last:
+            kgh = by_element.get(g * maps[kh].element)
             if kgh is None:
                 continue
             row_h, ok_h, ok_gh = rows[kh], ok[kh], ok[kgh]
@@ -349,10 +307,11 @@ def order_from_realization(rm: RealizationMap, ball: Ball) -> OrderAssignment:
     lower formal endpoint).  Each element acts partially: g moves t(x) to
     t(g x) when both are realized; a probe where either side is missing has
     image None and is skipped by ``order_from_probe_keys``.  The keys are
-    the rank rows that ``RealizationMap.ball_rows`` composes along the words.
+    the rank rows that ``Ball.row`` composes along the words on the
+    realized points.
     """
     # rank is strictly increasing in t, so rank keys compare as t keys would
-    return order_from_probe_keys(ball, rm.ball_rows(ball))
+    return order_from_probe_keys(ball, [rm.points.row(g) for g in ball.elements])
 
 
 # -- CSV / SVG exports ----------------------------------------------------------

@@ -393,6 +393,11 @@ def broken_towers():
 # fields and return the report fields as plain tuples, in report order.
 
 
+def ball_row(b, g):
+    """Twin of ``Ball.row``: for each element x, one product g x and its lookup."""
+    return [b.index(g * x) if g * x in b else None for x in b.elements]
+
+
 def _sign(phi, i, j):
     """phi's explicit sign for (i, j), read off ``phi.signs`` (never ``sign_idx``)."""
     try:

@@ -143,16 +143,19 @@ class TestRealize:
                      OrderAssignment.from_total_order(ball, elems))
         assert rm.values == sorted(rm.t.values())
         points = sorted(rm.t, key=rm.t.__getitem__)
-        for g in ball.elements:
+        # a row of the realized points is a row of ranks, composed along the
+        # words of the realized part: elements outside the ball and ball
+        # elements left unrealized alike have no rank
+        for g in ball.elements + (ball.elements[-1] ** 3,):
             want = [points.index(g * x) if g * x in rm else None for x in points]
-            assert rm.row(g) == want
+            assert list(rm.points.row(g)) == want
 
     def test_rank_row_rejects_a_foreign_element(self):
         rm = realize(standard_enumeration(1), natural_order(z_ball(1)))
         with pytest.raises(ValueError, match="dimension mismatch"):
-            rm.row(GroupMatrix.identity(3))
+            rm.points.row(GroupMatrix.identity(3))
         with pytest.raises(ValueError, match="coefficient domain mismatch"):
-            rm.row(GroupMatrix.identity(2, 3))
+            rm.points.row(GroupMatrix.identity(2, 3))
 
 
 class TestPLHomeo:
@@ -386,19 +389,23 @@ class TestRoundTrip:
         assert len(looked_up) <= 3 * len(ball)
 
     def test_flat_products_stay_linear(self, monkeypatch):
-        # rows are composed along the ball's words: a few flat products per
-        # element, not one per element and realized point (201 * 201 here)
+        # the maps, their verification and the round trip read one kept row
+        # per element, composed along the ball's words: a few flat products
+        # per element, not one per element and realized point (201 * 201 here)
         ball = z_ball(100)
         order = natural_order(ball)
         elems = list(ball.elements)
         random.Random(5).shuffle(elems)
         rm = realize(elems, order)
         made = []
-        for name in ("treeact.realize", "treeact.matrices"):
+        for name in ("treeact.ordering", "treeact.matrices"):
             module = sys.modules[name]
             flat = module._mul_flat
             monkeypatch.setattr(module, "_mul_flat",
                                 lambda a, b, n, flat=flat: made.append(n) or flat(a, b, n))
+        maps = [generator_pl_map(rm, g, ball, label=label)
+                for label, g in (("g", U), ("g^-1", U.inverse()))]
+        assert verify_realization(rm, maps).passed
         assert order_from_realization(rm, ball).signs == order.signs
         assert 0 < len(made) <= 6 * len(ball)
 

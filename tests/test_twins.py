@@ -7,8 +7,8 @@ each have a naive twin in ``tests/oracles.py`` that redoes every product
 and segment scan in its innermost loop; ``trees.first_point_map`` has one
 that takes the whole path to the least subtree vertex,
 ``tower.projection_orbit_growth`` one that works on the decorated tree and
-action made in full, and the rows ``RealizationMap.ball_rows`` composes
-along the ball's words are the direct ``row`` of each element.  Both sides
+action made in full, and ``ordering.Ball.row``, which composes rows along
+the ball's words, one that makes a product per element.  Both sides
 get the same random inputs, broken ones included, and must return the same
 report field for field, or raise the same error.
 """
@@ -23,7 +23,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from conftest import pruefer_tree
-from treeact.matrices import GroupMatrix, elementary
+from treeact.matrices import GroupMatrix, MatrixError, elementary
 from treeact.ordering import (
     Ball,
     OrderAssignment,
@@ -343,14 +343,35 @@ class TestRoundTripTwin:
 
 
 class TestComposedRowTwin:
-    """``RealizationMap.ball_rows`` composes rows along the ball's words;
-    its twin is one direct ``row`` per element."""
+    """``Ball.row`` composes rows along the ball's words; its twin makes one
+    product per element and looks it up."""
+
+    @staticmethod
+    def random_ball(rng):
+        mod = rng.choice((None, 5))
+        kind = rng.randrange(3)
+        if kind == 0:
+            return ball_generate([elementary(2, 1, 2, 1, mod)], rng.randint(0, 5), ["g"])
+        if kind == 1:
+            gens = [elementary(3, 1, 2, 1, mod), elementary(3, 1, 3, 1, mod)]
+            return ball_generate(gens, rng.randint(0, 2), ["a", "b"])
+        gens = [elementary(3, 1, 2, 1, mod), elementary(3, 2, 3, 1, mod)]
+        return ball_generate(gens, rng.randint(0, 2), ["u12", "u23"])
 
     @settings(max_examples=80, deadline=None)
     @given(SEEDS)
     def test_composed_rows_are_direct_rows(self, seed):
-        ball, _key, rm = random_realization(random.Random(seed))
-        assert rm.ball_rows(ball) == [rm.row(g) for g in ball.elements]
+        # over Z and Z/5, rows asked for in a random order (a row may need its
+        # prefix's, not yet made), and elements outside the ball too
+        rng = random.Random(seed)
+        ball = self.random_ball(rng)
+        elems = list(ball.elements)
+        far = [rng.choice(elems) * rng.choice(elems) * g for g in ball.generators]
+        asked = elems + far + [g ** 3 for g in far]
+        rng.shuffle(asked)
+        for g in asked:
+            assert list(ball.row(g)) == oracles.ball_row(ball, g)
+            assert ball.row(g) is ball.row(g)   # made once and kept
 
     @pytest.mark.parametrize("radius", [1, 2])
     def test_words_that_do_not_check_get_direct_rows(self, radius):
@@ -358,14 +379,23 @@ class TestComposedRowTwin:
         # h s) or shuffled among the elements: a composition that trusted
         # the words would read the wrong element's row
         ball = heisenberg_ball(radius)
-        rm = realize(list(ball.elements), OrderAssignment.from_total_order(
-            ball, sorted(ball.elements, key=lambda m: m.entries)))
         shuffled = list(ball.words.values())
         random.Random(radius).shuffle(shuffled)
         for words in ({g: w[::-1] for g, w in ball.words.items()},
                       dict(zip(ball.words, shuffled))):
             odd = Ball(ball.elements, ball.generators, ball.names, ball.radius, words)
-            assert rm.ball_rows(odd) == [rm.row(g) for g in ball.elements]
+            assert [list(odd.row(g)) for g in ball.elements] == [
+                oracles.ball_row(odd, g) for g in ball.elements]
+
+    @pytest.mark.parametrize("foreign", [GroupMatrix.identity(2), GroupMatrix.identity(3, 5)],
+                             ids=["dimension", "modulus"])
+    def test_foreign_element_raises_alike(self, foreign):
+        ball = heisenberg_ball(1)
+        with pytest.raises(MatrixError) as fast:
+            ball.row(foreign)
+        with pytest.raises(MatrixError) as naive:
+            oracles.ball_row(ball, foreign)
+        assert str(fast.value) == str(naive.value)
 
 
 def random_probe_keys(rng, size):
