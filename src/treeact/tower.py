@@ -12,9 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain
 from math import cos, pi, sin
-from typing import Mapping, NamedTuple
+from operator import le, lt
+from types import MappingProxyType
+from typing import Mapping, NamedTuple, Sequence
 
 from ._walk import walk
 from .matrices import (
@@ -44,14 +47,23 @@ class TowerError(ValueError):
     pass
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class FiniteTreeAction:
     """A tree together with named generator automorphisms."""
 
     tree: Tree
-    generators: dict[str, TreeAutomorphism]
+    generators: Mapping[str, TreeAutomorphism]
+    # (numbering, a) on level a of a built tower, set by the numbering that
+    # made the views; never an argument, so no copy or replace() carries it
+    _numbered: tuple[_Numbering, int] | None = field(default=None, init=False, repr=False)
 
     def validate(self) -> None:
+        """Raise TowerError naming the first failure: the tree, then each
+        generator in turn.  A built level is accepted on its numbering's int
+        lists; anything they do not accept is checked on the strings, which
+        give the reason."""
+        if self._numbered is not None and self._numbered[0].level_holds(self._numbered[1]):
+            return
         ok = validate_tree(self.tree)
         if not ok:
             raise TowerError(f"invalid tree: {ok.reason}")
@@ -61,15 +73,130 @@ class FiniteTreeAction:
                 raise TowerError(f"generator {name}: {res.reason}")
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class InverseSystem:
     """Finite truncation of an inverse limit: levels plus bonding vertex maps,
-    and the integral matrix each generator name stands for, when known."""
+    and the integral matrix each generator name stands for, when known.
 
-    levels: list[FiniteTreeAction]
-    bonds: list[dict[str, str]]      # bonds[a]: level a+1 vertices -> level a
+    ``build_congruence_tower`` hands out its levels and bonds as tuples of
+    read-only views of one vertex numbering, kept as ``_numbering``, and
+    the checks read that numbering's int lists.  A system made here (or by
+    ``dataclasses.replace``) from levels and bonds, even a built tower's,
+    has no numbering: it is checked on its strings, as a tower read from a
+    file is.
+    """
+
+    levels: Sequence[FiniteTreeAction]
+    bonds: Sequence[Mapping[str, str]]   # bonds[a]: level a+1 vertices -> level a
     provenance: dict = field(default_factory=dict)
     matrices: dict[str, GroupMatrix] = field(default_factory=dict)
+    _numbering: _Numbering | None = field(default=None, init=False, repr=False)
+
+
+class _Numbering:
+    """A built tower's vertices, numbered once, and the checks that read them.
+
+    Level a is the first counts[a] vertices; vertex v > 0 hangs from
+    parent[v] (the root is its own parent) and generator names[k] sends v
+    to images[k][v].  ``system`` makes every level's tree and maps and every
+    bond from these lists, so a check here that holds on the lists holds on
+    the views.  A check that does not hold says nothing: its caller then
+    checks the views' strings, which give the report.
+    """
+
+    def __init__(self, ids: list[str], parent: list[int], images: list[list[int]],
+                 counts: list[int], names: list[str]):
+        self.ids, self.parent, self.images = ids, parent, images
+        self.counts, self.names = counts, names
+
+    def system(self, provenance: dict, matrices: dict[str, GroupMatrix]) -> InverseSystem:
+        """The system whose levels and bonds are views of these lists.
+
+        Each level's tree and read-only generator maps, and each bond: the
+        identity on level a-1, each newer vertex onto its parent.  The
+        system and its levels keep the numbering, and their checks read it.
+        """
+        ids, counts = self.ids, self.counts
+        # vertex v > 0 hangs from ups[v] by edges[v - 1]
+        ups = [ids[u] for u in self.parent]
+        edges = list(zip(ups[1:], ids[1:]))
+        levels, bonds = [], []
+        for a, size in enumerate(counts):
+            verts = ids[:size]
+            if a:
+                lower = counts[a - 1]
+                bonds.append(MappingProxyType(dict(zip(verts, verts[:lower] + ups[lower:size]))))
+            levels.append(FiniteTreeAction(
+                Tree(verts, edges[:size - 1]),
+                MappingProxyType({name: TreeAutomorphism(zip(verts, map(ids.__getitem__, image)))
+                                  for name, image in zip(self.names, self.images)}),
+            ))
+            # both classes are frozen, and neither takes a numbering as an argument
+            object.__setattr__(levels[-1], "_numbered", (self, a))
+        sys = InverseSystem(tuple(levels), tuple(bonds), provenance, matrices)
+        object.__setattr__(sys, "_numbering", self)
+        return sys
+
+    @cached_property
+    def sound(self) -> bool:
+        """Distinct ids, one parent and image per vertex, each a vertex, the
+        root its own parent, and levels that grow to all vertices."""
+        ids, parent, counts = self.ids, self.parent, self.counts
+        size = len(ids)
+        return (len(set(ids)) == size and len(self.images) == len(self.names)
+                and all(len(x) == size and min(x) >= 0 and max(x) < size
+                        for x in (parent, *self.images))
+                and parent[0] == 0 and counts[0] >= 1 and counts[-1] == size
+                and all(map(le, counts, counts[1:])))
+
+    def level_holds(self, a: int) -> bool:
+        """Level a is a tree, every parent earlier than its child, and each
+        generator a permutation of it that commutes with parent."""
+        s, parent = self.counts[a], self.parent
+        ups = parent[:s]
+        if not (self.sound and all(map(lt, ups[1:], range(1, s)))):
+            return False
+        for image in self.images:
+            moved = image[:s]
+            if not (len(set(moved)) == s and max(moved) < s
+                    and list(map(parent.__getitem__, moved)) == list(map(image.__getitem__, ups))):
+                return False
+        return True
+
+    def bond_onto(self, a: int) -> bool:
+        """Bond a is onto level a, monotone and the identity there: every newer
+        vertex of level a+1 hangs from a vertex of level a."""
+        lo, hi = self.counts[a], self.counts[a + 1]
+        return self.sound and max(self.parent[lo:hi], default=0) < lo
+
+    def bonds_commute(self) -> bool:
+        """Every bond commutes with every generator on all of its level."""
+        if not self.sound:
+            return False
+        for a, (lo, hi) in enumerate(zip(self.counts, self.counts[1:])):
+            if not self.bond_onto(a):
+                return False
+            bond = list(range(lo)) + self.parent[lo:hi]
+            for image in self.images:
+                if not (max(image[:hi]) < hi and list(map(bond.__getitem__, image[:hi]))
+                        == list(map(image.__getitem__, bond))):
+                    return False
+        return True
+
+    def orbit(self, seed: str) -> list[str]:
+        """The ids ``walk`` meets from seed through the generators in name order."""
+        images = self.images
+        start = self.ids.index(seed)
+        seen = bytearray(len(self.ids))
+        seen[start] = 1
+        order = [start]
+        for x in order:   # breadth-first: the list is the queue
+            for image in images:
+                y = image[x]
+                if not seen[y]:
+                    seen[y] = 1
+                    order.append(y)
+        return [self.ids[v] for v in order]
 
 
 # -- congruence tower ------------------------------------------------------------
@@ -116,13 +243,12 @@ def _number_cosets(
         reduced = top if beta == depth else [tuple([e % m for e in y]) for y in top]
         lift = {x: i for i, x in enumerate(reduced)}
         number = {x: v for v, x in enumerate(sorted(lift), len(names))}
-        here = [number[x] for x in reduced]
-        for x in number:
-            i = lift[x]
-            names.append(_vertex_id(beta, x))
-            parent.append(below[i])
-            for image, column in zip(images, cayley):
-                image.append(here[column[i]])
+        here = list(map(number.__getitem__, reduced))
+        lifts = list(map(lift.__getitem__, number))
+        names.extend([_vertex_id(beta, x) for x in number])
+        parent.extend(map(below.__getitem__, lifts))
+        for image, column in zip(images, cayley):
+            image.extend(map(here.__getitem__, map(column.__getitem__, lifts)))
         counts.append(len(names))
         below = here
     return names, parent, images, counts
@@ -138,7 +264,8 @@ def build_congruence_tower(
     [0, p^b).  New leaves attach to their mod-p^(b-1) parents, and the bond
     collapses them back onto those parents.  The vertices are numbered
     once, level after level, so every level's tree, generator maps and bond
-    are read off slices of the same lists.
+    are read off slices of the same lists; the system keeps them, and the
+    checks read them.
     """
     if n < 2:
         raise TowerError("dimension must be at least 2")
@@ -151,29 +278,9 @@ def build_congruence_tower(
 
     integral = transvection_generators(n)
     gen_names = sorted(integral)
-    names, parent, images, counts = _number_cosets(
-        n, p, depth, [integral[name] for name in gen_names], cap)
-    # level a is the first counts[a] vertices, and vertex v > 0 hangs from
-    # ups[v] by edges[v - 1]
-    ups = [names[u] for u in parent]
-    edges = list(zip(ups[1:], names[1:]))
-    levels: list[FiniteTreeAction] = []
-    bonds: list[dict[str, str]] = []
-    for a, size in enumerate(counts):
-        verts = names[:size]
-        if a:
-            # the identity on level a-1, each newer vertex onto its parent
-            lower = counts[a - 1]
-            bonds.append(dict(zip(verts, verts[:lower] + ups[lower:size])))
-        levels.append(FiniteTreeAction(
-            Tree(verts, edges[:size - 1]),
-            {name: TreeAutomorphism(zip(verts, map(names.__getitem__, image)))
-             for name, image in zip(gen_names, images)},
-        ))
-
-    return InverseSystem(
-        levels,
-        bonds,
+    numbering = _Numbering(*_number_cosets(
+        n, p, depth, [integral[name] for name in gen_names], cap), gen_names)
+    return numbering.system(
         provenance={
             "n": n,
             "p": p,
@@ -193,7 +300,14 @@ class BondReport:
 
 
 def verify_all_bonds(sys: InverseSystem) -> BondReport:
-    """Exhaustively check bond(g.x) = g.bond(x) for every bond, generator and vertex."""
+    """Exhaustively check bond(g.x) = g.bond(x) for every bond, generator and vertex.
+
+    A built tower whose numbering shows them all equal passes at once;
+    otherwise the string maps are compared and the violations listed.
+    """
+    numbering = sys._numbering
+    if numbering is not None and numbering.bonds_commute():
+        return BondReport(True, sum(numbering.counts[1:]) * len(numbering.names), ())
     checked = 0
     bad: list[tuple[str, str]] = []
     for lower, upper, bond in zip(sys.levels, sys.levels[1:], sys.bonds):
@@ -214,6 +328,8 @@ def verify_bond_structure(sys: InverseSystem, level: int) -> BondStructureReport
     """Bond must be surjective, monotone, and the identity on the lower copy."""
     if level < 0 or level + 1 >= len(sys.levels):
         raise TowerError("no bond at this level")
+    if sys._numbering is not None and sys._numbering.bond_onto(level):
+        return BondStructureReport(True, ())
     upper = sys.levels[level + 1].tree
     lower = sys.levels[level].tree
     bond = sys.bonds[level]
@@ -314,7 +430,10 @@ def verify_tower(sys: InverseSystem) -> TowerReport:
     Each level must be a tree that its generators act on by automorphisms;
     every bond equivariant, surjective, monotone and the identity on the
     lower copy; and the degree profile stable at the bound the provenance
-    gives.  The reasons come in that order.
+    gives.  The reasons come in that order.  A built tower is checked on
+    its numbering's int lists and a tower read from a file on its strings;
+    whatever the lists do not accept is checked on the strings, so the
+    reasons are the same either way.
     """
     reasons = []
     for k, act in enumerate(sys.levels):
@@ -443,7 +562,8 @@ def attach_decorations(sys: InverseSystem, seed: str) -> DecoratedAction:
 
     The orbit is numbered from the seed along the walk ``orbit`` takes
     without a cap: breadth-first, through the generators alone, sorted by
-    name.  The arc over the i-th orbit vertex carries length label 1/i and
+    name.  A built tower takes the same walk on its numbering's ints.  The
+    arc over the i-th orbit vertex carries length label 1/i and
     has vertices ``pend{i}m`` and ``pend{i}t``, which must name no vertex of
     the tower.  Every generator extends to permute the pendant arcs with the
     orbit.
@@ -455,14 +575,19 @@ def attach_decorations(sys: InverseSystem, seed: str) -> DecoratedAction:
     if len(tree.vertices) > 1 and tree.degree(seed) != 1:
         raise TowerError("seed must be a leaf")
 
-    order = [y for y, *_ in _orbit_walk(act, seed, False)]
+    numbering = sys._numbering
+    if numbering is not None and numbering.sound:
+        # every level is a prefix of the numbering, the deepest all of it
+        order, taken = numbering.orbit(seed), set(numbering.ids)
+    else:
+        order = [y for y, *_ in _orbit_walk(act, seed, False)]
+        taken = set(chain.from_iterable(level.tree.vertices for level in sys.levels))
     nums = range(1, len(order) + 1)
-    pendants = tuple(map(Pendant, order, [f"pend{i}m" for i in nums], [f"pend{i}t" for i in nums]))
-    taken = set(chain.from_iterable(level.tree.vertices for level in sys.levels))
-    clash = next((v for p in pendants for v in (p.mid, p.tip) if v in taken), None)
+    mids, tips = [f"pend{i}m" for i in nums], [f"pend{i}t" for i in nums]
+    clash = next(filter(taken.__contains__, chain.from_iterable(zip(mids, tips))), None)
     if clash is not None:
         raise TowerError(f"pendant vertex {clash} is already a vertex of the tower")
-    return DecoratedAction(act, pendants)
+    return DecoratedAction(act, tuple(map(Pendant, order, mids, tips)))
 
 
 @dataclass(frozen=True)
@@ -528,7 +653,7 @@ def system_to_json(sys: InverseSystem) -> dict:
     levels = []
     for act in sys.levels:
         gens = {
-            name: [auto(v) for v in act.tree.vertices]
+            name: list(map(auto._map.__getitem__, act.tree.vertices))
             for name, auto in sorted(act.generators.items())
         }
         levels.append({"tree": tree_to_json(act.tree), "generators": gens})

@@ -6,12 +6,15 @@ never against the builder's own enumeration.
 
 import hashlib
 import json
+from collections import Counter
+from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 from math import isclose, pi
 
 import pytest
 
 import oracles
+from treeact import tower
 from treeact.matrices import CapExceeded, sl_order
 from treeact.tower import (
     InverseSystem,
@@ -28,6 +31,7 @@ from treeact.tower import (
     system_to_json,
     verify_all_bonds,
     verify_bond_structure,
+    verify_tower,
 )
 from treeact.trees import validate_tree
 
@@ -147,6 +151,54 @@ class TestBonds:
         assert len(sys_.bonds) == 2
         with pytest.raises(TowerError, match="no bond at this level"):
             verify_bond_structure(sys_, level)
+
+
+class TestNumberedViews:
+    """A built tower hands out read-only views of its one numbering and is
+    checked on the numbering's int lists; a loaded one on its strings."""
+
+    def test_views_cannot_be_edited(self):
+        sys_ = build_congruence_tower(2, 2, 2)
+        assert isinstance(sys_.levels, tuple) and isinstance(sys_.bonds, tuple)
+        with pytest.raises(TypeError):
+            sys_.bonds[1]["0|e"] = "1|0,1,1,0"
+        with pytest.raises(TypeError):
+            sys_.levels[1].generators["u12"] = sys_.levels[1].generators["u21"]
+        with pytest.raises(FrozenInstanceError):
+            sys_.levels[1].tree = sys_.levels[2].tree
+        with pytest.raises(FrozenInstanceError):
+            sys_.bonds = ()
+
+    def test_replaced_views_are_checked_on_their_strings(self):
+        sys_ = build_congruence_tower(2, 2, 2)
+        with pytest.raises(TowerError, match="generator u12: domain mismatch"):
+            replace(sys_.levels[1], tree=sys_.levels[2].tree).validate()
+        collapsed = dict.fromkeys(sys_.bonds[1], "0|e")
+        rep = verify_bond_structure(replace(sys_, bonds=(sys_.bonds[0], collapsed)), 1)
+        assert rep.reasons == ("bond not surjective", "bond not the identity on the lower copy")
+
+    @staticmethod
+    def string_checks(monkeypatch, sys_):
+        """The report of verify_tower, and how often it ran each string check."""
+        calls = Counter()
+        for name in ("validate_tree", "is_tree_automorphism"):
+            def counted(*args, _name=name, _check=getattr(tower, name)):
+                calls[_name] += 1
+                return _check(*args)
+            monkeypatch.setattr(tower, name, counted)
+        return verify_tower(sys_), calls
+
+    def test_built_tower_makes_no_string_check(self, monkeypatch):
+        report, calls = self.string_checks(monkeypatch, build_congruence_tower(2, 3, 2))
+        assert report.reasons == () and report.bonds.checked == 2 * (25 + 673)
+        assert calls == Counter()
+
+    def test_loaded_tower_makes_every_string_check(self, monkeypatch):
+        loaded = system_from_json(system_to_json(build_congruence_tower(2, 3, 2)))
+        report, calls = self.string_checks(monkeypatch, loaded)
+        assert report.reasons == () and report.bonds.checked == 2 * (25 + 673)
+        # three levels, two generators on each
+        assert calls == Counter(validate_tree=3, is_tree_automorphism=6)
 
 
 class TestOrbit:

@@ -8,9 +8,11 @@ and segment scan in its innermost loop; ``trees.first_point_map`` has one
 that takes the whole path to the least subtree vertex,
 ``tower.projection_orbit_growth`` one that works on the decorated tree and
 action made in full, and ``ordering.Ball.row``, which composes rows along
-the ball's words, one that makes a product per element.  Both sides
-get the same random inputs, broken ones included, and must return the same
-report field for field, or raise the same error.
+the ball's words, one that makes a product per element.  A built tower's
+checks, which read its vertex numbering, have the string checks of the same
+views as their twin.  Both sides get the same random inputs, broken ones
+included, and must return the same report field for field, or raise the
+same error.
 """
 
 import random
@@ -49,11 +51,16 @@ from treeact.realize import (
 )
 from treeact.tower import (
     FiniteTreeAction,
+    InverseSystem,
     TowerError,
+    _Numbering,
     attach_decorations,
     build_congruence_tower,
     orbit,
     projection_orbit_growth,
+    verify_all_bonds,
+    verify_bond_structure,
+    verify_tower,
 )
 from treeact.trees import Tree, TreeError, first_point_map
 
@@ -603,6 +610,130 @@ class TestProjectionGrowthTwin:
         dec = attach_decorations(sys_, sys_.levels[-1].tree.leaves()[-1])
         got = self.agree(sys_, dec, rng, kind, None)
         assert got[0] == "value" and len(got[1].sizes) == 4 and all(got[1].closed)
+
+
+def mutate(num, kind, rng):
+    """Apply one mutation of the given kind to a numbering's lists in place."""
+    counts, size = num.counts, len(num.ids)
+    # the vertices level a adds to level a-1, for a >= 1
+    new = [range(lo, hi) for lo, hi in zip(counts, counts[1:])]
+    image = rng.choice(num.images)
+    if kind == "parent-later":
+        v = rng.randrange(1, size - 1)
+        num.parent[v] = rng.randrange(v + 1, size)
+    elif kind == "parent-own-level":
+        block = rng.choice(new)
+        v = rng.choice(block)
+        num.parent[v] = rng.choice([w for w in block if w != v])
+    elif kind == "swap-within-level":
+        i, j = rng.sample(rng.choice(new), 2)
+        image[i], image[j] = image[j], image[i]
+    elif kind == "swap-across-levels":
+        low, high = sorted(rng.sample(range(len(new)), 2)) if len(new) > 1 else (0, 0)
+        i, j = rng.choice(range(counts[low])), rng.choice(new[high])
+        image[i], image[j] = image[j], image[i]
+    elif kind == "image-outside-level":
+        a = rng.randrange(len(counts) - 1)
+        image[rng.randrange(counts[a])] = rng.randrange(counts[a], size)
+    elif kind == "level-its-own-parents":
+        # the generators still commute with parent
+        for v in rng.choice(new):
+            num.parent[v] = v
+    elif kind == "merge-sibling-images":
+        # the generator still commutes with parent
+        v = rng.randrange(1, size)
+        sibling = rng.choice([u for u in range(1, size) if num.parent[u] == num.parent[v]])
+        image[v] = image[sibling]
+    elif kind == "pendant-named-id":
+        num.ids[rng.choice([1, size - 1])] = f"pend{rng.randrange(1, 4)}{rng.choice('mt')}"
+    else:
+        i, j = rng.sample(range(size), 2)
+        num.ids[j] = num.ids[i]
+
+
+def caught(fn, *args):
+    """The value fn returns, or the type and message of what it raises."""
+    try:
+        return "value", fn(*args)
+    except (TowerError, KeyError) as exc:
+        return "raised", type(exc), str(exc)
+
+
+def tower_outcomes(sys_, seed):
+    return (
+        [caught(act.validate) for act in sys_.levels],
+        caught(verify_all_bonds, sys_),
+        [caught(verify_bond_structure, sys_, a) for a in range(len(sys_.bonds))],
+        caught(verify_tower, sys_),
+        caught(lambda: attach_decorations(sys_, seed).pendants),
+    )
+
+
+MUTATIONS = ["none", "parent-later", "parent-own-level", "level-its-own-parents",
+             "swap-within-level", "swap-across-levels", "image-outside-level",
+             "merge-sibling-images", "pendant-named-id", "duplicate-id"]
+
+# Numberings no tower has, each with one generator g: (ids, parent, g's
+# images, counts).  Each breaks a view in a way that no check of the
+# numbering but one would see.
+HAND_MADE = {
+    # parent closes a cycle through the root, and g = parent rotates it
+    "root-parent-cycle": (["a", "b", "c"], [2, 0, 1], [2, 0, 1], [3]),
+    # -1 stands for the last vertex, 2, in parent and in g alike: 1 hangs
+    # from 2 and 2 from 1, so the view has the edge b-c twice
+    "negative-index": (["a", "b", "c"], [0, -1, 1], [0, 1, -1], [3]),
+    # the root of level 0 goes to level 1, whose vertex is its own parent
+    "root-image-outside": (["a", "b"], [0, 1], [1, 0], [1, 2]),
+    # g sends both leaves of a star to the first
+    "merged-images": (["a", "b", "c"], [0, 0, 0], [0, 1, 1], [3]),
+    "empty-first-level": (["a"], [0], [0], [0, 1]),
+    # the deepest level leaves out vertex 1, which g reaches from the root
+    "top-short-of-numbering": (["a", "b"], [0, 0], [1, 0], [1]),
+    "shrinking-level": (["a", "b"], [0, 0], [0, 1], [2, 1, 2]),
+    # vertex 2 has no parent, so the view has no edge to it
+    "short-parent-list": (["a", "b", "c"], [0, 0], [0, 1, 2], [3]),
+}
+
+
+class TestNumberedTowerTwin:
+    """A built tower's level, bond and decoration checks read its vertex
+    numbering; the same views assembled without a numbering are checked on
+    their strings.  Each mutated numbering gets the same outcomes both ways."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.sampled_from(sorted(TOWERS)), st.sampled_from(MUTATIONS), SEEDS)
+    def test_mutated_numberings(self, npd, kind, seed):
+        rng = random.Random(seed)
+        built = TOWERS[npd]
+        base = built._numbering
+        num = _Numbering(list(base.ids), list(base.parent), [list(x) for x in base.images],
+                         list(base.counts), list(base.names))
+        if kind != "none":
+            mutate(num, kind, rng)
+        got = self.agree(num, built.provenance, built.matrices, rng)
+        if kind == "none":
+            assert got[3] == caught(verify_tower, built) and got[3][1].reasons == ()
+
+    @pytest.mark.parametrize("label", sorted(HAND_MADE))
+    def test_hand_made_numberings(self, label):
+        ids, parent, image, counts = HAND_MADE[label]
+        got = self.agree(_Numbering(ids, parent, [image], counts, ["g"]), {}, {},
+                         random.Random(label))
+        assert got[3][0] == "raised" or got[3][1].reasons
+
+    @staticmethod
+    def agree(num, provenance, matrices, rng):
+        """The outcomes of the numbered system, which equal those of its views
+        assembled without the numbering."""
+        numbered = num.system(provenance, matrices)
+        plain = InverseSystem(
+            [FiniteTreeAction(act.tree, dict(act.generators)) for act in numbered.levels],
+            [dict(bond) for bond in numbered.bonds], provenance, matrices)
+        top = numbered.levels[-1].tree
+        seed_vertex = rng.choice(top.leaves() or top.vertices)
+        got = tower_outcomes(numbered, seed_vertex)
+        assert got == tower_outcomes(plain, seed_vertex)
+        return got
 
 
 # Generators and inner radii of the searched balls: Z, Z^2, the Heisenberg
