@@ -177,7 +177,7 @@ class OrderAssignment:
     A total order is ``rank``, a permutation of the ball indices: i comes after
     j when ``rank[i] > rank[j]``, and ``signs`` is a read-only mapping made on
     first read.  Input that may be partial or inconsistent is a sign table:
-    ``signs`` maps (i, j) to +-1, both orientations stored, and ``rank`` is None.
+    ``signs`` maps (i, j) to +-1, both orientations stored, read-only, and ``rank`` is None.
     """
 
     def __init__(self, ball: Ball, signs: Mapping[tuple[int, int], int] | None = None,
@@ -191,7 +191,10 @@ class OrderAssignment:
             return
         # Store both orientations; reject inconsistent input.
         full: dict[tuple[int, int], int] = {}
+        idx = range(len(ball))
         for (i, j), s in (signs or {}).items():
+            if i not in idx or j not in idx:
+                raise OrderingError(f"pair ({i}, {j}) has an index outside the ball")
             if i == j:
                 raise OrderingError("diagonal pair in assignment")
             if s not in (-1, 1):
@@ -200,11 +203,11 @@ class OrderAssignment:
                 raise OrderingError("conflicting signs for a pair")
             full[(i, j)] = s
             full[(j, i)] = -s
-        self._signs = full
+        self._signs = MappingProxyType(full)
 
     @property
     def signs(self) -> Mapping[tuple[int, int], int]:
-        if self._signs is None:  # a rank order: made on first read, read-only
+        if self._signs is None:  # a rank order: made on first read
             r = range(len(self.rank))
             self._signs = MappingProxyType({(i, j): self.sign_idx(i, j)
                                             for i in r for j in r if i != j})
@@ -235,19 +238,18 @@ class OrderAssignment:
 @dataclass(frozen=True)
 class AxiomReport:
     passed: bool
-    antisymmetry_violations: tuple[tuple[int, int], ...]
+    antisymmetry_violations: tuple[tuple[int, int], ...]   # always (): see check_axioms
     transitivity_violations: tuple[tuple[int, int, int], ...]
 
 
 def check_axioms(phi: OrderAssignment) -> AxiomReport:
-    """Check antisymmetry and transitivity on every pair/triple of the ball."""
+    """Check transitivity on every triple of the ball.  Antisymmetry holds by
+    construction: a sign table is read-only and stores both orientations."""
     if phi.rank is not None:  # the constructor checked that the ranks are a permutation
         return AxiomReport(True, (), ())
     signs, idx = phi.signs, range(len(phi.ball))
     if any((x, y) not in signs for x in idx for y in idx if x != y):
         raise OrderingError("incomplete assignment")
-    # the constructor stores both orientations alike, but a table edited in place may not
-    r_bad = [(a, c) for a in idx for c in idx if a < c and signs[(a, c)] != -signs[(c, a)]]
     # bit y of below[x] is set when x > y; f > g > h needs f > h, so the
     # violations (f, g, h) are the bits h of below[g] & ~below[f] other than f, g
     below = [sum(1 << y for y in idx if y != x and signs[(x, y)] == 1) for x in idx]
@@ -260,7 +262,7 @@ def check_axioms(phi: OrderAssignment) -> AxiomReport:
                     low = miss & -miss
                     t_bad.append((f, g, low.bit_length() - 1))
                     miss ^= low
-    return AxiomReport(not r_bad and not t_bad, tuple(r_bad), tuple(t_bad))
+    return AxiomReport(not t_bad, (), tuple(t_bad))
 
 
 @dataclass(frozen=True)

@@ -53,16 +53,15 @@ class FiniteTreeAction:
 
     tree: Tree
     generators: Mapping[str, TreeAutomorphism]
-    # (numbering, a) on level a of a built tower, set by the numbering that
-    # made the views; never an argument, so no copy or replace() carries it
-    _numbered: tuple[_Numbering, int] | None = field(default=None, init=False, repr=False)
+    # the numbering that made a built level; not an argument, so no copy carries it
+    _numbered: _Numbering | None = field(default=None, init=False, repr=False)
 
     def validate(self) -> None:
         """Raise TowerError naming the first failure: the tree, then each
-        generator in turn.  A built level is accepted on its numbering's int
-        lists; anything they do not accept is checked on the strings, which
-        give the reason."""
-        if self._numbered is not None and self._numbered[0].level_holds(self._numbered[1]):
+        generator in turn.  A level of a built tower whose numbering's
+        verdict holds is accepted at once; anything else is checked on the
+        strings, which give the reason."""
+        if self._numbered is not None and self._numbered.holds:
             return
         ok = validate_tree(self.tree)
         if not ok:
@@ -80,10 +79,10 @@ class InverseSystem:
 
     ``build_congruence_tower`` hands out its levels and bonds as tuples of
     read-only views of one vertex numbering, kept as ``_numbering``, and
-    the checks read that numbering's int lists.  A system made here (or by
-    ``dataclasses.replace``) from levels and bonds, even a built tower's,
-    has no numbering: it is checked on its strings, as a tower read from a
-    file is.
+    every check accepts them on its one cached verdict.  A system made
+    here (or by ``dataclasses.replace``) from levels and bonds, even a
+    built tower's, has no numbering: it is checked on its strings, as a
+    tower read from a file is.
     """
 
     levels: Sequence[FiniteTreeAction]
@@ -94,14 +93,13 @@ class InverseSystem:
 
 
 class _Numbering:
-    """A built tower's vertices, numbered once, and the checks that read them.
+    """A built tower's vertices, numbered once, and the verdict on them.
 
     Level a is the first counts[a] vertices; vertex v > 0 hangs from
     parent[v] (the root is its own parent) and generator names[k] sends v
     to images[k][v].  ``system`` makes every level's tree and maps and every
-    bond from these lists, so a check here that holds on the lists holds on
-    the views.  A check that does not hold says nothing: its caller then
-    checks the views' strings, which give the report.
+    bond from these lists, so when the verdict ``holds`` every check of the
+    views passes.  When it does not, the checks read the views' strings.
     """
 
     def __init__(self, ids: list[str], parent: list[int], images: list[list[int]],
@@ -114,7 +112,7 @@ class _Numbering:
 
         Each level's tree and read-only generator maps, and each bond: the
         identity on level a-1, each newer vertex onto its parent.  The
-        system and its levels keep the numbering, and their checks read it.
+        system and its levels keep the numbering.
         """
         ids, counts = self.ids, self.counts
         # vertex v > 0 hangs from ups[v] by edges[v - 1]
@@ -132,56 +130,36 @@ class _Numbering:
                                   for name, image in zip(self.names, self.images)}),
             ))
             # both classes are frozen, and neither takes a numbering as an argument
-            object.__setattr__(levels[-1], "_numbered", (self, a))
+            object.__setattr__(levels[-1], "_numbered", self)
         sys = InverseSystem(tuple(levels), tuple(bonds), provenance, matrices)
         object.__setattr__(sys, "_numbering", self)
         return sys
 
     @cached_property
-    def sound(self) -> bool:
-        """Distinct ids, one parent and image per vertex, each a vertex, the
-        root its own parent, and levels that grow to all vertices."""
+    def holds(self) -> bool:
+        """Sound lists (distinct ids, one parent per vertex, levels that grow
+        to all of them, one image list per distinct name), the root its own
+        parent and every other parent earlier, every newer vertex of level
+        a+1 hung from level a, and each generator a permutation of every
+        level prefix that commutes with parent.
+
+        Then every level and bond check of the views passes.  Bonds are
+        equivariant in two cases: a generator keeps v < lo (level a's
+        count) below lo, where the bond is the identity, and lo <= v < hi
+        in [lo, hi), where the bond is parent, which it commutes with.
+        """
         ids, parent, counts = self.ids, self.parent, self.counts
         size = len(ids)
-        return (len(set(ids)) == size and len(self.images) == len(self.names)
-                and all(len(x) == size and min(x) >= 0 and max(x) < size
-                        for x in (parent, *self.images))
-                and parent[0] == 0 and counts[0] >= 1 and counts[-1] == size
-                and all(map(le, counts, counts[1:])))
-
-    def level_holds(self, a: int) -> bool:
-        """Level a is a tree, every parent earlier than its child, and each
-        generator a permutation of it that commutes with parent."""
-        s, parent = self.counts[a], self.parent
-        ups = parent[:s]
-        if not (self.sound and all(map(lt, ups[1:], range(1, s)))):
+        if not (all(map(le, counts, counts[1:]))
+                and counts[-1] == size == len(parent) == len(set(ids))
+                and len(self.images) == len(set(self.names))
+                and min(parent) == parent[0] == 0 and all(map(lt, parent[1:], range(1, size)))
+                and all(max(parent[lo:hi], default=0) < lo for lo, hi in zip(counts, counts[1:]))):
             return False
-        for image in self.images:
-            moved = image[:s]
-            if not (len(set(moved)) == s and max(moved) < s
-                    and list(map(parent.__getitem__, moved)) == list(map(image.__getitem__, ups))):
-                return False
-        return True
-
-    def bond_onto(self, a: int) -> bool:
-        """Bond a is onto level a, monotone and the identity there: every newer
-        vertex of level a+1 hangs from a vertex of level a."""
-        lo, hi = self.counts[a], self.counts[a + 1]
-        return self.sound and max(self.parent[lo:hi], default=0) < lo
-
-    def bonds_commute(self) -> bool:
-        """Every bond commutes with every generator on all of its level."""
-        if not self.sound:
-            return False
-        for a, (lo, hi) in enumerate(zip(self.counts, self.counts[1:])):
-            if not self.bond_onto(a):
-                return False
-            bond = list(range(lo)) + self.parent[lo:hi]
-            for image in self.images:
-                if not (max(image[:hi]) < hi and list(map(bond.__getitem__, image[:hi]))
-                        == list(map(image.__getitem__, bond))):
-                    return False
-        return True
+        vertices = set(range(size))
+        return all(set(image) == vertices and all(max(image[:s]) < s for s in counts)
+                   and list(map(parent.__getitem__, image)) == list(map(image.__getitem__, parent))
+                   for image in self.images)
 
     def orbit(self, seed: str) -> list[str]:
         """The ids ``walk`` meets from seed through the generators in name order."""
@@ -302,11 +280,11 @@ class BondReport:
 def verify_all_bonds(sys: InverseSystem) -> BondReport:
     """Exhaustively check bond(g.x) = g.bond(x) for every bond, generator and vertex.
 
-    A built tower whose numbering shows them all equal passes at once;
-    otherwise the string maps are compared and the violations listed.
+    A built tower whose numbering's verdict holds passes at once (see
+    ``_Numbering.holds``); otherwise the string maps are compared.
     """
     numbering = sys._numbering
-    if numbering is not None and numbering.bonds_commute():
+    if numbering is not None and numbering.holds:
         return BondReport(True, sum(numbering.counts[1:]) * len(numbering.names), ())
     checked = 0
     bad: list[tuple[str, str]] = []
@@ -328,7 +306,7 @@ def verify_bond_structure(sys: InverseSystem, level: int) -> BondStructureReport
     """Bond must be surjective, monotone, and the identity on the lower copy."""
     if level < 0 or level + 1 >= len(sys.levels):
         raise TowerError("no bond at this level")
-    if sys._numbering is not None and sys._numbering.bond_onto(level):
+    if sys._numbering is not None and sys._numbering.holds:
         return BondStructureReport(True, ())
     upper = sys.levels[level + 1].tree
     lower = sys.levels[level].tree
@@ -430,10 +408,10 @@ def verify_tower(sys: InverseSystem) -> TowerReport:
     Each level must be a tree that its generators act on by automorphisms;
     every bond equivariant, surjective, monotone and the identity on the
     lower copy; and the degree profile stable at the bound the provenance
-    gives.  The reasons come in that order.  A built tower is checked on
-    its numbering's int lists and a tower read from a file on its strings;
-    whatever the lists do not accept is checked on the strings, so the
-    reasons are the same either way.
+    gives.  The reasons come in that order.  A built tower whose
+    numbering's one verdict holds passes the level and bond checks at
+    once; any other tower is checked on its strings, which give the
+    reasons.
     """
     reasons = []
     for k, act in enumerate(sys.levels):
@@ -562,11 +540,11 @@ def attach_decorations(sys: InverseSystem, seed: str) -> DecoratedAction:
 
     The orbit is numbered from the seed along the walk ``orbit`` takes
     without a cap: breadth-first, through the generators alone, sorted by
-    name.  A built tower takes the same walk on its numbering's ints.  The
-    arc over the i-th orbit vertex carries length label 1/i and
-    has vertices ``pend{i}m`` and ``pend{i}t``, which must name no vertex of
-    the tower.  Every generator extends to permute the pendant arcs with the
-    orbit.
+    name.  A built tower whose numbering's verdict holds takes the same
+    walk on the numbering's ints.  The arc over the i-th orbit vertex
+    carries length label 1/i and has vertices ``pend{i}m`` and
+    ``pend{i}t``, which must name no vertex of the tower.  Every generator
+    extends to permute the pendant arcs with the orbit.
     """
     act = sys.levels[-1]
     tree = act.tree
@@ -576,7 +554,7 @@ def attach_decorations(sys: InverseSystem, seed: str) -> DecoratedAction:
         raise TowerError("seed must be a leaf")
 
     numbering = sys._numbering
-    if numbering is not None and numbering.sound:
+    if numbering is not None and numbering.holds:
         # every level is a prefix of the numbering, the deepest all of it
         order, taken = numbering.orbit(seed), set(numbering.ids)
     else:

@@ -127,6 +127,13 @@ class TestCheckAxioms:
         with pytest.raises(OrderingError, match="conflicting"):
             OrderAssignment(b, {(0, 1): 1, (1, 0): 1, (0, 2): 1, (1, 2): 1})
 
+    @pytest.mark.parametrize("pair", [(0, 99), (-1, 2), (3, 0)])
+    def test_pair_off_the_ball_rejected_at_construction(self, pair):
+        # z_ball(1) has indices 0, 1, 2
+        signs = {(0, 1): -1, (0, 2): -1, (1, 2): -1, pair: 1}
+        with pytest.raises(OrderingError, match="index outside the ball"):
+            OrderAssignment(z_ball(1), signs)
+
     def test_incomplete_assignment(self):
         b = z_ball(1)
         phi = OrderAssignment(b, {(0, 1): 1})

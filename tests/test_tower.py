@@ -9,6 +9,7 @@ import json
 from collections import Counter
 from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
+from functools import cached_property
 from math import isclose, pi
 
 import pytest
@@ -155,7 +156,7 @@ class TestBonds:
 
 class TestNumberedViews:
     """A built tower hands out read-only views of its one numbering and is
-    checked on the numbering's int lists; a loaded one on its strings."""
+    checked on the numbering's one verdict; a loaded one on its strings."""
 
     def test_views_cannot_be_edited(self):
         sys_ = build_congruence_tower(2, 2, 2)
@@ -199,6 +200,26 @@ class TestNumberedViews:
         assert report.reasons == () and report.bonds.checked == 2 * (25 + 673)
         # three levels, two generators on each
         assert calls == Counter(validate_tree=3, is_tree_automorphism=6)
+
+    def test_verdict_is_reached_once(self, monkeypatch):
+        calls = Counter()
+        body = vars(tower._Numbering)["holds"].func
+
+        def counted(numbering):
+            calls["holds"] += 1
+            return body(numbering)
+
+        verdict = cached_property(counted)
+        verdict.__set_name__(tower._Numbering, "holds")
+        monkeypatch.setattr(tower._Numbering, "holds", verdict)
+        sys_ = build_congruence_tower(2, 3, 2)
+        assert verify_tower(sys_).reasons == ()
+        for act in sys_.levels:
+            act.validate()
+        assert verify_all_bonds(sys_).passed
+        assert all(verify_bond_structure(sys_, a).passed for a in range(len(sys_.bonds)))
+        assert len(attach_decorations(sys_, sys_.levels[-1].tree.leaves()[0]).pendants) == 648
+        assert calls == Counter(holds=1)
 
 
 class TestOrbit:

@@ -113,13 +113,15 @@ class TestCheckAxiomsTwin:
     @settings(max_examples=40, deadline=None)
     @given(SEEDS, st.integers(1, 3))
     def test_signs_edited_after_construction(self, seed, radius):
-        # a signs dict changed in place can hold both (i, j) and (j, i) at +1;
-        # a rank order's signs are read-only, so edit a sign-table copy
+        # neither form's signs can be edited in place, so both orientations
+        # of a pair stay opposite and the report stays the twin's
         rng = random.Random(seed)
         phi = random_assignment(z_ball(radius), rng, rng.random() < 0.5)
-        phi = OrderAssignment(phi.ball, dict(phi.signs))
         for (i, j) in rng.sample(sorted(phi.signs), rng.randint(1, 4)):
-            phi.signs[(i, j)] = phi.signs[(j, i)]
+            with pytest.raises(TypeError):
+                phi.signs[(i, j)] = phi.signs[(j, i)]
+            with pytest.raises(TypeError):
+                del phi.signs[(i, j)]
         assert astuple(check_axioms(phi)) == oracles.check_axioms(phi)
 
     @settings(max_examples=30, deadline=None)
@@ -127,9 +129,9 @@ class TestCheckAxiomsTwin:
     def test_incomplete_assignment_raises_alike(self, seed, radius):
         rng = random.Random(seed)
         phi = random_assignment(z_ball(radius), rng, False)
-        phi = OrderAssignment(phi.ball, dict(phi.signs))
         i, j = rng.choice(sorted(phi.signs))
-        del phi.signs[(i, j)]
+        phi = OrderAssignment(phi.ball, {pair: s for pair, s in phi.signs.items()
+                                         if pair not in ((i, j), (j, i))})
         assert outcome(check_axioms, phi) == outcome(oracles.check_axioms, phi)
         assert outcome(check_axioms, phi)[2] == "incomplete assignment"
 
@@ -692,13 +694,45 @@ HAND_MADE = {
     "shrinking-level": (["a", "b"], [0, 0], [0, 1], [2, 1, 2]),
     # vertex 2 has no parent, so the view has no edge to it
     "short-parent-list": (["a", "b", "c"], [0, 0], [0, 1, 2], [3]),
+    # b and c hang from each other, away from the root
+    "cycle-off-the-root": (["a", "b", "c"], [0, 2, 1], [0, 1, 2], [3]),
+    # c hangs from b, a vertex of its own level: the bond sends c off level 0
+    "grandchild-in-one-level": (["a", "b", "c"], [0, 0, 1], [0, 1, 2], [1, 3]),
+    # g swaps two leaves of the root that levels 1 and 2 add
+    "leaf-swapped-across-levels": (["a", "b", "c"], [0, 0, 0], [0, 2, 1], [1, 2, 3]),
+    # g swaps the two ends of a path, which is no automorphism
+    "path-ends-swapped": (["a", "b", "c"], [0, 0, 1], [0, 2, 1], [3]),
 }
+
+
+# Numberings whose views leave part of them out, so that the views pass
+# every string check though the verdict does not hold: (ids, parent,
+# images, counts, names).
+PARTLY_VIEWED = {
+    # the views keep one generator per distinct name that has an image list
+    "repeated-name": (["a", "b", "c"], [0, 0, 0], [[0, 1, 2], [0, 2, 1]], [1, 3], ["g", "g"]),
+    "name-without-images": (["a", "b", "c"], [0, 0, 0], [[0, 1, 2], [0, 2, 1]], [1, 3],
+                            ["g", "h", "k"]),
+    # no level holds the vertex named like the first pendant's middle
+    "vertex-past-the-deepest-level": (["a", "pend1m"], [0, 0], [[0, 1]], [1], ["g"]),
+}
+
+
+def passes_string_checks(outcomes):
+    """Whether ``tower_outcomes`` of views without a numbering give no level
+    reason, no bond violation and no bond-structure reason."""
+    levels, bonds, structures = outcomes[:3]
+    return (all(got == ("value", None) for got in levels)
+            and bonds[0] == "value" and bonds[1].passed
+            and all(got[0] == "value" and got[1].passed for got in structures))
 
 
 class TestNumberedTowerTwin:
     """A built tower's level, bond and decoration checks read its vertex
-    numbering; the same views assembled without a numbering are checked on
-    their strings.  Each mutated numbering gets the same outcomes both ways."""
+    numbering's one verdict; the same views assembled without a numbering
+    are checked on their strings.  Each mutated numbering gets the same
+    outcomes both ways, and its verdict holds exactly when the strings
+    pass."""
 
     @settings(max_examples=120, deadline=None)
     @given(st.sampled_from(sorted(TOWERS)), st.sampled_from(MUTATIONS), SEEDS)
@@ -711,15 +745,30 @@ class TestNumberedTowerTwin:
         if kind != "none":
             mutate(num, kind, rng)
         got = self.agree(num, built.provenance, built.matrices, rng)
+        assert num.holds == passes_string_checks(got)
         if kind == "none":
             assert got[3] == caught(verify_tower, built) and got[3][1].reasons == ()
 
     @pytest.mark.parametrize("label", sorted(HAND_MADE))
     def test_hand_made_numberings(self, label):
         ids, parent, image, counts = HAND_MADE[label]
-        got = self.agree(_Numbering(ids, parent, [image], counts, ["g"]), {}, {},
-                         random.Random(label))
+        num = _Numbering(ids, parent, [image], counts, ["g"])
+        got = self.agree(num, {}, {}, random.Random(label))
         assert got[3][0] == "raised" or got[3][1].reasons
+        assert not num.holds and not passes_string_checks(got)
+
+    def test_negative_parents_without_a_generator(self):
+        # -1 and -2 stand for c and b, which then hang from each other; a
+        # generator that commutes with parent would rule them out
+        num = _Numbering(["a", "b", "c"], [0, -1, -2], [], [3], [])
+        got = self.agree(num, {}, {}, random.Random(0))
+        assert not num.holds and not passes_string_checks(got)
+
+    @pytest.mark.parametrize("label", sorted(PARTLY_VIEWED))
+    def test_views_of_part_of_a_numbering(self, label):
+        num = _Numbering(*PARTLY_VIEWED[label])
+        got = self.agree(num, {}, {}, random.Random(label))
+        assert passes_string_checks(got) and not num.holds
 
     @staticmethod
     def agree(num, provenance, matrices, rng):
