@@ -24,7 +24,7 @@ class CapExceeded(RuntimeError):
 
 
 # -- flat-tuple and packed kernels (hot paths skip GroupMatrix) ----------------
-# enumerate_group, whose Cayley table gives the tower its generator images,
+# enumerate_group, whose Cayley table gives the tower its level-1 images,
 # holds each element mod m as one int: n rows of n fields, each w bits wide,
 # the first entry most significant, so the ints sort as their entry tuples do.
 # A field has room for a row of s x before reduction, at most n (m-1)^2, so

@@ -1,9 +1,12 @@
 """Congruence coset trees, bonding maps, decorations, and orbit growth.
 
-The tower at level a is the coset tree whose vertices are the reductions of
-a fixed special linear quotient modulo increasing prime powers; generators
-act by left translation and every bonding map collapses the newest leaves
-onto their parents.  Also here: the harmonic star tree with exact symbolic
+The tower at level a is the coset tree whose vertices are the elements of
+SL_n(Z/p^b), b <= a, each hanging from its reduction mod p^(b-1);
+generators act by left translation and every bonding map collapses the
+newest leaves onto their parents.  Only SL_n(Z/p) is enumerated: each
+deeper quotient is lifted from the one below through the congruence kernel
+{I + p^(b-1) X : tr X = 0 mod p}, and each generator image is read off the
+image one level down.  Also here: the harmonic star tree with exact symbolic
 arm angles, and the pendant-arc decoration whose projection orbits grow
 without bound as depth increases.
 """
@@ -13,9 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
+from itertools import chain, product
 from math import cos, pi, sin
-from operator import le, lt
+from operator import add, le, lt, mul
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
 
@@ -23,7 +26,9 @@ from ._walk import walk
 from .matrices import (
     CapExceeded,
     GroupMatrix,
+    _eliminate,
     _is_int,
+    _mul_flat,
     enumerate_group,
     matrix_from_json,
     matrix_to_json,
@@ -161,6 +166,19 @@ class _Numbering:
                    and list(map(parent.__getitem__, image)) == list(map(image.__getitem__, parent))
                    for image in self.images)
 
+    def max_degrees(self) -> list[int]:
+        """Each level's largest vertex degree: the root's is its number of
+        children in the level, any other vertex's one more (its parent)."""
+        parent = self.parent
+        children = [0] * len(parent)
+        degrees, done = [], 1   # the root is its own parent, not its own child
+        for size in self.counts:
+            for u in parent[done:size]:
+                children[u] += 1
+            done = max(done, size)
+            degrees.append(max(children[0], 1 + max(children[1:size])) if size > 1 else 0)
+        return degrees
+
     def orbit(self, seed: str) -> list[str]:
         """The ids ``walk`` meets from seed through the generators in name order."""
         images = self.images
@@ -191,44 +209,120 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-def _vertex_id(beta: int, entries: tuple[int, ...]) -> str:
-    if beta == 0:
-        return "0|e"
-    return f"{beta}|" + ",".join(map(str, entries))
+def _level_ids(b: int, reps: list[tuple[int, ...]]) -> list[str]:
+    """The ids of the cosets mod p^b, b >= 1, with these representatives:
+    b, "|" and the entries; the root's id is "0|e"."""
+    template = f"{b}|" + ",".join(["%d"] * len(reps[0]))
+    return [template % x for x in reps]
+
+
+def _code_table(parts: list[list[int]]) -> list[int]:
+    """The list, over every code of a digit tuple Y (base p, first digit
+    most significant), of the sum of parts[d][Y_d]."""
+    table = [0]
+    for part in parts:
+        table = [s + v for s in table for v in part]
+    return table
 
 
 def _number_cosets(
     n: int, p: int, depth: int, gens: list[GroupMatrix], cap: int
 ) -> tuple[list[str], list[int], list[list[int]], list[int]]:
     """Number the coset tree's vertices once, level by level: each modulus
-    p^beta adds its cosets in the order of their representatives, so level
-    a is the first counts[a] numbers.  Returns each vertex's id, its parent
+    p^b adds its cosets in the order of their representatives, so level a
+    is the first counts[a] numbers.  Returns each vertex's id, its parent
     (the root is its own), each generator's image of it, and counts.
+
+    Level 1 is SL_n(Z/p), from ``enumerate_group``, whose Cayley table
+    gives its images; that it has ``sl_order(n, p, 1)`` vertices is
+    asserted.  Level b >= 2 is lifted from level b-1.  With q = p^(b-1),
+    q^2 = 0 mod p^b, so for a vertex x of level b-1 with representative x~:
+
+    - its children are x~ + qY for the Y in {0..p-1}^(n x n) with
+      c + tr(adj(x~) Y) = 0 mod p, where det x~ = 1 + qc mod p^b, since
+      det(x~ + qY) = det x~ + q tr(adj(x~) Y) mod p^b;
+    - if z = g.x and g x~ = z~ + qC mod p^b, then g.(x~ + qY) is the child
+      z~ + q((C + gY) mod p) of z.
+
+    Y is coded as one base-p int, so a child's image takes the carry C,
+    made once per parent and generator, and a few list reads.  Each level
+    is numbered by sorting its representatives, as an enumeration of the
+    whole quotient mod p^b would number it.  This is exact because the u_ij
+    generate SL_n(Z), which maps onto every SL_n(Z/p^b): each lifted level
+    is a whole quotient, as the enumerated level 1 is.
     """
-    names, parent, counts = [_vertex_id(0, ())], [0], [1]
+    names, parent, counts = ["0|e"], [0], [1]
     images: list[list[int]] = [[0] for _ in gens]
-    # the mod p^depth quotient as flat tuples, and cayley[k][i]: the index
-    # in top of generator k times top[i]
-    top, cayley = [], ()
-    if depth:
-        group = enumerate_group(n, p ** depth, gens, cap=cap)
-        top, cayley = group.entries, group.cayley
-    below = [0] * len(top)   # each top element's vertex one level down
-    for beta in range(1, depth + 1):
-        # a coset's id is its reduction (top is reduced mod p^depth already);
-        # any top lift i gives its parent and, through the Cayley table, its images
-        m = p ** beta
-        reduced = top if beta == depth else [tuple([e % m for e in y]) for y in top]
-        lift = {x: i for i, x in enumerate(reduced)}
-        number = {x: v for v, x in enumerate(sorted(lift), len(names))}
-        here = list(map(number.__getitem__, reduced))
-        lifts = list(map(lift.__getitem__, number))
-        names.extend([_vertex_id(beta, x) for x in number])
-        parent.extend(map(below.__getitem__, lifts))
-        for image, column in zip(images, cayley):
-            image.extend(map(here.__getitem__, map(column.__getitem__, lifts)))
+    if not depth:
+        return names, parent, images, counts
+    group = enumerate_group(n, p, gens, cap=cap)
+    reps = list(group.entries)   # the newest level's representatives, in number order
+    assert len(reps) == sl_order(n, p, 1), "the generators do not generate SL_n(Z/p)"
+    names.extend(_level_ids(1, reps))
+    parent.extend([0] * len(reps))
+    for image, column in zip(images, group.cayley):
+        image.extend([v + 1 for v in column])
+    counts.append(len(names))
+    if depth == 1:
+        return names, parent, images, counts
+
+    size = n * n
+    place = [p ** (size - 1 - d) for d in range(size)]   # a digit's weight in a code
+    digits = list(product(range(p), repeat=size))         # digits[y]: the digits of code y
+    # gy[k][y]: the code of g_k Y mod p
+    gy = [[sum([e % p * w for e, w in zip(_mul_flat(g.entries, y, n), place)]) for y in digits]
+          for g in gens]
+    solutions: dict[tuple, list[int]] = {}   # (coefficients, residue) -> codes
+    carried: dict[tuple, list[int]] = {}     # (k, C's digits) -> [code of C + g_k Y mod p]
+    for b in range(2, depth + 1):
+        q, m = p ** (b - 1), p ** b
+        lo, hi = counts[-2], counts[-1]
+        # the packed sort key of x~ + qY is that of x~ plus shift[y]
+        weights = [m ** (size - 1 - d) for d in range(size)]
+        shift = _code_table([[q * t * w for t in range(p)] for w in weights])
+        lifts = [tuple([q * t for t in y]) for y in digits]
+        keys, kids, ups, slots = [], [], [], []   # one entry per child, parent by parent
+        codes_of = []
+        for i, x in enumerate(reps):
+            rows = [list(x[r * n:(r + 1) * n]) + [int(r == j) for j in range(n)]
+                    for r in range(n)]
+            c = (_eliminate(rows, n) - 1) // q % p
+            # tr(adj(x~) Y) sums adj_rj Y_jr: Y's digit j*n + r takes adj_rj
+            coef = tuple([rows[r][n + j] % p for j in range(n) for r in range(n)])
+            codes = solutions.get((coef, c))
+            if codes is None:
+                values = _code_table([[a * t for t in range(p)] for a in coef])
+                codes = solutions[coef, c] = [y for y, v in enumerate(values)
+                                              if (v + c) % p == 0]
+            codes_of.append(codes)
+            key = sum(map(mul, x, weights))
+            keys.extend([key + s for s in map(shift.__getitem__, codes)])
+            kids.extend([tuple(map(add, x, lift)) for lift in map(lifts.__getitem__, codes)])
+            ups.extend([lo + i] * len(codes))
+            base = i * len(digits)
+            slots.extend([base + y for y in codes])
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        where = [0] * (len(reps) * len(digits))   # where[i * p^(n^2) + y]: child y of reps[i]
+        for v, t in enumerate(order, hi):
+            where[slots[t]] = v
+        for k, (g, image) in enumerate(zip(gens, images)):
+            found = []
+            for i, (x, codes) in enumerate(zip(reps, codes_of)):
+                z = image[lo + i] - lo
+                carry = tuple([(e % m - f) // q
+                               for e, f in zip(_mul_flat(g.entries, x, n), reps[z])])
+                table = carried.get((k, carry))
+                if table is None:
+                    moved = _code_table([[(t + cd) % p * w for t in range(p)]
+                                         for cd, w in zip(carry, place)])
+                    table = carried[k, carry] = list(map(moved.__getitem__, gy[k]))
+                base = z * len(digits)
+                found.extend([where[base + y] for y in map(table.__getitem__, codes)])
+            image.extend(map(found.__getitem__, order))
+        parent.extend(map(ups.__getitem__, order))
+        reps = list(map(kids.__getitem__, order))
+        names.extend(_level_ids(b, reps))
         counts.append(len(names))
-        below = here
     return names, parent, images, counts
 
 
@@ -244,6 +338,14 @@ def build_congruence_tower(
     once, level after level, so every level's tree, generator maps and bond
     are read off slices of the same lists; the system keeps them, and the
     checks read them.
+
+    Only level 1 comes from enumerating a group, SL_n(Z/p).  Each deeper
+    level is lifted from the one below (see ``_number_cosets``): a vertex's
+    children are the solutions of one linear equation mod p over its
+    representative, and a generator's image of a child is a child of the
+    parent's image.  This is exact: the generators u_ij generate SL_n(Z),
+    which maps onto SL_n(Z/p^b), so the lifts are the whole quotient.  The
+    cap bounds |SL_n(Z/p^depth)| and is checked before any level is made.
     """
     if n < 2:
         raise TowerError("dimension must be at least 2")
@@ -381,11 +483,17 @@ class DegreeProfile:
 
 
 def degree_profile(sys: InverseSystem) -> DegreeProfile:
-    """Per-level maximum vertex degree; checks the stable bound when known."""
-    degs = []
-    for act in sys.levels:
-        adj = act.tree.adjacency
-        degs.append(max((len(ws) for ws in adj.values()), default=0))
+    """Per-level maximum vertex degree; checks the stable bound when known.
+
+    A built tower whose numbering's verdict holds reads the degrees off
+    parent (``_Numbering.max_degrees``); any other is read off each level's
+    adjacency.
+    """
+    numbering = sys._numbering
+    if numbering is not None and numbering.holds:
+        degs = numbering.max_degrees()
+    else:
+        degs = [max(map(len, act.tree.adjacency.values()), default=0) for act in sys.levels]
     expected = None
     stabilized = None
     prov = sys.provenance

@@ -68,10 +68,13 @@ def test_criterion_1_congruence_tower(tower322):
     tree2 = sys_.levels[2].tree
     assert len(tree1.leaves()) == count_mod2
     assert len(tree2.leaves()) == 43008  # oracle-counted once below
-    # the mod-4 oracle enumption is feasible: 4^9 candidates
-    count_mod4, _ = oracles.sl_by_det_filter(3, 4)
+    # the mod-4 oracle enumeration is feasible: 4^9 candidates
+    count_mod4, mod4 = oracles.sl_by_det_filter(3, 4)
     assert count_mod4 == 43008
     assert len(tree2.leaves()) == count_mod4
+    # the builder lifts level 2 from level 1: its leaves are the oracle's
+    # elements, in the order of their entries
+    assert list(tree2.vertices[169:]) == ["2|" + ",".join(map(str, x)) for x in mod4]
     # branching level 1 -> 2 is exactly 2^8 = 256 for every level-1 coset
     adj = tree2.adjacency
     lvl1 = [v for v in tree2.vertices if v.startswith("1|")]

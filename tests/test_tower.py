@@ -6,6 +6,7 @@ never against the builder's own enumeration.
 
 import hashlib
 import json
+import random
 from collections import Counter
 from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
@@ -467,23 +468,90 @@ class TestNesting:
 
 
 class TestGeneratorImages:
-    """Each generator image is the left product with u_ij, by the naive oracle."""
+    """Each generator image is the left product with u_ij, by the naive
+    oracle: on every vertex of the smaller towers, whose levels 2 and up
+    the builder lifts from the level below, and on a sample of the
+    depth-2 mod-4 tower's."""
 
-    @pytest.mark.parametrize("n, p, depth", [(2, 3, 2), (3, 2, 1)])
+    @pytest.mark.parametrize("n, p, depth", [(2, 3, 2), (3, 2, 1), (2, 2, 4), (2, 3, 3),
+                                             (2, 5, 2)])
     def test_left_translation(self, n, p, depth):
         sys_ = build_congruence_tower(n, p, depth)
-        names = {f"u{i}{j}" for i in range(1, n + 1) for j in range(1, n + 1) if i != j}
         for act in sys_.levels:
-            assert set(act.generators) == names
-            for name, auto in act.generators.items():
-                u = oracles.unipotent(n, int(name[1]), int(name[2]), 1)
-                assert auto("0|e") == "0|e"
-                for v in act.tree.vertices[1:]:
-                    b, entries = v.split("|")
-                    flat = [int(e) for e in entries.split(",")]
-                    x = [flat[i * n:(i + 1) * n] for i in range(n)]
-                    ux = oracles.mat_mul(u, x, p ** int(b))
-                    assert auto(v) == f"{b}|" + ",".join(str(e) for row in ux for e in row)
+            self.check(act, act.tree.vertices, n, p)
+
+    def test_sampled_depth_two_mod_four(self, tower322):
+        top = tower322[0].levels[-1]
+        self.check(top, random.Random(0).sample(top.tree.vertices, 2000), 3, 2)
+
+    @staticmethod
+    def check(act, vertices, n, p):
+        names = {f"u{i}{j}" for i in range(1, n + 1) for j in range(1, n + 1) if i != j}
+        assert set(act.generators) == names
+        for name, auto in act.generators.items():
+            u = oracles.unipotent(n, int(name[1]), int(name[2]), 1)
+            for v in vertices:
+                if v == "0|e":
+                    assert auto(v) == v
+                    continue
+                b, entries = v.split("|")
+                flat = [int(e) for e in entries.split(",")]
+                x = [flat[i * n:(i + 1) * n] for i in range(n)]
+                ux = oracles.mat_mul(u, x, p ** int(b))
+                assert auto(v) == f"{b}|" + ",".join(str(e) for row in ux for e in row)
+
+
+def level_ids(b: int, elements) -> list[str]:
+    return [f"{b}|" + ",".join(map(str, x)) for x in sorted(elements)]
+
+
+class TestLevelSets:
+    """The vertices level b adds are the whole quotient SL_n(Z/p^b) in the
+    order of its entry tuples, as the naive oracles list it: by the
+    determinant filter, or for the larger moduli by the closure of the
+    u_ij."""
+
+    @pytest.mark.parametrize("n, p, depth", [(2, 2, 4), (2, 3, 3), (2, 5, 2), (3, 2, 1)])
+    def test_levels(self, n, p, depth):
+        sys_ = build_congruence_tower(n, p, depth)
+        gens = [oracles.unipotent(n, i, j, 1)
+                for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+        for b in range(1, depth + 1):
+            m = p ** b
+            if m ** (n * n) <= 2 ** 16:
+                elements = oracles.sl_by_det_filter(n, m)[1]
+            else:
+                elements = oracles.group_closure(gens, m, sl_order(n, p, b))[0]
+            old = len(sys_.levels[b - 1].tree.vertices)
+            assert list(sys_.levels[b].tree.vertices[old:]) == level_ids(b, elements)
+
+
+class TestLift:
+    """Only level 1 is enumerated; every deeper level is lifted from it."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        calls = []
+        real = tower.enumerate_group
+
+        def counted(n, m, gens, cap=10 ** 6):
+            calls.append((n, m))
+            return real(n, m, gens, cap=cap)
+
+        monkeypatch.setattr(tower, "enumerate_group", counted)
+        return calls
+
+    def test_enumerates_mod_p_once(self, monkeypatch):
+        calls = self.spy(monkeypatch)
+        sys_ = build_congruence_tower(3, 2, 2)
+        assert calls == [(3, 2)]
+        assert len(sys_.levels[-1].tree.vertices) == 1 + 168 + 43008
+
+    def test_cap_checked_before_any_level(self, monkeypatch):
+        calls = self.spy(monkeypatch)
+        with pytest.raises(CapExceeded):
+            build_congruence_tower(3, 2, 2, cap=43007)
+        assert calls == []
 
 
 def sha(text: str) -> str:

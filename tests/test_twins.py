@@ -56,6 +56,7 @@ from treeact.tower import (
     _Numbering,
     attach_decorations,
     build_congruence_tower,
+    degree_profile,
     orbit,
     projection_orbit_growth,
     verify_all_bonds,
@@ -782,6 +783,8 @@ class TestNumberedTowerTwin:
         seed_vertex = rng.choice(top.leaves() or top.vertices)
         got = tower_outcomes(numbered, seed_vertex)
         assert got == tower_outcomes(plain, seed_vertex)
+        # a numbering whose verdict holds gives the degrees off parent
+        assert caught(degree_profile, numbered) == caught(degree_profile, plain)
         return got
 
 
