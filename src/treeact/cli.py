@@ -403,16 +403,13 @@ def _h_identities_ll(cfg: RunConfig):
     q_max = cfg.parameters["q_max"]
     u23 = elementary(3, 2, 3, 1)
     u13 = elementary(3, 1, 3, 1)
-    cases = 0
+    ms, ps, qs = range(1, m_max + 1), range(1, p_max + 1), range(1, q_max + 1)
     failures = []
     for r in range(1, r_max + 1):
         a = elementary(3, 1, 2, r)   # [a, u23] = u13^r
-        for m in range(1, m_max + 1):
-            for p in range(1, p_max + 1):
-                for q in range(1, q_max + 1):
-                    cases += 1
-                    if not verify_ll_identity(a, u23, u13, r, p, q, m):
-                        failures.append({"r": r, "m": m, "p": p, "q": q})
+        failures += [{"r": r, "m": m, "p": p, "q": q}
+                     for m, p, q in verify_ll_identity(a, u23, u13, r, ms, ps, qs)]
+    cases = r_max * m_max * p_max * q_max
     details = {"cases": cases, "failures": failures}
     return ("pass" if not failures else "fail"), details
 
@@ -424,15 +421,14 @@ def _h_identities_core(cfg: RunConfig):
     mod = _CORE_GROUP_MOD[cfg.parameters["group"]]
     g = enumerate_group(2, mod, [elementary(2, 1, 2, 1), elementary(2, 2, 1, 1)])
     subs = g.all_subgroups()
+    conj = [(x.inverse(), x) for x in g.elements]
     rows = []
     ok = True
     for h in subs:
         core = normal_core(g, h)
         hset = {x.entries for x in h}
         cset = {x.entries for x in core}
-        normal = all(
-            (x.inverse() * k * x).entries in cset for k in core for x in g.elements
-        )
+        normal = all((xinv * k * x).entries in cset for k in core for xinv, x in conj)
         contained = cset <= hset
         index = len(g) // len(h)
         divides = math.factorial(index) % (len(g) // len(core)) == 0

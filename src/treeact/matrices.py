@@ -312,28 +312,60 @@ def verify_hexagon_relations(gens: Sequence[GroupMatrix], r: int) -> HexagonRepo
     return HexagonReport(all(c.commutes and c.power_ok for c in checks), tuple(checks))
 
 
-def verify_ll_identity(
-    a: GroupMatrix, b: GroupMatrix, c: GroupMatrix,
-    r: int, p: int, q: int, m: int,
-) -> bool:
-    """Exact check of (b^-1 c^q)^m (a^-1 c^p)^m b^m a^m = c^(-m^2 r + m(p+q)).
+def _powers(x: GroupMatrix, exps: Iterable[int]) -> dict[int, GroupMatrix]:
+    """x^k for every k from min(exps, 0) to max(exps, 0), each one product from
+    the power next to it towards 0; x is inverted only if some k < 0."""
+    exps = tuple(exps)
+    out = {0: GroupMatrix.identity(x.n, x.mod)}
+    y = out[0]
+    for k in range(1, max(exps, default=0) + 1):
+        y = out[k] = y * x
+    if min(exps, default=0) < 0:
+        xinv, y = x.inverse(), out[0]
+        for k in range(-1, min(exps) - 1, -1):
+            y = out[k] = y * xinv
+    return out
 
-    Requires [a,b] = c^r with c commuting with both a and b; with c central
-    the left side collapses to [b^m, a^m] c^(m(p+q)).
+
+def verify_ll_identity(
+    a: GroupMatrix, b: GroupMatrix, c: GroupMatrix, r: int,
+    ms: Iterable[int], ps: Iterable[int], qs: Iterable[int],
+) -> list[tuple[int, int, int]]:
+    """The (m, p, q), m outermost, where (b^-1 c^q)^m (a^-1 c^p)^m b^m a^m
+    differs from c^(-m^2 r + m(p+q)), by exact products.
+
+    Requires [a,b] = c^r with c commuting with both a and b, checked once per
+    call; with c central the left side collapses to [b^m, a^m] c^(m(p+q)).
+    Every factor is made once per call (b^-1, a^-1, the powers of c, a, b,
+    b^-1 c^q and a^-1 c^p, and b^m a^m), so beside one product per (m, p) a
+    case costs one product and a look-up of c^k.  Associativity is exact, so
+    the verdicts are those of the products as written.
     """
     a._check_compatible(b)
     a._check_compatible(c)
-    if commutator(a, b) != c ** r:
+    if commutator(a, b) != c ** r or a * c != c * a or b * c != c * b:
         raise MatrixError(
             "identity preconditions violated: need [a,b] = c^r with c central"
         )
-    if a * c != c * a or b * c != c * b:
-        raise MatrixError(
-            "identity preconditions violated: need [a,b] = c^r with c central"
-        )
-    lhs = ((b.inverse() * c ** q) ** m) * ((a.inverse() * c ** p) ** m) * b ** m * a ** m
-    rhs = c ** (-m * m * r + m * (p + q))
-    return lhs == rhs
+    ms, ps, qs = tuple(ms), tuple(ps), tuple(qs)
+    cpow = _powers(c, ps + qs)
+    binv, ainv = b.inverse(), a.inverse()
+    left_b = {q: _powers(binv * cpow[q], ms) for q in qs}
+    left_a = {p: _powers(ainv * cpow[p], ms) for p in ps}
+    bpow, apow = _powers(b, ms), _powers(a, ms)
+    failures = []
+    for m in ms:
+        ba = bpow[m] * apow[m]
+        for p in ps:
+            tail = left_a[p][m] * ba
+            for q in qs:
+                k = -m * m * r + m * (p + q)
+                rhs = cpow.get(k)
+                if rhs is None:
+                    rhs = cpow[k] = c ** k
+                if left_b[q][m] * tail != rhs:
+                    failures.append((m, p, q))
+    return failures
 
 
 # -- finite quotients ----------------------------------------------------------

@@ -13,6 +13,7 @@ from collections import deque
 from fractions import Fraction
 from itertools import chain, product
 
+from treeact.matrices import MatrixError, commutator
 from treeact.ordering import (
     OrderAssignment,
     OrderingError,
@@ -100,6 +101,31 @@ def unipotent(n, i, j, v):
     out = mat_identity(n)
     out[i - 1][j - 1] = v
     return out
+
+
+def ll_identity_case(a, b, c, r, p, q, m):
+    """Whether (b^-1 c^q)^m (a^-1 c^p)^m b^m a^m = c^(-m^2 r + m(p+q)) at one
+    case, the preconditions re-checked and every inverse and power remade."""
+    a._check_compatible(b)
+    a._check_compatible(c)
+    if commutator(a, b) != c ** r:
+        raise MatrixError(
+            "identity preconditions violated: need [a,b] = c^r with c central"
+        )
+    if a * c != c * a or b * c != c * b:
+        raise MatrixError(
+            "identity preconditions violated: need [a,b] = c^r with c central"
+        )
+    lhs = ((b.inverse() * c ** q) ** m) * ((a.inverse() * c ** p) ** m) * b ** m * a ** m
+    rhs = c ** (-m * m * r + m * (p + q))
+    return lhs == rhs
+
+
+def ll_identity_failures(a, b, c, r, ms, ps, qs):
+    """``ll_identity_case`` looped over the cases, m outermost: the failing
+    (m, p, q)."""
+    return [(m, p, q) for m in ms for p in ps for q in qs
+            if not ll_identity_case(a, b, c, r, p, q, m)]
 
 
 def sl_by_det_filter(n, m):

@@ -333,6 +333,19 @@ class TestIdentities:
         code, report = run_report("identities", "ll")
         assert code == 0 and report["details"]["cases"] == 375
 
+    def test_ll_sweeps_once_per_r(self, monkeypatch):
+        # the sweep is looked up as cli.verify_ll_identity, where a tracer may wrap it
+        plain = run_cli("identities", "ll", "--r-max", "3")
+        sweep, calls = cli.verify_ll_identity, []
+
+        def counting(*args):
+            calls.append(args[3])
+            return sweep(*args)
+
+        monkeypatch.setattr(cli, "verify_ll_identity", counting)
+        assert run_cli("identities", "ll", "--r-max", "3") == plain
+        assert calls == [1, 2, 3]
+
     def test_core_order_24(self):
         code, report = run_report("identities", "core", "--group", "sl2z3")
         assert code == 0
@@ -483,6 +496,9 @@ GOLDEN_LINES = {
     "realize files": ("realize --order {order} --enum {enum} --svg --out {out}/real", 0, "4bbb0165795d6e89dd1dd1be49b53382f139af596a1c8bb8f790f31a10ec2041"),
     "identities hexagon": ("identities hexagon --embedded 5 1 3 2", 0, "9a6bff3266ca4ac4df664772f0110851b010fbbc0a6dea2fc9b7462bb4cd729c"),
     "identities ll": ("identities ll --r-max 2 --m-max 3 --p-max 2 --q-max 4", 0, "3b328bc0b429d2c44bc508e3b4c28404ecc73cbee877de416391d3a5c7e16c54"),
+    "identities ll default": ("identities ll", 0, "9897043cfa27c4cca63c0e94dcf5c7a4c0cfb0638961c13e8b1d691af7ca9979"),
+    "identities core sl2z2": ("identities core --group sl2z2", 0, "4988721c04e4fa21dcf14e10e921ac3c764a38609085ad2bf127cbb7ec1e1c50"),
+    "identities core sl2z3": ("identities core --group sl2z3", 0, "c897bf839b482244ed4d48c42750ae2f214ae3c5aed6fa599c6f14673ff8e91b"),
     "identities congruence matrix": ("identities congruence --level 2 --matrix {matrix} --scan 6", 0, "de8b5aa03f20004405409e028a4af18dfd0b4928c23d5adc99c51631193a6913"),
     "identities congruence elementary": ("identities congruence --level 3 --elementary 1,2,3", 0, "5532f66496f9ed631df4e030f51342615a652447216194ef2bee80d94d2f974e"),
     "tree info": ("tree info --in {tree}", 0, "9daca473a78c0e936c6433a99d5a64578aaf940f8012737d9d2db94f9791f675"),

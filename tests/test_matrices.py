@@ -279,15 +279,15 @@ class TestHexagon:
 class TestCentralCommutatorIdentity:
     def test_heisenberg_unit_case(self):
         a, b, c = elementary(3, 1, 2, 1), elementary(3, 2, 3, 1), elementary(3, 1, 3, 1)
-        assert verify_ll_identity(a, b, c, 1, 1, 1, 1)
+        assert verify_ll_identity(a, b, c, 1, [1], [1], [1]) == []
 
     def test_larger_exponents(self):
         a, b, c = elementary(3, 1, 2, 1), elementary(3, 2, 3, 1), elementary(3, 1, 3, 1)
-        assert verify_ll_identity(a, b, c, 1, 2, 3, 5)
+        assert verify_ll_identity(a, b, c, 1, [5], [2], [3]) == []
 
     def test_identity_triple(self):
         e = GroupMatrix.identity(3)
-        assert verify_ll_identity(e, e, e, 7, 1, 1, 1)
+        assert verify_ll_identity(e, e, e, 7, [1], [1], [1]) == []
 
     def test_oracle_recomputation(self):
         # independently recompute both sides for one nontrivial case
@@ -305,16 +305,16 @@ class TestCentralCommutatorIdentity:
         assert lhs == rhs
         assert verify_ll_identity(
             elementary(3, 1, 2, r), elementary(3, 2, 3, 1), elementary(3, 1, 3, 1),
-            r, p, q, m,
-        )
+            r, [m], [p], [q],
+        ) == []
 
     def test_precondition_rejected(self):
         a, b = elementary(3, 1, 2, 1), elementary(3, 2, 3, 1)
         with pytest.raises(MatrixError, match="preconditions"):
-            verify_ll_identity(a, b, elementary(3, 1, 3, 1), 2, 1, 1, 1)
+            verify_ll_identity(a, b, elementary(3, 1, 3, 1), 2, [1], [1], [1])
         with pytest.raises(MatrixError, match="preconditions"):
             # c does not commute with the others
-            verify_ll_identity(a, b, b, 1, 1, 1, 1)
+            verify_ll_identity(a, b, b, 1, [1], [1], [1])
 
 
 class TestEnumerateGroup:

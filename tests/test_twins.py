@@ -8,7 +8,9 @@ and segment scan in its innermost loop; ``trees.first_point_map`` has one
 that takes the whole path to the least subtree vertex,
 ``tower.projection_orbit_growth`` one that works on the decorated tree and
 action made in full, and ``ordering.Ball.row``, which composes rows along
-the ball's words, one that makes a product per element.  A built tower's
+the ball's words, one that makes a product per element;
+``matrices.verify_ll_identity``, which checks its preconditions and makes
+each power once per sweep, one that redoes both for every case.  A built tower's
 checks, which read its vertex numbering, have the string checks of the same
 views as their twin.  Both sides get the same random inputs, broken ones
 included, and must return the same report field for field, or raise the
@@ -25,7 +27,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from conftest import pruefer_tree
-from treeact.matrices import GroupMatrix, MatrixError, elementary
+from treeact.matrices import GroupMatrix, MatrixError, elementary, verify_ll_identity
 from treeact.ordering import (
     Ball,
     OrderAssignment,
@@ -876,3 +878,96 @@ class TestSearchTwin:
         e = z_ball(0)
         assert search_summary(search_invariant, [U], e, e) == ("sat", 0, {})
         assert search_summary(oracles.search_invariant, [U], e, e) == ("sat", 0, {})
+
+
+def ll_outcome(fn, *args):
+    try:
+        return "value", fn(*args)
+    except MatrixError as exc:
+        return "raised", str(exc)
+
+
+def heisenberg_triple(rng, r):
+    """a, b, c with [a, b] = c^r and c central in <a, b, c>: u12^x, u23^y and
+    u13^z with xy = zr, conjugated by a random product of transvections."""
+    z = rng.randint(-3, 3)
+    n = z * r
+    if n:
+        d = rng.choice([d for d in range(1, abs(n) + 1) if n % d == 0]) * rng.choice((1, -1))
+        x, y = n // d, d
+    else:
+        x, y = rng.choice(((0, rng.randint(-3, 3)), (rng.randint(-3, 3), 0)))
+    g = GroupMatrix.identity(3)
+    for _ in range(rng.randint(0, 3)):
+        i, j = rng.sample(range(1, 4), 2)
+        g = g * elementary(3, i, j, rng.choice((-2, -1, 1, 2)))
+    ginv = g.inverse()
+    return [ginv * u * g for u in (elementary(3, 1, 2, x), elementary(3, 2, 3, y),
+                                   elementary(3, 1, 3, z))]
+
+
+def violating_triple(rng, r):
+    a, b, c = heisenberg_triple(rng, r)
+    minus_e = GroupMatrix(3, (-1, 0, 0, 0, -1, 0, 0, 0, -1))   # central, determinant -1
+    return rng.choice((
+        (a, b, c, r + rng.choice((-2, -1, 1, 2))),             # [a, b] != c^r unless c = e
+        (a, b, a, r), (a, b, b, r), (b, a * b, c, r),          # c or [a, b] not as required
+        (a, c, b, 0), (c, a, b, 0),                            # [a, b] = c^0, c not central
+        (a, b, elementary(4, 1, 4, 1), r),                     # dimension mismatch
+        (a, b, c.reduce_mod(5), r),                            # domain mismatch
+        (GroupMatrix.identity(3), GroupMatrix.identity(3), minus_e, r),
+    ))
+
+
+SWEEP_RANGES = st.tuples(st.integers(-3, 2), st.integers(1, 3)).map(
+    lambda t: range(t[0], t[0] + t[1]))
+
+
+class TestLLIdentityTwin:
+    """``matrices.verify_ll_identity`` checks the preconditions once and makes
+    every factor once per sweep; ``oracles.ll_identity_case`` redoes both for
+    each case.  Over the same nonempty ranges they give the same failures or
+    raise the same error."""
+
+    def compare(self, a, b, c, r, ms, ps, qs):
+        want = ll_outcome(oracles.ll_identity_failures, a, b, c, r, ms, ps, qs)
+        assert ll_outcome(verify_ll_identity, a, b, c, r, ms, ps, qs) == want
+        return want
+
+    @settings(max_examples=100, deadline=None)
+    @given(SEEDS, st.integers(-4, 4), SWEEP_RANGES, SWEEP_RANGES, SWEEP_RANGES)
+    def test_heisenberg_triples(self, seed, r, ms, ps, qs):
+        a, b, c = heisenberg_triple(random.Random(seed), r)
+        assert self.compare(a, b, c, r, ms, ps, qs) == ("value", [])
+
+    @settings(max_examples=100, deadline=None)
+    @given(SEEDS, st.integers(-4, 4), st.integers(2, 7), SWEEP_RANGES, SWEEP_RANGES,
+           SWEEP_RANGES)
+    def test_triples_reduced_mod_m(self, seed, r, mod, ms, ps, qs):
+        a, b, c = (x.reduce_mod(mod) for x in heisenberg_triple(random.Random(seed), r))
+        assert self.compare(a, b, c, r, ms, ps, qs) == ("value", [])
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(-9, 9), st.sampled_from([None, 2, 6]), SWEEP_RANGES, SWEEP_RANGES,
+           SWEEP_RANGES)
+    def test_identity_triple(self, r, mod, ms, ps, qs):
+        e = GroupMatrix.identity(3, mod)
+        assert self.compare(e, e, e, r, ms, ps, qs) == ("value", [])
+
+    @settings(max_examples=100, deadline=None)
+    @given(SEEDS, st.integers(-4, 4), SWEEP_RANGES, SWEEP_RANGES, SWEEP_RANGES)
+    def test_violated_preconditions(self, seed, r, ms, ps, qs):
+        a, b, c, r = violating_triple(random.Random(seed), r)
+        self.compare(a, b, c, r, ms, ps, qs)
+
+    def test_each_outcome_is_met(self):
+        rs = range(-1, 2)
+        a, b, c = elementary(3, 1, 2, 2), elementary(3, 2, 3, 1), elementary(3, 1, 3, 1)
+        assert self.compare(a, b, c, 2, rs, rs, rs) == ("value", [])
+        assert self.compare(a, b, c, 3, rs, rs, rs) == (
+            "raised", "identity preconditions violated: need [a,b] = c^r with c central")
+        # -e passes the preconditions at r = 2; only a negative power inverts it
+        e, minus_e = GroupMatrix.identity(3), GroupMatrix(3, (-1, 0, 0, 0, -1, 0, 0, 0, -1))
+        assert self.compare(e, e, minus_e, 2, rs, rs, rs) == (
+            "raised", "only determinant-1 matrices are invertible here")
+        assert self.compare(e, e, minus_e, 2, range(0, 1), range(2), range(2)) == ("value", [])
