@@ -14,6 +14,7 @@ options, each tagged as a report parameter, an input file or an output path.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -650,6 +651,7 @@ COMMANDS = {
 }
 
 
+@functools.cache  # built once per process; parse_args leaves it unchanged
 def build_parser() -> _Parser:
     parser = _Parser(prog="treeact")
     top = parser.add_subparsers(dest="group_cmd", required=True)

@@ -388,11 +388,11 @@ def search_invariant(
     Depth-first over pair variables in canonical order, assigning -1 before
     +1, propagating transitivity and the invariance gluing after every step.
     A forced class is queued at most once per value, so one budget unit is
-    one pop of the propagation queue that assigns a class or finds it fixed
-    the other way; ``budget`` (the CLI's ``--budget``) caps their number.  The
-    returned witness is re-verified by the public checkers before it is
-    handed out.  Raises SearchBudgetExhausted, with how far the search got,
-    when the budget runs out (deliberately distinct from Unsat).
+    a pop, which assigns a class; ``budget`` (the CLI's ``--budget``) caps
+    their number.  The returned witness is re-verified by the public
+    checkers before it is handed out.  Raises SearchBudgetExhausted, with
+    how far the search got, when the budget runs out (deliberately distinct
+    from Unsat).
     """
     at = [b2._find(g) for g in b.elements]
     if None in at:
@@ -425,7 +425,6 @@ def search_invariant(
             parity[q] = s
         return p, s
 
-    first_contradiction: list[TraceStep] = []
     for fm in f:
         # each fg's b2 index, read off fm's row; a missing image raises at the
         # first pair that needs it, after any contradiction found before that pair
@@ -479,21 +478,26 @@ def search_invariant(
     # value[root] is the class's sign, 0 while unassigned; a member (i, j, s)
     # then has phi(x_i, x_j) = value * s.  Bit k of gt[x] is set when k > x,
     # bit k of lt[x] when x > k.  The trail lists the classes assigned, in
-    # order.
+    # order: it is the search's one record, and an Unsat chain is read off it.
     value = [0] * (size * size)
     gt = [0] * size
     lt = [0] * size
     trail: list[int] = []
     nodes = branches = 0  # budget units used, decisions tried
-    stack: list[list] = []  # frames [pos, values_left, mark]
+    stack: list[tuple[int, list[int], int]] = []  # frames (pos, values_left, mark)
+    first_contradiction: list[TraceStep] = []
 
-    def assign(root: int, val: int, chain: list[TraceStep]) -> bool:
-        """Assign a class and propagate; records steps into chain."""
+    def assign(root: int, val: int) -> tuple[int, int] | None:
+        """Assign a class and propagate; the clashing pair (k, c), or None."""
         nonlocal nodes
         # known_gt and known_lt are gt and lt with the pairs of every queued
         # entry added: an entry is queued only when its pair is not yet known,
-        # so each (class, value) waits at most once, and every pop assigns a
-        # class or finds it fixed the other way
+        # so each (class, value) waits at most once.  No pop finds its class
+        # fixed: every entry is pushed for a two-step path of assigned pairs,
+        # so of a class queued with both signs, the first pop closes a cycle
+        # with the second's path and clash returns before the second pop; and
+        # an assigned class is never queued again, as its sign is in known_*
+        # and the other sign would have clashed at the edge that forced it.
         known_gt, known_lt = gt[:], lt[:]
         queue: deque[tuple[int, int]] = deque()
 
@@ -506,7 +510,6 @@ def search_invariant(
             queue.append(entry)
 
         push((root, val))
-        why = "decision or forced class"
         while queue:
             nodes += 1
             if nodes > budget:
@@ -518,11 +521,6 @@ def search_invariant(
                     propagation_steps=budget,
                 )
             r, v = queue.popleft()
-            if value[r]:
-                chain.append(TraceStep(divmod(r, size), v,
-                                       f"class already fixed opposite ({why})"))
-                return False
-            chain.append(TraceStep(divmod(r, size), v, why))
             value[r] = v
             trail.append(r)
             for i, j, s in members[r]:
@@ -533,9 +531,7 @@ def search_invariant(
                 above_a, below_c = gt[a], lt[c]
                 clash = above_a & below_c  # k > a > c > k
                 if clash:
-                    k = (clash & -clash).bit_length() - 1
-                    chain.append(TraceStep((k, c), 1, "transitivity conflict"))
-                    return False
+                    return (clash & -clash).bit_length() - 1, c
                 # k > a > c forces k > c, and a > c > k forces a > k;
                 # queued by increasing k (no k is in both, as none clashes)
                 over = above_a & ~known_gt[c]
@@ -549,8 +545,7 @@ def search_invariant(
                             push(entry(k, c))
                     elif not known_lt[a] & low:
                         push(entry(a, k))
-            why = "forced by transitivity"
-        return True
+        return None
 
     def undo(mark: int) -> None:
         # a failed assign may stop partway through a class, so each member's
@@ -576,24 +571,25 @@ def search_invariant(
     if start == len(roots):
         found = True
     else:
-        stack.append([start, [-1, 1], 0])
+        stack.append((start, [-1, 1], 0))
     while stack:
-        frame = stack[-1]
-        pos, values, _mark = frame
+        pos, values, mark = stack[-1]
         if pos == len(roots):
             found = True
             break
         if values:
-            val = values.pop(0)
-            frame[2] = len(trail)
             branches += 1
-            chain: list[TraceStep] = []
-            if assign(roots[pos], val, chain):
-                stack.append([next_pos(pos + 1), [-1, 1], 0])
+            conflict = assign(roots[pos], values.pop(0))
+            if conflict is None:
+                stack.append((next_pos(pos + 1), [-1, 1], len(trail)))
             else:
                 if not first_contradiction:
-                    first_contradiction.extend(chain)
-                undo(frame[2])
+                    first_contradiction = [
+                        TraceStep(divmod(r, size), value[r],
+                                  "forced by transitivity" if n else "decision or forced class")
+                        for n, r in enumerate(trail[mark:])]
+                    first_contradiction.append(TraceStep(conflict, 1, "transitivity conflict"))
+                undo(mark)
         else:
             stack.pop()
             if stack:

@@ -136,9 +136,9 @@ def path(t: Tree, a: str, b: str) -> list[str]:
 
 
 def _is_connected_subset(t: Tree, sub: frozenset[str]) -> bool:
-    if not sub:
-        return False
     adj = t.adjacency
+    if not sub or not sub <= adj.keys():  # a vertex outside t connects to nothing
+        return False
     inside = lambda x: [y for y in adj[x] if y in sub]
     return sum(1 for _ in walk(next(iter(sub)), inside)) == len(sub)
 
@@ -155,7 +155,7 @@ def first_point_map(t: Tree, sub: Iterable[str], x: str) -> str:
     subset = frozenset(sub)
     if x not in t.adjacency:
         raise TreeError("vertex not in tree")
-    if not subset <= t.adjacency.keys() or not _is_connected_subset(t, subset):
+    if not _is_connected_subset(t, subset):
         raise TreeError("subtree required")
     for v, *_ in walk(x, t.adjacency.__getitem__):
         if v in subset:

@@ -93,6 +93,28 @@ class TestExitCodes:
         assert code == 2 and report["outcome"] == "budget-exhausted"
 
 
+class TestOneParser:
+    """The parser is built once per process and outlives usage errors."""
+
+    def test_repeated_calls_build_no_parser(self, monkeypatch):
+        run_cli("presets")
+        built = []
+        init = cli._Parser.__init__
+        monkeypatch.setattr(cli._Parser, "__init__",
+                            lambda self, *a, **k: built.append(1) or init(self, *a, **k))
+        for argv in (["presets"], ["identities", "hexagon", "-r", "1"], ["tower", "bogus"]):
+            run_cli(*argv)
+        assert built == []
+
+    def test_valid_command_after_a_usage_error(self, capsys):
+        before = run_cli("identities", "hexagon", "-r", "1")
+        assert before[0] == 0
+        assert run_cli("tower", "bogus") == (3, "")
+        assert run_cli("identities", "ll", "--r-max", "-1") == (3, "")
+        assert "error:" in capsys.readouterr().err
+        assert run_cli("identities", "hexagon", "-r", "1") == before
+
+
 class TestDeterminism:
     def test_reports_byte_identical(self):
         a = run_cli("tower", "build", "-n", "3", "-p", "2", "--depth", "1")[1]
@@ -617,6 +639,16 @@ class TestGivenValues:
         assert run_cli(*argv.split()) == (3, "")
         assert "must be a non-negative integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, message", [
+        ("tower verify -n 1", "dimension must be at least 2"),
+        ("tower verify -p 1", "p must be prime"),
+        ("tower verify -p 0", "p must be prime"),
+        ("tower verify --depth -1", "depth must be nonnegative"),
+    ])
+    def test_tower_parameter_out_of_range_is_rejected(self, argv, message, capsys):
+        assert run_cli(*argv.split()) == (3, "")
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     @pytest.mark.parametrize("extra", ["", "--invariant none "])
     def test_inner_radius_without_invariance_is_rejected(self, extra, input_files, capsys):
         line = f"order check --order {{order}} {extra}--inner-radius 2"
@@ -726,6 +758,8 @@ class TestMalformedInput:
         ("order search --gens {bad}", [Z_GEN]),
         ("order search --gens {bad}", {"generators": [Z_GEN, Z_GEN], "names": ["a"]}),
         ("order check --order {bad}", []),
+        ("realize --order {order} --enum {bad}", {"indices": []}),
+        ("realize --order {order} --enum {bad}", {"indices": [0, 0]}),
     ])
     def test_malformed_file_is_three(self, tmp_path, input_files, argv, payload):
         bad = tmp_path / "bad.json"
@@ -762,7 +796,9 @@ class TestMalformedInput:
         lambda signs: signs + [[0, 99, 1]],         # an index outside the ball
         lambda signs: [[0, 1, True]] + signs[1:],   # a bool is not a sign
         lambda signs: [[0, 1]] + signs[1:],
-    ], ids=["outside", "bool", "pair"])
+        lambda signs: [[1, 1, 1]] + signs[1:],      # a diagonal pair
+        lambda signs: [[0, 1, 2]] + signs[1:],      # 2 is no sign
+    ], ids=["outside", "bool", "pair", "diagonal", "two"])
     def test_malformed_sign_triples_are_three(self, tmp_path, input_files, edit):
         payload = json.loads(open(input_files["order"]).read())
         payload["signs"] = edit(payload["signs"])

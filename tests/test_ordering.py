@@ -334,9 +334,9 @@ class TestSearch:
 # Two word balls beyond the presets, with the generators and radii of the
 # benchmark's search workload: decision counts and the SHA-256 of the sorted
 # witness sign triples, recorded before the search state was reworked.  The
-# fourth field is the exact number of budget units each search takes: queue
-# pops that assign a class or find it fixed the other way (a forced class is
-# never queued twice with one value).
+# fourth field is the exact number of budget units each search takes: a unit
+# is a pop, which assigns a class (a forced class is never queued twice with
+# one value).
 SEARCH_PINS = {
     "hexagon-ball-1": (13, 121, 2527, 6_792,
                        "686660ef4895d698bc9bb68729e82b037c8980d0f0e7b35a167a4825c715fc60"),

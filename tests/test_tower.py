@@ -35,7 +35,7 @@ from treeact.tower import (
     verify_bond_structure,
     verify_tower,
 )
-from treeact.trees import validate_tree
+from treeact.trees import _is_connected_subset, validate_tree
 
 
 @pytest.fixture(scope="module")
@@ -146,6 +146,17 @@ class TestBonds:
     def test_missing_level_rejected(self):
         with pytest.raises(TowerError, match="no bond at this level"):
             verify_bond_structure(trivial_system(), 0)
+
+    @pytest.mark.parametrize("level", [0, 1])
+    def test_bond_with_an_extra_key(self, level):
+        # the stray key's block is disconnected whichever of its vertices the
+        # connectivity walk starts from
+        sys_ = build_congruence_tower(2, 2, 2)
+        bonds = [dict(bond) for bond in sys_.bonds]
+        bonds[level]["ghost"] = "0|e"
+        rep = verify_bond_structure(InverseSystem(sys_.levels, bonds, sys_.provenance), level)
+        assert rep.reasons == ("bond domain mismatch", "preimage of 0|e is disconnected")
+        assert not _is_connected_subset(sys_.levels[level + 1].tree, frozenset({"ghost"}))
 
     @pytest.mark.parametrize("level", [-1, 2])
     def test_level_outside_the_bonds_rejected(self, level):

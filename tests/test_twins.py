@@ -791,11 +791,14 @@ class TestNumberedTowerTwin:
 
 
 # Generators and inner radii of the searched balls: Z, Z^2, the Heisenberg
-# group, and finite cyclic subgroups of SL_2(Z) of orders 2, 3, 4 and 6.
+# group, SL_2(Z) = <u12, u21>, Sanov's free subgroup <u12^2, u21^2>, and
+# finite cyclic subgroups of SL_2(Z) of orders 2, 3, 4 and 6.
 SEARCH_GROUPS = {
     "z": ([U], 5),
     "z2": ([A, B], 2),
     "heisenberg": ([elementary(3, 1, 2, 1), elementary(3, 2, 3, 1)], 1),
+    "sl2z": ([U, elementary(2, 2, 1, 1)], 2),
+    "sanov": ([elementary(2, 1, 2, 2), elementary(2, 2, 1, 2)], 2),
     "order-2": ([GroupMatrix.from_rows([[-1, 0], [0, -1]])], 2),
     "order-3": ([GroupMatrix.from_rows([[0, -1], [1, -1]])], 3),
     "order-4": ([GroupMatrix.from_rows([[0, -1], [1, 0]])], 3),
@@ -823,7 +826,7 @@ class TestSearchTwin:
     def compare(group, mode, radius, grow, shuffle_seed, budgets):
         """Both searches agree at the smallest budget that completes and at
         each of ``budgets(units)``; the classes assigned when a budget runs
-        out part of the way depend on the order of the queue."""
+        out part of the way depend on the order of the queue.  Returns units."""
         gens, _max_r = SEARCH_GROUPS[group]
         names = [f"g{k}" for k in range(len(gens))]
         f = invariance_set(gens, mode)
@@ -838,6 +841,7 @@ class TestSearchTwin:
             naive = search_summary(oracles.search_invariant, f, inner, outer, budget, shuffle_seed)
             fast = search_summary(search_invariant, f, inner, outer, budget, shuffle_seed)
             assert fast == naive, budget
+        return units
 
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from(sorted(SEARCH_GROUPS)), st.sampled_from(["gens", "gens+inv"]),
@@ -857,6 +861,17 @@ class TestSearchTwin:
     ])
     def test_every_budget(self, group, mode, radius, grow, shuffle_seed):
         self.compare(group, mode, radius, grow, shuffle_seed, range)
+
+    # instances whose search tries both signs at some frame and then undoes
+    # the parent's assignment, with the budget units each takes
+    @pytest.mark.parametrize("group,mode,shuffle_seed,units", [
+        ("sl2z", "gens+inv", 3, 901),  # 47 decisions, 6 frames exhausted
+        ("sl2z", "gens", None, 1_025),  # 287 decisions
+        ("heisenberg", "gens+inv", 0, 1_026),
+    ])
+    def test_backtracking_past_an_exhausted_frame(self, group, mode, shuffle_seed, units):
+        assert self.compare(group, mode, 2, 1, shuffle_seed,
+                            lambda n: {n - 1, n // 2, n // 10, 1}) == units
 
     # Unsat gluings whose trace walks two earlier gluings
     @pytest.mark.parametrize("group,mode,radius,grow", [
