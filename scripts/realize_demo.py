@@ -13,8 +13,7 @@ import random
 import sys
 from pathlib import Path
 
-from treeact.matrices import GroupMatrix, elementary
-from treeact.ordering import OrderAssignment, ball_generate
+from treeact.presets import realize_instance
 from treeact.realize import (
     almost_free_report,
     generator_pl_map,
@@ -36,16 +35,9 @@ def main():
     ap.add_argument("--svg", action="store_true")
     args = ap.parse_args()
 
-    u = elementary(2, 1, 2, 1)
-    ball = ball_generate([u], args.radius, ["g"])
-    order = OrderAssignment.from_total_order(
-        ball, sorted(ball.elements, key=lambda m: m.entries[1])
-    )
-
-    enumerations = {"standard": [GroupMatrix.identity(2)]}
-    for k in range(1, args.radius + 1):
-        enumerations["standard"].append(u ** k)
-        enumerations["standard"].append(u ** (-k))
+    ball, order, standard = realize_instance(args.radius)
+    u = ball.generators[0]
+    enumerations = {"standard": standard}
     rng = random.Random(args.seed)
     for s in range(args.scrambles):
         elems = list(ball.elements)

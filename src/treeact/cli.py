@@ -25,7 +25,6 @@ from typing import Callable
 from . import __version__, presets as presets_mod
 from .matrices import (
     CapExceeded,
-    GroupMatrix,
     MatrixError,
     _is_int,
     congruence_membership,
@@ -39,7 +38,6 @@ from .matrices import (
     verify_ll_identity,
 )
 from .ordering import (
-    OrderAssignment,
     OrderingError,
     SearchBudgetExhausted,
     assignment_from_json,
@@ -322,18 +320,6 @@ def _h_order_extract(cfg: RunConfig):
     }
 
 
-def _realize_z_ball(radius: int):
-    u = elementary(2, 1, 2, 1)
-    ball = ball_generate([u], radius, ["g"])
-    ascending = sorted(ball.elements, key=lambda m: m.entries[1])
-    order = OrderAssignment.from_total_order(ball, ascending)
-    enumeration = [GroupMatrix.identity(2)]
-    for k in range(1, radius + 1):
-        enumeration.append(u ** k)
-        enumeration.append(u ** (-k))
-    return ball, order, enumeration
-
-
 def _enumeration_from_json(obj, ball) -> list:
     indices = obj.get("indices") if isinstance(obj, dict) else None
     if not (isinstance(indices, list)
@@ -344,7 +330,8 @@ def _enumeration_from_json(obj, ball) -> list:
 
 def _h_realize(cfg: RunConfig):
     if "preset" in cfg.parameters:
-        ball, order, enumeration = _realize_z_ball(10)
+        radius = presets_mod.PRESETS[cfg.parameters["preset"]]["params"]["radius"]
+        ball, order, enumeration = presets_mod.realize_instance(radius)
     else:
         order = assignment_from_json(_read_json(cfg.inputs["order"]))
         ball = order.ball

@@ -23,15 +23,11 @@ class CapExceeded(RuntimeError):
     """An enumeration grew past its explicit desk-scale cap."""
 
 
-# -- flat-tuple and packed kernels (hot paths skip GroupMatrix) ----------------
+# -- flat-tuple kernels (hot paths skip GroupMatrix) --------------------------
 # enumerate_group, whose Cayley table gives the tower its level-1 images,
-# holds each element mod m as one int: n rows of n fields, each w bits wide,
-# the first entry most significant, so the ints sort as their entry tuples do.
-# A field has room for a row of s x before reduction, at most n (m-1)^2, so
-# a changed row of a left factor s is a sum of v-multiples of whole packed
-# rows of x with no carry between fields.  The closure multiplies on the left
-# by sparse matrices (u_ij adds row j to row i): one row sum per changed row,
-# not an O(n^3) product.
+# closes on entry tuples reduced mod m.  It multiplies on the left by sparse
+# matrices (u_ij adds row j to row i), so a step rewrites only the rows of
+# its left factor that differ from the identity, not an O(n^3) product.
 
 
 def _mul_flat(a: tuple[int, ...], b: tuple[int, ...], n: int) -> tuple[int, ...]:
@@ -50,46 +46,20 @@ def _left_plan(s: Sequence[int], n: int) -> list[tuple[int, list[tuple[int, int]
     return plan
 
 
-def _field_width(n: int, m: int) -> int:
-    return (n * (m - 1) ** 2).bit_length()
+def _left_mul(s: Sequence[int], n: int, m: int):
+    """x -> s x mod m on entry tuples: only the rows that _left_plan lists are
+    rewritten, each entry as the sum of its terms, reduced mod m."""
+    cells = [(i * n + c, [(k * n + c, v) for k, v in terms])
+             for i, terms in _left_plan(s, n) for c in range(n)]
 
-
-def _pack(entries: Iterable[int], w: int) -> int:
-    x = 0
-    for e in entries:
-        x = (x << w) | e
-    return x
-
-
-def _unpack(x: int, count: int, w: int) -> tuple[int, ...]:
-    mask = (1 << w) - 1
-    return tuple([(x >> (w * k)) & mask for k in range(count - 1, -1, -1)])
-
-
-def _left_kernel(s: Sequence[int], n: int, m: int, memo: dict[int, int]):
-    """x -> s x mod m on packed elements reduced mod m, s with entries in [0, m).
-
-    ``memo`` maps a summed row to its reduction mod m; one dict serves every
-    left factor with the same n and m.
-    """
-    w = _field_width(n, m)
-    rowmask = (1 << n * w) - 1
-    full = (1 << n * n * w) - 1
-    shift = [(n - 1 - i) * n * w for i in range(n)]
-    rows = [(full ^ (rowmask << shift[i]), shift[i], [(shift[k], v) for k, v in terms])
-            for i, terms in _left_plan(s, n)]
-
-    def apply(x: int) -> int:
-        y = x
-        for clear, at, terms in rows:
+    def apply(x: tuple[int, ...]) -> tuple[int, ...]:
+        y = list(x)
+        for at, terms in cells:
             acc = 0
-            for sh, v in terms:
-                acc += v * ((x >> sh) & rowmask)
-            r = memo.get(acc)
-            if r is None:
-                r = memo[acc] = _pack([e % m for e in _unpack(acc, n, w)], w)
-            y = (y & clear) | (r << at)
-        return y
+            for k, v in terms:
+                acc += v * x[k]
+            y[at] = acc % m
+        return tuple(y)
 
     return apply
 
@@ -467,13 +437,11 @@ def enumerate_group(
         if g.det() != 1 % m:
             raise MatrixError("determinant must be 1")
         reduced.append(g)
-    w = _field_width(n, m)
-    memo: dict[int, int] = {}
-    steps = [_left_kernel(g.entries, n, m, memo) for g in reduced]
+    steps = [_left_mul(g.entries, n, m) for g in reduced]
     if cap < 1:
         raise CapExceeded("group too large for cap")
-    seen = [_pack(_identity_flat(n), w)]
-    found = {seen[0]: 0}                    # packed element -> position in seen
+    seen = [_identity_flat(n)]
+    found = {seen[0]: 0}                    # element -> position in seen
     columns = [[] for _ in steps]           # columns[k][i]: position of s_k seen[i]
     for x in seen:   # seen grows while the loop reads it: a breadth-first closure
         for step, column in zip(steps, columns):
@@ -491,24 +459,8 @@ def enumerate_group(
     for r, i in enumerate(order):
         rank[i] = r
     cayley = tuple([rank[c[i]] for i in order] for c in columns)
-    del columns, rank
-    # decode each element once, row by row through a memo of decoded rows
-    rw = n * w
-    rowmask = (1 << rw) - 1
-    shifts = range((n - 1) * rw, -1, -rw)
-    decoded: dict[int, tuple[int, ...]] = {}
-    entries = []
-    for i in order:
-        x = seen[i]
-        t: tuple[int, ...] = ()
-        for sh in shifts:
-            r = (x >> sh) & rowmask
-            d = decoded.get(r)
-            if d is None:
-                d = decoded[r] = _unpack(r, n, w)
-            t += d
-        entries.append(t)
-    return FiniteMatrixGroup(n, m, tuple(entries), tuple(reduced), cayley)
+    entries = tuple([seen[i] for i in order])
+    return FiniteMatrixGroup(n, m, entries, tuple(reduced), cayley)
 
 
 def normal_core(

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from .matrices import GroupMatrix
-from .ordering import Ball, OrderingError, ball_generate, invariance_set
+from .matrices import GroupMatrix, elementary
+from .ordering import Ball, OrderAssignment, OrderingError, ball_generate, invariance_set
 
 
 # order-search instances: generators, invariance set, inner/outer radii
@@ -165,3 +165,17 @@ def search_instance(name: str) -> tuple[list[GroupMatrix], Ball, Ball]:
     inner = ball_generate(gens, cfg["inner_radius"], names)
     outer = ball_generate(gens, cfg["outer_radius"], names)
     return invariance_set(gens, cfg["invariant"]), inner, outer
+
+
+def realize_instance(radius: int) -> tuple[Ball, OrderAssignment, list[GroupMatrix]]:
+    """(ball, order, enumeration) for the cyclic ball of u = u12 in SL_2(Z):
+    the radius ball, ordered naturally by u's exponent, and enumerated as
+    e, u, u^-1, u^2, u^-2, ..."""
+    u = elementary(2, 1, 2, 1)
+    ball = ball_generate([u], radius, ["g"])
+    ascending = sorted(ball.elements, key=lambda m: m.entries[1])
+    order = OrderAssignment.from_total_order(ball, ascending)
+    enumeration = [GroupMatrix.identity(2)]
+    for k in range(1, radius + 1):
+        enumeration += [u ** k, u ** (-k)]
+    return ball, order, enumeration

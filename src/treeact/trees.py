@@ -8,6 +8,7 @@ immutable after construction; construction itself is permissive so that
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -297,11 +298,7 @@ def count_automorphisms_fixing_leaf(t: Tree, e: str) -> int:
     def count(v: str) -> int:
         total = 1
         for members in _sibling_classes(v, children, memo).values():
-            k = len(members)
-            fact = 1
-            for i in range(2, k + 1):
-                fact *= i
-            total *= fact
+            total *= math.factorial(len(members))
             for c in members:
                 total *= count(c)
         return total

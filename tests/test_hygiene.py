@@ -1,18 +1,23 @@
 """Static hygiene of the package modules, by the standard-library ast only.
 
-Four faults are caught: a module-level import that the module never uses,
+Five faults are caught: a module-level import that the module never uses,
 a plain local assignment (``x = ...``) in a function whose name is never
 read in that function or the functions nested in it, a module-level
 private function or class (``_name``) that no module of the package reads,
-and a public function, class or method that nothing in the package, the
-scripts or the benchmark reads outside its own definition.  A method is read
-only through an attribute (``x.name``): a local variable of the same name
-does not read it.
+a public function, class or method that nothing in the package, the
+scripts or the benchmark reads outside its own definition, and a
+double-backquoted dotted name in a docstring or comment that names nothing.
+A method is read only through an attribute (``x.name``): a local variable of
+the same name does not read it.
 """
 
 import ast
 import builtins
 import importlib
+import io
+import re
+import sys
+import tokenize
 from collections import Counter
 from pathlib import Path
 
@@ -177,6 +182,61 @@ def unread_public_definitions(sources: dict[str, str], callers: list[str]) -> li
     return found
 
 
+_QUOTED_NAME = re.compile(r"``([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)``")
+
+
+def _prose(source: str):
+    """(line, text) of every docstring and comment in source."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            doc = ast.get_docstring(node, clean=False)
+            if doc is not None:
+                yield node.body[0].lineno, doc
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type == tokenize.COMMENT:
+            yield tok.start[0], tok.string
+
+
+def _defined_or_read(tree: ast.AST):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, ast.arg):
+            yield node.arg
+        elif isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+
+
+def _stdlib_attribute(dotted: str) -> bool:
+    head, *rest = dotted.split(".")
+    if head not in sys.stdlib_module_names:
+        return False
+    obj = importlib.import_module(head)
+    for part in rest:
+        if not hasattr(obj, part):
+            return False
+        obj = getattr(obj, part)
+    return True
+
+
+def unresolved_prose_names(sources: dict[str, str]) -> list[str]:
+    """Double-backquoted dotted names in docstrings and comments that name
+    nothing: some part of the name is neither defined nor read anywhere in
+    sources, and the whole is no importable standard-library attribute."""
+    known = {n for source in sources.values() for n in _defined_or_read(ast.parse(source))}
+    found = []
+    for name, source in sources.items():
+        for line, text in sorted(_prose(source)):
+            for match in _QUOTED_NAME.finditer(text):
+                dotted = match.group(1)
+                if not (set(dotted.split(".")) <= known or _stdlib_attribute(dotted)):
+                    found.append(f"{name} line {line + text.count(chr(10), 0, match.start())}: "
+                                 f"{dotted}")
+    return found
+
+
 def test_every_module_is_checked():
     assert {p.stem for p in MODULES} >= {"cli", "matrices", "ordering", "tower", "trees"}
 
@@ -202,6 +262,10 @@ def test_every_public_definition_is_read():
     assert [f for f in found if f.split(": ")[1] not in KEEP_PUBLIC] == []
     # a kept name that gains a reader leaves the list
     assert sorted(f.split(": ")[1] for f in found) == sorted(KEEP_PUBLIC)
+
+
+def test_prose_names_resolve():
+    assert unresolved_prose_names({p.name: p.read_text() for p in PACKAGE}) == []
 
 
 class TestCheckers:
@@ -270,3 +334,11 @@ class TestCheckers:
                             "def use(close):\n    return Box(), P, close\n")}
         callers = ["from a import use\n\nuse(None)\n"]
         assert unread_public_definitions(sources, callers) == ["a.py line 4: close"]
+
+    def test_unresolved_prose_name_is_found(self):
+        sources = {"a.py": ('"""Read ``_kept``, ``dataclasses.replace``\n'
+                            'and ``os.nothing``; ``schemas/x.json`` is a path."""\n\n'
+                            "def _kept(x):\n"
+                            "    return x  # ``x`` was ``_gone``\n")}
+        assert unresolved_prose_names(sources) == ["a.py line 2: os.nothing",
+                                                   "a.py line 5: _gone"]

@@ -18,11 +18,8 @@ from treeact.matrices import (
     CapExceeded,
     GroupMatrix,
     MatrixError,
-    _field_width,
-    _left_kernel,
+    _left_mul,
     _left_plan,
-    _pack,
-    _unpack,
     commutator,
     congruence_membership,
     elementary,
@@ -398,43 +395,26 @@ def naive_left_mul(s, x, n, m):
     return tuple(e for row in oracles.mat_mul(rows(s), rows(x), m) for e in row)
 
 
-def packed_left_mul(s, x, n, m, memo=None):
-    """s x mod m through the packed kernel: pack x, apply, unpack."""
-    w = _field_width(n, m)
-    return _unpack(_left_kernel(s, n, m, {} if memo is None else memo)(_pack(x, w)), n * n, w)
-
-
 class TestLeftMulKernel:
-    """The packed left product against the nested-list product of oracles.py."""
+    """The sparse left product against the nested-list product of oracles.py."""
 
     @given(left_factors())
     def test_matches_naive_product(self, case):
         n, m, s, x = case
-        assert packed_left_mul(s, x, n, m) == naive_left_mul(s, x, n, m)
+        assert _left_mul(s, n, m)(x) == naive_left_mul(s, x, n, m)
 
     def test_identity_and_every_transvection(self):
         for n in (2, 3, 4):
             for m in range(2, 28):
                 x = tuple((7 * k + 3) % m for k in range(n * n))
-                memo = {}   # one memo serves every factor of the same n and m
                 for s in [GroupMatrix.identity(n, m), *transvection_generators(n, m).values()]:
-                    got = packed_left_mul(s.entries, x, n, m, memo)
-                    assert got == naive_left_mul(s.entries, x, n, m)
+                    assert _left_mul(s.entries, n, m)(x) == naive_left_mul(s.entries, x, n, m)
 
     def test_field_headroom(self):
-        # every entry m - 1: each field of a row sum reaches n (m - 1)^2
+        # every entry m - 1: each entry's sum reaches n (m - 1)^2 before reduction
         n, m = 4, 27
         s = x = (m - 1,) * (n * n)
-        assert n * (m - 1) ** 2 < 2 ** _field_width(n, m)
-        assert packed_left_mul(s, x, n, m) == naive_left_mul(s, x, n, m)
-
-    @given(st.integers(2, 27).flatmap(lambda m: st.lists(
-        st.lists(st.integers(0, m - 1), min_size=9, max_size=9).map(tuple),
-        max_size=20).map(lambda xs: (m, xs))))
-    def test_packed_ints_sort_as_entry_tuples(self, case):
-        m, xs = case
-        w = _field_width(3, m)
-        assert [_unpack(x, 9, w) for x in sorted(_pack(x, w) for x in xs)] == sorted(xs)
+        assert _left_mul(s, n, m)(x) == naive_left_mul(s, x, n, m)
 
     def test_plan_lists_only_changed_rows(self):
         assert _left_plan(GroupMatrix.identity(4, 5).entries, 4) == []
