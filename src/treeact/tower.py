@@ -13,14 +13,15 @@ without bound as depth increases.
 
 from __future__ import annotations
 
+import re
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import chain, product
 from math import cos, pi, sin
-from operator import add, le, lt, mul
-from types import MappingProxyType
-from typing import Mapping, NamedTuple, Sequence
+from operator import add, itemgetter, le, lt, mul
+from typing import NamedTuple
 
 from ._walk import walk
 from .matrices import (
@@ -50,6 +51,29 @@ from .trees import (
 
 class TowerError(ValueError):
     pass
+
+
+class _View(Mapping):
+    """A read-only mapping whose dict ``make()`` makes on first read and keeps."""
+
+    __slots__ = ("_make", "_dict")
+
+    def __init__(self, make: Callable[[], dict]):
+        self._make, self._dict = make, None
+
+    def _data(self) -> dict:
+        if self._dict is None:
+            self._dict, self._make = self._make(), None
+        return self._dict
+
+    def __getitem__(self, key):
+        return self._data()[key]
+
+    def __iter__(self):
+        return iter(self._data())
+
+    def __len__(self) -> int:
+        return len(self._data())
 
 
 @dataclass(eq=False, frozen=True)
@@ -84,7 +108,12 @@ class InverseSystem:
 
     ``build_congruence_tower`` hands out its levels and bonds as tuples of
     read-only views of one vertex numbering, kept as ``_numbering``, and
-    every check accepts them on its one cached verdict.  A system made
+    every check accepts them on its one cached verdict.  Each level's
+    ``generators`` and each bond makes its dict of strings on first read
+    and keeps it; the checks, uncapped orbits, decorations and
+    ``system_to_json`` read the numbering's ints instead while the verdict
+    holds, so a tower built, verified, decorated and written makes none
+    of them.  Each level's tree is made at once.  A system made
     here (or by ``dataclasses.replace``) from levels and bonds, even a
     built tower's, has no numbering: it is checked on its strings, as a
     tower read from a file is.
@@ -102,9 +131,11 @@ class _Numbering:
 
     Level a is the first counts[a] vertices; vertex v > 0 hangs from
     parent[v] (the root is its own parent) and generator names[k] sends v
-    to images[k][v].  ``system`` makes every level's tree and maps and every
-    bond from these lists, so when the verdict ``holds`` every check of the
-    views passes.  When it does not, the checks read the views' strings.
+    to images[k][v].  ``system`` makes every level's tree from these lists
+    at once, and every level's generator maps and every bond as views
+    whose dicts are made from them on first read.  When the verdict
+    ``holds``, every check of the views passes and the views are not read;
+    when it does not, the checks read the views' strings.
     """
 
     def __init__(self, ids: list[str], parent: list[int], images: list[list[int]],
@@ -115,9 +146,10 @@ class _Numbering:
     def system(self, provenance: dict, matrices: dict[str, GroupMatrix]) -> InverseSystem:
         """The system whose levels and bonds are views of these lists.
 
-        Each level's tree and read-only generator maps, and each bond: the
-        identity on level a-1, each newer vertex onto its parent.  The
-        system and its levels keep the numbering.
+        Each level's tree, its read-only generator maps and each bond: the
+        identity on level a-1, each newer vertex onto its parent.  The maps
+        and bonds are ``_View``s of ``maps`` and ``bond``.  The system and
+        its levels keep the numbering.
         """
         ids, counts = self.ids, self.counts
         # vertex v > 0 hangs from ups[v] by edges[v - 1]
@@ -125,25 +157,36 @@ class _Numbering:
         edges = list(zip(ups[1:], ids[1:]))
         levels, bonds = [], []
         for a, size in enumerate(counts):
-            verts = ids[:size]
             if a:
-                lower = counts[a - 1]
-                bonds.append(MappingProxyType(dict(zip(verts, verts[:lower] + ups[lower:size]))))
-            levels.append(FiniteTreeAction(
-                Tree(verts, edges[:size - 1]),
-                MappingProxyType({name: TreeAutomorphism(zip(verts, map(ids.__getitem__, image)))
-                                  for name, image in zip(self.names, self.images)}),
-            ))
+                bonds.append(_View(partial(self.bond, counts[a - 1], size)))
+            levels.append(FiniteTreeAction(Tree(ids[:size], edges[:size - 1]),
+                                           _View(partial(self.maps, size))))
             # both classes are frozen, and neither takes a numbering as an argument
             object.__setattr__(levels[-1], "_numbered", self)
         sys = InverseSystem(tuple(levels), tuple(bonds), provenance, matrices)
         object.__setattr__(sys, "_numbering", self)
         return sys
 
+    def maps(self, size: int) -> dict[str, TreeAutomorphism]:
+        """The generator maps of the level of the first size vertices."""
+        ids = self.ids
+        verts = ids[:size]
+        return {name: TreeAutomorphism(zip(verts, map(ids.__getitem__, image)))
+                for name, image in zip(self.names, self.images)}
+
+    def bond(self, lower: int, size: int) -> dict[str, str]:
+        """The bond from the first size vertices onto the first lower ones."""
+        ids = self.ids
+        verts = ids[:size]
+        return dict(zip(verts, verts[:lower] + [ids[u] for u in self.parent[lower:size]]))
+
+    def _by_name(self) -> list[tuple[str, list[int]]]:
+        return sorted(zip(self.names, self.images), key=itemgetter(0))
+
     @cached_property
     def holds(self) -> bool:
         """Sound lists (distinct ids, one parent per vertex, levels that grow
-        to all of them, one image list per distinct name), the root its own
+        to all of them, distinct names, one image list each), the root its own
         parent and every other parent earlier, every newer vertex of level
         a+1 hung from level a, and each generator a permutation of every
         level prefix that commutes with parent.
@@ -157,7 +200,7 @@ class _Numbering:
         size = len(ids)
         if not (all(map(le, counts, counts[1:]))
                 and counts[-1] == size == len(parent) == len(set(ids))
-                and len(self.images) == len(set(self.names))
+                and len(self.images) == len(self.names) == len(set(self.names))
                 and min(parent) == parent[0] == 0 and all(map(lt, parent[1:], range(1, size)))
                 and all(max(parent[lo:hi], default=0) < lo for lo, hi in zip(counts, counts[1:]))):
             return False
@@ -180,8 +223,9 @@ class _Numbering:
         return degrees
 
     def orbit(self, seed: str) -> list[str]:
-        """The ids ``walk`` meets from seed through the generators in name order."""
-        images = self.images
+        """The ids ``walk`` meets from seed through the generators, sorted
+        by name, as ``_orbit_walk`` takes them."""
+        images = [image for _name, image in self._by_name()]
         start = self.ids.index(seed)
         seen = bytearray(len(self.ids))
         seen[start] = 1
@@ -193,6 +237,18 @@ class _Numbering:
                     seen[y] = 1
                     order.append(y)
         return [self.ids[v] for v in order]
+
+    def to_json(self) -> tuple[list[dict[str, list[str]]], list[dict[str, str]]]:
+        """Each level's generator images and each bond, as ``system_to_json``
+        writes them from the views: names and bond keys sorted."""
+        ids, parent, counts = self.ids, self.parent, self.counts
+        by_name = self._by_name()
+        gens = [{name: list(map(ids.__getitem__, image[:size])) for name, image in by_name}
+                for size in counts]
+        bonds = [{ids[v]: ids[v if v < lower else parent[v]]
+                  for v in sorted(range(size), key=ids.__getitem__)}
+                 for lower, size in zip(counts, counts[1:])]
+        return gens, bonds
 
 
 # -- congruence tower ------------------------------------------------------------
@@ -456,13 +512,19 @@ def orbit(act: FiniteTreeAction, v: str, cap: int | None = None) -> OrbitResult:
     The generators must be permutations of the vertex set, as
     ``FiniteTreeAction.validate`` checks.  A permutation of a finite set has
     finite order, so its inverse is one of its powers: without a cap the
-    walk takes the generators alone.  With a cap it takes the inverses too,
-    since they count one letter each towards word length.
+    walk takes the generators alone, on the numbering's ints for a level
+    of a built tower whose verdict holds.  With a cap it takes the inverses
+    too, since they count one letter each towards word length.
     """
     if v not in act.tree.adjacency:
         raise TowerError("vertex not in tree")
     if cap is None:
-        return OrbitResult(tuple(sorted(y for y, *_ in _orbit_walk(act, v, False))), True)
+        numbering = act._numbered
+        if numbering is not None and numbering.holds:
+            found = numbering.orbit(v)
+        else:
+            found = [y for y, *_ in _orbit_walk(act, v, False)]
+        return OrbitResult(tuple(sorted(found)), True)
     limit = max(cap, 0)
     seen = []
     closed = True
@@ -630,17 +692,61 @@ class Pendant(NamedTuple):
     tip: str
 
 
+# the name of the middle or tip vertex of the i-th pendant arc, i >= 1
+_PENDANT_NAME = re.compile(r"pend([1-9][0-9]*)[mt]")
+
+
+def _pendant_number(name: str, count: int) -> int:
+    """i when name is ``pend{i}m`` or ``pend{i}t`` with 1 <= i <= count, else 0."""
+    found = _PENDANT_NAME.fullmatch(name)
+    # more digits than count has is past it, and may be too long for int()
+    if found is None or len(found[1]) > len(str(count)):
+        return 0
+    i = int(found[1])
+    return i if i <= count else 0
+
+
+class _Pendants(Sequence):
+    """The pendant arcs over anchors, each made when read: the i-th from 1
+    is ``Pendant(anchors[i-1], f"pend{i}m", f"pend{i}t")``.  A slice reads
+    as a tuple."""
+
+    __slots__ = ("_anchors",)
+
+    def __init__(self, anchors: Sequence[str]):
+        self._anchors = anchors
+
+    def _arc(self, i: int) -> Pendant:
+        return Pendant(self._anchors[i - 1], f"pend{i}m", f"pend{i}t")
+
+    def __len__(self) -> int:
+        return len(self._anchors)
+
+    def __getitem__(self, index):
+        nums = range(1, len(self._anchors) + 1)[index]
+        return tuple(map(self._arc, nums)) if isinstance(nums, range) else self._arc(nums)
+
+    def __iter__(self):
+        return map(self._arc, range(1, len(self._anchors) + 1))
+
+
 @dataclass(eq=False)
 class DecoratedAction:
     """The deepest level's action with a pendant arc over each orbit vertex.
 
     Every generator permutes the arcs as it permutes their anchors, so the
-    decorated tree and its maps are never made: ``base`` and ``pendants``
-    determine them.
+    decorated tree and its maps are never made: ``base`` and ``anchors``,
+    the orbit in the order ``attach_decorations`` walked it, determine
+    them.  ``pendants`` is a read-only sequence view that makes each
+    ``Pendant`` and its two names when it is read.
     """
 
     base: FiniteTreeAction
-    pendants: tuple[Pendant, ...]
+    anchors: tuple[str, ...]
+
+    @property
+    def pendants(self) -> _Pendants:
+        return _Pendants(self.anchors)
 
 
 def attach_decorations(sys: InverseSystem, seed: str) -> DecoratedAction:
@@ -664,16 +770,16 @@ def attach_decorations(sys: InverseSystem, seed: str) -> DecoratedAction:
     numbering = sys._numbering
     if numbering is not None and numbering.holds:
         # every level is a prefix of the numbering, the deepest all of it
-        order, taken = numbering.orbit(seed), set(numbering.ids)
+        order, taken = numbering.orbit(seed), numbering.ids
     else:
         order = [y for y, *_ in _orbit_walk(act, seed, False)]
-        taken = set(chain.from_iterable(level.tree.vertices for level in sys.levels))
-    nums = range(1, len(order) + 1)
-    mids, tips = [f"pend{i}m" for i in nums], [f"pend{i}t" for i in nums]
-    clash = next(filter(taken.__contains__, chain.from_iterable(zip(mids, tips))), None)
-    if clash is not None:
-        raise TowerError(f"pendant vertex {clash} is already a vertex of the tower")
-    return DecoratedAction(act, tuple(map(Pendant, order, mids, tips)))
+        taken = chain.from_iterable(level.tree.vertices for level in sys.levels)
+    # the first clash in pendant order: pend1m, pend1t, pend2m, ...
+    clashes = [(i, name[-1], name) for name in taken
+               if name.startswith("pend") and (i := _pendant_number(name, len(order)))]
+    if clashes:
+        raise TowerError(f"pendant vertex {min(clashes)[2]} is already a vertex of the tower")
+    return DecoratedAction(act, tuple(order))
 
 
 @dataclass(frozen=True)
@@ -713,9 +819,10 @@ def projection_orbit_growth(
     tree = act.tree
     pendant = x not in tree.adjacency
     if pendant:
-        x = next((p.anchor for p in decorated.pendants if x in (p.mid, p.tip)), None)
-        if x is None:
+        i = _pendant_number(x, len(decorated.anchors))
+        if not i:
             raise TowerError("vertex not in decorated tree")
+        x = decorated.anchors[i - 1]
     sizes = []
     closed = []
     for level in sys.levels[:-1]:
@@ -736,20 +843,23 @@ def projection_orbit_growth(
 
 
 def system_to_json(sys: InverseSystem) -> dict:
-    levels = []
-    for act in sys.levels:
-        gens = {
-            name: list(map(auto._map.__getitem__, act.tree.vertices))
-            for name, auto in sorted(act.generators.items())
-        }
-        levels.append({"tree": tree_to_json(act.tree), "generators": gens})
+    """The system as a JSON object: each level's tree and generator images
+    (one per vertex, in vertex order), and each bond with sorted keys.  A
+    built tower whose numbering's verdict holds writes the images and bonds
+    from the numbering's ints, not from its views."""
+    numbering = sys._numbering
+    if numbering is not None and numbering.holds:
+        gens, bonds = numbering.to_json()
+    else:
+        gens = [{name: list(map(auto._map.__getitem__, act.tree.vertices))
+                 for name, auto in sorted(act.generators.items())} for act in sys.levels]
+        bonds = [{v: bond[v] for v in sorted(bond)} for bond in sys.bonds]
     return {
         "provenance": sys.provenance,
         "generator_matrices": {name: matrix_to_json(m) for name, m in sys.matrices.items()},
-        "levels": levels,
-        "bonds": [
-            {v: bond[v] for v in sorted(bond)} for bond in sys.bonds
-        ],
+        "levels": [{"tree": tree_to_json(act.tree), "generators": level_gens}
+                   for act, level_gens in zip(sys.levels, gens)],
+        "bonds": bonds,
     }
 
 

@@ -26,6 +26,7 @@ from treeact.ordering import (
 from treeact.realize import NEG_INF, POS_INF
 from treeact.tower import (
     FiniteTreeAction,
+    Pendant,
     ProjectionGrowth,
     TowerError,
     build_congruence_tower,
@@ -350,6 +351,46 @@ def projection_orbit_growth(sys, decorated, x, cap=None):
         sizes.append(len(vertices))
         closed.append(is_closed)
     return ProjectionGrowth(tuple(sizes), tuple(closed))
+
+
+def decoration(sys, seed):
+    """The pendants over the orbit of seed in the deepest level, as first
+    written: a textbook search through the generators alone, sorted by
+    name, and the i-th pendant (from 1) named pend{i}m and pend{i}t."""
+    act = sys.levels[-1]
+    maps = [act.generators[name].mapping for name in sorted(act.generators)]
+    order, _parent, _depth = bfs(seed, lambda x: [m[x] for m in maps])
+    return tuple(Pendant(anchor, f"pend{i}m", f"pend{i}t")
+                 for i, anchor in enumerate(order, 1))
+
+
+def numbered_views(num):
+    """Each level's generator maps and each bond of a vertex numbering,
+    made vertex by vertex from its lists: level a is the first counts[a]
+    ids, the k-th name maps id v to the id images[k][v] (a later name
+    overwrites an earlier one, and a name without an image list is left
+    out), and bond a sends each vertex of level a+1 below counts[a] to
+    itself and any other with a parent to the id of its parent."""
+    ids, parent, counts = num.ids, num.parent, num.counts
+    levels = []
+    for size in counts:
+        gens = {}
+        for name, image in zip(num.names, num.images):
+            mapping = {}
+            for v in range(min(size, len(ids), len(image))):
+                mapping[ids[v]] = ids[image[v]]
+            gens[name] = TreeAutomorphism(mapping)
+        levels.append(gens)
+    bonds = []
+    for lower, size in zip(counts, counts[1:]):
+        bond = {}
+        for v in range(min(size, len(ids))):
+            if v < lower:
+                bond[ids[v]] = ids[v]
+            elif v < len(parent):
+                bond[ids[v]] = ids[parent[v]]
+        bonds.append(bond)
+    return levels, bonds
 
 
 # -- test inputs -----------------------------------------------------------------

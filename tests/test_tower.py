@@ -35,7 +35,7 @@ from treeact.tower import (
     verify_bond_structure,
     verify_tower,
 )
-from treeact.trees import _is_connected_subset, validate_tree
+from treeact.trees import TreeAutomorphism, _is_connected_subset, validate_tree
 
 
 @pytest.fixture(scope="module")
@@ -232,6 +232,87 @@ class TestNumberedViews:
         assert all(verify_bond_structure(sys_, a).passed for a in range(len(sys_.bonds)))
         assert len(attach_decorations(sys_, sys_.levels[-1].tree.leaves()[0]).pendants) == 648
         assert calls == Counter(holds=1)
+
+
+class TestLazyViews:
+    """A built tower makes its string maps, bonds and pendants only when
+    something reads them."""
+
+    def test_built_checked_decorated_and_written_makes_no_map(self, monkeypatch):
+        made = Counter()
+        init, bond = TreeAutomorphism.__init__, tower._Numbering.bond
+
+        def counted_init(auto, *args):
+            made["maps"] += 1
+            init(auto, *args)
+
+        def counted_bond(numbering, *args):
+            made["bonds"] += 1
+            return bond(numbering, *args)
+
+        monkeypatch.setattr(TreeAutomorphism, "__init__", counted_init)
+        monkeypatch.setattr(tower._Numbering, "bond", counted_bond)
+        sys_ = build_congruence_tower(3, 2, 2)
+        assert verify_tower(sys_).reasons == ()
+        dec = attach_decorations(sys_, sys_.levels[-1].tree.leaves()[0])
+        growth = projection_orbit_growth(sys_, dec, dec.pendants[0].tip)
+        assert growth.sizes == (1, 168, 43008)
+        written = system_to_json(sys_)
+        assert len(written["levels"][2]["generators"]["u12"]) == 1 + 168 + 43008
+        assert made == Counter()
+        # a view makes its dict on the first read, once
+        assert sys_.levels[1].generators["u12"] is sys_.levels[1].generators["u12"]
+        assert dict(sys_.bonds[0]) == dict.fromkeys(sys_.levels[1].tree.vertices, "0|e")
+        assert sys_.bonds[0] == dict(sys_.bonds[0])
+        assert made == Counter(maps=6, bonds=1)
+
+
+class TestPendantViews:
+    @pytest.fixture(scope="class")
+    def decorated(self):
+        sys_ = build_congruence_tower(2, 3, 2)
+        seed = sys_.levels[-1].tree.leaves()[5]
+        return sys_, attach_decorations(sys_, seed), oracles.decoration(sys_, seed)
+
+    def test_reads_agree_with_the_oracle(self, decorated):
+        _sys, dec, want = decorated
+        pendants = dec.pendants
+        assert len(pendants) == len(want) == 648
+        assert pendants[0] == want[0] and pendants[-1] == want[-1] == pendants[647]
+        assert pendants[:3] == want[:3] and pendants[-2::-300] == want[-2::-300]
+        assert tuple(pendants) == want and list(reversed(pendants)) == list(want[::-1])
+        with pytest.raises(IndexError):
+            pendants[648]
+
+    @pytest.mark.parametrize("name", ["pend0m", "pend01t", "pend649m", "pendXm", "pend1", "pend"])
+    def test_names_of_no_pendant(self, decorated, name):
+        sys_, dec, _want = decorated
+        with pytest.raises(TowerError, match="vertex not in decorated tree"):
+            projection_orbit_growth(sys_, dec, name)
+
+    def test_long_number_is_no_pendant(self, decorated):
+        sys_, dec, _want = decorated
+        with pytest.raises(TowerError, match="vertex not in decorated tree"):
+            projection_orbit_growth(sys_, dec, "pend" + "9" * 5000 + "t")
+
+    @pytest.mark.parametrize("built", [False, True])
+    def test_first_clash_in_pendant_order(self, built):
+        # the root named like the second pendant's tip, a later vertex like the first's
+        sys_ = build_congruence_tower(2, 2, 1)
+        ids = list(sys_._numbering.ids)
+        ids[0], ids[3] = "pend2t", "pend1t"
+        if built:
+            num = sys_._numbering
+            sys_ = tower._Numbering(ids, num.parent, num.images, num.counts, num.names).system(
+                sys_.provenance, sys_.matrices)
+            assert sys_._numbering.holds
+        else:
+            text = json.dumps(system_to_json(sys_))
+            for old, new in zip(sys_._numbering.ids, ids):
+                text = text.replace(f'"{old}"', f'"{new}"')
+            sys_ = system_from_json(json.loads(text))
+        with pytest.raises(TowerError, match="pendant vertex pend1t is already a vertex"):
+            attach_decorations(sys_, sys_.levels[1].tree.leaves()[0])
 
 
 class TestOrbit:

@@ -10,13 +10,14 @@ that takes the whole path to the least subtree vertex,
 action made in full, and ``ordering.Ball.row``, which composes rows along
 the ball's words, one that makes a product per element;
 ``matrices.verify_ll_identity``, which checks its preconditions and makes
-each power once per sweep, one that redoes both for every case.  A built tower's
-checks, which read its vertex numbering, have the string checks of the same
-views as their twin.  Both sides get the same random inputs, broken ones
-included, and must return the same report field for field, or raise the
-same error.
+each power once per sweep, one that redoes both for every case.  A built
+tower's checks and JSON writer, which read its vertex numbering, have the
+string checks and writer of the same views as their twin.  Both sides get
+the same random inputs, broken ones included, and must return the same
+report field for field, or raise the same error.
 """
 
+import json
 import random
 from collections.abc import Mapping
 from dataclasses import astuple
@@ -61,6 +62,7 @@ from treeact.tower import (
     degree_profile,
     orbit,
     projection_orbit_growth,
+    system_to_json,
     verify_all_bonds,
     verify_bond_structure,
     verify_tower,
@@ -651,6 +653,10 @@ def mutate(num, kind, rng):
         image[v] = image[sibling]
     elif kind == "pendant-named-id":
         num.ids[rng.choice([1, size - 1])] = f"pend{rng.randrange(1, 4)}{rng.choice('mt')}"
+    elif kind == "names-out-of-order":
+        # the same views, with the numbering's lists no longer in name order
+        num.names.reverse()
+        num.images.reverse()
     else:
         i, j = rng.sample(range(size), 2)
         num.ids[j] = num.ids[i]
@@ -670,13 +676,13 @@ def tower_outcomes(sys_, seed):
         caught(verify_all_bonds, sys_),
         [caught(verify_bond_structure, sys_, a) for a in range(len(sys_.bonds))],
         caught(verify_tower, sys_),
-        caught(lambda: attach_decorations(sys_, seed).pendants),
+        caught(lambda: tuple(attach_decorations(sys_, seed).pendants)),
     )
 
 
 MUTATIONS = ["none", "parent-later", "parent-own-level", "level-its-own-parents",
              "swap-within-level", "swap-across-levels", "image-outside-level",
-             "merge-sibling-images", "pendant-named-id", "duplicate-id"]
+             "merge-sibling-images", "pendant-named-id", "names-out-of-order", "duplicate-id"]
 
 # Numberings no tower has, each with one generator g: (ids, parent, g's
 # images, counts).  Each breaks a view in a way that no check of the
@@ -716,9 +722,24 @@ PARTLY_VIEWED = {
     "repeated-name": (["a", "b", "c"], [0, 0, 0], [[0, 1, 2], [0, 2, 1]], [1, 3], ["g", "g"]),
     "name-without-images": (["a", "b", "c"], [0, 0, 0], [[0, 1, 2], [0, 2, 1]], [1, 3],
                             ["g", "h", "k"]),
+    # as many image lists as distinct names, but g's second list hides its first
+    "repeated-name-beside-one-without-images": (
+        ["a", "b", "c"], [0, 0, 0], [[0, 1, 2], [0, 2, 1]], [1, 3], ["g", "g", "h"]),
     # no level holds the vertex named like the first pendant's middle
     "vertex-past-the-deepest-level": (["a", "pend1m"], [0, 0], [[0, 1]], [1], ["g"]),
 }
+
+
+def plain_copy(sys_):
+    """The system's levels and bonds copied into plain dicts, with no numbering."""
+    return InverseSystem(
+        [FiniteTreeAction(act.tree, dict(act.generators)) for act in sys_.levels],
+        [dict(bond) for bond in sys_.bonds], sys_.provenance, sys_.matrices)
+
+
+def views_of(sys_):
+    """Each level's generator maps and each bond, read as dicts."""
+    return [dict(act.generators) for act in sys_.levels], [dict(bond) for bond in sys_.bonds]
 
 
 def passes_string_checks(outcomes):
@@ -728,6 +749,19 @@ def passes_string_checks(outcomes):
     return (all(got == ("value", None) for got in levels)
             and bonds[0] == "value" and bonds[1].passed
             and all(got[0] == "value" and got[1].passed for got in structures))
+
+
+class TestNumberedViewsTwin:
+    """A built tower's generator maps and bonds are made from its lists on
+    first read, and ``system_to_json`` writes them from the lists."""
+
+    @pytest.mark.parametrize("npd", sorted(TOWERS))
+    def test_views_and_json(self, npd):
+        built = TOWERS[npd]
+        written = system_to_json(built)
+        assert views_of(built) == oracles.numbered_views(built._numbering)
+        # key order too, which the written file sorts anyway
+        assert json.dumps(written) == json.dumps(system_to_json(plain_copy(built)))
 
 
 class TestNumberedTowerTwin:
@@ -751,6 +785,14 @@ class TestNumberedTowerTwin:
         assert num.holds == passes_string_checks(got)
         if kind == "none":
             assert got[3] == caught(verify_tower, built) and got[3][1].reasons == ()
+
+    def test_names_out_of_order(self):
+        # the uncapped walk takes the generators in name order, not list order
+        built = TOWERS[(2, 3, 2)]
+        base = built._numbering
+        num = _Numbering(base.ids, base.parent, base.images[::-1], base.counts, base.names[::-1])
+        got = self.agree(num, built.provenance, built.matrices, random.Random(0))
+        assert num.holds and passes_string_checks(got)
 
     @pytest.mark.parametrize("label", sorted(HAND_MADE))
     def test_hand_made_numberings(self, label):
@@ -778,13 +820,14 @@ class TestNumberedTowerTwin:
         """The outcomes of the numbered system, which equal those of its views
         assembled without the numbering."""
         numbered = num.system(provenance, matrices)
-        plain = InverseSystem(
-            [FiniteTreeAction(act.tree, dict(act.generators)) for act in numbered.levels],
-            [dict(bond) for bond in numbered.bonds], provenance, matrices)
+        written = caught(system_to_json, numbered)
+        plain = plain_copy(numbered)
+        assert views_of(numbered) == oracles.numbered_views(num)
         top = numbered.levels[-1].tree
         seed_vertex = rng.choice(top.leaves() or top.vertices)
         got = tower_outcomes(numbered, seed_vertex)
         assert got == tower_outcomes(plain, seed_vertex)
+        assert written == caught(system_to_json, plain)
         # a numbering whose verdict holds gives the degrees off parent
         assert caught(degree_profile, numbered) == caught(degree_profile, plain)
         return got
