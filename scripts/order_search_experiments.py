@@ -7,9 +7,15 @@ the orderable ones come back Sat with verified witnesses.  The hexagon-ball
 experiment stays Sat at the radii a desk search can reach -- whether some
 radius forces a finite Unsat certificate is exactly what this script leaves
 open.  Budget exhaustion is reported as such, never conflated with Unsat.
+The hexagon line ends with the process's peak RSS, so
+
+    PYTHONPATH=src python scripts/order_search_experiments.py --budget 0 --hexagon-radius 2
+
+times the radius-2 search set-up and shows its memory peak.
 """
 
 import argparse
+import resource
 import sys
 import time
 
@@ -59,8 +65,11 @@ def hexagon_experiment(radius, budget):
         verdict = res.status
     except SearchBudgetExhausted as exc:
         verdict = f"budget-exhausted {progress(exc)}"
+    elapsed = time.monotonic() - start
+    # ru_maxrss is in KiB on Linux: the peak of the whole run, balls included
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     print(f"hexagon-ball r={radius}      balls {len(inner):>3}/{len(outer):>4}  "
-          f"{verdict:<6} {time.monotonic() - start:6.2f}s")
+          f"{verdict:<6} {elapsed:6.2f}s  peak {peak_mb:.1f} MB")
 
 
 def main():

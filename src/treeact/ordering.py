@@ -16,7 +16,7 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import combinations, islice
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from ._walk import walk
 from .matrices import (
@@ -352,11 +352,31 @@ class SearchResult:
         return self.status == "sat"
 
 
+def _gluing_log(
+    f: Sequence[GroupMatrix], at: list[int], b2: Ball, p: int
+) -> Iterator[tuple[int, int, str]]:
+    """Every gluing (pair, image pair, label) that search_invariant makes
+    before it glues pair p under f's last multiplier, in the order it makes
+    them.  The search keeps no log: this replays its gluing loop."""
+    size = len(b2)
+    for k, fm in enumerate(f):
+        label = _multiplier_label(fm, b2)
+        row = b2.row(fm)
+        moved = [row[i] for i in at]
+        for ig, fg in zip(at, moved):
+            for ih, fh in zip(at, moved):
+                if ig < ih:
+                    x = ig * size + ih
+                    if k == len(f) - 1 and x == p:
+                        return
+                    yield x, fg * size + fh if fg < fh else fh * size + fg, label
+
+
 def _gluing_chain(
-    log: list[tuple[int, int, str]], p: int, q: int, size: int
+    log: Iterable[tuple[int, int, str]], p: int, q: int, size: int
 ) -> list[tuple[tuple[int, int], str]]:
     """The gluings on a shortest path from pair p to pair q, as (pair, label),
-    walking the logged gluings breadth first in the order they were made."""
+    walking the gluings of ``log`` breadth first in the order they were made."""
     adj: dict[int, list[tuple[int, str]]] = {}
     for x, y, label in log:
         adj.setdefault(x, []).append((y, label))
@@ -376,6 +396,10 @@ def _gluing_chain(
     return out
 
 
+def _multiplier_label(fm: GroupMatrix, b2: Ball) -> str:
+    return f"left multiplication by {format_word(b2.words[fm]) if fm in b2 else 'f'}"
+
+
 def search_invariant(
     f: Sequence[GroupMatrix],
     b: Ball,
@@ -384,6 +408,15 @@ def search_invariant(
     shuffle_seed: int | None = None,
 ) -> SearchResult:
     """Backtracking search for an (F, b)-invariant total order on b2.
+
+    Set-up glues each pair of b's images to its image under every f in F,
+    in a union-find with parity over pair ints.  A pair that is a root or
+    one step from its root (most pairs, as ``find`` compresses paths) has
+    its root and sign read inline; only a longer chain calls ``find``.
+    Nothing is logged: a gluing that contradicts the ones before it is
+    Unsat at once, and its chain is rebuilt by replaying those gluings in
+    the order they were made.  The same inline read then sorts every pair
+    into its class in one pass.
 
     Depth-first over pair variables in canonical order, assigning -1 before
     +1, propagating transitivity and the invariance gluing after every step.
@@ -406,11 +439,11 @@ def search_invariant(
     # The pair i < j of b2 indices is the int i*size + j, never 0.  The
     # invariance gluing is a union-find with parity over these ints:
     # parent[p] is 0 at a root, and parity[p] is +1 when p must take the
-    # sign of parent[p], -1 when it must take the opposite sign.  Every
-    # gluing made is logged, in order, for the chain of an Unsat trace.
+    # sign of parent[p], -1 when it must take the opposite sign.  So a root
+    # has sign +1 relative to itself, and a pair one step from its root has
+    # parity[p]; only a longer chain needs find, which compresses it.
     parent = [0] * (size * size)
     parity = [1] * (size * size)
-    log: list[tuple[int, int, str]] = []
 
     def find(p: int) -> tuple[int, int]:
         chain = []
@@ -425,13 +458,11 @@ def search_invariant(
             parity[q] = s
         return p, s
 
-    for fm in f:
+    for m, fm in enumerate(f, 1):
         # each fg's b2 index, read off fm's row; a missing image raises at the
         # first pair that needs it, after any contradiction found before that pair
         row = b2.row(fm)
         moved = [row[i] for i in at]
-        fw = format_word(b2.words[fm]) if fm in b2 else "f"
-        label = f"left multiplication by {fw}"
         for ig, fg in zip(at, moved):
             for ih, fh in zip(at, moved):
                 if ig >= ih:
@@ -440,29 +471,62 @@ def search_invariant(
                     raise OrderingError("ball containment violated")
                 # glue sign(ig, ih) = rel * sign of the image's canonical pair
                 p = ig * size + ih
-                q, rel = (fg * size + fh, 1) if fg < fh else (fh * size + fg, -1)
-                rp, sp = find(p)
-                rq, sq = find(q)
+                if fg < fh:
+                    q = fg * size + fh
+                    rel = 1
+                else:
+                    q = fh * size + fg
+                    rel = -1
+                rp = parent[p]
+                if not rp:
+                    rp, sp = p, 1
+                elif parent[rp]:
+                    rp, sp = find(p)
+                else:
+                    sp = parity[p]
+                rq = parent[q]
+                if not rq:
+                    rq, sq = q, 1
+                elif parent[rq]:
+                    rq, sq = find(q)
+                else:
+                    sq = parity[q]
                 if rp != rq:
                     parent[rp] = rq
                     parity[rp] = rel * sp * sq
                 elif sp != rel * sq:
+                    # the gluings so far are replayed, up to this one, not logged
+                    glued = _gluing_chain(_gluing_log(f[:m], at, b2, p), p, q, size)
                     steps = [TraceStep((ig, ih), +1, "assume a sign for this pair")]
                     steps += [TraceStep(pr, 0, f"forced equal/opposite via {lb}")
-                              for pr, lb in _gluing_chain(log, p, q, size)]
+                              for pr, lb in glued]
                     steps.append(TraceStep(divmod(q, size), -1,
-                                           f"also forced opposite via {label}"))
+                                           f"also forced opposite via {_multiplier_label(fm, b2)}"))
                     return SearchResult("unsat", None, UnsatTrace(0, tuple(steps)), 0)
-                log.append((p, q, label))
 
-    # Classes: root -> members (i, j, parity).  find compresses every pair
-    # onto its root, so afterwards parent[p] is p's root (0 at a root) and
-    # parity[p] its sign relative to that root.
-    members: dict[int, list[tuple[int, int, int]]] = {}
+    # Classes: members[root] lists the members (i, j, parity), in increasing
+    # (i, j), read as the gluing reads roots; roots lists the roots as they
+    # are met.  Afterwards every pair is its root or one step from it, so
+    # parent[p] is p's root (0 at a root) and parity[p] its sign relative
+    # to that root.
+    members: list[list[tuple[int, int, int]] | None] = [None] * (size * size)
+    roots: list[int] = []
     for i in range(size):
         for j in range(i + 1, size):
-            root, s = find(i * size + j)
-            members.setdefault(root, []).append((i, j, s))
+            p = i * size + j
+            r = parent[p]
+            if not r:
+                r, s = p, 1
+            elif parent[r]:
+                r, s = find(p)
+            else:
+                s = parity[p]
+            cls = members[r]
+            if cls is None:
+                members[r] = [(i, j, s)]
+                roots.append(r)
+            else:
+                cls.append((i, j, s))
 
     def entry(k: int, x: int) -> tuple[int, int]:
         """The class entry (root, value) that makes k > x."""
@@ -473,7 +537,8 @@ def search_invariant(
         x, y = rank[p // size], rank[p % size]
         return x * size + y if x < y else y * size + x
 
-    roots = sorted(members, key=canonical)
+    # unshuffled, rank is the identity and each root is its own canonical pair
+    roots.sort(key=None if shuffle_seed is None else canonical)
 
     # value[root] is the class's sign, 0 while unassigned; a member (i, j, s)
     # then has phi(x_i, x_j) = value * s.  Bit k of gt[x] is set when k > x,

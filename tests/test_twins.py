@@ -17,6 +17,7 @@ the same random inputs, broken ones included, and must return the same
 report field for field, or raise the same error.
 """
 
+import hashlib
 import json
 import random
 from collections.abc import Mapping
@@ -867,11 +868,16 @@ def search_summary(fn, *args, **kwargs):
 class TestSearchTwin:
     @staticmethod
     def compare(group, mode, radius, grow, shuffle_seed, budgets):
+        """``compare_on`` a group of SEARCH_GROUPS, its generators named g0, g1, ..."""
+        gens, _max_r = SEARCH_GROUPS[group]
+        return TestSearchTwin.compare_on(gens, [f"g{k}" for k in range(len(gens))],
+                                         mode, radius, grow, shuffle_seed, budgets)
+
+    @staticmethod
+    def compare_on(gens, names, mode, radius, grow, shuffle_seed, budgets):
         """Both searches agree at the smallest budget that completes and at
         each of ``budgets(units)``; the classes assigned when a budget runs
         out part of the way depend on the order of the queue.  Returns units."""
-        gens, _max_r = SEARCH_GROUPS[group]
-        names = [f"g{k}" for k in range(len(gens))]
         f = invariance_set(gens, mode)
         inner = ball_generate(gens, radius, names)
         outer = ball_generate(gens, radius + grow, names)
@@ -886,7 +892,7 @@ class TestSearchTwin:
             assert fast == naive, budget
         return units
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60, deadline=None, derandomize=True)
     @given(st.sampled_from(sorted(SEARCH_GROUPS)), st.sampled_from(["gens", "gens+inv"]),
            st.integers(0, 5), st.integers(0, 2), st.one_of(st.none(), SEEDS),
            st.floats(0, 1))
@@ -930,6 +936,28 @@ class TestSearchTwin:
         reasons = [step.reason for step in res.trace.forcing_chain]
         assert res.decisions == 0
         assert sum(r.startswith("forced equal/opposite via") for r in reasons) == 2
+
+    # <u, t> with t of order 6 (42/82 elements) is Unsat at set-up, and its
+    # trace walks six gluings under u and t.  With the inverses in F, the
+    # clash under t comes before the gluings under u^-1 and t^-1, so the trace
+    # is the same.  Its SHA-256 was recorded while the search still logged
+    # each gluing as it made it.  (The group is not in SEARCH_GROUPS: some
+    # random draws on it cost the oracle seconds each.)
+    @pytest.mark.parametrize("mode", ["gens", "gens+inv"])
+    def test_long_gluing_chain(self, mode):
+        gens = [U, GroupMatrix.from_rows([[0, -1], [1, 1]])]
+        self.compare_on(gens, ["u", "t"], mode, 3, 1, None, range)
+        inner = ball_generate(gens, 3, ["u", "t"])
+        outer = ball_generate(gens, 4, ["u", "t"])
+        res = search_invariant(invariance_set(gens, mode), inner, outer)
+        assert (len(inner), len(outer), res.status, res.decisions) == (42, 82, "unsat", 0)
+        reasons = [step.reason for step in res.trace.forcing_chain]
+        glued = [r for r in reasons if r.startswith("forced equal/opposite via")]
+        assert len(reasons) == 8 and len(glued) == 6
+        assert {r.rsplit(" ", 1)[1] for r in glued} == {"u", "t"}
+        digest = hashlib.sha256(json.dumps(res.trace.to_json(), sort_keys=True).encode())
+        assert digest.hexdigest() == (
+            "ec633703e4481ee20eebd924f2335a338260a1f23460622fbbfc0ce4149ce5f2")
 
     def test_one_element_inner_ball_leaving_the_outer_ball(self):
         # e's image u lies outside the radius-0 outer ball, but there are no pairs
