@@ -690,10 +690,9 @@ def parse(argv=None) -> RunConfig:
             raise UsageError(f"{flag[dest]} applies only with "
                              + " or ".join(flag[u] for u in a.needs))
         value = given.get(dest, a.default)
-        if value is None and a.required:
-            alternative = " or ".join(flag[u] for u in a.unless)
-            raise UsageError(f"{flag[dest]} is required"
-                             + (f" unless {alternative} is given" if alternative else ""))
+        if value is None and a.required:   # argparse enforces those with no alternative
+            raise UsageError(f"{flag[dest]} is required unless "
+                             f"{' or '.join(flag[u] for u in a.unless)} is given")
         if value is not None and a.expand is None:
             getattr(config, a.role)[dest] = value
     return config

@@ -210,14 +210,7 @@ def six_generators(r: int) -> list[GroupMatrix]:
     """The six 3x3 unipotent generators with parameter r, in hexagon order."""
     if r < 1:
         raise MatrixError("parameter must be positive")
-    return [
-        GroupMatrix.from_rows([[1, r, 0], [0, 1, 0], [0, 0, 1]]),
-        GroupMatrix.from_rows([[1, 0, r], [0, 1, 0], [0, 0, 1]]),
-        GroupMatrix.from_rows([[1, 0, 0], [0, 1, r], [0, 0, 1]]),
-        GroupMatrix.from_rows([[1, 0, 0], [r, 1, 0], [0, 0, 1]]),
-        GroupMatrix.from_rows([[1, 0, 0], [0, 1, 0], [r, 0, 1]]),
-        GroupMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, r, 1]]),
-    ]
+    return six_generators_embedded(3, 1, 2, r)
 
 
 def six_generators_embedded(n: int, i: int, j: int, l: int) -> list[GroupMatrix]:

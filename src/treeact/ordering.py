@@ -16,7 +16,7 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import combinations, islice
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from ._walk import walk
 from .matrices import (
@@ -352,26 +352,6 @@ class SearchResult:
         return self.status == "sat"
 
 
-def _gluing_log(
-    f: Sequence[GroupMatrix], at: list[int], b2: Ball, p: int
-) -> Iterator[tuple[int, int, str]]:
-    """Every gluing (pair, image pair, label) that search_invariant makes
-    before it glues pair p under f's last multiplier, in the order it makes
-    them.  The search keeps no log: this replays its gluing loop."""
-    size = len(b2)
-    for k, fm in enumerate(f):
-        label = _multiplier_label(fm, b2)
-        row = b2.row(fm)
-        moved = [row[i] for i in at]
-        for ig, fg in zip(at, moved):
-            for ih, fh in zip(at, moved):
-                if ig < ih:
-                    x = ig * size + ih
-                    if k == len(f) - 1 and x == p:
-                        return
-                    yield x, fg * size + fh if fg < fh else fh * size + fg, label
-
-
 def _gluing_chain(
     log: Iterable[tuple[int, int, str]], p: int, q: int, size: int
 ) -> list[tuple[tuple[int, int], str]]:
@@ -413,10 +393,11 @@ def search_invariant(
     in a union-find with parity over pair ints.  A pair that is a root or
     one step from its root (most pairs, as ``find`` compresses paths) has
     its root and sign read inline; only a longer chain calls ``find``.
-    Nothing is logged: a gluing that contradicts the ones before it is
-    Unsat at once, and its chain is rebuilt by replaying those gluings in
-    the order they were made.  The same inline read then sorts every pair
-    into its class in one pass.
+    Nothing is logged on the way: a gluing that contradicts the ones
+    before it is Unsat at once, and its chain is read off a second run of
+    the same gluing loop, from fresh lists, that logs each gluing and
+    stops at the same contradiction.  The same inline read then sorts
+    every pair into its class in one pass.
 
     Depth-first over pair variables in canonical order, assigning -1 before
     +1, propagating transitivity and the invariance gluing after every step.
@@ -442,8 +423,8 @@ def search_invariant(
     # sign of parent[p], -1 when it must take the opposite sign.  So a root
     # has sign +1 relative to itself, and a pair one step from its root has
     # parity[p]; only a longer chain needs find, which compresses it.
-    parent = [0] * (size * size)
-    parity = [1] * (size * size)
+    parent: list[int] = []
+    parity: list[int] = []
 
     def find(p: int) -> tuple[int, int]:
         chain = []
@@ -458,51 +439,65 @@ def search_invariant(
             parity[q] = s
         return p, s
 
-    for m, fm in enumerate(f, 1):
-        # each fg's b2 index, read off fm's row; a missing image raises at the
-        # first pair that needs it, after any contradiction found before that pair
-        row = b2.row(fm)
-        moved = [row[i] for i in at]
-        for ig, fg in zip(at, moved):
-            for ih, fh in zip(at, moved):
-                if ig >= ih:
-                    continue
-                if fg is None or fh is None:
-                    raise OrderingError("ball containment violated")
-                # glue sign(ig, ih) = rel * sign of the image's canonical pair
-                p = ig * size + ih
-                if fg < fh:
-                    q = fg * size + fh
-                    rel = 1
-                else:
-                    q = fh * size + fg
-                    rel = -1
-                rp = parent[p]
-                if not rp:
-                    rp, sp = p, 1
-                elif parent[rp]:
-                    rp, sp = find(p)
-                else:
-                    sp = parity[p]
-                rq = parent[q]
-                if not rq:
-                    rq, sq = q, 1
-                elif parent[rq]:
-                    rq, sq = find(q)
-                else:
-                    sq = parity[q]
-                if rp != rq:
-                    parent[rp] = rq
-                    parity[rp] = rel * sp * sq
-                elif sp != rel * sq:
-                    # the gluings so far are replayed, up to this one, not logged
-                    glued = _gluing_chain(_gluing_log(f[:m], at, b2, p), p, q, size)
-                    steps = [TraceStep((ig, ih), +1, "assume a sign for this pair")]
-                    steps += [TraceStep(pr, 0, f"forced equal/opposite via {lb}")
-                              for pr, lb in glued]
-                    steps.append(TraceStep(divmod(q, size), -1,
-                                           f"also forced opposite via {_multiplier_label(fm, b2)}"))
-                    return SearchResult("unsat", None, UnsatTrace(0, tuple(steps)), 0)
+    def glue(log: list[tuple[int, int, str]] | None) -> tuple[int, int, GroupMatrix] | None:
+        """Glue every pair under every f, from fresh union-find lists; the
+        first contradiction (pair, image pair, f), or None.  With a log,
+        each gluing made before it is appended as (pair, image pair, label)."""
+        nonlocal parent, parity
+        parent, parity = [], []   # a second run drops the first's lists before making its own
+        parent, parity = [0] * (size * size), [1] * (size * size)
+        for fm in f:
+            # each fg's b2 index, read off fm's row; a missing image raises at the
+            # first pair that needs it, after any contradiction found before that pair
+            row = b2.row(fm)
+            moved = [row[i] for i in at]
+            label = None if log is None else _multiplier_label(fm, b2)
+            for ig, fg in zip(at, moved):
+                for ih, fh in zip(at, moved):
+                    if ig >= ih:
+                        continue
+                    if fg is None or fh is None:
+                        raise OrderingError("ball containment violated")
+                    # glue sign(ig, ih) = rel * sign of the image's canonical pair
+                    p = ig * size + ih
+                    if fg < fh:
+                        q = fg * size + fh
+                        rel = 1
+                    else:
+                        q = fh * size + fg
+                        rel = -1
+                    rp = parent[p]
+                    if not rp:
+                        rp, sp = p, 1
+                    elif parent[rp]:
+                        rp, sp = find(p)
+                    else:
+                        sp = parity[p]
+                    rq = parent[q]
+                    if not rq:
+                        rq, sq = q, 1
+                    elif parent[rq]:
+                        rq, sq = find(q)
+                    else:
+                        sq = parity[q]
+                    if rp != rq:
+                        parent[rp] = rq
+                        parity[rp] = rel * sp * sq
+                    elif sp != rel * sq:
+                        return p, q, fm
+                    if log is not None:
+                        log.append((p, q, label))
+        return None
+
+    if glue(None) is not None:
+        log: list[tuple[int, int, str]] = []
+        p, q, fm = glue(log)   # the same contradiction, with the gluings before it
+        glued = _gluing_chain(log, p, q, size)
+        steps = [TraceStep(divmod(p, size), +1, "assume a sign for this pair")]
+        steps += [TraceStep(pr, 0, f"forced equal/opposite via {lb}") for pr, lb in glued]
+        steps.append(TraceStep(divmod(q, size), -1,
+                               f"also forced opposite via {_multiplier_label(fm, b2)}"))
+        return SearchResult("unsat", None, UnsatTrace(0, tuple(steps)), 0)
 
     # Classes: members[root] lists the members (i, j, parity), in increasing
     # (i, j), read as the gluing reads roots; roots lists the roots as they
@@ -631,16 +626,10 @@ def search_invariant(
 
     # iterative depth-first search; values tried -1 before +1 so the found
     # witness is the canonically least satisfying leaf
-    found = False
-    start = next_pos(0)
-    if start == len(roots):
-        found = True
-    else:
-        stack.append((start, [-1, 1], 0))
+    stack.append((next_pos(0), [-1, 1], 0))
     while stack:
         pos, values, mark = stack[-1]
         if pos == len(roots):
-            found = True
             break
         if values:
             branches += 1
@@ -659,7 +648,7 @@ def search_invariant(
             stack.pop()
             if stack:
                 undo(stack[-1][2])
-    if not found:
+    if not stack:
         return SearchResult(
             "unsat",
             None,

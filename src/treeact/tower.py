@@ -23,7 +23,6 @@ from math import cos, pi, sin
 from operator import add, itemgetter, le, lt, mul
 from typing import NamedTuple
 
-from ._walk import walk
 from .matrices import (
     CapExceeded,
     GroupMatrix,
@@ -110,13 +109,13 @@ class InverseSystem:
     read-only views of one vertex numbering, kept as ``_numbering``, and
     every check accepts them on its one cached verdict.  Each level's
     ``generators`` and each bond makes its dict of strings on first read
-    and keeps it; the checks, uncapped orbits, decorations and
-    ``system_to_json`` read the numbering's ints instead while the verdict
-    holds, so a tower built, verified, decorated and written makes none
-    of them.  Each level's tree is made at once.  A system made
-    here (or by ``dataclasses.replace``) from levels and bonds, even a
-    built tower's, has no numbering: it is checked on its strings, as a
-    tower read from a file is.
+    and keeps it; the checks, orbits, decorations and ``system_to_json``
+    read the numbering's ints instead while the verdict holds, so a tower
+    built, verified, decorated, walked and written makes none of them.
+    Each level's tree is made at once.  A system made here (or by
+    ``dataclasses.replace``) from levels and bonds, even a built tower's,
+    has no numbering: it is checked on its strings, as a tower read from a
+    file is.
     """
 
     levels: Sequence[FiniteTreeAction]
@@ -222,21 +221,11 @@ class _Numbering:
             degrees.append(max(children[0], 1 + max(children[1:size])) if size > 1 else 0)
         return degrees
 
-    def orbit(self, seed: str) -> list[str]:
-        """The ids ``walk`` meets from seed through the generators, sorted
-        by name, as ``_orbit_walk`` takes them."""
-        images = [image for _name, image in self._by_name()]
-        start = self.ids.index(seed)
-        seen = bytearray(len(self.ids))
-        seen[start] = 1
-        order = [start]
-        for x in order:   # breadth-first: the list is the queue
-            for image in images:
-                y = image[x]
-                if not seen[y]:
-                    seen[y] = 1
-                    order.append(y)
-        return [self.ids[v] for v in order]
+    @cached_property
+    def inverses(self) -> dict[str, list[int]]:
+        """Each generator's inverse image list by name: vertices sorted by image."""
+        return {name: sorted(range(len(image)), key=image.__getitem__)
+                for name, image in zip(self.names, self.images)}
 
     def to_json(self) -> tuple[list[dict[str, list[str]]], list[dict[str, str]]]:
         """Each level's generator images and each bond, as ``system_to_json``
@@ -498,11 +487,38 @@ class OrbitResult:
         return len(self.vertices)
 
 
-def _orbit_walk(act: FiniteTreeAction, v: str, inverses: bool):
-    """Breadth-first orbit of v: sorted generator names, each then its inverse if walked."""
-    autos = [act.generators[name] for name in sorted(act.generators)]
-    maps = [s._map for a in autos for s in ((a, a.inverse()) if inverses else (a,))]
-    return walk(v, lambda x: [m[x] for m in maps])
+def _orbit_order(act: FiniteTreeAction, v: str, cap: int | None) -> tuple[list[str], bool]:
+    """The orbit of v in the order a breadth-first walk meets it, and closed:
+    the generators sorted by name, each then its inverse when a cap bounds
+    word length.  No vertex past word length cap is met, and ``closed`` is
+    False exactly when one at cap is.  A level of a built tower whose
+    verdict holds is walked on the numbering's ints, its inverses made once
+    per numbering; any other on the string maps."""
+    capped = cap is not None
+    numbering = act._numbered
+    if numbering is not None and numbering.holds:
+        ids, start = numbering.ids, numbering.ids.index(v)
+        steps = [s for name, image in numbering._by_name()
+                 for s in ((image, numbering.inverses[name]) if capped else (image,))]
+    else:
+        ids, start = None, v
+        autos = [act.generators[name] for name in sorted(act.generators)]
+        steps = [s._map for a in autos for s in ((a, a.inverse()) if capped else (a,))]
+    limit = max(cap, 0) if capped else -1
+    order, level, seen, depth = [start], [start], {start}, 0
+    while level and depth != limit:
+        depth += 1
+        found = []
+        for x in level:
+            for step in steps:
+                y = step[x]
+                if y not in seen:
+                    seen.add(y)
+                    found.append(y)
+        order += found
+        level = found
+    # a level left unwalked lies at word length cap
+    return (order if ids is None else list(map(ids.__getitem__, order))), not level
 
 
 def orbit(act: FiniteTreeAction, v: str, cap: int | None = None) -> OrbitResult:
@@ -512,29 +528,15 @@ def orbit(act: FiniteTreeAction, v: str, cap: int | None = None) -> OrbitResult:
     The generators must be permutations of the vertex set, as
     ``FiniteTreeAction.validate`` checks.  A permutation of a finite set has
     finite order, so its inverse is one of its powers: without a cap the
-    walk takes the generators alone, on the numbering's ints for a level
-    of a built tower whose verdict holds.  With a cap it takes the inverses
-    too, since they count one letter each towards word length.
+    walk (``_orbit_order``) takes the generators alone.  With a cap it takes
+    the inverses too, since they count one letter each towards word length.
+    A level of a built tower whose verdict holds is walked on the
+    numbering's ints either way, so no string map is made.
     """
     if v not in act.tree.adjacency:
         raise TowerError("vertex not in tree")
-    if cap is None:
-        numbering = act._numbered
-        if numbering is not None and numbering.holds:
-            found = numbering.orbit(v)
-        else:
-            found = [y for y, *_ in _orbit_walk(act, v, False)]
-        return OrbitResult(tuple(sorted(found)), True)
-    limit = max(cap, 0)
-    seen = []
-    closed = True
-    for y, _x, _k, depth in _orbit_walk(act, v, True):
-        if depth == limit:
-            closed = False
-        elif depth > limit:
-            break
-        seen.append(y)
-    return OrbitResult(tuple(sorted(seen)), closed)
+    found, closed = _orbit_order(act, v, cap)
+    return OrbitResult(tuple(sorted(found)), closed)
 
 
 @dataclass(frozen=True)
@@ -753,9 +755,8 @@ def attach_decorations(sys: InverseSystem, seed: str) -> DecoratedAction:
     """Attach a subdivided pendant arc over each vertex in the orbit of seed.
 
     The orbit is numbered from the seed along the walk ``orbit`` takes
-    without a cap: breadth-first, through the generators alone, sorted by
-    name.  A built tower whose numbering's verdict holds takes the same
-    walk on the numbering's ints.  The arc over the i-th orbit vertex
+    without a cap (``_orbit_order``): breadth-first, through the generators
+    alone, sorted by name.  The arc over the i-th orbit vertex
     carries length label 1/i and has vertices ``pend{i}m`` and
     ``pend{i}t``, which must name no vertex of the tower.  Every generator
     extends to permute the pendant arcs with the orbit.
@@ -767,13 +768,8 @@ def attach_decorations(sys: InverseSystem, seed: str) -> DecoratedAction:
     if len(tree.vertices) > 1 and tree.degree(seed) != 1:
         raise TowerError("seed must be a leaf")
 
-    numbering = sys._numbering
-    if numbering is not None and numbering.holds:
-        # every level is a prefix of the numbering, the deepest all of it
-        order, taken = numbering.orbit(seed), numbering.ids
-    else:
-        order = [y for y, *_ in _orbit_walk(act, seed, False)]
-        taken = chain.from_iterable(level.tree.vertices for level in sys.levels)
+    order, _closed = _orbit_order(act, seed, None)
+    taken = chain.from_iterable(level.tree.vertices for level in sys.levels)
     # the first clash in pendant order: pend1m, pend1t, pend2m, ...
     clashes = [(i, name[-1], name) for name in taken
                if name.startswith("pend") and (i := _pendant_number(name, len(order)))]

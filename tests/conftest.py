@@ -7,6 +7,21 @@ import pytest
 from treeact.trees import Tree
 from treeact.tower import build_congruence_tower
 
+try:
+    import resource
+except ImportError:   # not on every platform
+    resource = None
+
+# The session's address space is capped at 2 GiB (its own peak is near
+# 160 MB), so a runaway loop, say a cycle in a union-find, fails with
+# MemoryError instead of exhausting the host.  Only the soft limit is
+# lowered, never raised; the hard limit, never below the soft, is left alone.
+AS_LIMIT = 2 << 30
+if resource is not None:
+    _soft, _hard = resource.getrlimit(resource.RLIMIT_AS)
+    if _soft == resource.RLIM_INFINITY or _soft > AS_LIMIT:
+        resource.setrlimit(resource.RLIMIT_AS, (AS_LIMIT, _hard))
+
 
 def pruefer_tree(n: int, rng: random.Random) -> Tree:
     """Uniform random labelled tree on n vertices via a Pruefer sequence."""

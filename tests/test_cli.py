@@ -649,6 +649,22 @@ class TestGivenValues:
         assert run_cli(*argv.split()) == (3, "")
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("argv, line", [
+        ("order search", "error: --gens is required unless --preset is given"),
+        ("realize", "error: --order is required unless --preset is given"),
+        ("identities congruence --level 2",
+         "error: --elementary is required unless --matrix is given"),
+        ("tower build --preset no-such", "error: unknown preset: no-such"),
+        ("order search --preset z-ball-3 --budget x",
+         "error: argument --budget: must be a non-negative integer, got 'x'"),
+        ("identities congruence --level 2 --elementary 1,2",
+         "error: argument --elementary: expected i,j,v as three integers, got '1,2'"),
+    ])
+    def test_usage_error_names_the_fault(self, argv, line, capsys):
+        # argparse prints its usage first; the last stderr line is the error
+        assert run_cli(*argv.split()) == (3, "")
+        assert capsys.readouterr().err.splitlines()[-1] == line
+
     @pytest.mark.parametrize("extra", ["", "--invariant none "])
     def test_inner_radius_without_invariance_is_rejected(self, extra, input_files, capsys):
         line = f"order check --order {{order}} {extra}--inner-radius 2"

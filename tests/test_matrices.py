@@ -213,6 +213,13 @@ class TestSixGenerators:
     def test_embedded_matches_at_base_case(self):
         assert six_generators_embedded(3, 1, 2, 1) == six_generators(1)
 
+    @pytest.mark.parametrize("r", [1, 2, 5])
+    def test_entries_for_each_parameter(self, r):
+        assert [to_rows(g) for g in six_generators(r)] == [
+            [[1, r, 0], [0, 1, 0], [0, 0, 1]], [[1, 0, r], [0, 1, 0], [0, 0, 1]],
+            [[1, 0, 0], [0, 1, r], [0, 0, 1]], [[1, 0, 0], [r, 1, 0], [0, 0, 1]],
+            [[1, 0, 0], [0, 1, 0], [r, 0, 1]], [[1, 0, 0], [0, 1, 0], [0, r, 1]]]
+
     def test_embedded_a2_position(self):
         a2 = six_generators_embedded(4, 1, 2, 1)[1]
         assert a2 == elementary(4, 1, 3, 1)
@@ -657,3 +664,48 @@ class TestSerialization:
         assert matrix_from_json(matrix_to_json(m)) == m
         mm = elementary(2, 2, 1, 3, mod=5)
         assert matrix_from_json(matrix_to_json(mm)) == mm
+
+
+def _raises(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+class TestRejections:
+    """Each refusal of a malformed matrix or argument, one row each."""
+
+    @pytest.mark.parametrize("call, message", [
+        pytest.param(lambda: GroupMatrix(2, (1, 0, 0)), "entry count does not match dimension",
+                     id="entry-count"),
+        pytest.param(lambda: GroupMatrix(2, (1, 0, 0, 1), 1), "modulus must be at least 2",
+                     id="matrix-modulus"),
+        pytest.param(lambda: GroupMatrix.from_rows([[2, 0], [0, 1]]), "determinant must be 1",
+                     id="from-rows-determinant"),
+        pytest.param(lambda: elementary(2, 3, 1, 1), "index out of range", id="elementary-index"),
+        pytest.param(lambda: six_generators(0), "parameter must be positive",
+                     id="six-generators-parameter"),
+        pytest.param(lambda: six_generators_embedded(2, 1, 2, 1), "dimension must be at least 3",
+                     id="embedded-dimension"),
+        pytest.param(lambda: six_generators_embedded(3, 1, 2, 0), "power must be positive",
+                     id="embedded-power"),
+        pytest.param(lambda: verify_hexagon_relations(six_generators(1)[:5], 1),
+                     "exactly six matrices required", id="hexagon-count"),
+        pytest.param(lambda: verify_hexagon_relations(
+            six_generators(1)[:5] + [elementary(4, 1, 2, 1)], 1),
+            "matrices must share dimension and domain", id="hexagon-domain"),
+        pytest.param(lambda: enumerate_group(2, 1, [elementary(2, 1, 2, 1)]),
+                     "modulus must be at least 2", id="enumerate-modulus"),
+        pytest.param(lambda: enumerate_group(2, 3, [elementary(3, 1, 2, 1)]),
+                     "dimension mismatch", id="enumerate-dimension"),
+        pytest.param(lambda: enumerate_group(2, 3, [elementary(2, 1, 2, 1, mod=5)]),
+                     "generator modulus mismatch", id="enumerate-generator-modulus"),
+        pytest.param(lambda: enumerate_group(2, 3, [GroupMatrix(2, (2, 0, 0, 1), 3)]),
+                     "determinant must be 1", id="enumerate-determinant"),
+        pytest.param(lambda: congruence_membership(elementary(2, 1, 2, 1), 1),
+                     "level must be at least 2", id="congruence-level"),
+        pytest.param(lambda: matrix_from_json([1, 0, 0, 1]), "matrix must be a JSON object",
+                     id="json-not-an-object"),
+    ])
+    def test_refusal(self, call, message):
+        _raises(call, MatrixError, message)

@@ -17,7 +17,7 @@ import tracemalloc
 
 import pytest
 import oracles
-from treeact.matrices import GroupMatrix, elementary, six_generators
+from treeact.matrices import GroupMatrix, MatrixError, elementary, six_generators
 from treeact.ordering import (
     OrderAssignment,
     OrderingError,
@@ -369,10 +369,11 @@ def pinned_instance(name):
 class TestSearchPins:
     @pytest.mark.parametrize("name", sorted(SEARCH_PINS))
     def test_decisions_and_witness(self, name):
-        inner_size, outer_size, decisions, _units, digest = SEARCH_PINS[name]
+        inner_size, outer_size, decisions, units, digest = SEARCH_PINS[name]
         gens, inner, outer = pinned_instance(name)
         assert (len(inner), len(outer)) == (inner_size, outer_size)
-        res = search_invariant(gens, inner, outer, budget=10 ** 8)
+        # a few times the pinned units, so a search that goes astray stops at once
+        res = search_invariant(gens, inner, outer, budget=4 * units)
         assert res.is_sat and res.decisions == decisions
         triples = sorted([i, j, s] for (i, j), s in res.witness.signs.items())
         assert hashlib.sha256(json.dumps(triples).encode()).hexdigest() == digest
@@ -416,6 +417,22 @@ class TestSearchPins:
         finally:
             tracemalloc.stop()
         assert peak < 400 * pairs
+
+    def test_unsat_at_gluing_holds_one_union_find(self):
+        # the logging second run of the gluing drops the first run's lists
+        # before it makes its own; one pair of lists takes 16 bytes per pair
+        # int, and the inner ball's gluings are few beside them
+        gens = [z_gen(), GroupMatrix.from_rows([[0, -1], [1, 1]])]
+        inner = ball_generate(gens, 3, ["u", "t"])
+        outer = ball_generate(gens, 7, ["u", "t"])
+        tracemalloc.start()
+        try:
+            res = search_invariant(gens, inner, outer)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (len(outer), res.status, res.decisions) == (476, "unsat", 0)
+        assert peak < 24 * len(outer) ** 2
 
     def test_z_ball_80_within_default_budget(self):
         f, inner, outer = pinned_instance("z-ball-80")
@@ -504,3 +521,27 @@ class TestSerialization:
         b = z_ball(2)
         words = {format_word(b.words[g]) for g in b.elements}
         assert "e" in words and "g" in words and "g^-1" in words
+
+
+class TestRejections:
+    """Each refusal of a malformed ball or argument, one row each."""
+
+    @pytest.mark.parametrize("call, error, message", [
+        pytest.param(lambda: ball_generate([z_gen()], -1), OrderingError,
+                     "radius must be nonnegative", id="radius"),
+        pytest.param(lambda: ball_generate([], 1), OrderingError,
+                     "at least one generator required", id="no-generators"),
+        pytest.param(lambda: ball_generate([z_gen(), elementary(3, 1, 2, 1)], 1), MatrixError,
+                     "generators must share dimension and domain", id="mixed-generators"),
+        pytest.param(lambda: ball_from_json({**ball_to_json(z_ball(1)), "radius": "1"}),
+                     OrderingError,
+                     "ball must have 'generators' and 'names' lists and an integer 'radius'",
+                     id="json-radius"),
+        pytest.param(lambda: ball_from_json({**ball_to_json(z_ball(1)), "count": 4}),
+                     OrderingError, "ball provenance does not match regenerated ball",
+                     id="json-count"),
+    ])
+    def test_refusal(self, call, error, message):
+        with pytest.raises(error) as exc:
+            call()
+        assert str(exc.value) == message

@@ -163,6 +163,10 @@ class TestPLHomeo:
         with pytest.raises(RealizeError, match="strictly increasing"):
             PLHomeo(((0, 0), (1, 0)))
 
+    def test_no_breakpoint(self):
+        with pytest.raises(RealizeError, match="^at least one breakpoint required$"):
+            PLHomeo(())
+
     def test_interpolation_and_tails(self):
         m = PLHomeo(((0, 0), (2, 4)))
         assert m(1) == 2
@@ -290,6 +294,10 @@ class TestFixedSet:
         fs = fixed_set(m)
         assert fs.points == (0,)
         assert fs.intervals == ()
+
+    def test_one_breakpoint_on_the_diagonal(self):
+        fs = fixed_set(PLHomeo(((2, 2),)))
+        assert fs.points == (2,) and fs.intervals == ()
 
 
 class TestAlmostFree:

@@ -257,6 +257,9 @@ class TestLazyViews:
         dec = attach_decorations(sys_, sys_.levels[-1].tree.leaves()[0])
         growth = projection_orbit_growth(sys_, dec, dec.pendants[0].tip)
         assert growth.sizes == (1, 168, 43008)
+        # a capped walk takes the inverses too, as int lists of the numbering
+        capped = projection_orbit_growth(sys_, dec, dec.pendants[0].tip, cap=3)
+        assert (capped.sizes, capped.closed) == ((1, 82, 763), (True, False, False))
         written = system_to_json(sys_)
         assert len(written["levels"][2]["generators"]["u12"]) == 1 + 168 + 43008
         assert made == Counter()
@@ -748,3 +751,30 @@ class TestOrbitPins:
         res = orbit(tower232.levels[level], vertex, cap)
         got = (len(res), res.closed, sha("\n".join(res.vertices))[:16])
         assert got == ORBIT_PINS[(level, vertex, cap)]
+
+
+def _short_image_list():
+    """A written (2, 2, 1) tower with one image dropped from u12 on level 1."""
+    obj = system_to_json(build_congruence_tower(2, 2, 1))
+    obj["levels"][1]["generators"]["u12"].pop()
+    return obj
+
+
+class TestRejections:
+    """Each refusal of a foreign vertex or a malformed file, one row each."""
+
+    @pytest.mark.parametrize("call, message", [
+        pytest.param(lambda sys_: orbit(sys_.levels[1], "nope"), "vertex not in tree",
+                     id="orbit-foreign-vertex"),
+        pytest.param(lambda sys_: orbit(sys_.levels[1], "nope", 2), "vertex not in tree",
+                     id="capped-orbit-foreign-vertex"),
+        pytest.param(lambda sys_: attach_decorations(sys_, "nope"), "seed not in deepest tree",
+                     id="decoration-foreign-seed"),
+        pytest.param(lambda sys_: system_from_json(_short_image_list()),
+                     "generator u12: one image per vertex required", id="json-image-count"),
+    ])
+    def test_refusal(self, call, message):
+        sys_ = build_congruence_tower(2, 2, 1)
+        with pytest.raises(TowerError) as exc:
+            call(sys_)
+        assert str(exc.value) == message

@@ -356,3 +356,41 @@ class TestSerialization:
     def test_dot_export(self):
         dot = tree_to_dot(star3())
         assert '"c" -- "l1";' in dot and dot.startswith("graph")
+
+
+class TestRejections:
+    """Each refusal of a malformed tree or argument, one row each."""
+
+    @pytest.mark.parametrize("tree, reason", [
+        pytest.param(Tree(("a", "b"), (("a", "z"),)), "edge references unknown vertex",
+                     id="unknown-vertex"),
+        # as many edges as a tree has, but a 3-cycle leaves d out
+        pytest.param(Tree(("a", "b", "c", "d"), (("a", "b"), ("b", "c"), ("a", "c"))),
+                     "disconnected", id="cycle-and-island"),
+        pytest.param(Tree(("a", "b"), (("a", "b"),), {"a": (0, 0)}),
+                     "embedding does not cover vertices", id="embedding-cover"),
+        pytest.param(Tree(("a", "b"), (("a", "b"),), {"a": (0, 0), "b": (1, 0, 0)}),
+                     "embedding dimension must be uniform 2 or 3", id="embedding-dimension"),
+    ])
+    def test_invalid_tree(self, tree, reason):
+        res = validate_tree(tree)
+        assert (res.ok, res.reason) == (False, reason)
+
+    @pytest.mark.parametrize("call, message", [
+        pytest.param(lambda: star3().degree("zz"), "vertex not in tree", id="degree"),
+        pytest.param(lambda: path(Tree(("a", "b", "c"), (("a", "b"),)), "a", "c"),
+                     "vertices not connected", id="path-disconnected"),
+        pytest.param(lambda: common_fixed_point(Tree(("x",), ()), [], "x"),
+                     "tree must have at least two vertices", id="fixed-point-size"),
+        pytest.param(lambda: common_fixed_point(star3(), [], "c"), "z must be a leaf",
+                     id="fixed-point-leaf"),
+        pytest.param(lambda: list(automorphisms_fixing_leaf(star3(), "c")), "e must be a leaf",
+                     id="automorphisms-leaf"),
+        pytest.param(lambda: tree_from_json({"vertices": ["a"], "edges": [], "embedding": ["0"]}),
+                     "tree embedding must map vertex ids to lists of 'p/q' strings",
+                     id="json-embedding"),
+    ])
+    def test_refusal(self, call, message):
+        with pytest.raises(TreeError) as exc:
+            call()
+        assert str(exc.value) == message

@@ -20,6 +20,7 @@ report field for field, or raise the same error.
 import hashlib
 import json
 import random
+from collections import Counter
 from collections.abc import Mapping
 from dataclasses import astuple
 from fractions import Fraction
@@ -63,6 +64,7 @@ from treeact.tower import (
     degree_profile,
     orbit,
     projection_orbit_growth,
+    system_from_json,
     system_to_json,
     verify_all_bonds,
     verify_bond_structure,
@@ -166,6 +168,30 @@ class TestCheckInvarianceTwin:
         if fast[0] == "value":
             fast = ("value", astuple(fast[1]))
         assert fast == naive
+
+    def test_dropped_pairs_and_wider_inner_balls(self):
+        # phi may lack pairs, and the inner ball may reach past phi's ball;
+        # the draws reach every outcome, each raise included
+        kinds = Counter()
+        for seed in range(400):
+            rng = random.Random(seed)
+            f, make = INVARIANCE_SETS[rng.choice(sorted(INVARIANCE_SETS))]
+            inner_r = rng.randint(0, 3)
+            inner = make(inner_r)
+            phi = random_assignment(make(max(inner_r + rng.randint(-2, 1), 0)), rng,
+                                    rng.random() < 0.3)
+            if rng.random() < 0.5:
+                kept = {(i, j): s for (i, j), s in phi.signs.items()
+                        if i < j and rng.random() > 0.05}
+                phi = OrderAssignment(phi.ball, kept)
+            fast = outcome(check_invariance, phi, f, inner)
+            naive = outcome(oracles.check_invariance, phi, f, inner)
+            if fast[0] == "value":
+                fast = ("value", astuple(fast[1]))
+            assert fast == naive
+            kinds[fast[0] if fast[0] == "value" else fast[2]] += 1
+        assert set(kinds) == {"value", "ball containment violated", "element not in ball",
+                              "incomplete assignment"}, kinds
 
     def test_one_element_inner_ball_leaving_the_outer_ball(self):
         # e's image u lies outside the radius-0 ball, but there are no pairs
@@ -539,6 +565,7 @@ class TestFirstPointTwin:
 
 TOWERS = {npd: build_congruence_tower(*npd)
           for npd in [(2, 2, 2), (2, 2, 3), (2, 3, 2), (3, 2, 1)]}
+LOADED = {npd: system_from_json(system_to_json(sys_)) for npd, sys_ in TOWERS.items()}
 CAPS = st.one_of(st.none(), st.integers(0, 5))
 
 
@@ -561,6 +588,17 @@ class TestOrbitTwin:
                 attach_decorations(sys_, rng.choice(sys_.levels[-1].tree.leaves())))
         v = rng.choice(act.tree.vertices)
         assert orbit_outcome(act, v, cap) == oracles.orbit(act, v, cap)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(sorted(TOWERS)), SEEDS, CAPS)
+    def test_loaded_towers(self, npd, seed, cap):
+        # a tower read from its file has no numbering: the walk reads its strings
+        rng = random.Random(seed)
+        a = rng.randrange(len(TOWERS[npd].levels))
+        act = LOADED[npd].levels[a]
+        v = rng.choice(act.tree.vertices)
+        assert orbit_outcome(act, v, cap) == oracles.orbit(act, v, cap)
+        assert orbit_outcome(act, v, cap) == orbit_outcome(TOWERS[npd].levels[a], v, cap)
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(2, 40), SEEDS, st.integers(1, 3), CAPS)
