@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import cached_property, partial
 from itertools import chain, product
 from math import cos, pi, sin
-from operator import add, itemgetter, le, lt, mul
+from operator import add, itemgetter, le, mul
 from typing import NamedTuple
 
 from .matrices import (
@@ -40,6 +40,7 @@ from .trees import (
     TreeAutomorphism,
     _is_connected_subset,
     _is_str_map,
+    _sound_parents,
     first_point_map,
     is_tree_automorphism,
     tree_from_json,
@@ -146,20 +147,26 @@ class _Numbering:
         """The system whose levels and bonds are views of these lists.
 
         Each level's tree, its read-only generator maps and each bond: the
-        identity on level a-1, each newer vertex onto its parent.  The maps
-        and bonds are ``_View``s of ``maps`` and ``bond``.  The system and
-        its levels keep the numbering.
+        identity on level a-1, each newer vertex onto its parent.  While
+        parent is sound and no level is empty, each level's tree is made
+        with ``Tree.from_parents`` from its prefix of the lists, so it
+        answers from the ints; otherwise from the strings, its edges read
+        off the whole lists.  Either way it has the same vertices and
+        edges.  The maps and bonds are ``_View``s of ``maps`` and ``bond``.
+        The system and its levels keep the numbering.
         """
-        ids, counts = self.ids, self.counts
-        # vertex v > 0 hangs from ups[v] by edges[v - 1]
-        ups = [ids[u] for u in self.parent]
-        edges = list(zip(ups[1:], ids[1:]))
+        ids, parent, counts = self.ids, self.parent, self.counts
+        if _sound_parents(ids, parent) and all(counts):
+            trees = [Tree.from_parents(ids[:size], parent[:size]) for size in counts]
+        else:
+            # vertex v > 0 hangs from ids[parent[v]] by edges[v - 1]
+            edges = list(zip([ids[u] for u in parent[1:]], ids[1:]))
+            trees = [Tree(ids[:size], edges[:size - 1]) for size in counts]
         levels, bonds = [], []
-        for a, size in enumerate(counts):
+        for a, (size, tree) in enumerate(zip(counts, trees)):
             if a:
                 bonds.append(_View(partial(self.bond, counts[a - 1], size)))
-            levels.append(FiniteTreeAction(Tree(ids[:size], edges[:size - 1]),
-                                           _View(partial(self.maps, size))))
+            levels.append(FiniteTreeAction(tree, _View(partial(self.maps, size))))
             # both classes are frozen, and neither takes a numbering as an argument
             object.__setattr__(levels[-1], "_numbered", self)
         sys = InverseSystem(tuple(levels), tuple(bonds), provenance, matrices)
@@ -196,14 +203,12 @@ class _Numbering:
         in [lo, hi), where the bond is parent, which it commutes with.
         """
         ids, parent, counts = self.ids, self.parent, self.counts
-        size = len(ids)
-        if not (all(map(le, counts, counts[1:]))
-                and counts[-1] == size == len(parent) == len(set(ids))
+        if not (_sound_parents(ids, parent) and all(map(le, counts, counts[1:]))
+                and counts[-1] == len(ids)
                 and len(self.images) == len(self.names) == len(set(self.names))
-                and min(parent) == parent[0] == 0 and all(map(lt, parent[1:], range(1, size)))
                 and all(max(parent[lo:hi], default=0) < lo for lo, hi in zip(counts, counts[1:]))):
             return False
-        vertices = set(range(size))
+        vertices = set(range(len(ids)))
         return all(set(image) == vertices and all(max(image[:s]) < s for s in counts)
                    and list(map(parent.__getitem__, image)) == list(map(image.__getitem__, parent))
                    for image in self.images)
@@ -533,7 +538,7 @@ def orbit(act: FiniteTreeAction, v: str, cap: int | None = None) -> OrbitResult:
     A level of a built tower whose verdict holds is walked on the
     numbering's ints either way, so no string map is made.
     """
-    if v not in act.tree.adjacency:
+    if v not in act.tree:
         raise TowerError("vertex not in tree")
     found, closed = _orbit_order(act, v, cap)
     return OrbitResult(tuple(sorted(found)), closed)
@@ -763,7 +768,7 @@ def attach_decorations(sys: InverseSystem, seed: str) -> DecoratedAction:
     """
     act = sys.levels[-1]
     tree = act.tree
-    if seed not in tree.adjacency:
+    if seed not in tree:
         raise TowerError("seed not in deepest tree")
     if len(tree.vertices) > 1 and tree.degree(seed) != 1:
         raise TowerError("seed must be a leaf")
@@ -813,7 +818,7 @@ def projection_orbit_growth(
     """
     act = decorated.base
     tree = act.tree
-    pendant = x not in tree.adjacency
+    pendant = x not in tree
     if pendant:
         i = _pendant_number(x, len(decorated.anchors))
         if not i:

@@ -9,10 +9,11 @@ immutable after construction; construction itself is permissive so that
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import permutations
+from operator import lt
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from ._walk import walk
@@ -30,18 +31,31 @@ def frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+def _sound_parents(vertices: Sequence[str], parent: Sequence[int]) -> bool:
+    """Whether parent makes the distinct vertices a rooted tree: one parent
+    per vertex, the root (vertex 0) its own parent, every other parent an
+    earlier vertex."""
+    return (len(parent) == len(vertices) == len(set(vertices)) > 0
+            and min(parent) == parent[0] == 0 and all(map(lt, parent[1:], range(1, len(parent)))))
+
+
 @dataclass(eq=False)
 class Tree:
     """A finite graph intended to be a tree, with an optional exact embedding.
 
     ``embedding`` maps vertices to rational coordinates in the plane or in
-    3-space.  Nothing is validated at construction time: use
-    ``validate_tree``.
+    3-space.  Nothing is validated at construction time (use
+    ``validate_tree``), with one exception: ``from_parents`` checks its
+    parent list, and a tree made from a sound one keeps the list and
+    answers ``validate_tree``, ``leaves``, ``degree``, membership and
+    ``first_point_map`` from it.  Any other tree answers from its strings.
     """
 
     vertices: tuple[str, ...]
     edges: tuple[tuple[str, str], ...]
     embedding: dict[str, tuple[Fraction, ...]] | None = None
+    # vertex i > 0 hangs from vertex _parent[i]; kept only by from_parents, when sound
+    _parent: list[int] | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.vertices = tuple(self.vertices)
@@ -52,26 +66,69 @@ class Tree:
                 for v, coords in self.embedding.items()
             }
 
+    @classmethod
+    def from_parents(cls, vertices: Sequence[str], parent: Sequence[int]) -> Tree:
+        """The tree with an edge from vertices[parent[i]] to vertices[i] for
+        each i >= 1.  A parent indexes vertices as a Python index does, so a
+        negative one counts from the end; one out of range is a TreeError.
+
+        The tree keeps the list only when it is sound: as long as vertices,
+        parent[0] == 0 and 0 <= parent[i] < i, with distinct vertices.  Such
+        a tree is rooted at vertices[0] by construction.
+        """
+        vertices, parent = tuple(vertices), list(parent)
+        try:
+            ups = list(map(vertices.__getitem__, parent[1:]))
+        except IndexError:
+            raise TreeError("parent index out of range") from None
+        tree = cls(vertices, zip(ups, vertices[1:]))
+        if _sound_parents(vertices, parent):
+            tree._parent = parent
+        return tree
+
     @cached_property
     def adjacency(self) -> dict[str, tuple[str, ...]]:
+        # the edges are sorted with u <= v, so each vertex meets its smaller
+        # neighbours in order, then its larger ones: each list comes sorted
         nbrs: dict[str, list[str]] = {v: [] for v in self.vertices}
         for u, v in self.edges:
             if u in nbrs and v in nbrs and u != v:
                 nbrs[u].append(v)
                 nbrs[v].append(u)
-        return {v: tuple(sorted(ws)) for v, ws in nbrs.items()}
+        return {v: tuple(ws) for v, ws in nbrs.items()}
+
+    @cached_property
+    def _index(self) -> dict[str, int]:
+        return {v: i for i, v in enumerate(self.vertices)}
+
+    @cached_property
+    def _degrees(self) -> list[int]:
+        """Each vertex's degree off the parent list: its children, and its
+        parent unless it is the root."""
+        degrees = [1] * len(self._parent)
+        degrees[0] = 0
+        for u in self._parent[1:]:
+            degrees[u] += 1
+        return degrees
 
     @cached_property
     def _vertex_edge_sets(self) -> tuple[frozenset[str], frozenset[tuple[str, str]]]:
         return frozenset(self.vertices), frozenset(self.edges)
 
+    def __contains__(self, v: str) -> bool:
+        return v in (self.adjacency if self._parent is None else self._index)
+
     def degree(self, v: str) -> int:
-        if v not in self.adjacency:
+        if v not in self:
             raise TreeError("vertex not in tree")
-        return len(self.adjacency[v])
+        if self._parent is None:
+            return len(self.adjacency[v])
+        return self._degrees[self._index[v]]
 
     def leaves(self) -> tuple[str, ...]:
-        return tuple(v for v in sorted(self.vertices) if len(self.adjacency[v]) == 1)
+        if self._parent is None:
+            return tuple(v for v in sorted(self.vertices) if len(self.adjacency[v]) == 1)
+        return tuple(sorted(v for v, d in zip(self.vertices, self._degrees) if d == 1))
 
 
 @dataclass(frozen=True)
@@ -84,7 +141,11 @@ class ValidationResult:
 
 
 def validate_tree(t: Tree) -> ValidationResult:
-    """Check the tree invariants, naming the first violated one."""
+    """Check the tree invariants, naming the first violated one.  A tree
+    made from a sound parent list, with no embedding, is one by
+    construction and is accepted at once."""
+    if t._parent is not None and t.embedding is None:
+        return ValidationResult(True, None)
     if not t.vertices:
         return ValidationResult(False, "no vertices")
     vset = set(t.vertices)
@@ -136,7 +197,22 @@ def path(t: Tree, a: str, b: str) -> list[str]:
     return out
 
 
+def _subset_top(t: Tree, sub: frozenset[str]) -> int | None:
+    """On a tree with a parent list: the index of the one member of sub
+    that is the root or has its parent outside sub, when sub is a set of
+    its vertices with exactly one such member, that is, a connected one;
+    else None."""
+    index, parent = t._index, t._parent
+    if not sub <= index.keys():
+        return None
+    members = set(map(index.__getitem__, sub))
+    tops = [i for i in members if not i or parent[i] not in members]
+    return tops[0] if len(tops) == 1 else None
+
+
 def _is_connected_subset(t: Tree, sub: frozenset[str]) -> bool:
+    if t._parent is not None:
+        return _subset_top(t, sub) is not None
     adj = t.adjacency
     if not sub or not sub <= adj.keys():  # a vertex outside t connects to nothing
         return False
@@ -151,17 +227,29 @@ def first_point_map(t: Tree, sub: Iterable[str], x: str) -> str:
     exactly in the returned vertex, and r(x) = x for x already inside.
     In a tree every path from x into a connected subtree enters it at that
     one vertex, so it is the subtree vertex nearest to x: a breadth-first
-    walk from x stops at the first subtree vertex it meets.
+    walk from x stops at the first subtree vertex it meets.  On a tree with
+    a parent list it is the first member on x's path to the root, or, when
+    that path misses sub, sub's top member, whose parent lies outside it.
     """
     subset = frozenset(sub)
-    if x not in t.adjacency:
+    if x not in t:
         raise TreeError("vertex not in tree")
-    if not _is_connected_subset(t, subset):
+    if t._parent is None:
+        if not _is_connected_subset(t, subset):
+            raise TreeError("subtree required")
+        for v, *_ in walk(x, t.adjacency.__getitem__):
+            if v in subset:
+                return v
+        raise TreeError("vertices not connected")
+    top = _subset_top(t, subset)
+    if top is None:
         raise TreeError("subtree required")
-    for v, *_ in walk(x, t.adjacency.__getitem__):
-        if v in subset:
-            return v
-    raise TreeError("vertices not connected")
+    vertices, parent, i = t.vertices, t._parent, t._index[x]
+    while vertices[i] not in subset:
+        if not i:
+            return vertices[top]
+        i = parent[i]
+    return vertices[i]
 
 
 def point_order(t: Tree, x: str) -> int:

@@ -1,5 +1,7 @@
 import heapq
 import random
+import signal
+import threading
 import time
 
 import pytest
@@ -21,6 +23,32 @@ if resource is not None:
     _soft, _hard = resource.getrlimit(resource.RLIMIT_AS)
     if _soft == resource.RLIM_INFINITY or _soft > AS_LIMIT:
         resource.setrlimit(resource.RLIMIT_AS, (AS_LIMIT, _hard))
+
+
+# Each test is failed once it has run this long (the slowest takes about
+# 6 s), so a runaway loop fails its test instead of stalling the session.
+TIME_LIMIT_S = 120
+
+
+@pytest.fixture(autouse=True)
+def time_limit():
+    """Arm a real-time timer for the test and fail the test when it fires;
+    only in the main thread, which receives signals, and only where the
+    platform has SIGALRM."""
+    if not hasattr(signal, "SIGALRM") or threading.current_thread() is not threading.main_thread():
+        yield
+        return
+
+    def expire(_signum, _frame):
+        pytest.fail(f"test ran past {TIME_LIMIT_S} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, TIME_LIMIT_S)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def pruefer_tree(n: int, rng: random.Random) -> Tree:

@@ -242,6 +242,17 @@ def max_normal_subgroup_inside(lattice, elements, mul, inv, inside):
     )
 
 
+def adjacency(t):
+    """Each vertex's neighbours, one per edge to another vertex of t, each
+    list sorted on its own."""
+    nbrs = {v: [] for v in t.vertices}
+    for u, v in t.edges:
+        if u in nbrs and v in nbrs and u != v:
+            nbrs[u].append(v)
+            nbrs[v].append(u)
+    return {v: tuple(sorted(ws)) for v, ws in nbrs.items()}
+
+
 def bfs(start, neighbours):
     """Textbook queue breadth-first search.
 
@@ -391,6 +402,17 @@ def numbered_views(num):
                 bond[ids[v]] = ids[parent[v]]
         bonds.append(bond)
     return levels, bonds
+
+
+def numbered_edges(num):
+    """Each nonempty level's edges, read vertex by vertex off a vertex
+    numbering: each vertex v > 0 of the level with a parent hangs from the
+    id of its parent, even one outside the level; each edge with its ends
+    in order, the edges sorted."""
+    ids, parent = num.ids, num.parent
+    return [sorted(tuple(sorted((ids[parent[v]], ids[v])))
+                   for v in range(1, min(size, len(ids), len(parent))))
+            for size in num.counts if size]
 
 
 # -- test inputs -----------------------------------------------------------------

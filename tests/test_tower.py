@@ -236,7 +236,7 @@ class TestNumberedViews:
 
 class TestLazyViews:
     """A built tower makes its string maps, bonds and pendants only when
-    something reads them."""
+    something reads them, and never makes a level's adjacency."""
 
     def test_built_checked_decorated_and_written_makes_no_map(self, monkeypatch):
         made = Counter()
@@ -262,6 +262,10 @@ class TestLazyViews:
         assert (capped.sizes, capped.closed) == ((1, 82, 763), (True, False, False))
         written = system_to_json(sys_)
         assert len(written["levels"][2]["generators"]["u12"]) == 1 + 168 + 43008
+        # each level's tree answers from its parent list
+        assert all(validate_tree(act.tree) for act in sys_.levels)
+        assert [len(act.tree.leaves()) for act in sys_.levels] == [0, 168, 43008]
+        assert [a for a, act in enumerate(sys_.levels) if "adjacency" in vars(act.tree)] == []
         assert made == Counter()
         # a view makes its dict on the first read, once
         assert sys_.levels[1].generators["u12"] is sys_.levels[1].generators["u12"]

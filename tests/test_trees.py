@@ -358,6 +358,13 @@ class TestSerialization:
         assert '"c" -- "l1";' in dot and dot.startswith("graph")
 
 
+def embedded_from_parents(embedding):
+    """The edge a-b made from a parent list, with an embedding set after."""
+    t = Tree.from_parents(("a", "b"), [0, 0])
+    t.embedding = embedding
+    return t
+
+
 class TestRejections:
     """Each refusal of a malformed tree or argument, one row each."""
 
@@ -371,6 +378,9 @@ class TestRejections:
                      "embedding does not cover vertices", id="embedding-cover"),
         pytest.param(Tree(("a", "b"), (("a", "b"),), {"a": (0, 0), "b": (1, 0, 0)}),
                      "embedding dimension must be uniform 2 or 3", id="embedding-dimension"),
+        # a sound parent list vouches for the edges, not for an embedding
+        pytest.param(embedded_from_parents({"a": (0, 0)}), "embedding does not cover vertices",
+                     id="parent-list-embedding-cover"),
     ])
     def test_invalid_tree(self, tree, reason):
         res = validate_tree(tree)
@@ -389,6 +399,10 @@ class TestRejections:
         pytest.param(lambda: tree_from_json({"vertices": ["a"], "edges": [], "embedding": ["0"]}),
                      "tree embedding must map vertex ids to lists of 'p/q' strings",
                      id="json-embedding"),
+        pytest.param(lambda: Tree.from_parents(("a", "b"), [0, 2]), "parent index out of range",
+                     id="parent-past-the-end"),
+        pytest.param(lambda: Tree.from_parents(("a", "b"), [0, -3]), "parent index out of range",
+                     id="parent-before-the-start"),
     ])
     def test_refusal(self, call, message):
         with pytest.raises(TreeError) as exc:

@@ -12,7 +12,9 @@ the ball's words, one that makes a product per element;
 ``matrices.verify_ll_identity``, which checks its preconditions and makes
 each power once per sweep, one that redoes both for every case.  A built
 tower's checks and JSON writer, which read its vertex numbering, have the
-string checks and writer of the same views as their twin.  Both sides get
+string checks and writer of the same views as their twin, and a tree made
+by ``Tree.from_parents`` has the tree of the same edges given as strings;
+``Tree.adjacency`` has one that sorts each neighbour list.  Both sides get
 the same random inputs, broken ones included, and must return the same
 report field for field, or raise the same error.
 """
@@ -70,7 +72,7 @@ from treeact.tower import (
     verify_bond_structure,
     verify_tower,
 )
-from treeact.trees import Tree, TreeError, first_point_map
+from treeact.trees import Tree, TreeError, first_point_map, validate_tree
 
 U = elementary(2, 1, 2, 1)
 A = GroupMatrix.from_rows([[1, 1, 0], [0, 1, 0], [0, 0, 1]])
@@ -561,6 +563,121 @@ class TestFirstPointTwin:
             assert got == first_point_outcome(oracles.first_point_map, t, sub, x) == want
 
 
+# -- parent-list trees against the same edges given as strings -----------------
+
+# "sound" names its vertices v0, v1, ... in index order, so that v10 sorts
+# before v9; "shuffled" is sound too, with the names shuffled
+PARENT_KINDS = ["sound", "shuffled", "root", "later", "self", "negative", "short", "long",
+                "duplicate"]
+
+
+def parent_list_case(kind, size, rng):
+    """Vertex names and a parent list, sound (each vertex but the root hung
+    from a random earlier one) or broken in the given way; a broken kind
+    needs at least three vertices."""
+    names = [f"v{i}" for i in range(size)]
+    parent = [0] + [rng.randrange(i) for i in range(1, size)]
+    i = rng.randrange(1, size - 1) if size > 2 else 0
+    if kind == "shuffled":
+        rng.shuffle(names)
+    elif kind == "root":
+        parent[0] = rng.randrange(1, size)
+    elif kind == "later":
+        parent[i] = rng.randrange(i + 1, size)
+    elif kind == "self":
+        parent[i] = i
+    elif kind == "negative":
+        parent[i] = -rng.randint(1, size)
+    elif kind == "short":
+        del parent[rng.randrange(size):]
+    elif kind == "long":
+        parent.append(rng.randrange(size))
+    elif kind == "duplicate":
+        names[i] = names[rng.choice([j for j in range(size) if j != i])]
+    return names, parent
+
+
+def degree_outcome(t, v):
+    try:
+        return t.degree(v)
+    except TreeError as exc:
+        return str(exc)
+
+
+class TestFromParentsTwin:
+    """``Tree.from_parents`` keeps its parent list only when it is sound, and
+    answers from it; either way it answers as the tree of the same edges
+    given as strings."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(PARENT_KINDS), st.integers(1, 30), SEEDS)
+    def test_random_parent_lists(self, kind, size, seed):
+        rng = random.Random(seed)
+        sound = kind in ("sound", "shuffled")
+        size = size if sound else max(size, 3)
+        names, parent = parent_list_case(kind, size, rng)
+        tree = Tree.from_parents(names, parent)
+        plain = Tree(names, [(names[u], v) for u, v in zip(parent[1:], names[1:])])
+        assert (tree._parent is not None) == sound
+        assert (tree.vertices, tree.edges) == (plain.vertices, plain.edges)
+        probes = names + ["zz"]
+
+        def answers(t):
+            return (validate_tree(t), t.leaves(), [v in t for v in probes],
+                    [degree_outcome(t, v) for v in probes])
+
+        assert answers(tree) == answers(plain)
+        if validate_tree(plain):
+            # connected, foreign, random and empty subsets, and two vertices apart
+            u = rng.choice(names)
+            apart = sorted(set(names) - {u} - set(plain.adjacency[u]))
+            subsets = [connected_subset(plain, rng), connected_subset(plain, rng) | {"zz"},
+                       set(rng.sample(names, rng.randint(1, size))), set()]
+            subsets += [{u, rng.choice(apart)}] if apart else []
+            for sub in subsets:
+                x = rng.choice(sorted(sub - {"zz"}) if sub and rng.random() < 0.5 else probes)
+                got = first_point_outcome(first_point_map, tree, sub, x)
+                assert got == first_point_outcome(oracles.first_point_map, plain, sub, x)
+        # a sound parent list answers all of that without an adjacency
+        assert ("adjacency" in vars(tree)) != sound
+        assert tree.adjacency == plain.adjacency == oracles.adjacency(plain)
+
+    def test_each_outcome_is_met(self):
+        # the path v0 - v1 - v2 - v3 hung from v0, and v4 hung from v1
+        t = Tree.from_parents(["v0", "v1", "v2", "v3", "v4"], [0, 0, 1, 2, 1])
+        for sub, x, want in [
+            ({"v2", "v3"}, "v4", ("value", "v2")),   # up from v4 misses sub: its top, v2
+            ({"v0", "v1"}, "v3", ("value", "v1")),   # up from v3 meets v1 first
+            ({"v1", "v2"}, "v2", ("value", "v2")),
+            ({"v2", "v4"}, "v0", ("raised", "subtree required")),
+            ({"v1", "zz"}, "v0", ("raised", "subtree required")),
+            (set(), "v0", ("raised", "subtree required")),
+            ({"v1"}, "nope", ("raised", "vertex not in tree")),
+        ]:
+            got = first_point_outcome(first_point_map, t, sub, x)
+            assert got == first_point_outcome(oracles.first_point_map, t, sub, x) == want
+
+
+class TestAdjacencyTwin:
+    """``Tree.adjacency`` lists each vertex's neighbours in the order the
+    sorted edges give them, which is sorted: each list is sorted on its own
+    in the oracle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 14), st.integers(0, 30), SEEDS)
+    def test_random_edge_lists(self, size, count, seed):
+        rng = random.Random(seed)
+        # v10 sorts before v9; a few duplicate vertices, self-loops, repeated
+        # edges and endpoints outside the vertices
+        names = [f"v{i}" for i in range(size)] + ["v1", "v10"][:rng.randrange(3)]
+        rng.shuffle(names)
+        ends = names + ["zz", "v99"]
+        edges = [(rng.choice(ends), rng.choice(ends)) for _ in range(count)]
+        edges += rng.sample(edges, min(len(edges), rng.randrange(3)))
+        t = Tree(tuple(names), tuple(edges))
+        assert t.adjacency == oracles.adjacency(t)
+
+
 # -- tower orbits against the two-sided search of oracles.orbit -----------------
 
 TOWERS = {npd: build_congruence_tower(*npd)
@@ -750,6 +867,10 @@ HAND_MADE = {
     "leaf-swapped-across-levels": (["a", "b", "c"], [0, 0, 0], [0, 2, 1], [1, 2, 3]),
     # g swaps the two ends of a path, which is no automorphism
     "path-ends-swapped": (["a", "b", "c"], [0, 0, 1], [0, 2, 1], [3]),
+    # b hangs from c, which level 0 leaves out
+    "parent-past-its-level": (["a", "b", "c"], [0, 2, 0], [0, 1, 2], [2, 3]),
+    # -1 stands for c, the last vertex of the numbering, not b, the last of level 0
+    "negative-parent-in-a-lower-level": (["a", "b", "c"], [0, -1, 0], [0, 1, 2], [2, 3]),
 }
 
 
@@ -770,10 +891,18 @@ PARTLY_VIEWED = {
 
 
 def plain_copy(sys_):
-    """The system's levels and bonds copied into plain dicts, with no numbering."""
+    """The system with no numbering: each level's tree made again from its
+    vertices and edges, so that it answers from its strings, and its maps
+    and bonds copied into plain dicts."""
     return InverseSystem(
-        [FiniteTreeAction(act.tree, dict(act.generators)) for act in sys_.levels],
+        [FiniteTreeAction(Tree(act.tree.vertices, act.tree.edges), dict(act.generators))
+         for act in sys_.levels],
         [dict(bond) for bond in sys_.bonds], sys_.provenance, sys_.matrices)
+
+
+def tree_answers(sys_):
+    """Each level's validation verdict and leaves."""
+    return [(validate_tree(act.tree), act.tree.leaves()) for act in sys_.levels]
 
 
 def views_of(sys_):
@@ -862,11 +991,14 @@ class TestNumberedTowerTwin:
         written = caught(system_to_json, numbered)
         plain = plain_copy(numbered)
         assert views_of(numbered) == oracles.numbered_views(num)
+        assert [list(act.tree.edges) for act in numbered.levels
+                if act.tree.vertices] == oracles.numbered_edges(num)
         top = numbered.levels[-1].tree
         seed_vertex = rng.choice(top.leaves() or top.vertices)
         got = tower_outcomes(numbered, seed_vertex)
         assert got == tower_outcomes(plain, seed_vertex)
         assert written == caught(system_to_json, plain)
+        assert tree_answers(numbered) == tree_answers(plain)
         # a numbering whose verdict holds gives the degrees off parent
         assert caught(degree_profile, numbered) == caught(degree_profile, plain)
         return got
