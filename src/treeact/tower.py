@@ -82,15 +82,15 @@ class FiniteTreeAction:
 
     tree: Tree
     generators: Mapping[str, TreeAutomorphism]
-    # the numbering that made a built level; not an argument, so no copy carries it
+    # the numbering whose verdict holds that made a built level; not an argument
     _numbered: _Numbering | None = field(default=None, init=False, repr=False)
 
     def validate(self) -> None:
         """Raise TowerError naming the first failure: the tree, then each
-        generator in turn.  A level of a built tower whose numbering's
-        verdict holds is accepted at once; anything else is checked on the
-        strings, which give the reason."""
-        if self._numbered is not None and self._numbered.holds:
+        generator in turn.  A level that keeps a numbering is accepted at
+        once, since it keeps one only when the verdict holds; any other is
+        checked on the strings, which give the reason."""
+        if self._numbered is not None:
             return
         ok = validate_tree(self.tree)
         if not ok:
@@ -107,16 +107,16 @@ class InverseSystem:
     and the integral matrix each generator name stands for, when known.
 
     ``build_congruence_tower`` hands out its levels and bonds as tuples of
-    read-only views of one vertex numbering, kept as ``_numbering``, and
-    every check accepts them on its one cached verdict.  Each level's
-    ``generators`` and each bond makes its dict of strings on first read
-    and keeps it; the checks, orbits, decorations and ``system_to_json``
-    read the numbering's ints instead while the verdict holds, so a tower
-    built, verified, decorated, walked and written makes none of them.
-    Each level's tree is made at once.  A system made here (or by
-    ``dataclasses.replace``) from levels and bonds, even a built tower's,
-    has no numbering: it is checked on its strings, as a tower read from a
-    file is.
+    read-only views of one vertex numbering.  A system is in one of two
+    states.  It keeps the numbering, as ``_numbering``, only when the
+    numbering's verdict holds: every check then accepts it at once, and the
+    checks, orbits, decorations and ``system_to_json`` read the numbering's
+    ints, so a tower built, verified, decorated, walked and written makes
+    no dict of strings.  Otherwise it keeps none and is checked on its
+    strings, as a tower read from a file is, and so is a system made here
+    (or by ``dataclasses.replace``) from levels and bonds, even a built
+    tower's.  Each level's ``generators`` and each bond makes its dict of
+    strings on first read and keeps it; each level's tree is made at once.
     """
 
     levels: Sequence[FiniteTreeAction]
@@ -134,8 +134,9 @@ class _Numbering:
     to images[k][v].  ``system`` makes every level's tree from these lists
     at once, and every level's generator maps and every bond as views
     whose dicts are made from them on first read.  When the verdict
-    ``holds``, every check of the views passes and the views are not read;
-    when it does not, the checks read the views' strings.
+    ``holds``, every check of the views passes, so the system keeps the
+    numbering and the checks do not read the views; when it does not, the
+    system keeps none and the checks read the views' strings.
     """
 
     def __init__(self, ids: list[str], parent: list[int], images: list[list[int]],
@@ -147,30 +148,33 @@ class _Numbering:
         """The system whose levels and bonds are views of these lists.
 
         Each level's tree, its read-only generator maps and each bond: the
-        identity on level a-1, each newer vertex onto its parent.  While
-        parent is sound and no level is empty, each level's tree is made
-        with ``Tree.from_parents`` from its prefix of the lists, so it
-        answers from the ints; otherwise from the strings, its edges read
-        off the whole lists.  Either way it has the same vertices and
-        edges.  The maps and bonds are ``_View``s of ``maps`` and ``bond``.
-        The system and its levels keep the numbering.
+        identity on level a-1, each newer vertex onto its parent.  When the
+        verdict holds, which implies a sound parent and no empty level, each
+        tree is made with ``Tree.from_parents`` from its prefix of the lists,
+        and the system and its levels keep the numbering.  Otherwise each is
+        made from the strings, its edges read off the whole lists (an empty
+        level has none), and nothing keeps the numbering.  The maps and
+        bonds are ``_View``s of ``maps`` and ``bond``.
         """
         ids, parent, counts = self.ids, self.parent, self.counts
-        if _sound_parents(ids, parent) and all(counts):
+        holds = self.holds
+        if holds:
             trees = [Tree.from_parents(ids[:size], parent[:size]) for size in counts]
         else:
             # vertex v > 0 hangs from ids[parent[v]] by edges[v - 1]
             edges = list(zip([ids[u] for u in parent[1:]], ids[1:]))
-            trees = [Tree(ids[:size], edges[:size - 1]) for size in counts]
+            trees = [Tree(ids[:size], edges[:max(size - 1, 0)]) for size in counts]
         levels, bonds = [], []
         for a, (size, tree) in enumerate(zip(counts, trees)):
             if a:
                 bonds.append(_View(partial(self.bond, counts[a - 1], size)))
             levels.append(FiniteTreeAction(tree, _View(partial(self.maps, size))))
-            # both classes are frozen, and neither takes a numbering as an argument
-            object.__setattr__(levels[-1], "_numbered", self)
         sys = InverseSystem(tuple(levels), tuple(bonds), provenance, matrices)
-        object.__setattr__(sys, "_numbering", self)
+        if holds:
+            # both classes are frozen, and neither takes a numbering as an argument
+            object.__setattr__(sys, "_numbering", self)
+            for act in levels:
+                object.__setattr__(act, "_numbered", self)
         return sys
 
     def maps(self, size: int) -> dict[str, TreeAutomorphism]:
@@ -204,7 +208,7 @@ class _Numbering:
         """
         ids, parent, counts = self.ids, self.parent, self.counts
         if not (_sound_parents(ids, parent) and all(map(le, counts, counts[1:]))
-                and counts[-1] == len(ids)
+                and counts[-1:] == [len(ids)]
                 and len(self.images) == len(self.names) == len(set(self.names))
                 and all(max(parent[lo:hi], default=0) < lo for lo, hi in zip(counts, counts[1:]))):
             return False
@@ -212,19 +216,6 @@ class _Numbering:
         return all(set(image) == vertices and all(max(image[:s]) < s for s in counts)
                    and list(map(parent.__getitem__, image)) == list(map(image.__getitem__, parent))
                    for image in self.images)
-
-    def max_degrees(self) -> list[int]:
-        """Each level's largest vertex degree: the root's is its number of
-        children in the level, any other vertex's one more (its parent)."""
-        parent = self.parent
-        children = [0] * len(parent)
-        degrees, done = [], 1   # the root is its own parent, not its own child
-        for size in self.counts:
-            for u in parent[done:size]:
-                children[u] += 1
-            done = max(done, size)
-            degrees.append(max(children[0], 1 + max(children[1:size])) if size > 1 else 0)
-        return degrees
 
     @cached_property
     def inverses(self) -> dict[str, list[int]]:
@@ -432,11 +423,11 @@ class BondReport:
 def verify_all_bonds(sys: InverseSystem) -> BondReport:
     """Exhaustively check bond(g.x) = g.bond(x) for every bond, generator and vertex.
 
-    A built tower whose numbering's verdict holds passes at once (see
-    ``_Numbering.holds``); otherwise the string maps are compared.
+    A built tower that keeps its numbering (see ``_Numbering.holds``)
+    passes at once; any other compares the string maps.
     """
     numbering = sys._numbering
-    if numbering is not None and numbering.holds:
+    if numbering is not None:
         return BondReport(True, sum(numbering.counts[1:]) * len(numbering.names), ())
     checked = 0
     bad: list[tuple[str, str]] = []
@@ -455,10 +446,13 @@ class BondStructureReport:
 
 
 def verify_bond_structure(sys: InverseSystem, level: int) -> BondStructureReport:
-    """Bond must be surjective, monotone, and the identity on the lower copy."""
+    """Bond must be surjective, monotone, and the identity on the lower copy.
+
+    A built tower that keeps its numbering passes at once; any other is
+    checked on its strings."""
     if level < 0 or level + 1 >= len(sys.levels):
         raise TowerError("no bond at this level")
-    if sys._numbering is not None and sys._numbering.holds:
+    if sys._numbering is not None:
         return BondStructureReport(True, ())
     upper = sys.levels[level + 1].tree
     lower = sys.levels[level].tree
@@ -496,13 +490,13 @@ def _orbit_order(act: FiniteTreeAction, v: str, cap: int | None) -> tuple[list[s
     """The orbit of v in the order a breadth-first walk meets it, and closed:
     the generators sorted by name, each then its inverse when a cap bounds
     word length.  No vertex past word length cap is met, and ``closed`` is
-    False exactly when one at cap is.  A level of a built tower whose
-    verdict holds is walked on the numbering's ints, its inverses made once
-    per numbering; any other on the string maps."""
+    False exactly when one at cap is.  A level that keeps its numbering is
+    walked on the numbering's ints, its inverses made once per numbering;
+    any other on the string maps."""
     capped = cap is not None
     numbering = act._numbered
-    if numbering is not None and numbering.holds:
-        ids, start = numbering.ids, numbering.ids.index(v)
+    if numbering is not None:
+        ids, start = numbering.ids, act.tree._index[v]
         steps = [s for name, image in numbering._by_name()
                  for s in ((image, numbering.inverses[name]) if capped else (image,))]
     else:
@@ -535,8 +529,8 @@ def orbit(act: FiniteTreeAction, v: str, cap: int | None = None) -> OrbitResult:
     finite order, so its inverse is one of its powers: without a cap the
     walk (``_orbit_order``) takes the generators alone.  With a cap it takes
     the inverses too, since they count one letter each towards word length.
-    A level of a built tower whose verdict holds is walked on the
-    numbering's ints either way, so no string map is made.
+    A level that keeps its numbering is walked on the numbering's ints
+    either way, so no string map is made.
     """
     if v not in act.tree:
         raise TowerError("vertex not in tree")
@@ -552,17 +546,9 @@ class DegreeProfile:
 
 
 def degree_profile(sys: InverseSystem) -> DegreeProfile:
-    """Per-level maximum vertex degree; checks the stable bound when known.
-
-    A built tower whose numbering's verdict holds reads the degrees off
-    parent (``_Numbering.max_degrees``); any other is read off each level's
-    adjacency.
-    """
-    numbering = sys._numbering
-    if numbering is not None and numbering.holds:
-        degs = numbering.max_degrees()
-    else:
-        degs = [max(map(len, act.tree.adjacency.values()), default=0) for act in sys.levels]
+    """Per-level maximum vertex degree, read off each level tree's degree
+    table; checks the stable bound when known."""
+    degs = [max(act.tree._degrees, default=0) for act in sys.levels]
     expected = None
     stabilized = None
     prov = sys.provenance
@@ -585,10 +571,10 @@ def verify_tower(sys: InverseSystem) -> TowerReport:
     Each level must be a tree that its generators act on by automorphisms;
     every bond equivariant, surjective, monotone and the identity on the
     lower copy; and the degree profile stable at the bound the provenance
-    gives.  The reasons come in that order.  A built tower whose
-    numbering's one verdict holds passes the level and bond checks at
-    once; any other tower is checked on its strings, which give the
-    reasons.
+    gives.  The reasons come in that order.  A built tower that keeps its
+    numbering, whose one verdict then holds, passes the level and bond
+    checks at once; any other tower is checked on its strings, which give
+    the reasons.
     """
     reasons = []
     for k, act in enumerate(sys.levels):
@@ -846,10 +832,10 @@ def projection_orbit_growth(
 def system_to_json(sys: InverseSystem) -> dict:
     """The system as a JSON object: each level's tree and generator images
     (one per vertex, in vertex order), and each bond with sorted keys.  A
-    built tower whose numbering's verdict holds writes the images and bonds
-    from the numbering's ints, not from its views."""
+    built tower that keeps its numbering writes the images and bonds from
+    the numbering's ints, not from its views."""
     numbering = sys._numbering
-    if numbering is not None and numbering.holds:
+    if numbering is not None:
         gens, bonds = numbering.to_json()
     else:
         gens = [{name: list(map(auto._map.__getitem__, act.tree.vertices))

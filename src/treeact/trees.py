@@ -47,8 +47,9 @@ class Tree:
     3-space.  Nothing is validated at construction time (use
     ``validate_tree``), with one exception: ``from_parents`` checks its
     parent list, and a tree made from a sound one keeps the list and
-    answers ``validate_tree``, ``leaves``, ``degree``, membership and
-    ``first_point_map`` from it.  Any other tree answers from its strings.
+    answers ``validate_tree`` and ``first_point_map`` from it.  Any other
+    tree answers those from its strings.  Every tree answers ``leaves``,
+    ``degree`` and membership from one table per vertex, ``_degrees``.
     """
 
     vertices: tuple[str, ...]
@@ -103,8 +104,12 @@ class Tree:
 
     @cached_property
     def _degrees(self) -> list[int]:
-        """Each vertex's degree off the parent list: its children, and its
-        parent unless it is the root."""
+        """Each vertex's degree, in vertex order: off the parent list when the
+        tree keeps one (its children, and its parent unless it is the root),
+        else its number of neighbours."""
+        if self._parent is None:
+            adj = self.adjacency
+            return [len(adj[v]) for v in self.vertices]
         degrees = [1] * len(self._parent)
         degrees[0] = 0
         for u in self._parent[1:]:
@@ -116,18 +121,14 @@ class Tree:
         return frozenset(self.vertices), frozenset(self.edges)
 
     def __contains__(self, v: str) -> bool:
-        return v in (self.adjacency if self._parent is None else self._index)
+        return v in self._index
 
     def degree(self, v: str) -> int:
         if v not in self:
             raise TreeError("vertex not in tree")
-        if self._parent is None:
-            return len(self.adjacency[v])
         return self._degrees[self._index[v]]
 
     def leaves(self) -> tuple[str, ...]:
-        if self._parent is None:
-            return tuple(v for v in sorted(self.vertices) if len(self.adjacency[v]) == 1)
         return tuple(sorted(v for v, d in zip(self.vertices, self._degrees) if d == 1))
 
 
@@ -264,7 +265,7 @@ def convex_hull(t: Tree, s: Iterable[str]) -> frozenset[str]:
     pts = sorted(set(s))
     if not pts:
         raise TreeError("empty vertex set")
-    if any(v not in t.adjacency for v in pts):
+    if any(v not in t for v in pts):
         raise TreeError("vertex not in tree")
     hull: set[str] = set(pts)
     base = pts[0]
@@ -340,7 +341,7 @@ def common_fixed_point(t: Tree, gens: Sequence[TreeAutomorphism], z: str) -> str
     """
     if len(t.vertices) < 2:
         raise TreeError("tree must have at least two vertices")
-    if z not in t.adjacency or t.degree(z) != 1:
+    if z not in t or t.degree(z) != 1:
         raise TreeError("z must be a leaf")
     for h in gens:
         ok = is_tree_automorphism(t, h)
@@ -400,7 +401,7 @@ def automorphisms_fixing_leaf(t: Tree, e: str) -> Iterator[TreeAutomorphism]:
     Enumeration is by permuting isomorphic sibling subtrees of the tree
     rooted at e; deterministic given the vertex identifiers.
     """
-    if e not in t.adjacency or t.degree(e) != 1:
+    if e not in t or t.degree(e) != 1:
         raise TreeError("e must be a leaf")
     children = _rooted_children(t, e)
     memo: dict = {}

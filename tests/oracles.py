@@ -405,14 +405,14 @@ def numbered_views(num):
 
 
 def numbered_edges(num):
-    """Each nonempty level's edges, read vertex by vertex off a vertex
-    numbering: each vertex v > 0 of the level with a parent hangs from the
-    id of its parent, even one outside the level; each edge with its ends
-    in order, the edges sorted."""
+    """Each level's edges, read vertex by vertex off a vertex numbering:
+    each vertex v > 0 of the level with a parent hangs from the id of its
+    parent, even one outside the level; each edge with its ends in order,
+    the edges sorted.  An empty level has none."""
     ids, parent = num.ids, num.parent
     return [sorted(tuple(sorted((ids[parent[v]], ids[v])))
                    for v in range(1, min(size, len(ids), len(parent))))
-            for size in num.counts if size]
+            for size in num.counts]
 
 
 # -- test inputs -----------------------------------------------------------------

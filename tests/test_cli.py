@@ -816,7 +816,7 @@ class TestMalformedInput:
         lambda signs: [[0, 1, 2]] + signs[1:],      # 2 is no sign
     ], ids=["outside", "bool", "pair", "diagonal", "two"])
     def test_malformed_sign_triples_are_three(self, tmp_path, input_files, edit):
-        payload = json.loads(open(input_files["order"]).read())
+        payload = json.loads(Path(input_files["order"]).read_text())
         payload["signs"] = edit(payload["signs"])
         bad = tmp_path / "order.json"
         bad.write_text(json.dumps(payload))

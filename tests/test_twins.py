@@ -675,7 +675,17 @@ class TestAdjacencyTwin:
         edges = [(rng.choice(ends), rng.choice(ends)) for _ in range(count)]
         edges += rng.sample(edges, min(len(edges), rng.randrange(3)))
         t = Tree(tuple(names), tuple(edges))
-        assert t.adjacency == oracles.adjacency(t)
+        adj = oracles.adjacency(t)
+        assert t.adjacency == adj
+        # leaves, degree and membership read one degree table
+        assert t.leaves() == tuple(v for v in sorted(t.vertices) if len(adj[v]) == 1)
+        for v in ends:
+            assert (v in t) == (v in adj)
+            if v in adj:
+                assert t.degree(v) == len(adj[v])
+            else:
+                with pytest.raises(TreeError, match="vertex not in tree"):
+                    t.degree(v)
 
 
 # -- tower orbits against the two-sided search of oracles.orbit -----------------
@@ -729,6 +739,19 @@ class TestOrbitTwin:
         act.validate()
         v = rng.choice(tree.vertices)
         assert orbit_outcome(act, v, cap) == oracles.orbit(act, v, cap)
+
+
+class TestDegreeProfileTwin:
+    """``tower.degree_profile`` reads each level tree's degree table: a
+    level's largest degree is its largest neighbour count, 0 when empty."""
+
+    @pytest.mark.parametrize("loaded", [False, True])
+    @pytest.mark.parametrize("npd", sorted(TOWERS))
+    def test_towers(self, npd, loaded):
+        sys_ = (LOADED if loaded else TOWERS)[npd]
+        assert degree_profile(sys_).max_degrees == tuple(
+            max(map(len, oracles.adjacency(act.tree).values()), default=0)
+            for act in sys_.levels)
 
 
 def growth_outcome(fn, sys_, dec, x, cap):
@@ -854,6 +877,8 @@ HAND_MADE = {
     # g sends both leaves of a star to the first
     "merged-images": (["a", "b", "c"], [0, 0, 0], [0, 1, 1], [3]),
     "empty-first-level": (["a"], [0], [0], [0, 1]),
+    # an empty level of a numbering with more than one edge has no edge
+    "empty-first-level-of-a-star": (["a", "b", "c"], [0, 0, 0], [0, 1, 2], [0, 3]),
     # the deepest level leaves out vertex 1, which g reaches from the root
     "top-short-of-numbering": (["a", "b"], [0, 0], [1, 0], [1]),
     "shrinking-level": (["a", "b"], [0, 0], [0, 1], [2, 1, 2]),
@@ -977,6 +1002,12 @@ class TestNumberedTowerTwin:
         got = self.agree(num, {}, {}, random.Random(0))
         assert not num.holds and not passes_string_checks(got)
 
+    def test_no_levels(self):
+        # the verdict, which the system reads, does not hold without a level
+        num = _Numbering(["a"], [0], [[0]], [], ["g"])
+        numbered = num.system({}, {})
+        assert not num.holds and numbered.levels == () and numbered._numbering is None
+
     @pytest.mark.parametrize("label", sorted(PARTLY_VIEWED))
     def test_views_of_part_of_a_numbering(self, label):
         num = _Numbering(*PARTLY_VIEWED[label])
@@ -991,15 +1022,17 @@ class TestNumberedTowerTwin:
         written = caught(system_to_json, numbered)
         plain = plain_copy(numbered)
         assert views_of(numbered) == oracles.numbered_views(num)
-        assert [list(act.tree.edges) for act in numbered.levels
-                if act.tree.vertices] == oracles.numbered_edges(num)
+        assert [list(act.tree.edges) for act in numbered.levels] == oracles.numbered_edges(num)
+        # the system and its levels keep the numbering exactly when its verdict holds
+        kept = num if num.holds else None
+        assert numbered._numbering is kept
+        assert all(act._numbered is kept for act in numbered.levels)
         top = numbered.levels[-1].tree
         seed_vertex = rng.choice(top.leaves() or top.vertices)
         got = tower_outcomes(numbered, seed_vertex)
         assert got == tower_outcomes(plain, seed_vertex)
         assert written == caught(system_to_json, plain)
         assert tree_answers(numbered) == tree_answers(plain)
-        # a numbering whose verdict holds gives the degrees off parent
         assert caught(degree_profile, numbered) == caught(degree_profile, plain)
         return got
 
