@@ -116,12 +116,17 @@ class PLHomeo:
 
     Between breakpoints the map interpolates affinely; beyond the hull it
     continues with slope one, and the two formal endpoints map to themselves.
+    Coordinates may be given in any order and as anything ``Fraction``
+    accepts; only those that are not already a ``Fraction`` are converted,
+    and breakpoints given in ascending x cost one comparison each to sort.
     """
 
     breakpoints: tuple[tuple[Fraction, Fraction], ...]
 
     def __post_init__(self) -> None:
-        pts = tuple(sorted((Fraction(x), Fraction(y)) for x, y in self.breakpoints))
+        pts = tuple(sorted((x if type(x) is Fraction else Fraction(x),
+                            y if type(y) is Fraction else Fraction(y))
+                           for x, y in self.breakpoints))
         if not pts:
             raise RealizeError("at least one breakpoint required")
         for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
@@ -161,18 +166,21 @@ class GeneratorMap:
 
 
 def generator_pl_map(rm: RealizationMap, g: GroupMatrix, closure: Ball, label: str) -> GeneratorMap:
-    """PL action of g: breakpoints (t(x), t(g x)) over the largest valid sub-ball."""
+    """PL action of g: breakpoints (t(x), t(g x)) over the largest valid sub-ball.
+
+    The domain keeps the closure's order; the breakpoints are handed over in
+    ascending rank, which is ascending t, sorted on ints."""
     row, values = rm.points.row(g), rm.values
     at = [(x, r) for x in closure.elements
           if (r := rm.rank_of(x)) is not None and row[r] is not None]
-    domain = [x for x, _ in at]
-    pts = [(values[r], values[row[r]]) for _, r in at]
-    if not pts:
+    if not at:
         raise RealizeError("empty realizable sub-ball")
+    domain = [x for x, _ in at]
     try:
-        homeo = PLHomeo(tuple(pts))
+        homeo = PLHomeo(tuple((values[r], values[row[r]]) for r in sorted(r for _, r in at)))
     except RealizeError:
         # g is not increasing on this domain: name two neighbours it reverses
+        pts = [(values[r], values[row[r]]) for _, r in at]
         by_t = sorted(range(len(pts)), key=lambda k: pts[k][0])
         a, b = next((a, b) for a, b in zip(by_t, by_t[1:]) if pts[a][1] >= pts[b][1])
         x, y = (format_word(closure.words[domain[k]]) for k in (a, b))
@@ -192,7 +200,14 @@ class FixedSet:
 
 
 def fixed_set(m: PLHomeo) -> FixedSet:
-    """Exact description of {x : m(x) = x} inside the breakpoint hull."""
+    """Exact description of {x : m(x) = x} inside the breakpoint hull.
+
+    The displacement d = m(x) - x is taken once per breakpoint; on a segment
+    it is affine, so the segment lies on the diagonal when d vanishes at both
+    ends, misses it when d is constant and nonzero or keeps one strict sign,
+    and otherwise meets it once, where d changes sign or at the end where d
+    is zero.
+    """
     pts = m.breakpoints
     points: list[Fraction] = []
     intervals: list[tuple[Fraction, Fraction]] = []
@@ -201,18 +216,14 @@ def fixed_set(m: PLHomeo) -> FixedSet:
         if x not in points:
             points.append(x)
 
-    for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
-        if x0 == y0 and x1 == y1:
-            intervals.append((x0, x1))
-            continue
-        slope = (y1 - y0) / (x1 - x0)
-        if slope == 1:
-            # parallel to the diagonal without touching it (x0 != y0 here)
-            continue
-        # solve y0 + slope*(x - x0) = x
-        x_star = (y0 - slope * x0) / (1 - slope)
-        if x0 <= x_star <= x1:
-            add_point(x_star)
+    ds = [y - x for x, y in pts]
+    for (x0, _), (x1, _), d0, d1 in zip(pts, pts[1:], ds, ds[1:]):
+        if d0 == d1:
+            if d0 == 0:
+                intervals.append((x0, x1))
+            continue   # else parallel to the diagonal without touching it
+        if d0 * d1 <= 0:
+            add_point(x0 if d0 == 0 else x1 if d1 == 0 else x0 + d0 * (x1 - x0) / (d0 - d1))
     if len(pts) == 1 and pts[0][0] == pts[0][1]:
         add_point(pts[0][0])
     # merge: absorb points lying inside or at the ends of intervals
@@ -241,9 +252,10 @@ def verify_realization(rm: RealizationMap, maps: Sequence[GeneratorMap]) -> Real
     Monotonicity needs no check: ``PLHomeo`` rejects breakpoints that do not
     increase strictly, and is frozen.  Points are read by rank, through the
     row each map element keeps on the realized points, and each map is
-    evaluated once at every realized value.
+    evaluated once at every realized value.  A composition reads g h off
+    g's row when h and g h are realized; only otherwise is the product made.
     """
-    values = rm.values
+    values, elements = rm.values, rm.points.elements
     rows = [rm.points.row(gm.element) for gm in maps]
     evals = [[gm.homeo(v) for v in values] for gm in maps]
     # ok[k][r]: map k sends the point of rank r to t(g x), with g x realized
@@ -262,10 +274,15 @@ def verify_realization(rm: RealizationMap, maps: Sequence[GeneratorMap]) -> Real
     # each element is checked with the last of its maps
     by_element = {gm.element: k for k, gm in enumerate(maps)}
     last = [by_element[gm.element] for gm in maps]
+    map_rank = [rm.rank_of(gm.element) for gm in maps]
     for kg, row_g in zip(last, rows):
         g, ok_g = maps[kg].element, ok[kg]
         for kh in last:
-            kgh = by_element.get(g * maps[kh].element)
+            if (rh := map_rank[kh]) is not None and (rgh := row_g[rh]) is not None:
+                gh = elements[rgh]
+            else:
+                gh = g * maps[kh].element
+            kgh = by_element.get(gh)
             if kgh is None:
                 continue
             row_h, ok_h, ok_gh = rows[kh], ok[kh], ok[kgh]

@@ -23,7 +23,7 @@ from treeact.ordering import (
     UnsatTrace,
     format_word,
 )
-from treeact.realize import NEG_INF, POS_INF
+from treeact.realize import NEG_INF, POS_INF, FixedSet
 from treeact.tower import (
     FiniteTreeAction,
     Pendant,
@@ -554,6 +554,44 @@ def pl_eval(m, x):
         if x0 <= x <= x1:
             return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
     raise AssertionError("unreachable")
+
+
+def fixed_set(m):
+    """Twin of ``realize.fixed_set`` as first written: the slope of every
+    segment, and for each one not of slope one its fixed point x*."""
+    pts = m.breakpoints
+    points = []
+    intervals = []
+
+    def add_point(x):
+        if x not in points:
+            points.append(x)
+
+    for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
+        if x0 == y0 and x1 == y1:
+            intervals.append((x0, x1))
+            continue
+        slope = (y1 - y0) / (x1 - x0)
+        if slope == 1:
+            # parallel to the diagonal without touching it (x0 != y0 here)
+            continue
+        # solve y0 + slope*(x - x0) = x
+        x_star = (y0 - slope * x0) / (1 - slope)
+        if x0 <= x_star <= x1:
+            add_point(x_star)
+    if len(pts) == 1 and pts[0][0] == pts[0][1]:
+        add_point(pts[0][0])
+    # merge: absorb points lying inside or at the ends of intervals
+    merged = []
+    for a, b in sorted(intervals):
+        if merged and a <= merged[-1][1]:
+            merged[-1] = (merged[-1][0], max(b, merged[-1][1]))
+        else:
+            merged.append((a, b))
+    clean_points = tuple(
+        sorted(x for x in points if not any(a <= x <= b for a, b in merged))
+    )
+    return FixedSet(clean_points, tuple(merged))
 
 
 def verify_realization(rm, maps):

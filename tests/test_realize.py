@@ -163,9 +163,38 @@ class TestPLHomeo:
         with pytest.raises(RealizeError, match="strictly increasing"):
             PLHomeo(((0, 0), (1, 0)))
 
+    @pytest.mark.parametrize("pts", [
+        ((0, 0), (1, 0)),            # y does not increase
+        ((1, 5), (0, 6)),            # nor once sorted by x
+        ((0, 0), ("0", 1)),          # two breakpoints at one x
+        ((Fraction(1, 2), 1), ("1/2", 2)),
+    ])
+    def test_not_increasing_message(self, pts):
+        with pytest.raises(RealizeError, match="^breakpoints must be strictly increasing$"):
+            PLHomeo(pts)
+
     def test_no_breakpoint(self):
         with pytest.raises(RealizeError, match="^at least one breakpoint required$"):
             PLHomeo(())
+
+    def test_coordinates_of_every_kind_give_one_map(self):
+        # ints, strings and Fractions, in ascending x, reversed or shuffled:
+        # the same Fraction breakpoints, so the same eq, hash and repr
+        want = ((Fraction(-1), Fraction(0)), (Fraction(3, 4), Fraction(2)),
+                (Fraction(2), Fraction(5, 2)))
+        forms = [
+            ((-1, 0), ("3/4", 2), (2, "5/2")),
+            (("-1", "0"), ("3/4", "2"), ("2", "5/2")),
+            ((-1, 0), (Fraction(3, 4), 2), (2, Fraction(5, 2))),
+            want,
+        ]
+        forms += [tuple(reversed(f)) for f in forms] + [(f[1], f[2], f[0]) for f in forms]
+        maps = [PLHomeo(f) for f in forms]
+        for m in maps:
+            assert m.breakpoints == want
+            assert all(type(v) is Fraction for pt in m.breakpoints for v in pt)
+            assert m == maps[0] and hash(m) == hash(maps[0])
+            assert repr(m) == f"PLHomeo(breakpoints={want!r})"
 
     def test_interpolation_and_tails(self):
         m = PLHomeo(((0, 0), (2, 4)))
@@ -196,6 +225,23 @@ class TestGeneratorMap:
             (Fraction(k), Fraction(k + 1)) for k in range(-3, 3)
         )
         assert len(gm.domain) == len(ball) - 1
+
+    def test_domain_keeps_the_closure_order(self):
+        # a scrambled partial realization of the order by descending power:
+        # the domain lists the closure's elements in the closure's order,
+        # the breakpoints ascend in t
+        ball = z_ball(4)
+        elems = list(ball.elements)
+        random.Random(3).shuffle(elems)
+        descending = sorted(ball.elements, key=lambda m: -m.entries[1])
+        rm = realize(elems[:7], OrderAssignment.from_total_order(ball, descending))
+        for g in (U, U ** -1, U ** 2):
+            gm = generator_pl_map(rm, g, ball, label="g")
+            want = tuple(x for x in ball.elements if x in rm and g * x in rm)
+            assert gm.domain == want
+            assert list(want) != sorted(want, key=rm.value)
+            assert gm.homeo.breakpoints == tuple(
+                sorted((rm.value(x), rm.value(g * x)) for x in want))
 
     def test_empty_subball(self):
         ball = z_ball(3)

@@ -2,9 +2,10 @@
 
 ``ordering.check_axioms``, ``ordering.check_invariance``,
 ``ordering.search_invariant``, ``ordering.order_from_probe_keys``,
-``realize.verify_realization``, ``PLHomeo.__call__`` and ``tower.orbit``
-each have a naive twin in ``tests/oracles.py`` that redoes every product
-and segment scan in its innermost loop; ``trees.first_point_map`` has one
+``realize.verify_realization``, ``realize.fixed_set``,
+``PLHomeo.__call__`` and ``tower.orbit`` each have a naive twin in
+``tests/oracles.py`` that redoes every product and segment scan in its
+innermost loop; ``trees.first_point_map`` has one
 that takes the whole path to the least subtree vertex,
 ``tower.projection_orbit_growth`` one that works on the decorated tree and
 action made in full, and ``ordering.Ball.row``, which composes rows along
@@ -51,6 +52,7 @@ from treeact.realize import (
     GeneratorMap,
     PLHomeo,
     RealizeError,
+    fixed_set,
     generator_pl_map,
     order_from_realization,
     realize,
@@ -254,6 +256,68 @@ class TestPLEvaluationTwin:
         assert repr(m) == f"PLHomeo(breakpoints={pts!r})"
 
 
+def random_displaced_map(rng, size):
+    """A map drawn by its displacement d = y - x at each breakpoint, so that
+    every kind of segment occurs: d zero (touch points, crossings at a
+    breakpoint, flat runs meeting at a shared breakpoint), d repeated (slope
+    one, on or off the diagonal), d changing sign (a crossing inside the
+    segment) or keeping it.  The breakpoints are handed over in a random
+    order."""
+    x = Fraction(rng.randint(-30, 30), rng.choice((1, 2, 3)))
+    d = rng.choice((Fraction(0), Fraction(rng.randint(-9, 9), rng.choice((1, 2, 4)))))
+    pts = [(x, x + d)]
+    for _ in range(size - 1):
+        gap = Fraction(rng.randint(1, 12), rng.choice((1, 2, 3, 5)))
+        sign = d or rng.choice((-1, 1))   # the sign to keep or flip, random after a zero
+        scale = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+        nd = rng.choice((Fraction(0), d, -sign * scale, sign * scale,
+                         Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 7)))))
+        if gap + nd - d <= 0:   # y would not increase: keep slope one instead
+            nd = d
+        x, d = x + gap, nd
+        pts.append((x, x + d))
+    rng.shuffle(pts)
+    return PLHomeo(tuple(pts))
+
+
+class TestFixedSetTwin:
+    """``fixed_set`` takes the displacement once per breakpoint and reads
+    each segment off its two signs; its twin solves every segment's line."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(SEEDS, st.integers(1, 10))
+    def test_random_maps(self, seed, size):
+        m = random_displaced_map(random.Random(seed), size)
+        got = fixed_set(m)
+        assert got == oracles.fixed_set(m)
+        assert all(type(v) is Fraction for v in got.points + sum(got.intervals, ()))
+
+    @pytest.mark.parametrize("pts, points, intervals", [
+        # d = -1, 2: one crossing inside the segment, not at its middle
+        (((0, -1), (4, 6)), (Fraction(4, 3),), ()),
+        # d = -1, 0, 2: a crossing at a breakpoint, seen by both segments
+        (((0, -1), (2, 2), (4, 6)), (2,), ()),
+        # d = 1, 0, 1 and -1, 0, -1: touch points
+        (((0, 1), (2, 2), (4, 5)), (2,), ()),
+        (((0, -1), (2, 2), (4, 3)), (2,), ()),
+        # d = 0, 0, 0, 1: two flat runs merged at their shared breakpoint
+        (((0, 0), (1, 1), (3, 3), (4, 5)), (), ((0, 3),)),
+        # d = 0, 0, 1, 0, 0: flat runs apart, their ends absorbed
+        (((0, 0), (1, 1), (2, 3), (5, 5), (6, 6)), (), ((0, 1), (5, 6))),
+        # d = 2, 2, 2 and -2, -2, 0: slope one off the diagonal
+        (((0, 2), (3, 5), (4, 6)), (), ()),
+        (((0, -2), (3, 1), (5, 5)), (5,), ()),
+        # one breakpoint, on and off the diagonal
+        (((2, 2),), (2,), ()),
+        (((2, 3),), (), ()),
+    ])
+    def test_each_kind_of_segment(self, pts, points, intervals):
+        m = PLHomeo(pts)
+        got = fixed_set(m)
+        assert got == oracles.fixed_set(m)
+        assert (got.points, got.intervals) == (points, intervals)
+
+
 def random_realization(rng):
     """A ball in its natural order (the Heisenberg ball in entry order),
     realized on a random part of it."""
@@ -330,6 +394,26 @@ class TestVerifyRealizationTwin:
         got = outcome(verify_realization, rm, [bad])
         assert got == outcome(oracles.verify_realization, rm, [bad])
         assert got == ("raised", RealizeError, "element not realized")
+
+    def test_composition_of_unrealized_product_is_made(self):
+        # realized on {u^-1, e, u}: u^2 is not realized, so the composition
+        # (u, u) cannot read u^2 off u's row and makes the product; the
+        # corrupted map of u^2 then fails there
+        ball = z_ball(3)
+        order = OrderAssignment.from_total_order(
+            ball, sorted(ball.elements, key=lambda m: m.entries[1]))
+        rm = realize([U ** 0, U, U ** -1], order)
+        maps = [generator_pl_map(rm, U ** k, ball, label=str(k)) for k in (1, -1, 2, -2)]
+        assert U ** 2 not in rm
+        gm = maps[2]
+        (x, y), = gm.homeo.breakpoints
+        maps[2] = GeneratorMap(gm.element, gm.word, PLHomeo(((x, y - Fraction(1, 2)),)),
+                               gm.domain)
+        got = verify_realization(rm, maps)
+        assert ("value", astuple(got)) == outcome(oracles.verify_realization, rm, maps)
+        assert got.equivariance_failures == ("2: map(t(x)) != t(g*x) at t(x)=-1",)
+        assert got.composition_failures == (
+            "compose mismatch at t=-1", "compose mismatch at t=-1", "compose mismatch at t=0")
 
 
 class TestRoundTripTwin:
