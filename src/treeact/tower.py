@@ -38,9 +38,9 @@ from .matrices import (
 from .trees import (
     Tree,
     TreeAutomorphism,
-    _is_connected_subset,
     _is_str_map,
     _sound_parents,
+    _subset_top,
     first_point_map,
     is_tree_automorphism,
     tree_from_json,
@@ -471,7 +471,7 @@ def verify_bond_structure(sys: InverseSystem, level: int) -> BondStructureReport
     for v, w in bond.items():
         preimage.setdefault(w, set()).add(v)
     for w, block in preimage.items():
-        if not _is_connected_subset(upper, frozenset(block)):
+        if _subset_top(upper, frozenset(block)) is None:
             reasons.append(f"preimage of {w} is disconnected")
             break
     return BondStructureReport(not reasons, tuple(reasons))

@@ -12,8 +12,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import permutations
-from operator import lt
+from itertools import chain, permutations
+from operator import eq, lt
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from ._walk import walk
@@ -46,10 +46,11 @@ class Tree:
     ``embedding`` maps vertices to rational coordinates in the plane or in
     3-space.  Nothing is validated at construction time (use
     ``validate_tree``), with one exception: ``from_parents`` checks its
-    parent list, and a tree made from a sound one keeps the list and
-    answers ``validate_tree`` and ``first_point_map`` from it.  Any other
-    tree answers those from its strings.  Every tree answers ``leaves``,
-    ``degree`` and membership from one table per vertex, ``_degrees``.
+    parent list, and a tree made from a sound one keeps the list, which
+    also vouches for it in ``validate_tree``.  Every tree answers
+    ``leaves``, ``degree`` and membership from one table per vertex,
+    ``_degrees``, and paths, first points, connected subsets and
+    automorphisms from one rooted form of int lists, ``_rooted``.
     """
 
     vertices: tuple[str, ...]
@@ -117,8 +118,23 @@ class Tree:
         return degrees
 
     @cached_property
-    def _vertex_edge_sets(self) -> tuple[frozenset[str], frozenset[tuple[str, str]]]:
-        return frozenset(self.vertices), frozenset(self.edges)
+    def _rooted(self) -> tuple[list[int], Sequence[int]]:
+        """Each vertex index's parent and breadth-first position in the
+        spanning forest grown from each vertex not yet reached, in vertex
+        order; a root is its own parent.  A kept parent list is this form
+        with positions in vertex order."""
+        if self._parent is not None:
+            return self._parent, range(len(self._parent))
+        vertices, index, adj = self.vertices, self._index, self.adjacency
+        parent, position = list(range(len(vertices))), [-1] * len(vertices)
+        # a name stands for the last index _index gives it, so an earlier
+        # index of a name given twice stays a root that no walk reaches
+        grown = chain.from_iterable(walk(v, adj.__getitem__) for v in vertices
+                                    if position[index[v]] < 0)
+        for count, (v, up, _k, _depth) in enumerate(grown):
+            i = index[v]
+            parent[i], position[i] = i if up is None else index[up], count
+        return parent, position
 
     def __contains__(self, v: str) -> bool:
         return v in self._index
@@ -144,7 +160,8 @@ class ValidationResult:
 def validate_tree(t: Tree) -> ValidationResult:
     """Check the tree invariants, naming the first violated one.  A tree
     made from a sound parent list, with no embedding, is one by
-    construction and is accepted at once."""
+    construction and is accepted at once.  Connectivity is read off the
+    rooted form: a connected graph has one root."""
     if t._parent is not None and t.embedding is None:
         return ValidationResult(True, None)
     if not t.vertices:
@@ -166,7 +183,8 @@ def validate_tree(t: Tree) -> ValidationResult:
     if len(t.edges) < len(t.vertices) - 1:
         return ValidationResult(False, "disconnected")
     # |E| = |V|-1 holds; connectivity now rules out a cycle+island split.
-    if sum(1 for _ in walk(t.vertices[0], t.adjacency.__getitem__)) != len(t.vertices):
+    parent = t._rooted[0]
+    if sum(map(eq, parent, range(len(parent)))) != 1:
         return ValidationResult(False, "disconnected")
     if t.embedding is not None:
         if set(t.embedding) != vset:
@@ -180,45 +198,33 @@ def validate_tree(t: Tree) -> ValidationResult:
 
 
 def path(t: Tree, a: str, b: str) -> list[str]:
-    """The unique simple path from a to b; ``path(t, a, a) == [a]``."""
-    adj = t.adjacency
-    if a not in adj or b not in adj:
+    """The unique simple path from a to b; ``path(t, a, a) == [a]``.
+
+    The end with the later position in the rooted form climbs to its
+    parent until the two meet; one that would climb past a root lies in
+    another component than the other end."""
+    if a not in t or b not in t:
         raise TreeError("vertex not in tree")
-    parent: dict[str, str | None] = {}
-    for x, up, _k, _depth in walk(a, adj.__getitem__):
-        parent[x] = up
-        if x == b:
-            break
-    else:
-        raise TreeError("vertices not connected")
-    out = [b]
-    while parent[out[-1]] is not None:
-        out.append(parent[out[-1]])
-    out.reverse()
-    return out
+    parent, position = t._rooted
+    up, down = [t._index[a]], [t._index[b]]
+    while up[-1] != down[-1]:
+        side = up if position[up[-1]] > position[down[-1]] else down
+        if parent[side[-1]] == side[-1]:
+            raise TreeError("vertices not connected")
+        side.append(parent[side[-1]])
+    return [t.vertices[i] for i in up + down[-2::-1]]
 
 
 def _subset_top(t: Tree, sub: frozenset[str]) -> int | None:
-    """On a tree with a parent list: the index of the one member of sub
-    that is the root or has its parent outside sub, when sub is a set of
-    its vertices with exactly one such member, that is, a connected one;
-    else None."""
-    index, parent = t._index, t._parent
+    """The index of the one member of sub that is a root of the rooted form
+    or has its parent outside sub, when sub is a set of t's vertices with
+    exactly one such member, that is, a connected one; else None."""
+    index, parent = t._index, t._rooted[0]
     if not sub <= index.keys():
         return None
     members = set(map(index.__getitem__, sub))
-    tops = [i for i in members if not i or parent[i] not in members]
+    tops = [i for i in members if parent[i] == i or parent[i] not in members]
     return tops[0] if len(tops) == 1 else None
-
-
-def _is_connected_subset(t: Tree, sub: frozenset[str]) -> bool:
-    if t._parent is not None:
-        return _subset_top(t, sub) is not None
-    adj = t.adjacency
-    if not sub or not sub <= adj.keys():  # a vertex outside t connects to nothing
-        return False
-    inside = lambda x: [y for y in adj[x] if y in sub]
-    return sum(1 for _ in walk(next(iter(sub)), inside)) == len(sub)
 
 
 def first_point_map(t: Tree, sub: Iterable[str], x: str) -> str:
@@ -227,30 +233,17 @@ def first_point_map(t: Tree, sub: Iterable[str], x: str) -> str:
     ``sub`` must induce a connected subtree; the path from x meets it
     exactly in the returned vertex, and r(x) = x for x already inside.
     In a tree every path from x into a connected subtree enters it at that
-    one vertex, so it is the subtree vertex nearest to x: a breadth-first
-    walk from x stops at the first subtree vertex it meets.  On a tree with
-    a parent list it is the first member on x's path to the root, or, when
-    that path misses sub, sub's top member, whose parent lies outside it.
+    one vertex, and the path from there to any member stays inside, so it
+    is the first member on the path from x to sub's top member in the
+    rooted form, its one member that is a root or has its parent outside.
     """
     subset = frozenset(sub)
     if x not in t:
         raise TreeError("vertex not in tree")
-    if t._parent is None:
-        if not _is_connected_subset(t, subset):
-            raise TreeError("subtree required")
-        for v, *_ in walk(x, t.adjacency.__getitem__):
-            if v in subset:
-                return v
-        raise TreeError("vertices not connected")
     top = _subset_top(t, subset)
     if top is None:
         raise TreeError("subtree required")
-    vertices, parent, i = t.vertices, t._parent, t._index[x]
-    while vertices[i] not in subset:
-        if not i:
-            return vertices[top]
-        i = parent[i]
-    return vertices[i]
+    return next(v for v in path(t, x, t.vertices[top]) if v in subset)
 
 
 def point_order(t: Tree, x: str) -> int:
@@ -319,15 +312,17 @@ class TreeAutomorphism:
 
 
 def is_tree_automorphism(t: Tree, a: TreeAutomorphism) -> ValidationResult:
-    vset, eset = t._vertex_edge_sets
-    image = a._map
-    if image.keys() != vset:
+    """Whether a permutes the vertices and maps each edge, in ``t.edges``
+    order, to a parent and child of the rooted form; else the first
+    failure."""
+    index, image, parent = t._index, a._map, t._rooted[0]
+    if image.keys() != index.keys():
         return ValidationResult(False, "domain mismatch")
-    if set(image.values()) != vset:
+    if set(image.values()) != index.keys():
         return ValidationResult(False, "not a bijection")
     for u, v in t.edges:
-        gu, gv = image[u], image[v]
-        if ((gu, gv) if gu <= gv else (gv, gu)) not in eset:
+        i, j = index[image[u]], index[image[v]]
+        if i == j or (parent[i] != j and parent[j] != i):
             return ValidationResult(False, f"edge ({u},{v}) not preserved")
     return ValidationResult(True, None)
 

@@ -36,6 +36,7 @@ from treeact.trees import (
     Tree,
     TreeAutomorphism,
     TreeError,
+    ValidationResult,
     _rooted_children,
     _sibling_classes,
 )
@@ -299,6 +300,34 @@ def parent_path(parent, b):
     while parent[out[-1]] is not None:
         out.append(parent[out[-1]])
     return out[::-1]
+
+
+def path(t, a, b):
+    """The path as first written: a breadth-first search of the string
+    adjacency from a, followed back from b."""
+    adj = adjacency(t)
+    if a not in adj or b not in adj:
+        raise TreeError("vertex not in tree")
+    _order, parent, _depth = bfs(a, adj.__getitem__)
+    if b not in parent:
+        raise TreeError("vertices not connected")
+    return parent_path(parent, b)
+
+
+def is_tree_automorphism(t, a):
+    """The automorphism check as first written: the map's keys and images
+    against the vertex set, then each edge's image, in ``t.edges`` order,
+    against the set of edges."""
+    vset, eset = set(t.vertices), set(t.edges)
+    image = a.mapping
+    if set(image) != vset:
+        return ValidationResult(False, "domain mismatch")
+    if set(image.values()) != vset:
+        return ValidationResult(False, "not a bijection")
+    for u, v in t.edges:
+        if tuple(sorted((image[u], image[v]))) not in eset:
+            return ValidationResult(False, f"edge ({u},{v}) not preserved")
+    return ValidationResult(True, None)
 
 
 def first_point_map(t, sub, x):

@@ -703,6 +703,20 @@ class TestTowerFromFile:
         assert code == 1
         assert report["details"]["reasons"] == ["level 1: invalid tree: duplicate edge"]
 
+    def test_cycle_in_the_top_level(self, tmp_path):
+        # the serialized n=2 p=2 depth-2 tower with an edge from the root to
+        # the top level's last vertex; the rooted form of that level hangs
+        # the vertex from the root, so its bond block has two tops
+        payload = system_to_json(build_congruence_tower(2, 2, 2))
+        top = payload["levels"][2]["tree"]
+        top["edges"].append([top["vertices"][0], top["vertices"][-1]])
+        bad = tmp_path / "tower.json"
+        bad.write_text(json.dumps(payload))
+        code, report = run_report("tower", "verify", "--in", str(bad))
+        assert code == 1
+        assert report["details"]["reasons"] == [
+            "level 2: invalid tree: cycle", "preimage of 1|1,1,1,0 is disconnected"]
+
     # the file of `tower build -n 2 -p 2 --depth 1`, corrupted in one place,
     # with the exit codes of tower verify, orbits, decorate and build on it:
     # a reference to no vertex is bad input everywhere; a generator that is

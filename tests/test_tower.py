@@ -35,7 +35,7 @@ from treeact.tower import (
     verify_bond_structure,
     verify_tower,
 )
-from treeact.trees import TreeAutomorphism, _is_connected_subset, validate_tree
+from treeact.trees import TreeAutomorphism, _subset_top, validate_tree
 
 
 @pytest.fixture(scope="module")
@@ -156,7 +156,7 @@ class TestBonds:
         bonds[level]["ghost"] = "0|e"
         rep = verify_bond_structure(InverseSystem(sys_.levels, bonds, sys_.provenance), level)
         assert rep.reasons == ("bond domain mismatch", "preimage of 0|e is disconnected")
-        assert not _is_connected_subset(sys_.levels[level + 1].tree, frozenset({"ghost"}))
+        assert _subset_top(sys_.levels[level + 1].tree, frozenset({"ghost"})) is None
 
     @pytest.mark.parametrize("level", [-1, 2])
     def test_level_outside_the_bonds_rejected(self, level):
@@ -265,6 +265,10 @@ class TestLazyViews:
         # each level's tree answers from its parent list
         assert all(validate_tree(act.tree) for act in sys_.levels)
         assert [len(act.tree.leaves()) for act in sys_.levels] == [0, 168, 43008]
+        # and its rooted form is that list, with positions in vertex order
+        for act in sys_.levels:
+            parent, position = act.tree._rooted
+            assert parent is act.tree._parent and position == range(len(act.tree.vertices))
         assert [a for a, act in enumerate(sys_.levels) if "adjacency" in vars(act.tree)] == []
         assert made == Counter()
         # a view makes its dict on the first read, once

@@ -11,6 +11,7 @@ from treeact.trees import (
     Tree,
     TreeAutomorphism,
     TreeError,
+    ValidationResult,
     automorphisms_fixing_leaf,
     common_fixed_point,
     convex_hull,
@@ -25,6 +26,7 @@ from treeact.trees import (
     validate_tree,
 )
 
+import oracles
 from conftest import pruefer_tree
 from oracles import random_automorphism_fixing_leaf
 
@@ -261,7 +263,7 @@ class TestAutomorphisms:
                 if m[e] != e:
                     continue
                 cand = TreeAutomorphism(m)
-                if is_tree_automorphism(t, cand).ok:
+                if oracles.is_tree_automorphism(t, cand).ok:
                     brute.append(cand)
             enumerated = list(automorphisms_fixing_leaf(t, e))
             assert len(enumerated) == len(brute) == count_automorphisms_fixing_leaf(t, e)
@@ -358,6 +360,20 @@ class TestSerialization:
         assert '"c" -- "l1";' in dot and dot.startswith("graph")
 
 
+def triangle_with_pendant():
+    """The 3-cycle a-b-c with d hung from c: no tree.  Its rooted form hangs
+    b and c from a and d from c, so the edge b-c is no parent and child."""
+    return Tree(("a", "b", "c", "d"), (("a", "b"), ("b", "c"), ("a", "c"), ("c", "d")))
+
+
+def answer(call):
+    """What call returns, or the message of the TreeError it raises."""
+    try:
+        return "value", call()
+    except TreeError as exc:
+        return "raised", str(exc)
+
+
 def embedded_from_parents(embedding):
     """The edge a-b made from a parent list, with an embedding set after."""
     t = Tree.from_parents(("a", "b"), [0, 0])
@@ -408,3 +424,18 @@ class TestRejections:
         with pytest.raises(TreeError) as exc:
             call()
         assert str(exc.value) == message
+
+    # what each primitive answers on a graph with a cycle, which it reads
+    # through the rooted form's spanning tree
+    @pytest.mark.parametrize("call, want", [
+        pytest.param(lambda: path(triangle_with_pendant(), "b", "c"),
+                     ("value", ["b", "a", "c"]), id="path"),
+        pytest.param(lambda: first_point_map(triangle_with_pendant(), {"b", "c"}, "d"),
+                     ("raised", "subtree required"), id="first-point-map"),
+        pytest.param(lambda: is_tree_automorphism(
+            triangle_with_pendant(), TreeAutomorphism({v: v for v in "abcd"})),
+                     ("value", ValidationResult(False, "edge (b,c) not preserved")),
+                     id="automorphism"),
+    ])
+    def test_graph_with_a_cycle(self, call, want):
+        assert answer(call) == want

@@ -6,7 +6,9 @@
 ``PLHomeo.__call__`` and ``tower.orbit`` each have a naive twin in
 ``tests/oracles.py`` that redoes every product and segment scan in its
 innermost loop; ``trees.first_point_map`` has one
-that takes the whole path to the least subtree vertex,
+that takes the whole path to the least subtree vertex, ``trees.path``
+one that searches the string adjacency, ``trees.is_tree_automorphism``
+one that looks each edge's image up in the set of edges,
 ``tower.projection_orbit_growth`` one that works on the decorated tree and
 action made in full, and ``ordering.Ball.row``, which composes rows along
 the ball's words, one that makes a product per element;
@@ -74,7 +76,15 @@ from treeact.tower import (
     verify_bond_structure,
     verify_tower,
 )
-from treeact.trees import Tree, TreeError, first_point_map, validate_tree
+from treeact.trees import (
+    Tree,
+    TreeAutomorphism,
+    TreeError,
+    first_point_map,
+    is_tree_automorphism,
+    path,
+    validate_tree,
+)
 
 U = elementary(2, 1, 2, 1)
 A = GroupMatrix.from_rows([[1, 1, 0], [0, 1, 0], [0, 0, 1]])
@@ -584,9 +594,10 @@ class TestProbeKeyTwin:
 # -- first-point maps against the whole path of oracles.first_point_map -------
 
 
-def first_point_outcome(fn, t, sub, x):
+def tree_outcome(fn, *args):
+    """The value fn returns, or the message of the TreeError it raises."""
     try:
-        return "value", fn(t, sub, x)
+        return "value", fn(*args)
     except TreeError as exc:
         return "raised", str(exc)
 
@@ -628,8 +639,8 @@ class TestFirstPointTwin:
         x = {"inside": lambda: rng.choice(sorted(sub or tree.vertices)),
              "outside": lambda: rng.choice(rest),
              "missing": lambda: "nope"}[x_kind]()
-        got = first_point_outcome(first_point_map, tree, sub, x)
-        assert got == first_point_outcome(oracles.first_point_map, tree, sub, x)
+        got = tree_outcome(first_point_map, tree, sub, x)
+        assert got == tree_outcome(oracles.first_point_map, tree, sub, x)
 
     def test_each_outcome_is_met(self):
         # the path v0 - v1 - v2 - v3, and the forest without its middle edge
@@ -643,8 +654,8 @@ class TestFirstPointTwin:
             (path, {"v1"}, "nope", ("raised", "vertex not in tree")),
             (forest, {"v0", "v1"}, "v3", ("raised", "vertices not connected")),
         ]:
-            got = first_point_outcome(first_point_map, t, sub, x)
-            assert got == first_point_outcome(oracles.first_point_map, t, sub, x) == want
+            got = tree_outcome(first_point_map, t, sub, x)
+            assert got == tree_outcome(oracles.first_point_map, t, sub, x) == want
 
 
 # -- parent-list trees against the same edges given as strings -----------------
@@ -720,8 +731,8 @@ class TestFromParentsTwin:
             subsets += [{u, rng.choice(apart)}] if apart else []
             for sub in subsets:
                 x = rng.choice(sorted(sub - {"zz"}) if sub and rng.random() < 0.5 else probes)
-                got = first_point_outcome(first_point_map, tree, sub, x)
-                assert got == first_point_outcome(oracles.first_point_map, plain, sub, x)
+                got = tree_outcome(first_point_map, tree, sub, x)
+                assert got == tree_outcome(oracles.first_point_map, plain, sub, x)
         # a sound parent list answers all of that without an adjacency
         assert ("adjacency" in vars(tree)) != sound
         assert tree.adjacency == plain.adjacency == oracles.adjacency(plain)
@@ -738,8 +749,107 @@ class TestFromParentsTwin:
             (set(), "v0", ("raised", "subtree required")),
             ({"v1"}, "nope", ("raised", "vertex not in tree")),
         ]:
-            got = first_point_outcome(first_point_map, t, sub, x)
-            assert got == first_point_outcome(oracles.first_point_map, t, sub, x) == want
+            got = tree_outcome(first_point_map, t, sub, x)
+            assert got == tree_outcome(oracles.first_point_map, t, sub, x) == want
+
+
+# -- paths and automorphisms against the string searches of oracles ------------
+
+# a Pruefer tree, the forest left when one of its edges is dropped, and trees
+# made from sound parent lists, with names in index order or shuffled
+TREE_KINDS = ["pruefer", "forest", "sound", "shuffled"]
+MAP_KINDS = ["automorphism", "identity", "shuffled", "swap", "missing", "extra", "collapse",
+             "foreign"]
+
+
+def tree_case(kind, size, rng):
+    """A tree of the given kind, and the string-edge tree it was cut from
+    (itself, for a Pruefer tree) that random automorphisms are drawn on."""
+    if kind in ("sound", "shuffled"):
+        tree = Tree.from_parents(*parent_list_case(kind, size, rng))
+        return tree, Tree(tree.vertices, tree.edges)
+    whole = pruefer_tree(size, rng)
+    if kind == "pruefer" or not whole.edges:
+        return whole, whole
+    edges = list(whole.edges)
+    edges.pop(rng.randrange(len(edges)))
+    return Tree(whole.vertices, tuple(edges)), whole
+
+
+def random_map(kind, t, rng):
+    """An automorphism of t fixing a random leaf, or a map on t's vertices
+    that is the identity, shuffled, two swapped, or broken by a missing or
+    extra key, two vertices sent to one, or an image outside t."""
+    vs = list(t.vertices)
+    if kind == "automorphism" and len(vs) > 1:
+        return oracles.random_automorphism_fixing_leaf(t, rng.choice(t.leaves()), rng)
+    image = dict(zip(vs, rng.sample(vs, len(vs)) if kind == "shuffled" else vs))
+    a, b = rng.choice(vs), rng.choice(vs)
+    if kind == "swap":
+        image[a], image[b] = b, a
+    elif kind == "missing":
+        del image[a]
+    elif kind == "extra":
+        image["zz"] = "zz"
+    elif kind == "collapse":
+        image[a] = b
+    elif kind == "foreign":
+        image[a] = "zz"
+    return TreeAutomorphism(image)
+
+
+class TestRootedFormTwin:
+    """``trees.path`` climbs the rooted form and ``trees.is_tree_automorphism``
+    reads each edge's image as a parent and child of it; their twins search
+    the string adjacency and the set of edges.  A tree made from a sound
+    parent list answers both without an adjacency."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(TREE_KINDS), st.integers(1, 30), SEEDS)
+    def test_paths(self, kind, size, seed):
+        rng = random.Random(seed)
+        tree, _whole = tree_case(kind, size, rng)
+        probes = list(tree.vertices) + ["zz"]
+        for _ in range(10):
+            a, b = rng.choice(probes), rng.choice(probes)
+            assert tree_outcome(path, tree, a, b) == tree_outcome(oracles.path, tree, a, b)
+        assert "adjacency" not in vars(tree) or kind not in PARENT_KINDS
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(TREE_KINDS), st.integers(1, 12), SEEDS, st.sampled_from(MAP_KINDS))
+    def test_automorphisms(self, kind, size, seed, map_kind):
+        rng = random.Random(seed)
+        tree, whole = tree_case(kind, size, rng)
+        a = random_map(map_kind, whole, rng)
+        assert is_tree_automorphism(tree, a) == oracles.is_tree_automorphism(tree, a)
+        assert "adjacency" not in vars(tree) or kind not in PARENT_KINDS
+
+    def test_each_outcome_is_met(self):
+        # the path v0 - v1 - v2 - v3, the forest without its middle edge,
+        # and v0 - v1 - v2 - v3 hung from v0 with v4 hung from v1
+        line = Tree(("v0", "v1", "v2", "v3"), (("v0", "v1"), ("v1", "v2"), ("v2", "v3")))
+        forest = Tree(line.vertices, (("v0", "v1"), ("v2", "v3")))
+        hung = Tree.from_parents(["v0", "v1", "v2", "v3", "v4"], [0, 0, 1, 2, 1])
+        for t, a, b, want in [
+            (line, "v3", "v0", ("value", ["v3", "v2", "v1", "v0"])),
+            (forest, "v1", "v0", ("value", ["v1", "v0"])),
+            (forest, "v0", "v3", ("raised", "vertices not connected")),
+            (hung, "v4", "v3", ("value", ["v4", "v1", "v2", "v3"])),
+            (hung, "v2", "zz", ("raised", "vertex not in tree")),
+        ]:
+            assert tree_outcome(path, t, a, b) == tree_outcome(oracles.path, t, a, b) == want
+        flip = TreeAutomorphism({"v0": "v3", "v1": "v2", "v2": "v1", "v3": "v0"})
+        swap = TreeAutomorphism({"v0": "v0", "v1": "v1", "v2": "v2", "v3": "v4", "v4": "v3"})
+        for t, a, want in [
+            (line, flip, (True, None)),
+            (forest, flip, (True, None)),
+            (hung, flip, (False, "domain mismatch")),
+            (hung, TreeAutomorphism({**swap.mapping, "v4": "v4"}), (False, "not a bijection")),
+            (hung, swap, (False, "edge (v1,v4) not preserved")),
+        ]:
+            got = is_tree_automorphism(t, a)
+            assert got == oracles.is_tree_automorphism(t, a) and (got.ok, got.reason) == want
+        assert "adjacency" not in vars(hung)
 
 
 class TestAdjacencyTwin:
