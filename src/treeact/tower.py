@@ -82,14 +82,14 @@ class FiniteTreeAction:
 
     tree: Tree
     generators: Mapping[str, TreeAutomorphism]
-    # the numbering whose verdict holds that made a built level; not an argument
+    # the numbering that made a built level, whose verdict holds; not an argument
     _numbered: _Numbering | None = field(default=None, init=False, repr=False)
 
     def validate(self) -> None:
         """Raise TowerError naming the first failure: the tree, then each
-        generator in turn.  A level that keeps a numbering is accepted at
-        once, since it keeps one only when the verdict holds; any other is
-        checked on the strings, which give the reason."""
+        generator in turn.  A built level keeps its numbering and is accepted
+        at once, since a numbering makes levels only when its verdict holds;
+        any other is checked on the strings, which give the reason."""
         if self._numbered is not None:
             return
         ok = validate_tree(self.tree)
@@ -106,17 +106,17 @@ class InverseSystem:
     """Finite truncation of an inverse limit: levels plus bonding vertex maps,
     and the integral matrix each generator name stands for, when known.
 
-    ``build_congruence_tower`` hands out its levels and bonds as tuples of
-    read-only views of one vertex numbering.  A system is in one of two
-    states.  It keeps the numbering, as ``_numbering``, only when the
-    numbering's verdict holds: every check then accepts it at once, and the
-    checks, orbits, decorations and ``system_to_json`` read the numbering's
-    ints, so a tower built, verified, decorated, walked and written makes
-    no dict of strings.  Otherwise it keeps none and is checked on its
-    strings, as a tower read from a file is, and so is a system made here
-    (or by ``dataclasses.replace``) from levels and bonds, even a built
-    tower's.  Each level's ``generators`` and each bond makes its dict of
-    strings on first read and keeps it; each level's tree is made at once.
+    A system has one state for each way it is made.  One that
+    ``build_congruence_tower`` makes keeps its vertex numbering, as
+    ``_numbering``, whose verdict holds: its levels and bonds are tuples of
+    read-only views of the numbering, every check accepts it at once, and
+    the checks, orbits, decorations and ``system_to_json`` read the
+    numbering's ints, so a tower built, verified, decorated, walked and
+    written makes no dict of strings.  Each level's ``generators`` and each
+    bond makes its dict of strings on first read and keeps it; each level's
+    tree is made at once.  One made here from levels and bonds, by
+    ``dataclasses.replace`` (even from a built tower) or by
+    ``system_from_json`` keeps none and is checked on its strings.
     """
 
     levels: Sequence[FiniteTreeAction]
@@ -133,10 +133,9 @@ class _Numbering:
     parent[v] (the root is its own parent) and generator names[k] sends v
     to images[k][v].  ``system`` makes every level's tree from these lists
     at once, and every level's generator maps and every bond as views
-    whose dicts are made from them on first read.  When the verdict
-    ``holds``, every check of the views passes, so the system keeps the
-    numbering and the checks do not read the views; when it does not, the
-    system keeps none and the checks read the views' strings.
+    whose dicts are made from them on first read.  It requires the verdict
+    ``holds``, under which every check of the views passes, so the system
+    keeps the numbering and the checks do not read the views.
     """
 
     def __init__(self, ids: list[str], parent: list[int], images: list[list[int]],
@@ -147,34 +146,27 @@ class _Numbering:
     def system(self, provenance: dict, matrices: dict[str, GroupMatrix]) -> InverseSystem:
         """The system whose levels and bonds are views of these lists.
 
-        Each level's tree, its read-only generator maps and each bond: the
-        identity on level a-1, each newer vertex onto its parent.  When the
-        verdict holds, which implies a sound parent and no empty level, each
-        tree is made with ``Tree.from_parents`` from its prefix of the lists,
-        and the system and its levels keep the numbering.  Otherwise each is
-        made from the strings, its edges read off the whole lists (an empty
-        level has none), and nothing keeps the numbering.  The maps and
-        bonds are ``_View``s of ``maps`` and ``bond``.
+        The verdict must hold, which implies a sound parent list and no
+        empty level; a numbering whose verdict fails is an internal error.
+        Each level's tree is ``Tree.from_parents`` of its prefix of the
+        lists, its generator maps a ``_View`` of ``maps`` and each bond one
+        of ``bond``: the identity on level a-1, each newer vertex onto its
+        parent.  The system and every level keep the numbering.
         """
+        if not self.holds:
+            raise AssertionError("internal error: the vertex numbering fails its verdict")
         ids, parent, counts = self.ids, self.parent, self.counts
-        holds = self.holds
-        if holds:
-            trees = [Tree.from_parents(ids[:size], parent[:size]) for size in counts]
-        else:
-            # vertex v > 0 hangs from ids[parent[v]] by edges[v - 1]
-            edges = list(zip([ids[u] for u in parent[1:]], ids[1:]))
-            trees = [Tree(ids[:size], edges[:max(size - 1, 0)]) for size in counts]
         levels, bonds = [], []
-        for a, (size, tree) in enumerate(zip(counts, trees)):
+        for a, size in enumerate(counts):
             if a:
                 bonds.append(_View(partial(self.bond, counts[a - 1], size)))
-            levels.append(FiniteTreeAction(tree, _View(partial(self.maps, size))))
+            levels.append(FiniteTreeAction(Tree.from_parents(ids[:size], parent[:size]),
+                                           _View(partial(self.maps, size))))
         sys = InverseSystem(tuple(levels), tuple(bonds), provenance, matrices)
-        if holds:
-            # both classes are frozen, and neither takes a numbering as an argument
-            object.__setattr__(sys, "_numbering", self)
-            for act in levels:
-                object.__setattr__(act, "_numbered", self)
+        # both classes are frozen, and neither takes a numbering as an argument
+        object.__setattr__(sys, "_numbering", self)
+        for act in levels:
+            object.__setattr__(act, "_numbered", self)
         return sys
 
     def maps(self, size: int) -> dict[str, TreeAutomorphism]:
@@ -276,8 +268,9 @@ def _number_cosets(
 
     Level 1 is SL_n(Z/p), from ``enumerate_group``, whose Cayley table
     gives its images; that it has ``sl_order(n, p, 1)`` vertices is
-    asserted.  Level b >= 2 is lifted from level b-1.  With q = p^(b-1),
-    q^2 = 0 mod p^b, so for a vertex x of level b-1 with representative x~:
+    checked, and any other size is an internal error.  Level b >= 2 is
+    lifted from level b-1.  With q = p^(b-1), q^2 = 0 mod p^b, so for a
+    vertex x of level b-1 with representative x~:
 
     - its children are x~ + qY for the Y in {0..p-1}^(n x n) with
       c + tr(adj(x~) Y) = 0 mod p, where det x~ = 1 + qc mod p^b, since
@@ -298,7 +291,8 @@ def _number_cosets(
         return names, parent, images, counts
     group = enumerate_group(n, p, gens, cap=cap)
     reps = list(group.entries)   # the newest level's representatives, in number order
-    assert len(reps) == sl_order(n, p, 1), "the generators do not generate SL_n(Z/p)"
+    if len(reps) != sl_order(n, p, 1):
+        raise AssertionError("internal error: the generators do not generate SL_n(Z/p)")
     names.extend(_level_ids(1, reps))
     parent.extend([0] * len(reps))
     for image, column in zip(images, group.cayley):
@@ -423,7 +417,7 @@ class BondReport:
 def verify_all_bonds(sys: InverseSystem) -> BondReport:
     """Exhaustively check bond(g.x) = g.bond(x) for every bond, generator and vertex.
 
-    A built tower that keeps its numbering (see ``_Numbering.holds``)
+    A built tower, which keeps its numbering (see ``_Numbering.holds``),
     passes at once; any other compares the string maps.
     """
     numbering = sys._numbering
@@ -448,7 +442,7 @@ class BondStructureReport:
 def verify_bond_structure(sys: InverseSystem, level: int) -> BondStructureReport:
     """Bond must be surjective, monotone, and the identity on the lower copy.
 
-    A built tower that keeps its numbering passes at once; any other is
+    A built tower, which keeps its numbering, passes at once; any other is
     checked on its strings."""
     if level < 0 or level + 1 >= len(sys.levels):
         raise TowerError("no bond at this level")
@@ -490,9 +484,9 @@ def _orbit_order(act: FiniteTreeAction, v: str, cap: int | None) -> tuple[list[s
     """The orbit of v in the order a breadth-first walk meets it, and closed:
     the generators sorted by name, each then its inverse when a cap bounds
     word length.  No vertex past word length cap is met, and ``closed`` is
-    False exactly when one at cap is.  A level that keeps its numbering is
-    walked on the numbering's ints, its inverses made once per numbering;
-    any other on the string maps."""
+    False exactly when one at cap is.  A built level, which keeps its
+    numbering, is walked on the numbering's ints, its inverses made once
+    per numbering; any other on the string maps."""
     capped = cap is not None
     numbering = act._numbered
     if numbering is not None:
@@ -571,22 +565,26 @@ def verify_tower(sys: InverseSystem) -> TowerReport:
     Each level must be a tree that its generators act on by automorphisms;
     every bond equivariant, surjective, monotone and the identity on the
     lower copy; and the degree profile stable at the bound the provenance
-    gives.  The reasons come in that order.  A built tower that keeps its
-    numbering, whose one verdict then holds, passes the level and bond
-    checks at once; any other tower is checked on its strings, which give
-    the reasons.
+    gives.  The reasons come in that order.  Bond a's structure reasons are
+    added only when level a+1 passes ``FiniteTreeAction.validate``: the
+    monotone test reads that level's tree, which must be one.  A built
+    tower, which keeps its numbering, passes the level and bond checks at
+    once; any other tower is checked on its strings, which give the
+    reasons.
     """
-    reasons = []
+    reasons, invalid = [], set()
     for k, act in enumerate(sys.levels):
         try:
             act.validate()
         except TowerError as exc:
             reasons.append(f"level {k}: {exc}")
+            invalid.add(k)
     bonds = verify_all_bonds(sys)
     if not bonds.passed:
         reasons.append(f"equivariance violations: {len(bonds.violations)}")
     for level in range(len(sys.bonds)):
-        reasons.extend(verify_bond_structure(sys, level).reasons)
+        if level + 1 not in invalid:
+            reasons.extend(verify_bond_structure(sys, level).reasons)
     degrees = degree_profile(sys)
     if degrees.stabilized is False:
         reasons.append("degree profile did not stabilize at the expected bound")
@@ -832,7 +830,7 @@ def projection_orbit_growth(
 def system_to_json(sys: InverseSystem) -> dict:
     """The system as a JSON object: each level's tree and generator images
     (one per vertex, in vertex order), and each bond with sorted keys.  A
-    built tower that keeps its numbering writes the images and bonds from
+    built tower, which keeps its numbering, writes the images and bonds from
     the numbering's ints, not from its views."""
     numbering = sys._numbering
     if numbering is not None:

@@ -2,8 +2,9 @@
 
 Vertices are opaque strings and all tie-breaking is lexicographic on the
 identifier (after a primary distance key where one is stated).  Trees are
-immutable after construction; construction itself is permissive so that
-``validate_tree`` can report on malformed input instead of refusing it.
+immutable after construction.  ``Tree(vertices, edges)`` is permissive so
+that ``validate_tree`` can report on malformed input instead of refusing
+it; ``Tree.from_parents`` refuses any parent list that is not sound.
 """
 
 from __future__ import annotations
@@ -45,9 +46,9 @@ class Tree:
 
     ``embedding`` maps vertices to rational coordinates in the plane or in
     3-space.  Nothing is validated at construction time (use
-    ``validate_tree``), with one exception: ``from_parents`` checks its
-    parent list, and a tree made from a sound one keeps the list, which
-    also vouches for it in ``validate_tree``.  Every tree answers
+    ``validate_tree``), with one exception: ``from_parents`` accepts only a
+    sound parent list, and every tree it makes keeps the list, which also
+    vouches for it in ``validate_tree``.  Every tree answers
     ``leaves``, ``degree`` and membership from one table per vertex,
     ``_degrees``, and paths, first points, connected subsets and
     automorphisms from one rooted form of int lists, ``_rooted``.
@@ -56,7 +57,7 @@ class Tree:
     vertices: tuple[str, ...]
     edges: tuple[tuple[str, str], ...]
     embedding: dict[str, tuple[Fraction, ...]] | None = None
-    # vertex i > 0 hangs from vertex _parent[i]; kept only by from_parents, when sound
+    # vertex i > 0 hangs from vertex _parent[i]; set exactly on the trees from_parents makes
     _parent: list[int] | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -71,21 +72,16 @@ class Tree:
     @classmethod
     def from_parents(cls, vertices: Sequence[str], parent: Sequence[int]) -> Tree:
         """The tree with an edge from vertices[parent[i]] to vertices[i] for
-        each i >= 1.  A parent indexes vertices as a Python index does, so a
-        negative one counts from the end; one out of range is a TreeError.
+        each i >= 1, rooted at vertices[0] by construction; it keeps the list.
 
-        The tree keeps the list only when it is sound: as long as vertices,
-        parent[0] == 0 and 0 <= parent[i] < i, with distinct vertices.  Such
-        a tree is rooted at vertices[0] by construction.
+        The list must be sound: as long as vertices, parent[0] == 0 and
+        0 <= parent[i] < i, with distinct vertices.  Any other is a TreeError.
         """
         vertices, parent = tuple(vertices), list(parent)
-        try:
-            ups = list(map(vertices.__getitem__, parent[1:]))
-        except IndexError:
-            raise TreeError("parent index out of range") from None
-        tree = cls(vertices, zip(ups, vertices[1:]))
-        if _sound_parents(vertices, parent):
-            tree._parent = parent
+        if not _sound_parents(vertices, parent):
+            raise TreeError("parent list is not sound")
+        tree = cls(vertices, zip(map(vertices.__getitem__, parent[1:]), vertices[1:]))
+        tree._parent = parent
         return tree
 
     @cached_property

@@ -13,7 +13,7 @@ import jsonschema
 import pytest
 
 import oracles
-from treeact import cli, presets
+from treeact import cli, presets, tower
 from treeact.matrices import elementary, matrix_to_json
 from treeact.ordering import OrderingError
 from treeact.tower import build_congruence_tower, system_to_json
@@ -599,6 +599,12 @@ class TestGivenValues:
         assert code == 0 and report["parameters"]["outer_radius"] == 0
         assert report["details"]["ball_sizes"] == {"inner": 1, "outer": 1}
 
+    def test_inner_images_outside_the_outer_ball_are_rejected(self, input_files, capsys):
+        # u12 sends u12^2 out of the radius-2 ball, which is both balls here
+        assert run_cli("order", "search", "--gens", input_files["gens"], "--radius", "2",
+                       "--outer-radius", "2") == (3, "")
+        assert capsys.readouterr().err == "error: ball containment violated\n"
+
     def test_seed_is_recorded(self):
         _, plain = run_report("order", "search", "--preset", "heisenberg-ball-2")
         _, seeded = run_report("order", "search", "--preset", "heisenberg-ball-2", "--seed", "3")
@@ -705,8 +711,8 @@ class TestTowerFromFile:
 
     def test_cycle_in_the_top_level(self, tmp_path):
         # the serialized n=2 p=2 depth-2 tower with an edge from the root to
-        # the top level's last vertex; the rooted form of that level hangs
-        # the vertex from the root, so its bond block has two tops
+        # the top level's last vertex; the bond below that level, which is no
+        # tree, is not checked for structure
         payload = system_to_json(build_congruence_tower(2, 2, 2))
         top = payload["levels"][2]["tree"]
         top["edges"].append([top["vertices"][0], top["vertices"][-1]])
@@ -714,8 +720,7 @@ class TestTowerFromFile:
         bad.write_text(json.dumps(payload))
         code, report = run_report("tower", "verify", "--in", str(bad))
         assert code == 1
-        assert report["details"]["reasons"] == [
-            "level 2: invalid tree: cycle", "preimage of 1|1,1,1,0 is disconnected"]
+        assert report["details"]["reasons"] == ["level 2: invalid tree: cycle"]
 
     # the file of `tower build -n 2 -p 2 --depth 1`, corrupted in one place,
     # with the exit codes of tower verify, orbits, decorate and build on it:
@@ -866,6 +871,15 @@ class TestMalformedInput:
 
 
 class TestInternalErrors:
+    @pytest.mark.parametrize("command", ["verify", "build"])
+    def test_numbering_whose_verdict_fails_exits_four(self, monkeypatch, capsys, command):
+        # a built tower's numbering always passes its verdict; one that did not
+        # would be a bug, which stops the command before any report
+        monkeypatch.setattr(tower._Numbering, "holds", False)
+        assert run_cli("tower", command, "-n", "2", "-p", "2", "--depth", "1") == (4, "")
+        err = capsys.readouterr().err
+        assert err.startswith("internal error: AssertionError('internal error: ")
+
     @pytest.mark.parametrize("exc", [
         KeyError("boom"),
         AssertionError("internal error: witness failed re-verification"),

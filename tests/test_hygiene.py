@@ -1,12 +1,14 @@
 """Static hygiene of the package modules, by the standard-library ast only.
 
-Five faults are caught: a module-level import that the module never uses,
+Six faults are caught: a module-level import that the module never uses,
 a plain local assignment (``x = ...``) in a function whose name is never
 read in that function or the functions nested in it, a module-level
 private function or class (``_name``) that no module of the package reads,
 a public function, class or method that nothing in the package, the
-scripts or the benchmark reads outside its own definition, and a
-double-backquoted dotted name in a docstring or comment that names nothing.
+scripts or the benchmark reads outside its own definition, a
+double-backquoted dotted name in a docstring or comment that names nothing,
+and an ``assert`` statement, which ``python -O`` drops: an internal check
+raises ``AssertionError`` itself.
 A method is read only through an attribute (``x.name``): a local variable of
 the same name does not read it.
 """
@@ -237,6 +239,11 @@ def unresolved_prose_names(sources: dict[str, str]) -> list[str]:
     return found
 
 
+def assert_statements(source: str) -> list[str]:
+    return [f"line {node.lineno}" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Assert)]
+
+
 def test_every_module_is_checked():
     assert {p.stem for p in MODULES} >= {"cli", "matrices", "ordering", "tower", "trees"}
 
@@ -262,6 +269,11 @@ def test_every_public_definition_is_read():
     assert [f for f in found if f.split(": ")[1] not in KEEP_PUBLIC] == []
     # a kept name that gains a reader leaves the list
     assert sorted(f.split(": ")[1] for f in found) == sorted(KEEP_PUBLIC)
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_assert_statements(path):
+    assert assert_statements(path.read_text()) == []
 
 
 def test_prose_names_resolve():
@@ -334,6 +346,13 @@ class TestCheckers:
                             "def use(close):\n    return Box(), P, close\n")}
         callers = ["from a import use\n\nuse(None)\n"]
         assert unread_public_definitions(sources, callers) == ["a.py line 4: close"]
+
+    def test_assert_statement_is_found(self):
+        src = ("def check(n):\n"
+               "    if n < 0:\n"
+               "        raise AssertionError('internal error: negative')\n"
+               "    assert n, 'zero'\n")
+        assert assert_statements(src) == ["line 4"]
 
     def test_unresolved_prose_name_is_found(self):
         sources = {"a.py": ('"""Read ``_kept``, ``dataclasses.replace``\n'

@@ -6,12 +6,16 @@ never against the builder's own enumeration.
 
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 from functools import cached_property
 from math import isclose, pi
+from pathlib import Path
 
 import pytest
 
@@ -48,6 +52,23 @@ def trivial_system():
 
 
 class TestBuild:
+    def test_short_first_level_raises_under_optimization(self):
+        # python -O drops assert statements; the internal error must stay
+        code = ("import sys\n"
+                "from treeact import tower\n"
+                "if __debug__:\n"
+                "    sys.exit('not optimized')\n"
+                "tower.sl_order = lambda n, p, depth: 7\n"
+                "tower.build_congruence_tower(2, 2, 1)\n")
+        src = str(Path(tower.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 1
+        assert run.stderr.splitlines()[-1] == (
+            "AssertionError: internal error: the generators do not generate SL_n(Z/p)")
+
     def test_depth_zero(self):
         sys_ = trivial_system()
         assert len(sys_.levels) == 1

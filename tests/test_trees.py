@@ -415,10 +415,23 @@ class TestRejections:
         pytest.param(lambda: tree_from_json({"vertices": ["a"], "edges": [], "embedding": ["0"]}),
                      "tree embedding must map vertex ids to lists of 'p/q' strings",
                      id="json-embedding"),
-        pytest.param(lambda: Tree.from_parents(("a", "b"), [0, 2]), "parent index out of range",
+        # every unsound parent list gets the one message
+        pytest.param(lambda: Tree.from_parents(("a", "b"), [0, 2]), "parent list is not sound",
                      id="parent-past-the-end"),
-        pytest.param(lambda: Tree.from_parents(("a", "b"), [0, -3]), "parent index out of range",
+        pytest.param(lambda: Tree.from_parents(("a", "b"), [0, -3]), "parent list is not sound",
                      id="parent-before-the-start"),
+        pytest.param(lambda: Tree.from_parents(("a", "b", "c"), [0, -1, 0]),
+                     "parent list is not sound", id="parent-counted-from-the-end"),
+        pytest.param(lambda: Tree.from_parents(("a", "b"), [0, 1]), "parent list is not sound",
+                     id="parent-its-own"),
+        pytest.param(lambda: Tree.from_parents(("a", "b"), [1, 0]), "parent list is not sound",
+                     id="root-with-a-parent"),
+        pytest.param(lambda: Tree.from_parents(("a", "a"), [0, 0]), "parent list is not sound",
+                     id="vertex-named-twice"),
+        pytest.param(lambda: Tree.from_parents(("a", "b"), [0]), "parent list is not sound",
+                     id="parent-list-too-short"),
+        pytest.param(lambda: Tree.from_parents((), []), "parent list is not sound",
+                     id="no-vertices"),
     ])
     def test_refusal(self, call, message):
         with pytest.raises(TreeError) as exc:
